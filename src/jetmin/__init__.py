@@ -68,7 +68,6 @@ from .solver import (
     extension_bound,
     kkt_minimize,
     minimal_integral,
-    oracle_minimize,
 )
 from .weights import PhiSpec, PsiSpec, WeightPair
 
@@ -122,7 +121,6 @@ __all__ = [
     "log_capacity",
     "minimal_integral",
     "norm_of_form",
-    "oracle_minimize",
     "problem_from_dict",
     "problem_to_dict",
     "random_concavity_problem",

@@ -15,7 +15,15 @@ from .gain import GainFunction, eval_h, invert_h
 from .geometry import UNIT_DISC, blaschke_deriv, blaschke_factor, green_disc_raw
 from .problems import Problem
 from .quadrature import PatchSpec, QuadratureConfig, assembled_integral
-from .series import blaschke_deriv_taylor, blaschke_taylor, moebius_taylor, pmul, ppow
+from .series import (
+    blaschke_deriv_taylor,
+    blaschke_taylor,
+    moebius_taylor,
+    pcompose,
+    pexp,
+    pmul,
+    ppow,
+)
 from .solver import extension_bound, minimal_integral
 from .weights import PsiSpec
 
@@ -275,25 +283,8 @@ def extremal_candidate(problem: Problem, N: int | None = None) -> CandidateRepor
         total += term
     a, b, c, d = dom.map_coeffs
     T_series = moebius_taylor(b, a, d, c, L)
-    acc = np.zeros(L, dtype=complex)
-    power = np.zeros(L, dtype=complex)
-    power[0] = 1.0
-    for k, u_k in enumerate(w.phi.u_coeffs):
-        if k > 0:
-            power = pmul(power, T_series, L)
-        acc = acc + u_k * power
-    # exp of the holomorphic completion of u, composed with the domain map;
-    # with the constant split off the truncated exponential sum is exact
-    const = acc[0]
-    acc[0] = 0.0
-    E = np.zeros(L, dtype=complex)
-    E[0] = 1.0
-    term = np.zeros(L, dtype=complex)
-    term[0] = 1.0
-    for k in range(1, L):
-        term = pmul(term, acc, L) / k
-        E = E + term
-    E = E * cmath.exp(const)
+    # exp of the holomorphic completion of u, composed with the domain map
+    E = pexp(pcompose(w.phi.u_coeffs, T_series, L), L)
     coeffs = crit.c0 * w.phi.leading * pmul(E, total, L)
     rho = max((abs(z) for z in zetas), default=0.0)
     if rho == 0.0 and any(u != 0 for u in w.phi.u_coeffs[1:]):

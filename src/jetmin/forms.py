@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import BadInputError, NonIntegrableWeightError
 from .gain import GainFunction, growth_rate_bound
@@ -262,13 +261,17 @@ def gram_quadrature(
 
 
 def constraint_basis(C: JetConstraintSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Min-norm particular solution and orthonormal null-space basis."""
+    """Min-norm particular solution and orthonormal null-space basis.
+
+    The rows have full rank (JetConstraintSystem rejects the rest), so the
+    null space is spanned by the trailing right singular vectors.
+    """
     A, b = C.matrix, C.rhs
     a_part = np.linalg.lstsq(A, b, rcond=None)[0]
     resid = np.linalg.norm(A @ a_part - b)
     if resid > 1e-10 * (1 + np.linalg.norm(b)):
         raise BadInputError(f"infeasible jet constraints, residual {resid:g}")
-    Z = linalg.null_space(A)
+    Z = np.linalg.svd(A, full_matrices=True)[2][C.n_rows:].conj().T
     return a_part, Z
 
 

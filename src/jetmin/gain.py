@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BadInputError, NumericalError
 
@@ -165,19 +164,23 @@ def _tail_integral(g: GainFunction, a: float, t: float) -> float:
         return math.exp(-(a - g.rate) * t) / (a - g.rate)
     if a <= 0:
         raise BadInputError(f"divergent tail integral for a = {a}")
-    t_end = g.grid_t[-1]
-    c_end = g.grid_c[-1]
-    if t >= t_end:
-        return c_end * math.exp(-a * t) / a
-    knots = [x for x in g.grid_t if t < x < t_end]
-    body, err = integrate.quad(
-        lambda s: eval_c(g, s) * math.exp(-a * s), t, t_end,
-        points=knots, limit=len(knots) + 200,
-    )
-    tail = c_end * math.exp(-a * t_end) / a
-    total = body + tail
+    # exact: log c is affine on each knot interval, so the integrand is the
+    # exponential of an affine function there; c is constant off the grid
+    gt = np.asarray(g.grid_t)
+    lc = np.log(np.asarray(g.grid_c))
+    total = g.grid_c[-1] * math.exp(-a * max(t, gt[-1])) / a
+    if t < gt[0]:
+        total += g.grid_c[0] * math.exp(-a * t) * -math.expm1(-a * (gt[0] - t)) / a
+    i = np.nonzero(gt[1:] > t)[0]  # knot intervals reaching past t
+    lo = np.maximum(gt[i], t)
+    L = gt[i + 1] - lo
+    m = (lc[i + 1] - lc[i]) / (gt[i + 1] - gt[i])
+    k = m - a  # slope of the exponent
+    head = np.exp(lc[i] + m * (lo - gt[i]) - a * lo)
+    ratio = np.divide(np.expm1(k * L), k, out=L.copy(), where=k * L != 0)
+    total += float(np.sum(head * ratio))
     if not math.isfinite(total):
-        raise NumericalError("tabulated tail integral failed to converge")
+        raise NumericalError("tabulated tail integral is not finite")
     return total
 
 

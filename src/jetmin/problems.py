@@ -129,13 +129,11 @@ def problem_from_dict(d: dict) -> Problem:
     )
     dom_d = d.get("domain", {"kind": "unit_disc"})
     _require_keys(dom_d, {"kind", "map_coeffs"}, "domain")
-    if dom_d.get("kind", "unit_disc") == "unit_disc":
-        dom = DomainSpec.unit_disc()
-    else:
-        mc = dom_d.get("map_coeffs")
-        if not (isinstance(mc, list) and len(mc) == 4):
-            raise BadInputError("moebius domain needs map_coeffs with 4 entries")
-        dom = DomainSpec.moebius(*(_c_in(v) for v in mc))
+    kind = dom_d.get("kind", "unit_disc")
+    mc = dom_d.get("map_coeffs", [1.0, 0.0, 0.0, 1.0] if kind == "unit_disc" else None)
+    if not (isinstance(mc, list) and len(mc) == 4):
+        raise BadInputError("domain map_coeffs needs 4 entries")
+    dom = DomainSpec(kind=kind, map_coeffs=tuple(_c_in(v) for v in mc))
     if "marked" not in d or not d["marked"]:
         raise BadInputError("problem file needs a nonempty marked list")
     marked = []

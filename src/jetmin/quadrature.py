@@ -29,6 +29,7 @@ _TANGENT_SPLIT = 16
 _MIN_RADIUS_FRACTION = 1e-36
 _MASK_FLOOR = 1e-14
 _CHUNK = 16384
+_TAIL_EPS = 1e-13  # relative radial tail of a patch integrand left uncovered
 
 
 @dataclass(frozen=True)
@@ -53,19 +54,13 @@ class QuadratureConfig:
     radial: int = 256
     patch_angular: int = 64
     patch_radial: int = 64
-    patch_radius: float | None = None
     levels: int = 2
-    tail_eps: float = 1e-13
 
     def __post_init__(self) -> None:
         if min(self.angular, self.radial, self.patch_angular, self.patch_radial) < 8:
             raise BadInputError("quadrature mesh counts must be >= 8")
         if self.levels < 1:
             raise BadInputError("quadrature needs at least one refinement level")
-        if self.patch_radius is not None and not (0 < self.patch_radius < 1):
-            raise BadInputError("patch_radius must lie in (0, 1)")
-        if not (0 < self.tail_eps < 1e-3):
-            raise BadInputError("tail_eps must lie in (0, 1e-3)")
 
     def halved(self) -> "QuadratureConfig":
         return replace(
@@ -145,8 +140,6 @@ def patch_radii(psi_fn, patches, config, *, t=0.0, band=None):
         for j, q in enumerate(locs):
             if j != i:
                 r = min(r, 0.45 * abs(p.center - q))
-        if config.patch_radius is not None:
-            r = min(r, config.patch_radius)
         if r <= 0:
             raise BadInputError(f"patch center {p.center} too close to the boundary")
         contained = threshold == 0
@@ -329,7 +322,7 @@ def _patch_nodes(spec, radius, config):
         raise NonIntegrableWeightError(
             f"integrand exponent {spec.exponent} at {spec.center} is not integrable"
         )
-    frac = max(config.tail_eps ** (1.0 / margin), _MIN_RADIUS_FRACTION)
+    frac = max(_TAIL_EPS ** (1.0 / margin), _MIN_RADIUS_FRACTION)
     # rings below roundoff of an off-origin center collapse onto it exactly;
     # clamp so every node stays representable away from the singular point
     rep_floor = 1e-12 * max(1.0, abs(spec.center)) / radius
@@ -483,35 +476,32 @@ def integral_on_nodes(nodes, fn):
     return total
 
 
-def assembled_gram(kernel, gain, basis, patches, config, *, t=0.0, band=None):
-    """Two-level Gram with a Richardson-style error estimate.
+def _two_level(psi_fn, evaluate, patches, config, t, band):
+    """evaluate(nodes) on the region, with a two-level error estimate.
 
-    Returns (H, err, degenerate); err is the max entrywise difference from
-    the half-resolution mesh when config.levels >= 2.
+    Returns (value, err, degenerate); err is the max entrywise difference
+    from the half-resolution mesh when config.levels >= 2.  Both levels share
+    the patch radii.
     """
     band = _check_band(t, band)
-    psi_fn = kernel.psi
     radii = patch_radii(psi_fn, patches, config, t=t, band=band)
     fine = build_region(psi_fn, patches, config, t=t, band=band, radii=radii)
-    H = gram_on_nodes(fine, kernel, gain, basis)
+    val = evaluate(fine)
     err = 0.0
     if config.levels >= 2 and not fine.degenerate:
         coarse = build_region(psi_fn, patches, config.halved(), t=t, band=band,
                               radii=radii)
-        H_c = gram_on_nodes(coarse, kernel, gain, basis)
-        err = float(np.max(np.abs(H - H_c)))
-    return H, err, fine.degenerate
+        err = float(np.max(np.abs(val - evaluate(coarse))))
+    return val, err, fine.degenerate
+
+
+def assembled_gram(kernel, gain, basis, patches, config, *, t=0.0, band=None):
+    """Two-level Gram of the basis over the region: (H, err, degenerate)."""
+    return _two_level(kernel.psi, lambda nodes: gram_on_nodes(nodes, kernel, gain, basis),
+                      patches, config, t, band)
 
 
 def assembled_integral(psi_fn, fn, patches, config, *, t=0.0, band=None):
-    """Two-level scalar integral of fn over the region: (value, err, flag)."""
-    band = _check_band(t, band)
-    radii = patch_radii(psi_fn, patches, config, t=t, band=band)
-    fine = build_region(psi_fn, patches, config, t=t, band=band, radii=radii)
-    val = integral_on_nodes(fine, fn)
-    err = 0.0
-    if config.levels >= 2 and not fine.degenerate:
-        coarse = build_region(psi_fn, patches, config.halved(), t=t, band=band,
-                              radii=radii)
-        err = abs(val - integral_on_nodes(coarse, fn))
-    return val, err, fine.degenerate
+    """Two-level scalar integral of fn over the region: (value, err, degenerate)."""
+    return _two_level(psi_fn, lambda nodes: integral_on_nodes(nodes, fn),
+                      patches, config, t, band)

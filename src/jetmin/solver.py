@@ -4,8 +4,8 @@ The minimum of a* H a over {C a = b} is computed by the null-space method:
 a = a_part + Z y with Z orthonormal in the null space of C, reducing to an
 unconstrained quadratic in y.  For singular weights the reduced Gram comes
 straight from quadrature on the substituted basis (see forms.gram_reduced),
-so no divergent monomial entry is ever formed.  An independent steepest
-descent oracle cross-checks the solve.
+so no divergent monomial entry is ever formed.  A closed-form Gram is
+reduced through the same basis, so one solve serves both Gram paths.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .errors import BadInputError, NumericalError
 from .forms import (
@@ -34,16 +33,20 @@ from .weights import WeightPair, alpha_j, lelong_psi
 
 @dataclass(frozen=True)
 class MinimalIntegralResult:
-    """Minimal value, attaining form, KKT multipliers, solver diagnostics."""
+    """Minimal value, attaining form, solver diagnostics."""
 
     value: float
     extremal: TruncatedForm
-    multipliers: tuple[complex, ...]
     diagnostics: dict = field(default_factory=dict)
 
 
 def _solve_reduced(h00, gvec, M):
-    """Minimize h00 + 2 Re(y* g) + y* M y; returns (value, y, diagnostics)."""
+    """Minimize h00 + 2 Re(y* g) + y* M y; returns (value, y, diagnostics).
+
+    One eigendecomposition of M gives the conditioning diagnostics and the
+    minimum-norm stationary point; on a positive semidefinite M the
+    eigenvalues below roundoff are dropped.
+    """
     r = gvec.size
     diag = {}
     if r == 0:
@@ -52,18 +55,22 @@ def _solve_reduced(h00, gvec, M):
         diag["unique"] = True
         return float(h00), np.zeros(0, dtype=complex), diag
     M = 0.5 * (M + M.conj().T)
-    eigs = np.linalg.eigvalsh(M)
+    eigs, V = np.linalg.eigh(M)
     diag["reduced_min_eig"] = float(eigs[0])
     diag["gram_condition"] = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
-    if eigs[0] > 1e-13 * max(eigs[-1], 1.0):
-        y = linalg.solve(M, -gvec, assume_a="her")
-        diag["unique"] = True
-    else:
-        # positive semidefinite fallback: minimum-norm stationary point
-        y = np.linalg.lstsq(M, -gvec, rcond=None)[0]
-        diag["unique"] = False
+    diag["unique"] = bool(eigs[0] > 1e-13 * max(eigs[-1], 1.0))
+    keep = np.abs(eigs) > np.finfo(float).eps * r * max(abs(eigs[0]), abs(eigs[-1]))
+    y = -(V[:, keep] @ ((V[:, keep].conj().T @ gvec) / eigs[keep]))
     value = float(h00 + 2.0 * np.real(np.vdot(y, gvec)) + np.real(np.vdot(y, M @ y)))
     return max(value, 0.0), y, diag
+
+
+def _reduce(H: GramMatrix, a_part: np.ndarray, Z: np.ndarray) -> GramMatrix:
+    """Gram on [particular | null columns] from a full-basis Gram."""
+    B = np.column_stack([a_part, Z])
+    return GramMatrix(entries=B.conj().T @ H.entries @ B, t=H.t,
+                      weight_label=H.weight_label, quad_error=H.quad_error,
+                      degenerate=H.degenerate)
 
 
 def kkt_minimize(H: GramMatrix, C: JetConstraintSystem) -> MinimalIntegralResult:
@@ -73,69 +80,35 @@ def kkt_minimize(H: GramMatrix, C: JetConstraintSystem) -> MinimalIntegralResult
             f"Gram is {H.size}x{H.size} but constraints expect {C.n_coeffs} coefficients"
         )
     a_part, Z = constraint_basis(C)
-    Hm = H.entries
-    gvec = Z.conj().T @ (Hm @ a_part)
-    M = Z.conj().T @ Hm @ Z
-    h00 = float(np.real(np.vdot(a_part, Hm @ a_part)))
-    value, y, diag = _solve_reduced(h00, gvec, M)
-    a = a_part + (Z @ y if y.size else 0.0)
-    resid = float(np.linalg.norm(C.matrix @ a - C.rhs))
-    if resid > 1e-10 * (1 + float(np.linalg.norm(C.rhs))):
-        raise NumericalError(f"constraint residual {resid:g} out of tolerance")
-    # stationarity: H a lies in the row space of C; multipliers by least squares
-    lam, *_ = np.linalg.lstsq(C.matrix.conj().T, Hm @ a, rcond=None)
-    diag["constraint_residual"] = resid
-    diag["kkt_residual"] = float(np.linalg.norm(Hm @ a - C.matrix.conj().T @ lam))
-    diag["quadrature_error"] = H.quad_error
-    diag["truncation_tail"] = 0.0
-    diag["degenerate"] = H.degenerate
-    return MinimalIntegralResult(
-        value=value,
-        extremal=TruncatedForm(coeffs=tuple(a)),
-        multipliers=tuple(lam),
-        diagnostics=diag,
-    )
+    return kkt_minimize_reduced(_reduce(H, a_part, Z), a_part, Z, C)
 
 
 def kkt_minimize_reduced(
-    R: GramMatrix, a_part: np.ndarray, Z: np.ndarray
+    R: GramMatrix, a_part: np.ndarray, Z: np.ndarray, C: JetConstraintSystem
 ) -> MinimalIntegralResult:
     """Minimum from a reduced Gram on the basis [particular | null columns].
 
-    Multipliers are not recoverable from the reduced products alone and are
-    reported empty here.
+    (a_part, Z) come from constraint_basis(C); the attaining coefficients are
+    checked against C.
     """
     if R.size != Z.shape[1] + 1:
         raise BadInputError("reduced Gram size does not match the null basis")
     if R.degenerate:
-        return MinimalIntegralResult(
-            value=0.0,
-            extremal=TruncatedForm(coeffs=tuple(a_part)),
-            multipliers=(),
-            diagnostics={
-                "degenerate": True,
-                "unique": False,
-                "reduced_min_eig": 0.0,
-                "gram_condition": math.inf,
-                "constraint_residual": 0.0,
-                "quadrature_error": R.quad_error,
-                "truncation_tail": 0.0,
-            },
-        )
-    h00 = float(np.real(R.entries[0, 0]))
-    gvec = R.entries[1:, 0]
-    M = R.entries[1:, 1:]
-    value, y, diag = _solve_reduced(h00, gvec, M)
-    a = a_part + (Z @ y if y.size else 0.0)
-    diag["constraint_residual"] = 0.0
+        value, a = 0.0, a_part
+        diag = {"unique": False, "reduced_min_eig": 0.0, "gram_condition": math.inf}
+    else:
+        E = R.entries
+        value, y, diag = _solve_reduced(float(np.real(E[0, 0])), E[1:, 0], E[1:, 1:])
+        a = a_part + (Z @ y if y.size else 0.0)
+    resid = float(np.linalg.norm(C.matrix @ a - C.rhs))
+    if resid > 1e-10 * (1 + float(np.linalg.norm(C.rhs))):
+        raise NumericalError(f"constraint residual {resid:g} out of tolerance")
+    diag["constraint_residual"] = resid
     diag["quadrature_error"] = R.quad_error
     diag["truncation_tail"] = 0.0
-    diag["degenerate"] = False
+    diag["degenerate"] = R.degenerate
     return MinimalIntegralResult(
-        value=value,
-        extremal=TruncatedForm(coeffs=tuple(a)),
-        multipliers=(),
-        diagnostics=diag,
+        value=value, extremal=TruncatedForm(coeffs=tuple(a)), diagnostics=diag
     )
 
 
@@ -172,73 +145,26 @@ def minimal_integral(
         raise BadInputError(f"unknown gram mode {gram!r}")
     C = jet_constraints(w, N, dom)
     zeta_marked = [complex(dom.inverse(pt.location)) for pt in w.marked]
+    reduction = None
     if gram in ("auto", "analytic"):
         try:
-            radius, scale = analytic_reduction(dom, w, g, t)
+            reduction = analytic_reduction(dom, w, g, t)
         except BadInputError:
             if gram == "analytic":
                 raise
-        else:
-            H = gram_analytic_disc(C.n_coeffs - 1, radius=radius, scale=scale)
-            res = kkt_minimize(H, C)
-            res.diagnostics["truncation_tail"] = _truncation_tail(
-                res.value, N, zeta_marked
-            )
-            res.diagnostics["gram_path"] = "analytic"
-            return res
-    R, a_part, Z = gram_reduced(dom, w, g, t, N, mesh=mesh, constraints=C)
-    res = kkt_minimize_reduced(R, a_part, Z)
+    if reduction is not None:
+        radius, scale = reduction
+        a_part, Z = constraint_basis(C)
+        H = gram_analytic_disc(C.n_coeffs - 1, radius=radius, scale=scale)
+        R = _reduce(H, a_part, Z)
+        path = "analytic"
+    else:
+        R, a_part, Z = gram_reduced(dom, w, g, t, N, mesh=mesh, constraints=C)
+        path = "quadrature"
+    res = kkt_minimize_reduced(R, a_part, Z, C)
     res.diagnostics["truncation_tail"] = _truncation_tail(res.value, N, zeta_marked)
-    res.diagnostics["gram_path"] = "quadrature"
+    res.diagnostics["gram_path"] = path
     return res
-
-
-def oracle_minimize(
-    H: GramMatrix,
-    C: JetConstraintSystem,
-    restarts: int = 10,
-    seed: int = 20260825,
-    max_iters: int = 5000,
-) -> float:
-    """Steepest descent with exact line search in null-space coordinates.
-
-    Independent of the direct solve: no linear system is formed.  Returns
-    the best value over random restarts (plus the zero start).
-    """
-    if restarts < 1:
-        raise BadInputError("oracle needs at least one restart")
-    a_part, Z = constraint_basis(C)
-    Hm = H.entries
-    gvec = Z.conj().T @ (Hm @ a_part)
-    M = 0.5 * (Z.conj().T @ Hm @ Z + (Z.conj().T @ Hm @ Z).conj().T)
-    h00 = float(np.real(np.vdot(a_part, Hm @ a_part)))
-    r = gvec.size
-    if r == 0:
-        return h00
-    rng = np.random.default_rng(seed)
-    g_scale = float(np.linalg.norm(gvec))
-    best = math.inf
-    starts = [np.zeros(r, dtype=complex)] + [
-        rng.normal(size=r) + 1j * rng.normal(size=r) for _ in range(restarts - 1)
-    ]
-    for y in starts:
-        y = y.astype(complex)
-        converged = False
-        for _ in range(max_iters):
-            d = -(gvec + M @ y)
-            dn = float(np.linalg.norm(d))
-            if dn <= 1e-12 * (1 + g_scale):
-                converged = True
-                break
-            curv = float(np.real(np.vdot(d, M @ d)))
-            if curv <= 0:
-                raise NumericalError("descent found a nonconvex direction")
-            y = y + (dn * dn / curv) * d
-        if not converged:
-            raise NumericalError("descent oracle did not converge in budget")
-        val = float(h00 + 2 * np.real(np.vdot(y, gvec)) + np.real(np.vdot(y, M @ y)))
-        best = min(best, val)
-    return max(best, 0.0)
 
 
 def extension_bound(

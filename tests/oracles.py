@@ -2,14 +2,18 @@
 
 Everything here avoids the library's own formula paths: harmonic-measure
 integrals and random walks for Green values, plain Monte Carlo for areas,
-sympy differentiation for jet rows.  Values frozen into tests were produced
-by these functions (see test modules for the frozen constants).
+sympy differentiation for jet rows, steepest descent for the constrained
+minimum.  Values frozen into tests were produced by these functions (see
+test modules for the frozen constants).
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from jetmin.errors import BadInputError, NumericalError
+from jetmin.forms import GramMatrix, JetConstraintSystem, constraint_basis
 
 
 def poisson_green_disc(z: complex, z0: complex, n: int = 4096) -> float:
@@ -126,3 +130,51 @@ def mc_disc_integral(
         total += float(np.sum(vals))
         count += k
     return math.pi * total / count
+
+
+def oracle_minimize(
+    H: GramMatrix,
+    C: JetConstraintSystem,
+    restarts: int = 10,
+    seed: int = 20260825,
+    max_iters: int = 5000,
+) -> float:
+    """Steepest descent with exact line search in null-space coordinates.
+
+    Independent of the direct solve: no linear system is formed.  Returns
+    the best value over random restarts (plus the zero start).
+    """
+    if restarts < 1:
+        raise BadInputError("oracle needs at least one restart")
+    a_part, Z = constraint_basis(C)
+    Hm = H.entries
+    gvec = Z.conj().T @ (Hm @ a_part)
+    M = 0.5 * (Z.conj().T @ Hm @ Z + (Z.conj().T @ Hm @ Z).conj().T)
+    h00 = float(np.real(np.vdot(a_part, Hm @ a_part)))
+    r = gvec.size
+    if r == 0:
+        return h00
+    rng = np.random.default_rng(seed)
+    g_scale = float(np.linalg.norm(gvec))
+    best = math.inf
+    starts = [np.zeros(r, dtype=complex)] + [
+        rng.normal(size=r) + 1j * rng.normal(size=r) for _ in range(restarts - 1)
+    ]
+    for y in starts:
+        y = y.astype(complex)
+        converged = False
+        for _ in range(max_iters):
+            d = -(gvec + M @ y)
+            dn = float(np.linalg.norm(d))
+            if dn <= 1e-12 * (1 + g_scale):
+                converged = True
+                break
+            curv = float(np.real(np.vdot(d, M @ d)))
+            if curv <= 0:
+                raise NumericalError("descent found a nonconvex direction")
+            y = y + (dn * dn / curv) * d
+        if not converged:
+            raise NumericalError("descent oracle did not converge in budget")
+        val = float(h00 + 2 * np.real(np.vdot(y, gvec)) + np.real(np.vdot(y, M @ y)))
+        best = min(best, val)
+    return max(best, 0.0)

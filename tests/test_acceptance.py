@@ -28,8 +28,9 @@ from jetmin.problems import (
     single_point_problem,
     two_point_problem,
 )
-from jetmin.solver import extension_bound, kkt_minimize, minimal_integral, oracle_minimize
+from jetmin.solver import extension_bound, kkt_minimize, minimal_integral
 from jetmin.weights import WeightPair
+from oracles import oracle_minimize
 
 SWEEP = np.linspace(-1.0, 1.0, 41)
 

@@ -70,6 +70,17 @@ def test_invalid_problem_exits_4(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"marked": []}')
     assert cli.main(["scan", str(bad)]) == 4
+    bad.write_text('{"domain": {"kind": "bogus", "map_coeffs": [1, 0, 0, 1]},'
+                   ' "marked": [{"location": [0, 0]}]}')
+    assert cli.main(["suita", str(bad)]) == 4
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, jetmin, jetmin.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_scan_single_point(tmp_path, single_file, capsys):

@@ -67,6 +67,23 @@ def test_tabulated_flat_h_matches_closed_form():
     ts = np.linspace(0.01, 30.0, 400)
     g = GainFunction.tabulated(ts, np.ones_like(ts))
     assert eval_h(g, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-8)
+    # c = e^{0.3 t} on [0.5, 4], held at e^{0.15} below and e^{1.2} above
+    ts = np.array([0.5, 1.0, 2.0, 4.0])
+    g = GainFunction.tabulated(ts, np.exp(0.3 * ts))
+
+    def h_exact(t):
+        if t >= 4.0:
+            return math.exp(1.2 - t)
+        body = (math.exp(-0.7 * max(t, 0.5)) - math.exp(-2.8)) / 0.7 + math.exp(-2.8)
+        if t >= 0.5:
+            return body
+        return math.exp(0.15) * (math.exp(-t) - math.exp(-0.5)) + body
+
+    for t in (0.0, 0.2, 1.0, 1.5, 4.0, 5.0):
+        assert eval_h(g, t) == pytest.approx(h_exact(t), rel=1e-13)
+    # c = e^t on [0, 1]: the integrand c e^{-t} is flat there
+    g = GainFunction.tabulated([0.0, 1.0], [1.0, math.e])
+    assert eval_h(g, 0.25) == pytest.approx(1.75, rel=1e-13)
 
 
 def test_class_p_rejects_growing_profile():
@@ -102,11 +119,14 @@ def test_invert_exponential():
 
 
 def test_invert_round_trip():
+    ts = np.array([0.5, 1.0, 2.0, 4.0])
     profiles = [
         GainFunction.constant(1.0),
         GainFunction.constant(0.3),
         GainFunction.exponential(0.5),
         GainFunction.exponential(0.9),
+        GainFunction.tabulated(ts, np.exp(0.3 * ts)),
+        GainFunction.tabulated([0.2, 1.0, 2.0], [2.0, 1.0, 0.5]),
     ]
     for g in profiles:
         for t in (0.1, 1.0, 5.0):

@@ -134,6 +134,16 @@ def test_bad_gain_kind_rejected():
         problem_from_dict(d)
 
 
+def test_bad_domain_kind_rejected():
+    d = problem_to_dict(single_point_problem())
+    d["domain"] = {"kind": "bogus", "map_coeffs": [1, 0, 0, 1]}
+    with pytest.raises(BadInputError, match="unknown domain kind"):
+        problem_from_dict(d)
+    d["domain"] = {"kind": "moebius_image"}
+    with pytest.raises(BadInputError):
+        problem_from_dict(d)
+
+
 def test_scalar_complex_entries_accepted():
     p = problem_from_dict(
         {"marked": [{"location": [0.3, 0.0], "jet_coeff": 0.7, "coord_scale": 2}]}
