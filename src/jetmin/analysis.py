@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadInputError, NumericalError
-from .forms import TruncatedForm, jet_constraints
+from .forms import TruncatedForm
 from .gain import GainFunction, eval_h, invert_h
-from .geometry import UNIT_DISC, blaschke_deriv, blaschke_factor, green_disc_raw
+from .geometry import blaschke_deriv, blaschke_factor, green_disc_raw
 from .problems import Problem
 from .quadrature import PatchSpec, QuadratureConfig, assembled_integral
 from .series import (
@@ -30,13 +30,19 @@ from .weights import PsiSpec
 
 @dataclass(frozen=True)
 class ConcavityReport:
-    """Samples of G(h^{-1}(r)) with second differences and a line fit."""
+    """Samples of G(h^{-1}(r)) with second differences and a line fit.
+
+    A concavity violation counts only when ``max_violation`` exceeds
+    ``violation_threshold``: ten times the quadrature error, or the problem's
+    tolerance relative to the largest G value, whichever is larger.
+    """
 
     r_grid: tuple[float, ...]
     t_grid: tuple[float, ...]
     g_values: tuple[float, ...]
     second_differences: tuple[float, ...]
     max_violation: float
+    violation_threshold: float
     is_linear: bool
     slope: float
     intercept: float
@@ -154,6 +160,7 @@ def scan_G(problem: Problem, r_count: int | None = None) -> ConcavityReport:
         g_values=tuple(float(v) for v in vals),
         second_differences=tuple(float(v) for v in d2),
         max_violation=float(max(0.0, np.max(d2))) if d2.size else 0.0,
+        violation_threshold=max(10.0 * max_err, problem.numerics.tolerance * scale),
         is_linear=residual <= lin_tol,
         slope=float(coef[0]),
         intercept=float(coef[1]),

@@ -109,8 +109,6 @@ def cmd_capacity(args) -> int:
 def cmd_scan(args) -> int:
     p = load_problem(args.problem)
     rep = scan_G(p, r_count=args.r_count)
-    scale = max((abs(v) for v in rep.g_values), default=0.0)
-    threshold = max(10.0 * rep.max_quad_error, p.numerics.tolerance * scale)
     payload = {
         "command": "scan",
         "problem": problem_to_dict(p),
@@ -120,7 +118,7 @@ def cmd_scan(args) -> int:
             "g_values": list(rep.g_values),
             "second_differences": list(rep.second_differences),
             "max_violation": rep.max_violation,
-            "violation_threshold": threshold,
+            "violation_threshold": rep.violation_threshold,
             "is_linear": rep.is_linear,
             "slope": rep.slope,
             "intercept": rep.intercept,
@@ -133,10 +131,10 @@ def cmd_scan(args) -> int:
         _write_scan_csv(rep, args.out_csv)
     if args.emit_plot_data:
         _write_plot_data(rep, args.emit_plot_data)
-    if rep.max_violation > threshold:
+    if rep.max_violation > rep.violation_threshold:
         raise TheoremViolationError(
             f"concavity violated: second difference {rep.max_violation:.3e} "
-            f"exceeds {threshold:.3e}"
+            f"exceeds {rep.violation_threshold:.3e}"
         )
     return EXIT_OK
 
@@ -262,6 +260,8 @@ def _rel(x: float, y: float) -> float:
 
 
 def cmd_verify_lemmas(args) -> int:
+    if args.beta_max < 0:
+        raise BadInputError(f"--beta-max must be >= 0, got {args.beta_max}")
     p = load_problem(args.problem)
     psi = p.weights.psi
     expected = 2 * math.pi * sum(c / 2.0 for _, c in psi.all_terms())

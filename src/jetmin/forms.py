@@ -50,11 +50,9 @@ class TruncatedForm:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian weighted Gram with region/weight metadata."""
+    """Hermitian weighted Gram with its quadrature error estimate."""
 
     entries: np.ndarray
-    t: float = 0.0
-    weight_label: str = "trivial"
     quad_error: float = 0.0
     degenerate: bool = False
 
@@ -155,8 +153,7 @@ def gram_analytic_disc(N: int, *, radius: float = 1.0, scale: float = 1.0) -> Gr
         raise BadInputError(f"weight scale must be > 0, got {scale}")
     l = np.arange(N + 1)
     diag = scale * 2 * math.pi * radius ** (2 * l + 2) / (l + 1)
-    return GramMatrix(entries=np.diag(diag.astype(complex)),
-                      weight_label=f"analytic disc r={radius:g}")
+    return GramMatrix(entries=np.diag(diag.astype(complex)))
 
 
 def analytic_reduction(
@@ -167,9 +164,10 @@ def analytic_reduction(
     Requires the identity domain, a constant gain, and a divisor realizing
     psi exactly (so e^{-phi} is identically 1); the region must be the full
     disc (t = 0) or a centered sublevel disc (all psi mass at the origin).
-    Raises BadInputError otherwise, pointing at gram_quadrature.
+    Raises BadInputError otherwise, pointing at the quadrature Gram path.
     """
-    hint = "no closed-form Gram for this configuration; use gram_quadrature"
+    hint = ("no closed-form Gram for this configuration; "
+            "use minimal_integral(..., gram=\"quadrature\")")
     if not dom.is_identity or g.kind != "constant":
         raise BadInputError(hint)
     if w.phi.bump != 0 or any(x != 0 for x in w.phi.u_coeffs):
@@ -200,20 +198,19 @@ def analytic_reduction(
     raise BadInputError(hint)
 
 
-def _patch_specs(kernel: WeightKernel, g: GainFunction, enforced: bool,
+def _patch_specs(kernel: WeightKernel, g: GainFunction,
                  check: bool = True) -> list[PatchSpec]:
     """Singular-center descriptors with local integrand exponents.
 
     sigma = 2 nu + 2 p (1 - delta) - 2 m at each center, where nu is the
-    vanishing order of the integrated family (0 on the raw monomial basis),
-    p the psi mass, m the divisor order, delta the gain growth rate.
+    enforced vanishing order of the constrained family, p the psi mass, m
+    the divisor order, delta the gain growth rate.
     Divergent exponents (sigma <= -2) are refused.
     """
     delta = growth_rate_bound(g)
     specs = []
     for zeta_c, p, m, nu in kernel.singular_centers():
-        nu_eff = nu if enforced else 0
-        sigma = 2 * nu_eff + 2 * p * (1 - delta) - 2 * m
+        sigma = 2 * nu + 2 * p * (1 - delta) - 2 * m
         if check:
             if sigma <= -2 + _SIGMA_TOL:
                 raise NonIntegrableWeightError(
@@ -224,40 +221,8 @@ def _patch_specs(kernel: WeightKernel, g: GainFunction, enforced: bool,
             # band regions exclude the singular cores; clamp only to keep the
             # fallback ring depth finite
             sigma = max(sigma, 0.0)
-        specs.append(PatchSpec(center=zeta_c, order=nu_eff, exponent=sigma))
+        specs.append(PatchSpec(center=zeta_c, order=nu, exponent=sigma))
     return specs
-
-
-def _monomials(N: int) -> list[np.ndarray]:
-    out = []
-    for l in range(N + 1):
-        e = np.zeros(l + 1, dtype=complex)
-        e[l] = 1.0
-        out.append(e)
-    return out
-
-
-def gram_quadrature(
-    dom: DomainSpec,
-    w: WeightPair,
-    g: GainFunction,
-    t: float,
-    N: int,
-    mesh: QuadratureConfig | None = None,
-) -> GramMatrix:
-    """Weighted monomial Gram over {psi < -t} by adaptive polar quadrature.
-
-    Valid only when the weight is integrable against the raw monomials
-    (every center exponent > -2); otherwise use gram_reduced.
-    """
-    if N < 0:
-        raise BadInputError("truncation degree must be >= 0")
-    mesh = mesh or QuadratureConfig()
-    kernel = WeightKernel(dom, w)
-    specs = _patch_specs(kernel, g, enforced=False)
-    H, err, degen = assembled_gram(kernel, g, _monomials(N), specs, mesh, t=t)
-    return GramMatrix(entries=H, t=float(t), weight_label=f"quadrature {g.describe()}",
-                      quad_error=err, degenerate=degen)
 
 
 def constraint_basis(C: JetConstraintSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -294,13 +259,10 @@ def gram_reduced(
     C = constraints if constraints is not None else jet_constraints(w, N, dom)
     a_part, Z = constraint_basis(C)
     kernel = WeightKernel(dom, w)
-    specs = _patch_specs(kernel, g, enforced=True)
+    specs = _patch_specs(kernel, g)
     basis = [a_part] + [Z[:, i] for i in range(Z.shape[1])]
     H, err, degen = assembled_gram(kernel, g, basis, specs, mesh, t=t)
-    gram = GramMatrix(entries=H, t=float(t),
-                      weight_label=f"reduced {g.describe()}",
-                      quad_error=err, degenerate=degen)
-    return gram, a_part, Z
+    return GramMatrix(entries=H, quad_error=err, degenerate=degen), a_part, Z
 
 
 def form_norm_quadrature(
@@ -321,7 +283,7 @@ def form_norm_quadrature(
     """
     mesh = mesh or QuadratureConfig()
     kernel = WeightKernel(dom, w)
-    specs = _patch_specs(kernel, g, enforced=True, check=band is None)
+    specs = _patch_specs(kernel, g, check=band is None)
     H, err, degen = assembled_gram(kernel, g, [F.coeff_array()], specs, mesh,
                                    t=t, band=band)
     return float(H[0, 0].real), err, degen

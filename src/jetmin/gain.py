@@ -8,7 +8,6 @@ admissibility conditions.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -72,34 +71,6 @@ class GainFunction:
     @classmethod
     def tabulated(cls, grid_t, grid_c) -> "GainFunction":
         return cls(kind="tabulated", grid_t=tuple(grid_t), grid_c=tuple(grid_c))
-
-    @classmethod
-    def from_csv(cls, path) -> "GainFunction":
-        """Two-column CSV (t, c) with strictly increasing t."""
-        ts, cs = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if len(row) < 2:
-                    raise BadInputError(f"gain CSV row needs two columns, got {row!r}")
-                try:
-                    t_val = float(row[0])
-                    c_val = float(row[1])
-                except ValueError as exc:
-                    if not ts:  # single header row is fine
-                        continue
-                    raise BadInputError(f"non-numeric gain CSV row {row!r}") from exc
-                ts.append(t_val)
-                cs.append(c_val)
-        return cls.tabulated(ts, cs)
-
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"constant c={self.value:g}"
-        if self.kind == "exponential":
-            return f"exponential c=exp({self.rate:g} t)"
-        return f"tabulated[{len(self.grid_t)}] log-linear"
 
 
 def class_p_margin(g: GainFunction) -> float:

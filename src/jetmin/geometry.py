@@ -11,7 +11,6 @@ numerical approximation.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -221,26 +220,3 @@ def log_capacity(dom: DomainSpec, pt: MarkedPoint) -> float:
     zeta0 = complex(dom.inverse(pt.location))
     jac = abs(dom.derivative(zeta0))
     return 1.0 / ((1 - abs(zeta0) ** 2) * abs(pt.coord_scale) * jac)
-
-
-def moebius_image_circle(dom: DomainSpec) -> tuple[complex, float]:
-    """Center and radius of the boundary circle T(unit circle).
-
-    The image of a circle under a Moebius map without poles on it is a circle;
-    with the pole strictly outside the closed disc, the domain is the bounded
-    side.  Derived from three boundary images (circumcircle).
-    """
-    p1, p2, p3 = (complex(dom.forward(w)) for w in (1.0, 1j, -1.0))
-    # circumcenter of p1, p2, p3
-    ax, ay = p1.real, p1.imag
-    bx, by = p2.real, p2.imag
-    cx, cy = p3.real, p3.imag
-    d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0:
-        raise BadInputError("degenerate boundary circle")
-    ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay)
-          + (cx**2 + cy**2) * (ay - by)) / d
-    uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx)
-          + (cx**2 + cy**2) * (bx - ax)) / d
-    center = complex(ux, uy)
-    return center, abs(p1 - center)

@@ -1,6 +1,9 @@
 """Adaptive polar quadrature over Green-sublevel regions of the unit disc.
 
-Regions are {psi < -t} or bands {-t1 <= psi < -t2} in disc coordinates.
+A region is one pair (t_lo, t_hi) meaning {-t_hi <= psi < -t_lo} in disc
+coordinates: t_hi = inf gives the sublevel set {psi < -t} (t_lo = t), and a
+band {-t1 <= psi < -t2} is (t2, t1).  The public entry points keep the
+``t=``/``band=`` keywords and convert them once, in the two-level driver.
 A global polar grid centered at the origin locates the region cuts along
 each ray by bisection and integrates with Gauss-Legendre panels split at
 every cut and patch-circle crossing.  Neighborhoods of singular centers
@@ -104,37 +107,23 @@ def _chi(dist, radius):
     return out
 
 
-def _check_band(t, band):
-    if band is not None:
-        t1, t2 = float(band[0]), float(band[1])
-        if not (t1 > t2 >= 0):
-            raise BadInputError(f"band needs t1 > t2 >= 0, got {band!r}")
-        return (t1, t2)
-    if t < 0:
-        raise BadInputError("sublevel parameter t must be >= 0")
-    return None
+def _membership(vals, t_lo, t_hi):
+    return (vals < -t_lo) & (vals >= -t_hi)
 
 
-def _membership(vals, t, band):
-    if band is None:
-        return vals < -t
-    t1, t2 = band
-    return (vals < -t2) & (vals >= -t1)
-
-
-def patch_radii(psi_fn, patches, config, *, t=0.0, band=None):
+def _patch_radii(psi_fn, patches, t_lo, t_hi):
     """Blending radius per patch plus a containment flag.
 
     A patch is "contained" when its closed disc lies inside the deep region
-    {psi < -threshold}; psi is subharmonic off its poles, so a boundary-circle
+    {psi < -threshold}, the threshold being t_lo for a sublevel set and t_hi
+    for a band; psi is subharmonic off its poles, so a boundary-circle
     maximum below the threshold certifies the whole disc.
     """
-    band = _check_band(t, band)
     locs = [p.center for p in patches]
     out = []
     ang = np.exp(1j * (np.arange(_BOUNDARY_SAMPLES) + 0.5)
                  * (2 * math.pi / _BOUNDARY_SAMPLES))
-    threshold = band[0] if band is not None else t
+    threshold = t_hi if math.isfinite(t_hi) else t_lo
     for i, p in enumerate(patches):
         r = min(0.1, (1.0 - abs(p.center)) / 2.0)
         for j, q in enumerate(locs):
@@ -191,14 +180,14 @@ def _bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh):
     return 0.5 * (lo + hi)
 
 
-def _ray_intervals(psi_fn, thetas, t, band, centers):
+def _ray_intervals(psi_fn, thetas, t_lo, t_hi, centers):
     """Kept radial intervals of the region along each ray.
 
     Returns a list (per ray) of lists of (r_lo, r_hi) with the region cuts
     refined to bisection accuracy.
     """
     rs, vals = _sample_rays(psi_fn, thetas, centers)
-    thresholds = [t] if band is None else [band[0], band[1]]
+    thresholds = [x for x in (t_hi, t_lo) if math.isfinite(x)]
     cuts_per_ray = [[] for _ in thetas]
     for thresh in thresholds:
         f = vals + thresh
@@ -223,7 +212,7 @@ def _ray_intervals(psi_fn, thetas, t, band, centers):
     if candidates:
         mids = np.array([0.5 * (a + b) for _, a, b in candidates])
         owner = np.array([i for i, _, _ in candidates])
-        keep = _membership(psi_fn(mids * np.exp(1j * thetas[owner])), t, band)
+        keep = _membership(psi_fn(mids * np.exp(1j * thetas[owner])), t_lo, t_hi)
         for (i, a, b), k in zip(candidates, keep):
             if k:
                 intervals[i].append((a, b))
@@ -262,12 +251,12 @@ def _panel_nodes(theta, w_theta, intervals, splits, budget):
     return rs, ws
 
 
-def _global_nodes(psi_fn, t, band, config, mask_patches, all_centers):
+def _global_nodes(psi_fn, t_lo, t_hi, config, mask_patches, all_centers):
     """Global polar nodes with tangency-aware angular refinement."""
     n_ang = config.angular
     d_theta = 2 * math.pi / n_ang
     thetas = (np.arange(n_ang) + 0.5) * d_theta
-    intervals = _ray_intervals(psi_fn, thetas, t, band, all_centers)
+    intervals = _ray_intervals(psi_fn, thetas, t_lo, t_hi, all_centers)
     counts = np.array([len(iv) for iv in intervals])
     refine = np.zeros(n_ang, dtype=bool)
     if n_ang > 2:
@@ -286,7 +275,7 @@ def _global_nodes(psi_fn, t, band, config, mask_patches, all_centers):
             rays.append((thetas[i], d_theta, intervals[i]))
     if sub_thetas:
         sub_thetas = np.asarray(sub_thetas)
-        sub_intervals = _ray_intervals(psi_fn, sub_thetas, t, band, all_centers)
+        sub_intervals = _ray_intervals(psi_fn, sub_thetas, t_lo, t_hi, all_centers)
         for th, iv in zip(sub_thetas, sub_intervals):
             rays.append((float(th), d_theta / _TANGENT_SPLIT, iv))
 
@@ -343,25 +332,23 @@ def _patch_nodes(spec, radius, config):
     return zeta, wgt * chi
 
 
-def build_region(psi_fn, patches, config, *, t=0.0, band=None, radii=None):
-    """Nodes and area weights for the region, or a degenerate flag.
+def build_region(psi_fn, patches, config, t_lo, t_hi, radii):
+    """Nodes and area weights for {-t_hi <= psi < -t_lo}, or a degenerate flag.
 
-    ``patches`` lists the singular centers (PatchSpec).  ``radii`` may carry
-    precomputed (radius, contained) pairs so two refinement levels share the
+    ``patches`` lists the singular centers (PatchSpec); ``radii`` carries
+    their (radius, contained) pairs, so two refinement levels share the
     same geometry.
     """
-    band = _check_band(t, band)
-    if radii is None:
-        radii = patch_radii(psi_fn, patches, config, t=t, band=band)
+    is_band = math.isfinite(t_hi)
     active = []   # patches integrated on local grids
     for p, (r, contained) in zip(patches, radii):
-        if band is not None and contained:
+        if is_band and contained:
             continue  # deep below the band: zero contribution, no mask
-        active.append((p, r, band is not None or not contained))
+        active.append((p, r, is_band or not contained))
     mask_patches = [(p.center, r) for p, r, _ in active]
     all_centers = [p.center for p in patches]
 
-    zeta_g, w_g = _global_nodes(psi_fn, t, band, config, mask_patches, all_centers)
+    zeta_g, w_g = _global_nodes(psi_fn, t_lo, t_hi, config, mask_patches, all_centers)
     zeta_parts = [zeta_g]
     w_parts = [w_g]
     blocks = []
@@ -369,7 +356,7 @@ def build_region(psi_fn, patches, config, *, t=0.0, band=None, radii=None):
     for p, r, needs_indicator in active:
         z_p, w_p = _patch_nodes(p, r, config)
         if needs_indicator:
-            w_p = w_p * _membership(psi_fn(z_p), t, band)
+            w_p = w_p * _membership(psi_fn(z_p), t_lo, t_hi)
         keep = w_p != 0
         z_p, w_p = z_p[keep], w_p[keep]
         blocks.append(PatchBlock(spec=p, radius=r, sl=slice(pos, pos + z_p.size),
@@ -479,18 +466,25 @@ def integral_on_nodes(nodes, fn):
 def _two_level(psi_fn, evaluate, patches, config, t, band):
     """evaluate(nodes) on the region, with a two-level error estimate.
 
-    Returns (value, err, degenerate); err is the max entrywise difference
-    from the half-resolution mesh when config.levels >= 2.  Both levels share
-    the patch radii.
+    The region is {psi < -t}, or the band {-t1 <= psi < -t2} when ``band``
+    is (t1, t2).  Returns (value, err, degenerate); err is the max entrywise
+    difference from the half-resolution mesh when config.levels >= 2.  Both
+    levels share the patch radii.
     """
-    band = _check_band(t, band)
-    radii = patch_radii(psi_fn, patches, config, t=t, band=band)
-    fine = build_region(psi_fn, patches, config, t=t, band=band, radii=radii)
+    if band is None:
+        if t < 0:
+            raise BadInputError("sublevel parameter t must be >= 0")
+        t_lo, t_hi = t, math.inf
+    else:
+        t_hi, t_lo = float(band[0]), float(band[1])
+        if not (t_hi > t_lo >= 0):
+            raise BadInputError(f"band needs t1 > t2 >= 0, got {band!r}")
+    radii = _patch_radii(psi_fn, patches, t_lo, t_hi)
+    fine = build_region(psi_fn, patches, config, t_lo, t_hi, radii)
     val = evaluate(fine)
     err = 0.0
     if config.levels >= 2 and not fine.degenerate:
-        coarse = build_region(psi_fn, patches, config.halved(), t=t, band=band,
-                              radii=radii)
+        coarse = build_region(psi_fn, patches, config.halved(), t_lo, t_hi, radii)
         err = float(np.max(np.abs(val - evaluate(coarse))))
     return val, err, fine.degenerate
 

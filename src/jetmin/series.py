@@ -107,19 +107,6 @@ def blaschke_deriv_taylor(z0: complex, center: complex, n: int) -> np.ndarray:
     return (1 - abs(complex(z0)) ** 2) * inv_square_taylor(1 - c0 * complex(center), -c0, n)
 
 
-def taylor_shift(c, z0: complex) -> np.ndarray:
-    """Coefficients of q(z0 + x) for a polynomial q given by c."""
-    c = np.asarray(c, dtype=complex).ravel()
-    out = np.zeros_like(c)
-    work = c.copy()
-    fact = 1.0
-    for k in range(c.size):
-        out[k] = np.polynomial.polynomial.polyval(z0, work) / fact
-        work = pderiv(work)
-        fact *= k + 1
-    return out
-
-
 def polyval_many(c, z) -> np.ndarray:
     """Evaluate a coefficient array (increasing degree) on an array of points."""
     return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), np.asarray(c, dtype=complex))

@@ -68,8 +68,7 @@ def _solve_reduced(h00, gvec, M):
 def _reduce(H: GramMatrix, a_part: np.ndarray, Z: np.ndarray) -> GramMatrix:
     """Gram on [particular | null columns] from a full-basis Gram."""
     B = np.column_stack([a_part, Z])
-    return GramMatrix(entries=B.conj().T @ H.entries @ B, t=H.t,
-                      weight_label=H.weight_label, quad_error=H.quad_error,
+    return GramMatrix(entries=B.conj().T @ H.entries @ B, quad_error=H.quad_error,
                       degenerate=H.degenerate)
 
 

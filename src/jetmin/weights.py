@@ -10,12 +10,11 @@ normalized away.  ``u = Re q`` for a polynomial q in the domain coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInputError, DomainError, GreenPoleError
-from .gain import GainFunction, eval_c
+from .errors import BadInputError, DomainError
 from .geometry import (
     UNIT_DISC,
     DomainSpec,
@@ -86,10 +85,6 @@ class PhiSpec:
 
     def order_at(self, z: complex) -> int:
         return sum(m for loc, m in self.zeros if _same_point(loc, z))
-
-    @property
-    def is_trivial_divisor(self) -> bool:
-        return not self.zeros and abs(self.leading) == 1.0
 
 
 @dataclass(frozen=True)
@@ -209,12 +204,6 @@ class WeightKernel:
                 out += self.bump * np.abs(z) ** 2
         return out
 
-    def weight(self, g: GainFunction, zeta) -> np.ndarray:
-        """Pointwise 2 e^{-phi} c(-psi); the 2 converts |F|^2 to Lebesgue dA."""
-        psi = self.psi(zeta)
-        log_w = psi - self.phi_plus_psi(zeta)  # = -phi, with logs combined first
-        return 2.0 * np.exp(log_w) * eval_c(g, -psi)
-
     def singular_centers(self):
         """(zeta, p_total, divisor order, enforced vanishing order) per center.
 
@@ -238,46 +227,6 @@ class WeightKernel:
         for loc, m in self.zeros:
             slot(loc)["m"] += m
         return [(z, s["p"], s["m"], s["nu"]) for z, s in centers.items()]
-
-
-def eval_psi(w: WeightPair | PsiSpec, z: complex, dom: DomainSpec = UNIT_DISC) -> float:
-    """psi(z) = sum 2 p_j G(z, z_j) + extra terms; strictly negative."""
-    psi = w.psi if isinstance(w, WeightPair) else w
-    zeta = complex(dom.inverse(complex(z)))
-    if abs(zeta) >= 1:
-        raise DomainError(f"point {z} outside the domain")
-    total = 0.0
-    for loc, coeff in psi.all_terms():
-        zeta0 = complex(dom.inverse(loc))
-        if zeta == zeta0:
-            raise GreenPoleError(f"psi has a pole at {z}")
-        total += coeff * float(green_disc_raw(zeta, zeta0))
-    return total
-
-
-def eval_phi(w: WeightPair, z: complex, dom: DomainSpec = UNIT_DISC) -> float:
-    """phi(z) = 2 log|g(z)| + 2u(z) + eps|z|^2 - psi(z)."""
-    z = complex(z)
-    zeta = complex(dom.inverse(z))
-    if abs(zeta) >= 1:
-        raise DomainError(f"point {z} outside the domain")
-    total = 2.0 * math.log(abs(w.phi.leading))
-    for loc, m in w.phi.zeros:
-        zeta0 = complex(dom.inverse(loc))
-        if zeta == zeta0:
-            raise BadInputError(f"phi evaluation at a divisor zero {z}")
-        total += 2.0 * m * float(green_disc_raw(zeta, zeta0))
-    total += 2.0 * float(eval_u(w, z)) + w.phi.bump * abs(z) ** 2
-    return total - eval_psi(w, z, dom)
-
-
-def sublevel_member(
-    w: WeightPair | PsiSpec, t: float, z: complex, dom: DomainSpec = UNIT_DISC
-) -> bool:
-    """Membership in {psi < -t}."""
-    if t < 0:
-        raise BadInputError("sublevel_member needs t >= 0")
-    return eval_psi(w, z, dom) < -t
 
 
 def alpha_j(w: WeightPair, j: int, dom: DomainSpec = UNIT_DISC) -> float:

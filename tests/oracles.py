@@ -1,10 +1,11 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values, and test-only references.
 
-Everything here avoids the library's own formula paths: harmonic-measure
+The oracles avoid the library's own formula paths: harmonic-measure
 integrals and random walks for Green values, plain Monte Carlo for areas,
 sympy differentiation for jet rows, steepest descent for the constrained
 minimum.  Values frozen into tests were produced by these functions (see
-test modules for the frozen constants).
+test modules for the frozen constants).  The references are scalar psi/phi
+evaluators and the raw-monomial Gram, which the library itself never needs.
 """
 from __future__ import annotations
 
@@ -14,6 +15,45 @@ import numpy as np
 
 from jetmin.errors import BadInputError, NumericalError
 from jetmin.forms import GramMatrix, JetConstraintSystem, constraint_basis
+from jetmin.gain import growth_rate_bound
+from jetmin.geometry import UNIT_DISC, green_disc_raw
+from jetmin.quadrature import PatchSpec, QuadratureConfig, assembled_gram
+from jetmin.weights import WeightKernel, eval_u
+
+
+def eval_psi(w, z: complex, dom=UNIT_DISC) -> float:
+    """psi(z) = sum 2 p_j G(z, z_j) + extra terms, one point at a time."""
+    zeta = complex(dom.inverse(complex(z)))
+    return sum(coeff * float(green_disc_raw(zeta, complex(dom.inverse(loc))))
+               for loc, coeff in w.psi.all_terms())
+
+
+def eval_phi(w, z: complex, dom=UNIT_DISC) -> float:
+    """phi(z) = 2 log|g(z)| + 2u(z) + eps|z|^2 - psi(z), one point at a time."""
+    z = complex(z)
+    zeta = complex(dom.inverse(z))
+    total = 2.0 * math.log(abs(w.phi.leading))
+    for loc, m in w.phi.zeros:
+        total += 2.0 * m * float(green_disc_raw(zeta, complex(dom.inverse(loc))))
+    total += 2.0 * float(eval_u(w, z)) + w.phi.bump * abs(z) ** 2
+    return total - eval_psi(w, z, dom)
+
+
+def gram_quadrature(dom, w, g, t: float, N: int,
+                    mesh: QuadratureConfig | None = None) -> GramMatrix:
+    """Weighted Gram of the monomials 1, ..., zeta^N over {psi < -t}.
+
+    Valid only when the weight is integrable against the raw monomials:
+    every center exponent 2 p (1 - delta) - 2 m must exceed -2.
+    """
+    kernel = WeightKernel(dom, w)
+    delta = growth_rate_bound(g)
+    specs = [PatchSpec(center=zeta, order=0, exponent=2 * p * (1 - delta) - 2 * m)
+             for zeta, p, m, _nu in kernel.singular_centers()]
+    monomials = list(np.eye(N + 1, dtype=complex))
+    H, err, degen = assembled_gram(kernel, g, monomials, specs,
+                                   mesh or QuadratureConfig(), t=t)
+    return GramMatrix(entries=H, quad_error=err, degenerate=degen)
 
 
 def poisson_green_disc(z: complex, z0: complex, n: int = 4096) -> float:
@@ -27,17 +67,6 @@ def poisson_green_disc(z: complex, z0: complex, n: int = 4096) -> float:
     pk = (1 - abs(z) ** 2) / np.abs(xi - z) ** 2
     harm = np.mean(pk * np.log(np.abs(xi - z0)))
     return math.log(abs(z - z0)) - harm
-
-
-def circumcircle(p1: complex, p2: complex, p3: complex) -> tuple[complex, float]:
-    ax, ay, bx, by, cx, cy = p1.real, p1.imag, p2.real, p2.imag, p3.real, p3.imag
-    d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    ux = ((ax**2 + ay**2) * (by - cy) + (bx**2 + by**2) * (cy - ay)
-          + (cx**2 + cy**2) * (ay - by)) / d
-    uy = ((ax**2 + ay**2) * (cx - bx) + (bx**2 + by**2) * (ax - cx)
-          + (cx**2 + cy**2) * (bx - ax)) / d
-    center = complex(ux, uy)
-    return center, abs(p1 - center)
 
 
 def wos_green_disc_domain(

@@ -7,10 +7,11 @@ import sys
 import pytest
 
 from jetmin import cli
-from jetmin.analysis import ConcavityReport
+from jetmin.analysis import ConcavityReport, scan_G
 from jetmin.errors import NumericalError
 from jetmin.problems import (
     eps_bump_problem,
+    load_problem,
     problem_from_dict,
     save_problem,
     single_point_problem,
@@ -126,6 +127,9 @@ def test_scan_stdout_and_violation_gate(single_file, capsys):
     assert cli.main(["scan", single_file, "--r-count", "5"]) == 0
     rep = json.loads(capsys.readouterr().out)["report"]
     assert rep["max_violation"] <= rep["violation_threshold"]
+    # the report carries the library's own verdict threshold
+    lib = scan_G(load_problem(single_file), r_count=5)
+    assert rep["violation_threshold"] == lib.violation_threshold
 
 
 def test_scan_concavity_violation_exits_3(monkeypatch, single_file, capsys):
@@ -135,6 +139,7 @@ def test_scan_concavity_violation_exits_3(monkeypatch, single_file, capsys):
         g_values=(1.0, 2.0, 4.0, 8.0, 16.0),
         second_differences=(1.0, 2.0, 4.0),
         max_violation=4.0,
+        violation_threshold=1e-8,
         is_linear=False,
         slope=1.0,
         intercept=0.0,
@@ -245,3 +250,15 @@ def test_verify_lemmas(tmp_path, capsys):
 def test_verify_lemmas_rejects_small_weights(single_file, capsys):
     assert cli.main(["verify-lemmas", single_file]) == 4
     assert "p > 2" in capsys.readouterr().err
+
+
+def test_verify_lemmas_rejects_negative_beta_max(tmp_path, capsys):
+    p = problem_from_dict(
+        {"marked": [{"location": [0.2, 0.0], "green_weight": 3.0}]}
+    )
+    path = tmp_path / "mass.json"
+    save_problem(p, path)
+    assert cli.main(["verify-lemmas", str(path), "--beta-max", "-2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--beta-max" in captured.err

@@ -13,14 +13,16 @@ from jetmin.forms import (
     constraint_basis,
     form_norm_quadrature,
     gram_analytic_disc,
-    gram_quadrature,
     gram_reduced,
     jet_constraints,
     norm_of_form,
 )
 from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
+from jetmin.problems import two_point_problem
+from jetmin.solver import minimal_integral
 from jetmin.weights import PhiSpec, WeightPair
+from oracles import gram_quadrature
 
 CONST = GainFunction.constant(1.0)
 
@@ -220,8 +222,6 @@ def test_nonintegrable_divisor_zero_off_marked_point():
         phi=PhiSpec(zeros=((0.0, 1), (-0.4, 1)), leading=1.0, u_coeffs=(0.0,), bump=0.0),
     )
     with pytest.raises(NonIntegrableWeightError):
-        gram_quadrature(UNIT_DISC, w, CONST, 0.0, 2)
-    with pytest.raises(NonIntegrableWeightError):
         gram_reduced(UNIT_DISC, w, CONST, 0.0, 2)
 
 
@@ -256,6 +256,35 @@ def test_form_norm_quadrature_band():
     want = 2 * math.pi * (math.exp(-1) - math.exp(-2))
     assert not degen
     assert val == pytest.approx(want, rel=1e-8)
+
+
+def moebius_two_point():
+    dom = DomainSpec.moebius(2.0, 0.3, 0.1, 1.2)
+    pts = (
+        MarkedPoint(complex(dom.forward(0.2)), green_weight=1.0, jet_order=0, jet_coeff=1.0),
+        MarkedPoint(complex(dom.forward(-0.3 + 0.1j)), green_weight=1.0, jet_order=0,
+                    jet_coeff=0.5),
+    )
+    return dom, WeightPair.standard(pts)
+
+
+@pytest.mark.parametrize("case", ["disc", "moebius"])
+def test_band_norm_is_difference_of_sublevel_norms(case):
+    # {-1.2 <= psi < -0.4} = {psi < -0.4} minus {psi < -1.2}: the band skips
+    # the patches its deep region contains, while each sublevel norm
+    # integrates them on their local grids
+    if case == "disc":
+        p = two_point_problem(0.3)
+        dom, w = p.domain, p.weights
+    else:
+        dom, w = moebius_two_point()
+    g = GainFunction.exponential(0.5)
+    F = minimal_integral(dom, w, g, 0.4, N=12).extremal
+    band, _, _ = form_norm_quadrature(dom, w, g, F, band=(1.2, 0.4))
+    outer, _, _ = form_norm_quadrature(dom, w, g, F, t=0.4)
+    inner, _, _ = form_norm_quadrature(dom, w, g, F, t=1.2)
+    assert band > 0
+    assert band == pytest.approx(outer - inner, rel=1e-10)
 
 
 def test_truncated_form_validation():

@@ -178,17 +178,3 @@ def test_ratio_probe_divergent_tail():
 def test_growth_rate_bound():
     assert growth_rate_bound(GainFunction.constant(1.0)) == 0.0
     assert growth_rate_bound(GainFunction.exponential(0.3)) == pytest.approx(0.3)
-
-
-def test_from_csv_round_trip(tmp_path):
-    ts = np.linspace(0.2, 6.0, 25)
-    cs = 1.0 / (1.0 + ts) ** 0.5
-    path = tmp_path / "gain.csv"
-    path.write_text("t,c\n" + "\n".join(f"{t},{c}" for t, c in zip(ts, cs)))
-    g = GainFunction.from_csv(path)
-    assert eval_c(g, 3.0) == pytest.approx(eval_c(GainFunction.tabulated(ts, cs), 3.0))
-
-
-def test_describe_mentions_kind():
-    assert "constant" in GainFunction.constant(1.0).describe()
-    assert "exponential" in GainFunction.exponential(0.5).describe()

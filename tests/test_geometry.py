@@ -15,7 +15,6 @@ from jetmin.geometry import (
     green_disc,
     green_domain,
     log_capacity,
-    moebius_image_circle,
 )
 
 # frozen from tests/oracles.py::poisson_green_disc(0.3+0.4j, 0.5, 4096)
@@ -89,15 +88,6 @@ def test_moebius_injectivity_validation():
         DomainSpec.moebius(1.0, 0.0, 1.0, 1.0)  # pole at -1 on the circle
     with pytest.raises(BadInputError):
         DomainSpec.moebius(1.0, 2.0, 2.0, 1.0)  # pole at -1/2 inside
-
-
-def test_moebius_image_circle_matches_forward_map():
-    dom = DomainSpec.moebius(2.0, 0.3, 0.1, 1.2)
-    center, radius = moebius_image_circle(dom)
-    for ang in np.linspace(0, 2 * math.pi, 17):
-        assert abs(complex(dom.forward(np.exp(1j * ang))) - center) == pytest.approx(
-            radius, abs=1e-12
-        )
 
 
 def test_blaschke_at_origin_is_identity():

@@ -16,7 +16,6 @@ from jetmin.series import (
     pmul,
     polyval_many,
     ppow,
-    taylor_shift,
 )
 from jetmin.geometry import blaschke_deriv, blaschke_factor
 
@@ -105,15 +104,6 @@ def test_blaschke_deriv_taylor():
         assert horner(coeffs, dz) == pytest.approx(
             blaschke_deriv(z0, center + dz), abs=1e-12
         )
-
-
-def test_taylor_shift_identity():
-    rng = np.random.default_rng(9)
-    p = rng.normal(size=7) + 1j * rng.normal(size=7)
-    z0 = 0.3 - 0.4j
-    shifted = taylor_shift(p, z0)
-    for z in (0.2, 0.5j, -0.1 - 0.3j):
-        assert horner(shifted, z - z0) == pytest.approx(horner(p, z), abs=1e-10)
 
 
 def test_polyval_many():

@@ -4,20 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from jetmin.errors import BadInputError, DomainError, GreenPoleError
-from jetmin.gain import GainFunction
-from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint, green_disc
+from jetmin.errors import BadInputError
+from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
 from jetmin.weights import (
     PhiSpec,
     PsiSpec,
     WeightKernel,
     WeightPair,
     alpha_j,
-    eval_phi,
-    eval_psi,
     lelong_psi,
-    sublevel_member,
 )
+from oracles import eval_phi, eval_psi
 
 
 def two_point_pair(a=0.7):
@@ -29,17 +26,26 @@ def two_point_pair(a=0.7):
     return WeightPair.standard(marked)
 
 
+def psi_at(w, z):
+    return float(WeightKernel(UNIT_DISC, w).psi(z))
+
+
+def phi_at(w, z):
+    k = WeightKernel(UNIT_DISC, w)
+    return float(k.phi_plus_psi(z) - k.psi(z))
+
+
 def test_psi_two_point_value():
     w = two_point_pair()
-    assert eval_psi(w, 0.9) == pytest.approx(-1.0583495248683743, abs=1e-13)
-    assert eval_psi(w, 0.9) == pytest.approx(
+    assert psi_at(w, 0.9) == pytest.approx(-1.0583495248683743, abs=1e-13)
+    assert psi_at(w, 0.9) == pytest.approx(
         4 * math.log(0.9) + 2 * math.log(0.4 / 0.55), abs=1e-13
     )
 
 
 def test_psi_single_point_radial():
     w = WeightPair.standard([MarkedPoint(0.0)])
-    assert eval_psi(w, math.exp(-1.0)) == pytest.approx(-2.0, abs=1e-14)
+    assert psi_at(w, math.exp(-1.0)) == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_psi_negative_everywhere():
@@ -49,15 +55,7 @@ def test_psi_negative_everywhere():
         z = rng.uniform(-0.7, 0.7) + 1j * rng.uniform(-0.7, 0.7)
         if abs(z) < 0.05 or abs(z - 0.5) < 0.05:
             continue
-        assert eval_psi(w, z) < 0
-
-
-def test_psi_pole_and_domain_errors():
-    w = two_point_pair()
-    with pytest.raises(GreenPoleError):
-        eval_psi(w, 0.0)
-    with pytest.raises(DomainError):
-        eval_psi(w, 1.2)
+        assert psi_at(w, z) < 0
 
 
 def test_psi_extra_terms_lower_it():
@@ -69,7 +67,7 @@ def test_psi_extra_terms_lower_it():
         z = rng.uniform(-0.8, 0.8) + 1j * rng.uniform(-0.8, 0.8)
         if abs(z) < 1e-3 or abs(z - 0.3) < 1e-3 or abs(z) >= 1:
             continue
-        assert eval_psi(extra, z) < eval_psi(base, z)
+        assert psi_at(extra, z) < psi_at(base, z)
 
 
 def test_phi_vanishes_for_matching_divisor():
@@ -79,19 +77,19 @@ def test_phi_vanishes_for_matching_divisor():
         z = rng.uniform(-0.7, 0.7) + 1j * rng.uniform(-0.7, 0.7)
         if abs(z) < 0.05 or abs(z - 0.5) < 0.05:
             continue
-        assert eval_phi(w, z) == pytest.approx(0.0, abs=1e-12)
+        assert phi_at(w, z) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phi_with_harmonic_part():
     # trivial divisor, u = Re z, psi = 2 log|z|
     w = WeightPair.standard([MarkedPoint(0.0)], zeros=(), u_coeffs=(0.0, 1.0))
-    assert eval_phi(w, 0.5) == pytest.approx(2.386294361119891, abs=1e-13)
+    assert phi_at(w, 0.5) == pytest.approx(2.386294361119891, abs=1e-13)
 
 
 def test_phi_bump_only():
     w = WeightPair.standard([MarkedPoint(0.0)], bump=0.1)
     for z in (0.3, -0.2 + 0.4j, 0.6j):
-        assert eval_phi(w, z) == pytest.approx(0.1 * abs(z) ** 2, abs=1e-12)
+        assert phi_at(w, z) == pytest.approx(0.1 * abs(z) ** 2, abs=1e-12)
 
 
 def test_lelong_numbers():
@@ -157,22 +155,14 @@ def test_weight_pair_validation():
         PhiSpec(bump=-0.5)
 
 
-def test_sublevel_member():
-    w = WeightPair.standard([MarkedPoint(0.0)])
-    assert sublevel_member(w, 2.0, 0.1)
-    assert not sublevel_member(w, 2.0, 0.5)
-    assert sublevel_member(two_point_pair(), 10.0, 0.01)
-    with pytest.raises(BadInputError):
-        sublevel_member(w, -1.0, 0.1)
-
-
 def test_stencil_laplacian_of_phi_plus_psi():
     # away from the divisor, phi + psi is harmonic plus the bump term
     w = WeightPair.standard([MarkedPoint(0.0)], bump=0.1, u_coeffs=(0.0, 0.0, 0.3))
+    k = WeightKernel(UNIT_DISC, w)
     h = 1e-3
 
     def f(z):
-        return eval_phi(w, z) + eval_psi(w, z)
+        return float(k.phi_plus_psi(z))
 
     for z in (0.3 + 0.2j, -0.4j, 0.15 - 0.5j):
         lap = (f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4 * f(z)) / h**2
@@ -207,18 +197,6 @@ def test_kernel_matches_scalar_evaluators_moebius_domain():
         assert float(k.phi_plus_psi(zeta)) == pytest.approx(
             eval_phi(w, z, dom) + eval_psi(w, z, dom), abs=1e-12
         )
-
-
-def test_kernel_weight_value():
-    w = two_point_pair()
-    k = WeightKernel(UNIT_DISC, w)
-    flat = GainFunction.constant(1.0)
-    assert float(k.weight(flat, 0.9)) == pytest.approx(2.0, abs=1e-12)
-    grow = GainFunction.exponential(0.5)
-    psi = eval_psi(w, 0.9)
-    assert float(k.weight(grow, 0.9)) == pytest.approx(
-        2.0 * math.exp(-0.5 * psi), rel=1e-12
-    )
 
 
 def test_kernel_singular_centers():
