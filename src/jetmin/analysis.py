@@ -24,7 +24,7 @@ from .series import (
     pmul,
     ppow,
 )
-from .solver import extension_bound, minimal_integral
+from .solver import extension_bound, minimal_integral, minimal_integrals
 from .weights import PsiSpec
 
 
@@ -120,8 +120,11 @@ class StrictnessReport:
 def scan_G(problem: Problem, r_count: int | None = None) -> ConcavityReport:
     """Sample G on a uniform r-grid in (0, h(0)) and test concavity/linearity.
 
-    Second differences of a concave function are <= 0; positive values beyond
-    the quadrature tolerance indicate a bug, not new mathematics.
+    All G values come from one minimal_integrals call, so the quadrature
+    builds one region per mesh level for the whole t grid, with the patch
+    radii set by the deepest level.  Second differences of a concave
+    function are <= 0; positive values beyond the quadrature tolerance
+    indicate a bug, not new mathematics.
     """
     n = problem.numerics.r_count if r_count is None else int(r_count)
     if n < 5:
@@ -130,23 +133,16 @@ def scan_G(problem: Problem, r_count: int | None = None) -> ConcavityReport:
     h0 = eval_h(g, 0.0)
     r_grid = [h0 * (i + 1) / (n + 1) for i in range(n)]
     t_grid = [invert_h(g, r) for r in r_grid]
-    values = []
-    max_err = 0.0
-    for r, t in zip(r_grid, t_grid):
-        try:
-            res = minimal_integral(
-                problem.domain,
-                problem.weights,
-                g,
-                t,
-                N=problem.numerics.N,
-                mesh=problem.numerics.mesh,
-            )
-        except NumericalError as exc:
-            raise NumericalError(f"solver failed at r = {r:.6g} (t = {t:.6g}): {exc}") from exc
-        values.append(res.value)
-        max_err = max(max_err, res.diagnostics["quadrature_error"])
-    vals = np.asarray(values)
+    results = minimal_integrals(
+        problem.domain,
+        problem.weights,
+        g,
+        t_grid,
+        N=problem.numerics.N,
+        mesh=problem.numerics.mesh,
+    )
+    vals = np.array([res.value for res in results])
+    max_err = max(res.diagnostics["quadrature_error"] for res in results)
     d2 = vals[2:] - 2 * vals[1:-1] + vals[:-2]
     A = np.stack([np.asarray(r_grid), np.ones(n)], axis=1)
     coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
@@ -378,10 +374,10 @@ def verify_mass(psi: PsiSpec, mesh: QuadratureConfig | None = None) -> float:
         psi_v, s = log_density(z)
         return 2.0 * np.exp(psi_v) * np.abs(s) ** 2
 
-    val, _err, degen = assembled_integral(psi_fn, fn, patches, mesh, t=0.0)
-    if degen:
+    val, _err, degen = assembled_integral(psi_fn, fn, patches, mesh)
+    if degen[0]:
         raise NumericalError("mass quadrature found no region nodes")
-    return float(val.real)
+    return float(val[0].real)
 
 
 def verify_orthogonality(
@@ -402,15 +398,15 @@ def verify_orthogonality(
         psi_v, s = log_density(z)
         return 2.0 * np.exp(2.0 * psi_v) * np.abs(s) ** 2
 
-    raw, _e1, degen = assembled_integral(psi_fn, pairing, patches, mesh, t=0.0)
-    if degen:
+    raw, _e1, degen = assembled_integral(psi_fn, pairing, patches, mesh)
+    if degen[0]:
         raise NumericalError("orthogonality quadrature found no region nodes")
-    nsq, _e2, _ = assembled_integral(psi_fn, norm_sq, patches, mesh, t=0.0)
+    nsq, _e2, _ = assembled_integral(psi_fn, norm_sq, patches, mesh)
     beta_norm = math.sqrt(2 * math.pi / (beta_degree + 1))
-    scale = math.sqrt(max(nsq.real, 0.0)) * beta_norm
+    scale = math.sqrt(max(nsq[0].real, 0.0)) * beta_norm
     if scale == 0:
         raise NumericalError("degenerate scale in orthogonality check")
-    return float(abs(raw) / scale)
+    return float(abs(raw[0]) / scale)
 
 
 def linear_restriction_identity(

@@ -11,6 +11,7 @@ vanishing, which is always integrable for admissible weights.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,16 +245,18 @@ def gram_reduced(
     dom: DomainSpec,
     w: WeightPair,
     g: GainFunction,
-    t: float,
+    ts: Sequence[float],
     N: int,
     mesh: QuadratureConfig | None = None,
     constraints: JetConstraintSystem | None = None,
-) -> tuple[GramMatrix, np.ndarray, np.ndarray]:
-    """Gram on [particular | null-space] after constraint substitution.
+) -> tuple[list[GramMatrix], np.ndarray, np.ndarray]:
+    """Grams on [particular | null-space] after constraint substitution.
 
     This is the regularization that makes singular weights integrable: every
     reduced basis function carries the enforced vanishing at the marked
-    points.  Returns (reduced Gram, particular coefficients, null basis).
+    points.  The basis does not depend on t, so one region per mesh level
+    serves every sublevel set {psi < -t}, t in ``ts``.  Returns (one reduced
+    Gram per t, particular coefficients, null basis).
     """
     mesh = mesh or QuadratureConfig()
     C = constraints if constraints is not None else jet_constraints(w, N, dom)
@@ -261,8 +264,10 @@ def gram_reduced(
     kernel = WeightKernel(dom, w)
     specs = _patch_specs(kernel, g)
     basis = [a_part] + [Z[:, i] for i in range(Z.shape[1])]
-    H, err, degen = assembled_gram(kernel, g, basis, specs, mesh, t=t)
-    return GramMatrix(entries=H, quad_error=err, degenerate=degen), a_part, Z
+    H, err, degen = assembled_gram(kernel, g, basis, specs, mesh, ts=ts)
+    grams = [GramMatrix(entries=h, quad_error=float(e), degenerate=bool(d))
+             for h, e, d in zip(H, err, degen)]
+    return grams, a_part, Z
 
 
 def form_norm_quadrature(
@@ -285,8 +290,8 @@ def form_norm_quadrature(
     kernel = WeightKernel(dom, w)
     specs = _patch_specs(kernel, g, check=band is None)
     H, err, degen = assembled_gram(kernel, g, [F.coeff_array()], specs, mesh,
-                                   t=t, band=band)
-    return float(H[0, 0].real), err, degen
+                                   ts=(t,), band=band)
+    return float(H[0, 0, 0].real), float(err[0]), bool(degen[0])
 
 
 def norm_of_form(F: TruncatedForm, H: GramMatrix) -> float:

@@ -57,15 +57,47 @@ def _c_out(z) -> list[float]:
     return [z.real, z.imag]
 
 
-def _c_in(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
+def _float_in(v, what: str) -> float:
+    """A real number field; bools, strings and null are rejected."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise BadInputError(f"{what} must be a number, got {v!r}")
+    return float(v)
+
+
+def _int_in(v, what: str) -> int:
+    """An integer field; an integral float such as 24.0 is accepted, 24.7 is not."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise BadInputError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _c_in(v, what: str = "complex value") -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise BadInputError(f"expected a number or [re, im] pair, got {v!r}")
+        return complex(_float_in(v[0], what), _float_in(v[1], what))
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise BadInputError(f"{what}: expected a number or [re, im] pair, got {v!r}")
+    return complex(v)
 
 
-def _require_keys(d: dict, allowed: set, what: str) -> None:
+def _list_in(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise BadInputError(f"{what} must be a JSON list, got {v!r}")
+    return v
+
+
+def _pairs_in(v, what: str) -> list:
+    """A JSON list of two-entry lists."""
+    for item in _list_in(v, what):
+        if not (isinstance(item, list) and len(item) == 2):
+            raise BadInputError(f"{what} entries must be pairs, got {item!r}")
+    return v
+
+
+def _require_keys(d, allowed: set, what: str) -> None:
+    if not isinstance(d, dict):
+        raise BadInputError(f"{what} must be a JSON object, got {d!r}")
     extra = set(d) - allowed
     if extra:
         raise BadInputError(f"unknown {what} keys: {sorted(extra)}")
@@ -133,36 +165,41 @@ def problem_from_dict(d: dict) -> Problem:
     mc = dom_d.get("map_coeffs", [1.0, 0.0, 0.0, 1.0] if kind == "unit_disc" else None)
     if not (isinstance(mc, list) and len(mc) == 4):
         raise BadInputError("domain map_coeffs needs 4 entries")
-    dom = DomainSpec(kind=kind, map_coeffs=tuple(_c_in(v) for v in mc))
+    dom = DomainSpec(kind=kind, map_coeffs=tuple(_c_in(v, "map_coeffs") for v in mc))
     if "marked" not in d or not d["marked"]:
         raise BadInputError("problem file needs a nonempty marked list")
     marked = []
-    for m in d["marked"]:
+    for m in _list_in(d["marked"], "marked"):
         _require_keys(
             m,
             {"location", "green_weight", "jet_order", "jet_coeff", "coord_scale"},
             "marked point",
         )
+        if "location" not in m:
+            raise BadInputError("marked point needs a location")
         marked.append(
             MarkedPoint(
-                location=_c_in(m["location"]),
-                green_weight=float(m.get("green_weight", 1.0)),
-                jet_order=int(m.get("jet_order", 0)),
-                jet_coeff=_c_in(m.get("jet_coeff", 1.0)),
-                coord_scale=_c_in(m.get("coord_scale", 1.0)),
+                location=_c_in(m["location"], "location"),
+                green_weight=_float_in(m.get("green_weight", 1.0), "green_weight"),
+                jet_order=_int_in(m.get("jet_order", 0), "jet_order"),
+                jet_coeff=_c_in(m.get("jet_coeff", 1.0), "jet_coeff"),
+                coord_scale=_c_in(m.get("coord_scale", 1.0), "coord_scale"),
             )
         )
     marked = tuple(marked)
-    extra = tuple((_c_in(loc), float(c)) for loc, c in d.get("psi_extra", []))
+    extra = tuple((_c_in(loc, "psi_extra location"), _float_in(c, "psi_extra coefficient"))
+                  for loc, c in _pairs_in(d.get("psi_extra", []), "psi_extra"))
     if "phi" in d:
         ph = d["phi"]
         _require_keys(ph, {"zeros", "leading", "u_coeffs", "bump"}, "phi")
         default_zeros = [[_c_out(pt.location), pt.jet_order + 1] for pt in marked]
         phi = PhiSpec(
-            zeros=tuple((_c_in(loc), int(m)) for loc, m in ph.get("zeros", default_zeros)),
-            leading=_c_in(ph.get("leading", 1.0)),
-            u_coeffs=tuple(_c_in(c) for c in ph.get("u_coeffs", [0.0])),
-            bump=float(ph.get("bump", 0.0)),
+            zeros=tuple((_c_in(loc, "phi zero location"), _int_in(m, "phi zero order"))
+                        for loc, m in _pairs_in(ph.get("zeros", default_zeros), "phi zeros")),
+            leading=_c_in(ph.get("leading", 1.0), "phi leading"),
+            u_coeffs=tuple(_c_in(c, "phi u_coeffs")
+                           for c in _list_in(ph.get("u_coeffs", [0.0]), "phi u_coeffs")),
+            bump=_float_in(ph.get("bump", 0.0), "phi bump"),
         )
         weights = WeightPair(
             marked=marked,
@@ -178,11 +215,14 @@ def problem_from_dict(d: dict) -> Problem:
     _require_keys(gd, {"kind", "value", "rate", "grid_t", "grid_c"}, "gain")
     kind = gd.get("kind", "constant")
     if kind == "constant":
-        gain = GainFunction.constant(float(gd.get("value", 1.0)))
+        gain = GainFunction.constant(_float_in(gd.get("value", 1.0), "gain value"))
     elif kind == "exponential":
-        gain = GainFunction.exponential(float(gd.get("rate", 0.0)))
+        gain = GainFunction.exponential(_float_in(gd.get("rate", 0.0), "gain rate"))
     elif kind == "tabulated":
-        gain = GainFunction.tabulated(gd.get("grid_t", ()), gd.get("grid_c", ()))
+        gain = GainFunction.tabulated(
+            [_float_in(x, "gain grid_t") for x in _list_in(gd.get("grid_t", []), "gain grid_t")],
+            [_float_in(x, "gain grid_c") for x in _list_in(gd.get("grid_c", []), "gain grid_c")],
+        )
     else:
         raise BadInputError(f"unknown gain kind {kind!r}")
     nd = d.get("numerics", {})
@@ -192,17 +232,14 @@ def problem_from_dict(d: dict) -> Problem:
         md, {"angular", "radial", "patch_angular", "patch_radial", "levels"}, "mesh"
     )
     base_mesh = QuadratureConfig()
-    mesh = QuadratureConfig(
-        angular=int(md.get("angular", base_mesh.angular)),
-        radial=int(md.get("radial", base_mesh.radial)),
-        patch_angular=int(md.get("patch_angular", base_mesh.patch_angular)),
-        patch_radial=int(md.get("patch_radial", base_mesh.patch_radial)),
-        levels=int(md.get("levels", base_mesh.levels)),
-    )
+    mesh = QuadratureConfig(**{
+        key: _int_in(md.get(key, getattr(base_mesh, key)), f"mesh {key}")
+        for key in ("angular", "radial", "patch_angular", "patch_radial", "levels")
+    })
     numerics = Numerics(
-        N=int(nd.get("N", 24)),
-        r_count=int(nd.get("r_count", 17)),
-        tolerance=float(nd.get("tolerance", 1e-6)),
+        N=_int_in(nd.get("N", 24), "N"),
+        r_count=_int_in(nd.get("r_count", 17), "r_count"),
+        tolerance=_float_in(nd.get("tolerance", 1e-6), "tolerance"),
         mesh=mesh,
     )
     return Problem(domain=dom, weights=weights, gain=gain, numerics=numerics)

@@ -1,14 +1,20 @@
 """Adaptive polar quadrature over Green-sublevel regions of the unit disc.
 
-A region is one pair (t_lo, t_hi) meaning {-t_hi <= psi < -t_lo} in disc
-coordinates: t_hi = inf gives the sublevel set {psi < -t} (t_lo = t), and a
-band {-t1 <= psi < -t2} is (t2, t1).  The public entry points keep the
-``t=``/``band=`` keywords and convert them once, in the two-level driver.
-A global polar grid centered at the origin locates the region cuts along
-each ray by bisection and integrates with Gauss-Legendre panels split at
-every cut and patch-circle crossing.  Neighborhoods of singular centers
-are handed to local geometric-ring patches through a C^4 partition of
-unity; patch products are assembled in log space with the enforced
+A region is a sorted cut list t_0 < t_1 < ... < t_K in disc coordinates.
+Band k is {-t_{k+1} <= psi < -t_k}, and level k is the union of the bands
+j >= k, that is {-t_K <= psi < -t_k}.  With t_K = inf the levels are
+sublevel sets: {psi < -t} is the cut list (t, inf), the sublevel sets of a
+scan grid are (t_0, ..., t_{K-1}, inf), and the band {-t1 <= psi < -t2} is
+(t2, t1).  The public entry points take ``ts=`` or ``band=`` and convert
+them once, in the two-level driver.
+
+A global polar grid centered at the origin cuts each ray at every
+threshold in one pass (sampling, then bisection), tags each piece between
+cuts with its band, and integrates with Gauss-Legendre panels split at
+every patch-circle crossing.  Values are accumulated per band; the value
+over level k is the sum of the bands j >= k.  Neighborhoods of singular
+centers are handed to local geometric-ring patches through a C^4 partition
+of unity; patch products are assembled in log space with the enforced
 vanishing order factored out of the basis, so near-critical exponents
 neither overflow nor lose their radial tail.
 """
@@ -31,7 +37,8 @@ _RAY_SAMPLES = 1024
 _TANGENT_SPLIT = 16
 _MIN_RADIUS_FRACTION = 1e-36
 _MASK_FLOOR = 1e-14
-_CHUNK = 16384
+_CHUNK = 8192
+_RAY_BLOCK = 32  # rays sampled and cut together
 _TAIL_EPS = 1e-13  # relative radial tail of a patch integrand left uncovered
 
 
@@ -51,7 +58,11 @@ class PatchSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Mesh sizes: global angular/radial counts, per-patch counts, levels."""
+    """Mesh sizes: global angular/radial counts, per-patch counts, levels.
+
+    ``levels`` is 1 (fine mesh only) or 2 (plus the half-resolution mesh that
+    gives the error estimate).
+    """
 
     angular: int = 256
     radial: int = 256
@@ -62,8 +73,9 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if min(self.angular, self.radial, self.patch_angular, self.patch_radial) < 8:
             raise BadInputError("quadrature mesh counts must be >= 8")
-        if self.levels < 1:
-            raise BadInputError("quadrature needs at least one refinement level")
+        if self.levels not in (1, 2):
+            raise BadInputError(
+                f"quadrature levels must be 1 (no error estimate) or 2, got {self.levels!r}")
 
     def halved(self) -> "QuadratureConfig":
         return replace(
@@ -78,18 +90,20 @@ class QuadratureConfig:
 @dataclass
 class PatchBlock:
     spec: PatchSpec
-    radius: float
     sl: slice
-    masked: bool  # True when per-node region membership had to be applied
 
 
 @dataclass
 class RegionNodes:
+    """Nodes, area weights and band indices; the global part and every patch
+    block are sorted by band."""
+
     zeta: np.ndarray
     area_w: np.ndarray
+    band: np.ndarray
+    n_bands: int
     blocks: list
     n_global: int
-    degenerate: bool
 
 
 def _smooth_step(x):
@@ -107,23 +121,24 @@ def _chi(dist, radius):
     return out
 
 
-def _membership(vals, t_lo, t_hi):
-    return (vals < -t_lo) & (vals >= -t_hi)
+def _band_of(cuts, vals):
+    """Band index of psi values; -1 or len(cuts) - 1 outside every band."""
+    return np.searchsorted(cuts, -vals, side="left") - 1
 
 
-def _patch_radii(psi_fn, patches, t_lo, t_hi):
+def _patch_radii(psi_fn, patches, threshold):
     """Blending radius per patch plus a containment flag.
 
-    A patch is "contained" when its closed disc lies inside the deep region
-    {psi < -threshold}, the threshold being t_lo for a sublevel set and t_hi
-    for a band; psi is subharmonic off its poles, so a boundary-circle
-    maximum below the threshold certifies the whole disc.
+    A patch is "contained" when its closed disc lies inside {psi < -threshold},
+    the deepest level of the region (t_K for a band list, t_{K-1} for a list
+    of sublevel sets), so it lies inside every level; psi is subharmonic off
+    its poles, so a boundary-circle maximum below the threshold certifies the
+    whole disc.
     """
     locs = [p.center for p in patches]
     out = []
     ang = np.exp(1j * (np.arange(_BOUNDARY_SAMPLES) + 0.5)
                  * (2 * math.pi / _BOUNDARY_SAMPLES))
-    threshold = t_hi if math.isfinite(t_hi) else t_lo
     for i, p in enumerate(patches):
         r = min(0.1, (1.0 - abs(p.center)) / 2.0)
         for j, q in enumerate(locs):
@@ -180,128 +195,135 @@ def _bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh):
     return 0.5 * (lo + hi)
 
 
-def _ray_intervals(psi_fn, thetas, t_lo, t_hi, centers):
-    """Kept radial intervals of the region along each ray.
+def _ray_pieces(psi_fn, thetas, cuts, centers):
+    """Band pieces of the rays: arrays (ray, r_lo, r_hi, band, level_len).
 
-    Returns a list (per ray) of lists of (r_lo, r_hi) with the region cuts
-    refined to bisection accuracy.
+    Each ray is cut at every finite threshold of ``cuts`` in one pass, the
+    cuts refined to bisection accuracy; each piece between consecutive
+    breakpoints is tagged with its band by psi at its midpoint, and pieces
+    outside every band are dropped.  ``level_len`` is the length, on the
+    piece's ray, of the level of its band (that band and the bands inside
+    it).  Rays are sampled in blocks of _RAY_BLOCK to bound memory.
     """
-    rs, vals = _sample_rays(psi_fn, thetas, centers)
-    thresholds = [x for x in (t_hi, t_lo) if math.isfinite(x)]
-    cuts_per_ray = [[] for _ in thetas]
-    for thresh in thresholds:
-        f = vals + thresh
-        sign_change = (f[:, 1:] < 0) != (f[:, :-1] < 0)
-        ray_idx, col_idx = np.nonzero(sign_change)
-        if ray_idx.size:
-            lo = rs[ray_idx, col_idx]
-            hi = rs[ray_idx, col_idx + 1]
-            f_lo = f[ray_idx, col_idx]
-            e_ray = np.exp(1j * thetas[ray_idx])
-            roots = _bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh)
-            for i, r in zip(ray_idx, roots):
-                cuts_per_ray[i].append(float(r))
-    # classify the subintervals between consecutive breakpoints by midpoint
-    candidates = []  # (ray index, r_lo, r_hi)
-    for i, cuts in enumerate(cuts_per_ray):
-        brk = sorted(set([0.0, 1.0] + cuts))
-        for a, b in zip(brk[:-1], brk[1:]):
-            if b - a > 1e-14:
-                candidates.append((i, a, b))
-    intervals = [[] for _ in thetas]
-    if candidates:
-        mids = np.array([0.5 * (a + b) for _, a, b in candidates])
-        owner = np.array([i for i, _, _ in candidates])
-        keep = _membership(psi_fn(mids * np.exp(1j * thetas[owner])), t_lo, t_hi)
-        for (i, a, b), k in zip(candidates, keep):
-            if k:
-                intervals[i].append((a, b))
-    return intervals
+    n_bands = cuts.size - 1
+    finite = cuts[np.isfinite(cuts)]
+    parts = []
+    for i0 in range(0, thetas.size, _RAY_BLOCK):
+        th = thetas[i0:i0 + _RAY_BLOCK]
+        n = th.size
+        rs, vals = _sample_rays(psi_fn, th, centers)
+        found = []  # (ray, sample column, threshold) per sign change of psi + t
+        for thresh in finite:
+            f = vals + thresh
+            ray_idx, col_idx = np.nonzero((f[:, 1:] < 0) != (f[:, :-1] < 0))
+            found.append((ray_idx, col_idx, np.full(ray_idx.size, thresh)))
+        ray_idx, col_idx, thresh = (np.concatenate(x) for x in zip(*found))
+        roots = _bisect_cuts(psi_fn, np.exp(1j * th[ray_idx]), rs[ray_idx, col_idx],
+                             rs[ray_idx, col_idx + 1],
+                             vals[ray_idx, col_idx] + thresh, thresh)
+        ray = np.concatenate([np.arange(n), np.arange(n), ray_idx])
+        brk = np.concatenate([np.zeros(n), np.ones(n), roots])
+        order = np.lexsort((brk, ray))
+        ray, brk = ray[order], brk[order]
+        lo, hi = brk[:-1], brk[1:]
+        ok = (ray[:-1] == ray[1:]) & (hi - lo > 1e-14)
+        ray, lo, hi = ray[:-1][ok], lo[ok], hi[ok]
+        band = _band_of(cuts, psi_fn(0.5 * (lo + hi) * np.exp(1j * th[ray])))
+        keep = (band >= 0) & (band < n_bands)
+        parts.append((ray[keep] + i0, lo[keep], hi[keep], band[keep]))
+    ray, lo, hi, band = (np.concatenate(x) for x in zip(*parts))
+    length = np.zeros((thetas.size, n_bands))
+    np.add.at(length, (ray, band), hi - lo)
+    level_len = np.cumsum(length[:, ::-1], axis=1)[:, ::-1]
+    return ray, lo, hi, band, level_len[ray, band]
 
 
-def _circle_splits(theta, c, rho):
-    """Radii where the ray at angle theta crosses |zeta - c| = rho."""
-    b = (c * np.exp(-1j * theta)).real
-    disc = b * b - (abs(c) ** 2 - rho**2)
-    if disc <= 0:
-        return ()
-    s = math.sqrt(disc)
-    return (b - s, b + s)
+def _panels(theta, w_theta, lo, hi, level_len, mask_patches, budget):
+    """Gauss-Legendre panels on radial pieces: arrays (mid, half, e, w_half, piece).
+
+    Each piece [lo, hi] of the ray at angle theta is split where the ray
+    crosses a patch circle (radius and half radius), and each sub-piece gets
+    max(1, round(budget * length / level_len)) equal panels.  A panel is its
+    midpoint and half width, the ray direction e = exp(i theta), the angular
+    weight times the half width, and the index of its piece.
+    """
+    conj_e = np.exp(-1j * theta)
+    edges = [lo, hi]
+    for c, radius in mask_patches:
+        b = (c * conj_e).real
+        for rho in (radius, radius / 2):
+            disc = b * b - (abs(c) ** 2 - rho**2)
+            s = np.sqrt(np.maximum(disc, 0.0))
+            for x in (b - s, b + s):
+                inside = (disc > 0) & (x > lo + 1e-14) & (x < hi - 1e-14)
+                edges.append(np.where(inside, x, np.nan))
+    edges = np.sort(np.stack(edges, axis=1), axis=1)  # lo, splits, hi, then nan
+    piece, col = np.nonzero(edges[:, 1:] > edges[:, :-1])
+    s_lo, s_hi = edges[piece, col], edges[piece, col + 1]
+    n_pan = np.maximum(1, np.rint(budget * (s_hi - s_lo) / level_len[piece])).astype(int)
+    sub = np.repeat(np.arange(n_pan.size), n_pan)
+    j = np.arange(sub.size) - (np.cumsum(n_pan) - n_pan)[sub]
+    step = ((s_hi - s_lo) / n_pan)[sub]
+    p_lo = j * step + s_lo[sub]
+    p_hi = np.where(j + 1 == n_pan[sub], s_hi[sub], (j + 1) * step + s_lo[sub])
+    half = 0.5 * (p_hi - p_lo)
+    owner = piece[sub]
+    return 0.5 * (p_hi + p_lo), half, np.exp(1j * theta[owner]), w_theta[owner] * half, owner
 
 
-def _panel_nodes(theta, w_theta, intervals, splits, budget):
-    """Gauss-Legendre nodes/weights along one ray, in polar area measure."""
-    rs, ws = [], []
-    total = sum(b - a for a, b in intervals)
-    if total <= 0:
-        return rs, ws
+def _panel_nodes(mid, half, e, w_half, band, mask_patches):
+    """Nodes, polar area weights and bands of panels: (zeta, weight, band).
+
+    Patch neighborhoods go to the local grids via the C^4 partition, so the
+    global weights carry the complementary mask.
+    """
     gx, gw = _GL10
-    for a, b in intervals:
-        inner = sorted({s for s in splits if a + 1e-14 < s < b - 1e-14})
-        pieces = list(zip([a] + inner, inner + [b]))
-        for lo, hi in pieces:
-            n_pan = max(1, round(budget * (hi - lo) / total))
-            edges = np.linspace(lo, hi, n_pan + 1)
-            for p_lo, p_hi in zip(edges[:-1], edges[1:]):
-                half = 0.5 * (p_hi - p_lo)
-                mid = 0.5 * (p_hi + p_lo)
-                r = mid + half * gx
-                rs.append(r)
-                ws.append(w_theta * half * gw * r)  # polar Jacobian r
-    return rs, ws
-
-
-def _global_nodes(psi_fn, t_lo, t_hi, config, mask_patches, all_centers):
-    """Global polar nodes with tangency-aware angular refinement."""
-    n_ang = config.angular
-    d_theta = 2 * math.pi / n_ang
-    thetas = (np.arange(n_ang) + 0.5) * d_theta
-    intervals = _ray_intervals(psi_fn, thetas, t_lo, t_hi, all_centers)
-    counts = np.array([len(iv) for iv in intervals])
-    refine = np.zeros(n_ang, dtype=bool)
-    if n_ang > 2:
-        refine = (counts != np.roll(counts, 1)) | (counts != np.roll(counts, -1))
-
-    rays = []  # (theta, weight, intervals)
-    sub_thetas, sub_parent = [], []
-    for i in range(n_ang):
-        if refine[i]:
-            for j in range(_TANGENT_SPLIT):
-                sub_thetas.append(
-                    thetas[i] + ((j + 0.5) / _TANGENT_SPLIT - 0.5) * d_theta
-                )
-                sub_parent.append(i)
-        else:
-            rays.append((thetas[i], d_theta, intervals[i]))
-    if sub_thetas:
-        sub_thetas = np.asarray(sub_thetas)
-        sub_intervals = _ray_intervals(psi_fn, sub_thetas, t_lo, t_hi, all_centers)
-        for th, iv in zip(sub_thetas, sub_intervals):
-            rays.append((float(th), d_theta / _TANGENT_SPLIT, iv))
-
-    budget = max(4, config.radial // 10)
-    zeta_list, w_list = [], []
-    for theta, w_theta, iv in rays:
-        if not iv:
-            continue
-        splits = []
-        for c, radius in mask_patches:
-            splits.extend(_circle_splits(theta, c, radius))
-            splits.extend(_circle_splits(theta, c, radius / 2))
-        rs, ws = _panel_nodes(theta, w_theta, iv, splits, budget)
-        for r, w in zip(rs, ws):
-            zeta_list.append(r * np.exp(1j * theta))
-            w_list.append(w)
-    if not zeta_list:
-        return np.empty(0, complex), np.empty(0, float)
-    zeta = np.concatenate(zeta_list)
-    wgt = np.concatenate(w_list)
-    # transfer patch neighborhoods to the local grids via the C^4 partition
+    r = mid[:, None] + half[:, None] * gx[None, :]
+    wgt = (w_half[:, None] * gw[None, :] * r).ravel()  # polar Jacobian r
+    zeta = (r * e[:, None]).ravel()
     mask = np.ones_like(wgt)
     for c, radius in mask_patches:
         mask *= 1.0 - _chi(np.abs(zeta - c), radius)
     keep = mask > _MASK_FLOOR
-    return zeta[keep], wgt[keep] * mask[keep]
+    return zeta[keep], wgt[keep] * mask[keep], np.repeat(band, gx.size)[keep]
+
+
+def _global_panels(psi_fn, cuts, config, mask_patches, all_centers):
+    """Band-sorted global panels with per-band tangency refinement.
+
+    A ray whose piece count in some band differs from a neighbor's is cut
+    again on _TANGENT_SPLIT sub-rays; the sub-rays carry only those bands,
+    and the parent ray keeps the rest.  Returns (mid, half, e, w_half, band)
+    per panel.
+    """
+    n_ang = config.angular
+    d_theta = 2 * math.pi / n_ang
+    thetas = (np.arange(n_ang) + 0.5) * d_theta
+    ray, lo, hi, band, level_len = _ray_pieces(psi_fn, thetas, cuts, all_centers)
+    counts = np.zeros((cuts.size - 1, n_ang), dtype=int)
+    np.add.at(counts, (band, ray), 1)
+    refine = np.zeros(counts.shape, dtype=bool)
+    if n_ang > 2:
+        refine = ((counts != np.roll(counts, 1, axis=1))
+                  | (counts != np.roll(counts, -1, axis=1)))
+    stay = ~refine[band, ray]
+    pieces = [(thetas[ray[stay]], np.full(int(stay.sum()), d_theta),
+               lo[stay], hi[stay], band[stay], level_len[stay])]
+    parents = np.flatnonzero(refine.any(axis=0))
+    if parents.size:
+        offsets = ((np.arange(_TANGENT_SPLIT) + 0.5) / _TANGENT_SPLIT - 0.5) * d_theta
+        sub_thetas = (thetas[parents][:, None] + offsets[None, :]).ravel()
+        ray, lo, hi, band, level_len = _ray_pieces(psi_fn, sub_thetas, cuts, all_centers)
+        keep = refine[band, parents[ray // _TANGENT_SPLIT]]
+        pieces.append((sub_thetas[ray[keep]],
+                       np.full(int(keep.sum()), d_theta / _TANGENT_SPLIT),
+                       lo[keep], hi[keep], band[keep], level_len[keep]))
+    theta, w_theta, lo, hi, band, level_len = (np.concatenate(x) for x in zip(*pieces))
+    order = np.argsort(band, kind="stable")
+    budget = max(4, config.radial // 10)
+    *panels, piece = _panels(theta[order], w_theta[order], lo[order], hi[order],
+                             level_len[order], mask_patches, budget)
+    return (*panels, band[order][piece])
 
 
 def _patch_nodes(spec, radius, config):
@@ -332,47 +354,56 @@ def _patch_nodes(spec, radius, config):
     return zeta, wgt * chi
 
 
-def build_region(psi_fn, patches, config, t_lo, t_hi, radii):
-    """Nodes and area weights for {-t_hi <= psi < -t_lo}, or a degenerate flag.
+def build_region(psi_fn, patches, config, cuts, radii):
+    """Band-tagged nodes and area weights for the bands of the cut list.
 
-    ``patches`` lists the singular centers (PatchSpec); ``radii`` carries
-    their (radius, contained) pairs, so two refinement levels share the
-    same geometry.
+    ``cuts`` is the sorted array t_0 < ... < t_K; ``patches`` lists the
+    singular centers (PatchSpec), and ``radii`` carries their (radius,
+    contained) pairs, so two refinement levels share the same geometry.  A
+    contained patch lies in the deepest band of a list of sublevel sets and
+    below every band of a band list, where it is left out.
     """
-    is_band = math.isfinite(t_hi)
-    active = []   # patches integrated on local grids
-    for p, (r, contained) in zip(patches, radii):
-        if is_band and contained:
-            continue  # deep below the band: zero contribution, no mask
-        active.append((p, r, is_band or not contained))
+    n_bands = cuts.size - 1
+    sublevel = not math.isfinite(cuts[-1])
+    active = [(p, r, contained) for p, (r, contained) in zip(patches, radii)
+              if sublevel or not contained]
     mask_patches = [(p.center, r) for p, r, _ in active]
     all_centers = [p.center for p in patches]
 
-    zeta_g, w_g = _global_nodes(psi_fn, t_lo, t_hi, config, mask_patches, all_centers)
-    zeta_parts = [zeta_g]
-    w_parts = [w_g]
-    blocks = []
-    pos = zeta_g.size
-    for p, r, needs_indicator in active:
+    panels = _global_panels(psi_fn, cuts, config, mask_patches, all_centers)
+    patch_parts = []
+    for p, r, contained in active:
         z_p, w_p = _patch_nodes(p, r, config)
-        if needs_indicator:
-            w_p = w_p * _membership(psi_fn(z_p), t_lo, t_hi)
-        keep = w_p != 0
-        z_p, w_p = z_p[keep], w_p[keep]
-        blocks.append(PatchBlock(spec=p, radius=r, sl=slice(pos, pos + z_p.size),
-                                 masked=needs_indicator))
-        zeta_parts.append(z_p)
-        w_parts.append(w_p)
-        pos += z_p.size
-    zeta = np.concatenate(zeta_parts)
-    wgt = np.concatenate(w_parts)
-    return RegionNodes(
-        zeta=zeta,
-        area_w=wgt,
-        blocks=blocks,
-        n_global=zeta_g.size,
-        degenerate=zeta.size == 0,
-    )
+        if contained:
+            b_p = np.full(z_p.size, n_bands - 1)
+        else:
+            b_p = _band_of(cuts, psi_fn(z_p))
+        keep = np.flatnonzero((w_p != 0) & (b_p >= 0) & (b_p < n_bands))
+        keep = keep[np.argsort(b_p[keep], kind="stable")]
+        patch_parts.append((p, z_p[keep], w_p[keep], b_p[keep]))
+    # nodes are written chunk by chunk into arrays sized for every panel node,
+    # so no full-size temporary is held beside them
+    n_gl = _GL10[0].size
+    size = panels[0].size * n_gl + sum(part[1].size for part in patch_parts)
+    zeta = np.empty(size, dtype=complex)
+    wgt = np.empty(size)
+    band = np.empty(size, dtype=np.int32)
+    pos = 0
+    step = max(1, _CHUNK // n_gl)
+    for i0 in range(0, panels[0].size, step):
+        nodes = _panel_nodes(*(x[i0:i0 + step] for x in panels), mask_patches)
+        end = pos + nodes[0].size
+        zeta[pos:end], wgt[pos:end], band[pos:end] = nodes
+        pos = end
+    n_global = pos
+    blocks = []
+    for p, z_p, w_p, b_p in patch_parts:
+        end = pos + z_p.size
+        zeta[pos:end], wgt[pos:end], band[pos:end] = z_p, w_p, b_p
+        blocks.append(PatchBlock(spec=p, sl=slice(pos, end)))
+        pos = end
+    return RegionNodes(zeta=zeta[:pos], area_w=wgt[:pos], band=band[:pos], n_bands=n_bands,
+                       blocks=blocks, n_global=n_global)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -413,89 +444,116 @@ def _eval_block(zeta, P):
     return V @ P
 
 
-def gram_on_nodes(nodes, kernel, gain, basis):
-    """Hermitian Gram of the basis under 2 e^{-phi} c(-psi) on the nodes.
+def _band_runs(band):
+    """(band, start, stop) for each run of equal entries of a band array."""
+    cut = np.flatnonzero(band[1:] != band[:-1]) + 1
+    starts = np.concatenate([[0], cut])
+    stops = np.concatenate([cut, [band.size]])
+    return zip(band[starts].tolist(), starts.tolist(), stops.tolist())
 
-    Entry [l][m] is conjugate-linear in the first index.  Patch blocks use
-    the log-space weight with the enforced vanishing factored out.
+
+def gram_on_nodes(nodes, kernel, gain, basis):
+    """Hermitian Grams of the basis under 2 e^{-phi} c(-psi), one per band.
+
+    Returns an array [n_bands, n_basis, n_basis]; entry [k][l][m] is
+    conjugate-linear in l.  Patch blocks use the log-space weight with the
+    enforced vanishing factored out.
     """
     n_b = len(basis)
-    H = np.zeros((n_b, n_b), dtype=complex)
-    if nodes.degenerate:
+    H = np.zeros((nodes.n_bands, n_b, n_b), dtype=complex)
+    if nodes.zeta.size == 0:
         return H
     P_global = _coeff_matrix(basis)
 
-    def accumulate(sl, P, extra_order=0, center=0.0 + 0.0j):
-        nonlocal H
-        z_all = nodes.zeta[sl]
-        w_all = nodes.area_w[sl]
-        for i0 in range(0, z_all.size, _CHUNK):
-            z = z_all[i0:i0 + _CHUNK]
-            w = w_all[i0:i0 + _CHUNK]
-            psi = kernel.psi(z)
-            log_w = _LOG2 + psi - kernel.phi_plus_psi(z) + eval_log_c(gain, -psi)
-            if extra_order:
-                log_w = log_w + 2.0 * extra_order * np.log(np.abs(z - center))
-            B = _eval_block(z, P)
-            H += (B.conj().T * (w * np.exp(log_w))) @ B
+    def accumulate(i0, i1, P, extra_order, center):
+        # one chunk; its [n, n_basis] temporaries are freed on return
+        z = nodes.zeta[i0:i1]
+        psi = kernel.psi(z)
+        log_w = _LOG2 + psi - kernel.phi_plus_psi(z) + eval_log_c(gain, -psi)
+        if extra_order:
+            log_w = log_w + 2.0 * extra_order * np.log(np.abs(z - center))
+        B = _eval_block(z, P)
+        Bw = B.conj().T
+        Bw *= nodes.area_w[i0:i1] * np.exp(log_w)
+        for k, s, e in _band_runs(nodes.band[i0:i1]):
+            H[k] += Bw[:, s:e] @ B[s:e]
 
-    accumulate(slice(0, nodes.n_global), P_global)
+    groups = [(slice(0, nodes.n_global), P_global, 0, 0.0 + 0.0j)]
     for blk in nodes.blocks:
         nu = blk.spec.order
-        if nu:
-            P = _coeff_matrix([_deflate(b, blk.spec.center, nu) for b in basis])
-        else:
-            P = P_global
-        accumulate(blk.sl, P, extra_order=nu, center=blk.spec.center)
-    return 0.5 * (H + H.conj().T)
+        P = _coeff_matrix([_deflate(b, blk.spec.center, nu) for b in basis]) if nu else P_global
+        groups.append((blk.sl, P, nu, blk.spec.center))
+    for sl, P, nu, center in groups:
+        for i0 in range(sl.start, sl.stop, _CHUNK):
+            accumulate(i0, min(i0 + _CHUNK, sl.stop), P, nu, center)
+    return 0.5 * (H + H.conj().transpose(0, 2, 1))
 
 
 def integral_on_nodes(nodes, fn):
-    """Sum of fn over the nodes with area weights; fn supplies the full
-    integrand apart from the polar Jacobian and blending masks."""
-    if nodes.degenerate:
-        return 0.0 + 0.0j
-    total = 0.0 + 0.0j
+    """Sums of fn over the nodes with area weights, one per band; fn supplies
+    the full integrand apart from the polar Jacobian and blending masks."""
+    total = np.zeros(nodes.n_bands, dtype=complex)
     z = nodes.zeta
     w = nodes.area_w
     for i0 in range(0, z.size, _CHUNK):
-        total += complex(np.sum(w[i0:i0 + _CHUNK] * fn(z[i0:i0 + _CHUNK])))
+        vals = w[i0:i0 + _CHUNK] * fn(z[i0:i0 + _CHUNK])
+        for k, s, e in _band_runs(nodes.band[i0:i0 + _CHUNK]):
+            total[k] += complex(np.sum(vals[s:e]))
     return total
 
 
-def _two_level(psi_fn, evaluate, patches, config, t, band):
-    """evaluate(nodes) on the region, with a two-level error estimate.
+def _two_level(psi_fn, evaluate, patches, config, ts, band):
+    """evaluate(nodes) over each level, with a two-level error estimate.
 
-    The region is {psi < -t}, or the band {-t1 <= psi < -t2} when ``band``
-    is (t1, t2).  Returns (value, err, degenerate); err is the max entrywise
-    difference from the half-resolution mesh when config.levels >= 2.  Both
-    levels share the patch radii.
+    The levels are the sublevel sets {psi < -t} for t in ``ts``, or the one
+    band {-t1 <= psi < -t2} when ``band`` is (t1, t2).  One region per mesh
+    level serves all of them: evaluate returns one value per band, and a
+    level's value is the sum over its bands.  Returns arrays (value, err,
+    degenerate) with one entry per level, in the order of ``ts``; err is the
+    max entrywise difference from the half-resolution mesh when
+    config.levels is 2.  Both meshes share the patch radii, which the
+    deepest level sets.
     """
     if band is None:
-        if t < 0:
+        ts = [float(t) for t in ts]
+        if not ts or not all(t >= 0 for t in ts):
             raise BadInputError("sublevel parameter t must be >= 0")
-        t_lo, t_hi = t, math.inf
+        cuts = np.array(sorted(set(ts)) + [math.inf])
+        level = np.searchsorted(cuts, ts)
+        deepest = cuts[-2]
     else:
         t_hi, t_lo = float(band[0]), float(band[1])
         if not (t_hi > t_lo >= 0):
             raise BadInputError(f"band needs t1 > t2 >= 0, got {band!r}")
-    radii = _patch_radii(psi_fn, patches, t_lo, t_hi)
-    fine = build_region(psi_fn, patches, config, t_lo, t_hi, radii)
-    val = evaluate(fine)
-    err = 0.0
-    if config.levels >= 2 and not fine.degenerate:
-        coarse = build_region(psi_fn, patches, config.halved(), t_lo, t_hi, radii)
-        err = float(np.max(np.abs(val - evaluate(coarse))))
-    return val, err, fine.degenerate
+        cuts = np.array([t_lo, t_hi])
+        level = np.zeros(1, dtype=int)
+        deepest = t_hi
+    radii = _patch_radii(psi_fn, patches, deepest)
+    fine = build_region(psi_fn, patches, config, cuts, radii)
+    per_band = np.bincount(fine.band, minlength=fine.n_bands)
+    degenerate = np.cumsum(per_band[::-1])[::-1] == 0
+    val = _level_sums(evaluate(fine))
+    del fine  # the coarse mesh is built without the fine nodes in memory
+    err = np.zeros(degenerate.size)
+    if config.levels == 2 and not degenerate.all():
+        coarse = build_region(psi_fn, patches, config.halved(), cuts, radii)
+        diff = np.abs(val - _level_sums(evaluate(coarse)))
+        err = np.where(degenerate, 0.0, diff.reshape(diff.shape[0], -1).max(axis=1))
+    return val[level], err[level], degenerate[level]
 
 
-def assembled_gram(kernel, gain, basis, patches, config, *, t=0.0, band=None):
-    """Two-level Gram of the basis over the region: (H, err, degenerate)."""
+def _level_sums(per_band):
+    """Values over the levels: suffix sums of the band values."""
+    return np.cumsum(per_band[::-1], axis=0)[::-1]
+
+
+def assembled_gram(kernel, gain, basis, patches, config, *, ts=(0.0,), band=None):
+    """Two-level Grams of the basis, one per level: arrays (H, err, degenerate)."""
     return _two_level(kernel.psi, lambda nodes: gram_on_nodes(nodes, kernel, gain, basis),
-                      patches, config, t, band)
+                      patches, config, ts, band)
 
 
-def assembled_integral(psi_fn, fn, patches, config, *, t=0.0, band=None):
-    """Two-level scalar integral of fn over the region: (value, err, degenerate)."""
+def assembled_integral(psi_fn, fn, patches, config, *, ts=(0.0,), band=None):
+    """Two-level scalar integrals of fn, one per level: arrays (value, err, degenerate)."""
     return _two_level(psi_fn, lambda nodes: integral_on_nodes(nodes, fn),
-                      patches, config, t, band)
+                      patches, config, ts, band)

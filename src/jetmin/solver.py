@@ -10,6 +10,7 @@ reduced through the same basis, so one solve serves both Gram paths.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +125,70 @@ def _truncation_tail(value: float, N: int, marked_radii) -> float:
     return value * (N + 2) ** 2 * r ** (2 * N) / (1 - r * r) ** 2
 
 
+def _closed_form(dom, w, g, t, gram):
+    """(radius, scale) of the closed-form Gram at t, or None for quadrature."""
+    if gram == "quadrature":
+        return None
+    try:
+        return analytic_reduction(dom, w, g, t)
+    except BadInputError:
+        if gram == "analytic":
+            raise
+        return None
+
+
+def minimal_integrals(
+    dom: DomainSpec,
+    w: WeightPair,
+    g: GainFunction,
+    ts: Sequence[float],
+    N: int = 64,
+    mesh: QuadratureConfig | None = None,
+    gram: str = "auto",
+) -> list[MinimalIntegralResult]:
+    """G(t) for every t in ``ts``: minimal weighted L2 integrals over forms
+    matching the jet data.
+
+    ``gram`` selects the Gram path per t: "analytic" (closed form, errors
+    when unavailable), "quadrature", or "auto" (analytic when eligible).
+    The constraint basis does not depend on t, so all quadrature Grams come
+    from one region per mesh level; each t gets its own reduced solve and
+    constraint-residual check.
+    """
+    ts = [float(t) for t in ts]
+    if not all(t >= 0 for t in ts):
+        raise BadInputError("sublevel parameter t must be >= 0")
+    if gram not in ("auto", "analytic", "quadrature"):
+        raise BadInputError(f"unknown gram mode {gram!r}")
+    C = jet_constraints(w, N, dom)
+    zeta_marked = [complex(dom.inverse(pt.location)) for pt in w.marked]
+    reductions = [_closed_form(dom, w, g, t, gram) for t in ts]
+    quad_ts = [t for t, red in zip(ts, reductions) if red is None]
+    if quad_ts:
+        grams, a_part, Z = gram_reduced(dom, w, g, quad_ts, N, mesh=mesh, constraints=C)
+        quad_grams = iter(grams)
+    else:
+        a_part, Z = constraint_basis(C)
+    results = []
+    for t, reduction in zip(ts, reductions):
+        if reduction is not None:
+            radius, scale = reduction
+            H = gram_analytic_disc(C.n_coeffs - 1, radius=radius, scale=scale)
+            R = _reduce(H, a_part, Z)
+            path = "analytic"
+        else:
+            R = next(quad_grams)
+            path = "quadrature"
+        try:
+            res = kkt_minimize_reduced(R, a_part, Z, C)
+        except NumericalError as exc:
+            raise NumericalError(f"solver failed at t = {t:.6g}: {exc}") from exc
+        res.diagnostics["truncation_tail"] = _truncation_tail(res.value, N, zeta_marked)
+        res.diagnostics["gram_path"] = path
+        results.append(res)
+    return results
+
+
 def minimal_integral(
     dom: DomainSpec,
     w: WeightPair,
@@ -133,37 +198,8 @@ def minimal_integral(
     mesh: QuadratureConfig | None = None,
     gram: str = "auto",
 ) -> MinimalIntegralResult:
-    """G(t): minimal weighted L2 integral over forms matching the jet data.
-
-    ``gram`` selects the Gram path: "analytic" (closed form, errors when
-    unavailable), "quadrature", or "auto" (analytic when eligible).
-    """
-    if t < 0:
-        raise BadInputError("sublevel parameter t must be >= 0")
-    if gram not in ("auto", "analytic", "quadrature"):
-        raise BadInputError(f"unknown gram mode {gram!r}")
-    C = jet_constraints(w, N, dom)
-    zeta_marked = [complex(dom.inverse(pt.location)) for pt in w.marked]
-    reduction = None
-    if gram in ("auto", "analytic"):
-        try:
-            reduction = analytic_reduction(dom, w, g, t)
-        except BadInputError:
-            if gram == "analytic":
-                raise
-    if reduction is not None:
-        radius, scale = reduction
-        a_part, Z = constraint_basis(C)
-        H = gram_analytic_disc(C.n_coeffs - 1, radius=radius, scale=scale)
-        R = _reduce(H, a_part, Z)
-        path = "analytic"
-    else:
-        R, a_part, Z = gram_reduced(dom, w, g, t, N, mesh=mesh, constraints=C)
-        path = "quadrature"
-    res = kkt_minimize_reduced(R, a_part, Z, C)
-    res.diagnostics["truncation_tail"] = _truncation_tail(res.value, N, zeta_marked)
-    res.diagnostics["gram_path"] = path
-    return res
+    """G(t): minimal_integrals at the single sublevel parameter t."""
+    return minimal_integrals(dom, w, g, [t], N=N, mesh=mesh, gram=gram)[0]
 
 
 def extension_bound(

@@ -52,8 +52,8 @@ def gram_quadrature(dom, w, g, t: float, N: int,
              for zeta, p, m, _nu in kernel.singular_centers()]
     monomials = list(np.eye(N + 1, dtype=complex))
     H, err, degen = assembled_gram(kernel, g, monomials, specs,
-                                   mesh or QuadratureConfig(), t=t)
-    return GramMatrix(entries=H, quad_error=err, degenerate=degen)
+                                   mesh or QuadratureConfig(), ts=(t,))
+    return GramMatrix(entries=H[0], quad_error=float(err[0]), degenerate=bool(degen[0]))
 
 
 def poisson_green_disc(z: complex, z0: complex, n: int = 4096) -> float:

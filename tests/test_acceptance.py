@@ -13,7 +13,6 @@ from jetmin.analysis import (
     linear_restriction_identity,
     scan_G,
     strictness_experiment,
-    suita_compare,
     verify_mass,
     verify_orthogonality,
 )

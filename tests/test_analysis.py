@@ -24,10 +24,12 @@ from jetmin.problems import (
     Problem,
     eps_bump_problem,
     problem_from_dict,
+    random_concavity_problem,
     ring_problem,
     single_point_problem,
     two_point_problem,
 )
+from jetmin.solver import minimal_integral
 from jetmin.weights import PsiSpec, WeightPair
 
 
@@ -155,6 +157,38 @@ def test_scan_random_problems_concave():
         rep = scan_G(random_concavity_problem(seed), r_count=9)
         assert rep.max_violation <= max(1e-9, 10 * rep.max_quad_error)
         assert all(v >= 0 for v in rep.g_values)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_concavity_problem(0),
+    lambda: random_concavity_problem(1),
+    lambda: random_concavity_problem(2),
+    lambda: eps_bump_problem(0.1),
+], ids=["random0", "random1", "random2", "bump"])
+def test_scan_matches_single_t_calls(make):
+    # one region per mesh level for the whole grid gives the same G as a
+    # region per t, within the quadrature error either reports
+    p = make()
+    rep = scan_G(p)
+    for k in (0, 8, 16):
+        res = minimal_integral(p.domain, p.weights, p.gain, rep.t_grid[k],
+                               N=p.numerics.N, mesh=p.numerics.mesh)
+        tol = max(rep.max_quad_error, res.diagnostics["quadrature_error"])
+        assert abs(rep.g_values[k] - res.value) <= tol
+
+
+@pytest.mark.parametrize("zeta0", [0.4, 0.3 + 0.3j])
+@pytest.mark.parametrize("gain", [GainFunction.exponential(0.5), GainFunction.constant(1.0)],
+                         ids=["exponential", "constant"])
+def test_scan_offcenter_single_point_closed_form(zeta0, gain):
+    # off-center points take the quadrature path, with patch radii set by
+    # the deepest level of the grid; G(h^-1(r)) = 2 pi (1 - |zeta0|^2)^2 r
+    w = WeightPair.standard((MarkedPoint(zeta0, green_weight=1.0, jet_order=0, jet_coeff=1.0),))
+    p = Problem(domain=UNIT_DISC, weights=w, gain=gain, numerics=Numerics(N=24, r_count=9))
+    rep = scan_G(p)
+    scale = 2 * math.pi * (1 - abs(zeta0) ** 2) ** 2
+    rel_err = max(abs(g - scale * r) / (scale * r) for r, g in zip(rep.r_grid, rep.g_values))
+    assert rel_err <= 3e-3
 
 
 def test_scan_r_count_control():

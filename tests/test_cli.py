@@ -74,6 +74,33 @@ def test_invalid_problem_exits_4(tmp_path, capsys):
     bad.write_text('{"domain": {"kind": "bogus", "map_coeffs": [1, 0, 0, 1]},'
                    ' "marked": [{"location": [0, 0]}]}')
     assert cli.main(["suita", str(bad)]) == 4
+    # malformed numeric fields: typed errors, never a traceback
+    point = {"location": [0, 0]}
+    cases = [
+        {"numerics": {"N": None}},
+        {"numerics": {"N": "abc"}},
+        {"numerics": {"N": 24.7}},
+        {"numerics": {"N": True}},
+        {"numerics": {"r_count": [5]}},
+        {"numerics": {"tolerance": "x"}},
+        {"numerics": {"mesh": {"levels": None}}},
+        {"numerics": {"mesh": {"levels": 3}}},
+        {"numerics": {"mesh": None}},
+        {"marked": [dict(point, jet_order=None)]},
+        {"marked": [dict(point, green_weight=None)]},
+        {"marked": [dict(point, jet_order=1.5)]},
+        {"marked": [{"location": [None, 0]}]},
+        {"marked": [{"green_weight": 1}]},
+        {"marked": [5]},
+        {"gain": {"kind": "constant", "value": None}},
+        {"gain": {"kind": "tabulated", "grid_t": None, "grid_c": [1, 1]}},
+        {"psi_extra": [[0.1]]},
+        {"phi": {"zeros": [[[0, 0], None]]}},
+    ]
+    for case in cases:
+        bad.write_text(json.dumps({"marked": [point], **case}))
+        assert cli.main(["suita", str(bad)]) == 4, case
+        assert "bad input" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

@@ -205,7 +205,7 @@ def test_analytic_reduction_eligibility():
 
 def test_gram_reduced_first_entry_is_particular_norm():
     w = single_point_pair()
-    R, a_part, Z = gram_reduced(UNIT_DISC, w, CONST, 1.0, 3)
+    (R,), a_part, Z = gram_reduced(UNIT_DISC, w, CONST, [1.0], 3)
     assert R.size == Z.shape[1] + 1
     # particular solution for f(0)=1 at N=3 is the constant 1
     assert np.allclose(a_part, [1, 0, 0, 0])
@@ -222,7 +222,7 @@ def test_nonintegrable_divisor_zero_off_marked_point():
         phi=PhiSpec(zeros=((0.0, 1), (-0.4, 1)), leading=1.0, u_coeffs=(0.0,), bump=0.0),
     )
     with pytest.raises(NonIntegrableWeightError):
-        gram_reduced(UNIT_DISC, w, CONST, 0.0, 2)
+        gram_reduced(UNIT_DISC, w, CONST, [0.0], 2)
 
 
 def test_norm_of_form_values():

@@ -2,7 +2,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from jetmin.errors import BadInputError
@@ -218,6 +217,17 @@ def test_numerics_validation():
         Numerics(tolerance=0.0)
     with pytest.raises(BadInputError):
         Numerics(tolerance=2.0)
+
+
+def test_integer_fields_take_integral_numbers_only():
+    base = {"marked": [{"location": [0, 0]}]}
+    p = problem_from_dict({**base, "numerics": {"N": 24.0, "mesh": {"levels": 1.0}}})
+    assert p.numerics.N == 24 and isinstance(p.numerics.N, int)
+    assert p.numerics.mesh.levels == 1
+    for numerics in ({"N": 24.7}, {"N": True}, {"r_count": 9.5}, {"tolerance": False},
+                     {"mesh": {"angular": "64"}}):
+        with pytest.raises(BadInputError):
+            problem_from_dict({**base, "numerics": numerics})
 
 
 def test_marked_point_outside_domain_rejected():

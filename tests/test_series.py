@@ -1,6 +1,4 @@
 """Truncated power series helpers used by the jet and candidate machinery."""
-import math
-
 import numpy as np
 import pytest
 

@@ -8,7 +8,7 @@ from jetmin.errors import BadInputError
 from jetmin.forms import GramMatrix, JetConstraintSystem, gram_analytic_disc, jet_constraints
 from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, MarkedPoint
-from jetmin.solver import extension_bound, kkt_minimize, minimal_integral
+from jetmin.solver import extension_bound, kkt_minimize, minimal_integral, minimal_integrals
 from jetmin.weights import WeightPair
 from oracles import oracle_minimize
 
@@ -216,6 +216,15 @@ def test_degenerate_region_flag():
     )
     assert res.value == 0.0
     assert res.diagnostics["degenerate"]
+    # an empty deep level leaves the other levels of the same region intact
+    inner, empty = minimal_integrals(
+        UNIT_DISC, single_point_pair(), CONST, [0.5, 200.0], N=4, gram="quadrature"
+    )
+    assert empty.value == 0.0 and empty.diagnostics["degenerate"]
+    assert empty.diagnostics["quadrature_error"] == 0.0
+    alone = minimal_integral(UNIT_DISC, single_point_pair(), CONST, 0.5, N=4, gram="quadrature")
+    assert not inner.diagnostics["degenerate"]
+    assert inner.value == pytest.approx(alone.value, rel=1e-12)
 
 
 def test_truncation_tail_diagnostic():
@@ -226,8 +235,9 @@ def test_truncation_tail_diagnostic():
 
 
 def test_input_validation():
-    with pytest.raises(BadInputError):
-        minimal_integral(UNIT_DISC, single_point_pair(), CONST, -1.0)
+    for t in (-1.0, math.nan):
+        with pytest.raises(BadInputError):
+            minimal_integral(UNIT_DISC, single_point_pair(), CONST, t)
     with pytest.raises(BadInputError):
         minimal_integral(UNIT_DISC, single_point_pair(), CONST, 0.0, gram="bogus")
     with pytest.raises(BadInputError):
