@@ -8,10 +8,12 @@ scan grid are (t_0, ..., t_{K-1}, inf), and the band {-t1 <= psi < -t2} is
 (t2, t1).  The public entry points take ``ts=`` or ``band=`` and convert
 them once, in the two-level driver.
 
-A global polar grid centered at the origin cuts each ray at every
-threshold in one pass (sampling, then bisection), tags each piece between
-cuts with its band, and integrates with Gauss-Legendre panels split at
-every patch-circle crossing.  Values are accumulated per band; the value
+A global polar grid cuts each ray at every threshold in one pass
+(sampling, then bisection), tags each piece between cuts with its band,
+and integrates with Gauss-Legendre panels split at every patch-circle
+crossing.  Its rays start at the singular center when there is only one
+(the levels are then discs around it, crossed once by every ray) and at
+the origin otherwise.  Values are accumulated per band; the value
 over level k is the sum of the bands j >= k.  Neighborhoods of singular
 centers are handed to local geometric-ring patches through a C^4 partition
 of unity; patch products are assembled in log space with the enforced
@@ -161,11 +163,10 @@ def _patch_radii(psi_fn, patches, threshold):
 
 # -- global polar part -------------------------------------------------------
 
-def _sample_rays(psi_fn, thetas, centers):
+def _sample_rays(psi_fn, thetas, reach, centers):
     """Radial psi samples along each ray, clustered near center approaches."""
     base = np.arange(1, _RAY_SAMPLES + 1) / (_RAY_SAMPLES + 1.0)
-    n = len(thetas)
-    cols = [np.broadcast_to(base, (n, base.size))]
+    cols = [base[None, :] * reach[:, None]]
     conj_e = np.exp(-1j * thetas)[:, None]
     for c in centers:
         if c == 0:
@@ -175,7 +176,7 @@ def _sample_rays(psi_fn, thetas, centers):
         scales = 2.0 ** np.arange(0, 7)[None, :]
         offs = dperp * scales
         cand = np.concatenate([rstar, rstar - offs, rstar + offs], axis=1)
-        cols.append(np.clip(cand, 1e-9, 1 - 1e-12))
+        cols.append(np.clip(cand, 1e-9, (1 - 1e-12) * reach[:, None]))
     rs = np.sort(np.concatenate(cols, axis=1), axis=1)
     vals = psi_fn(rs * np.exp(1j * thetas)[:, None])
     return rs, vals
@@ -195,23 +196,31 @@ def _bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh):
     return 0.5 * (lo + hi)
 
 
-def _ray_pieces(psi_fn, thetas, cuts, centers):
+def _ray_pieces(psi_fn, thetas, reach, cuts, centers, bands=None):
     """Band pieces of the rays: arrays (ray, r_lo, r_hi, band, level_len).
 
-    Each ray is cut at every finite threshold of ``cuts`` in one pass, the
-    cuts refined to bisection accuracy; each piece between consecutive
-    breakpoints is tagged with its band by psi at its midpoint, and pieces
-    outside every band are dropped.  ``level_len`` is the length, on the
-    piece's ray, of the level of its band (that band and the bands inside
-    it).  Rays are sampled in blocks of _RAY_BLOCK to bound memory.
+    The ray at angle thetas[i] runs from 0 to reach[i].  Each ray is cut
+    at the finite thresholds of ``cuts`` in one pass, the cuts refined to
+    bisection accuracy; each piece between consecutive breakpoints is
+    tagged with its band by psi at its midpoint, and pieces outside every
+    band are dropped.  ``level_len`` is the length, on the piece's ray, of
+    the level of its band (that band and the bands inside it).  Rays are
+    sampled in blocks of _RAY_BLOCK to bound memory.
+
+    With ``bands`` (a boolean mask over the bands) only the two thresholds
+    of each marked band are cut: the pieces and level lengths of the marked
+    bands are the same, and a piece of another band may span several bands.
     """
     n_bands = cuts.size - 1
-    finite = cuts[np.isfinite(cuts)]
+    cut_at = np.ones(cuts.size, dtype=bool)
+    if bands is not None:
+        cut_at = np.r_[bands, False] | np.r_[False, bands]
+    finite = cuts[cut_at & np.isfinite(cuts)]
     parts = []
     for i0 in range(0, thetas.size, _RAY_BLOCK):
         th = thetas[i0:i0 + _RAY_BLOCK]
         n = th.size
-        rs, vals = _sample_rays(psi_fn, th, centers)
+        rs, vals = _sample_rays(psi_fn, th, reach[i0:i0 + _RAY_BLOCK], centers)
         found = []  # (ray, sample column, threshold) per sign change of psi + t
         for thresh in finite:
             f = vals + thresh
@@ -222,7 +231,7 @@ def _ray_pieces(psi_fn, thetas, cuts, centers):
                              rs[ray_idx, col_idx + 1],
                              vals[ray_idx, col_idx] + thresh, thresh)
         ray = np.concatenate([np.arange(n), np.arange(n), ray_idx])
-        brk = np.concatenate([np.zeros(n), np.ones(n), roots])
+        brk = np.concatenate([np.zeros(n), reach[i0:i0 + _RAY_BLOCK], roots])
         order = np.lexsort((brk, ray))
         ray, brk = ray[order], brk[order]
         lo, hi = brk[:-1], brk[1:]
@@ -271,11 +280,13 @@ def _panels(theta, w_theta, lo, hi, level_len, mask_patches, budget):
     return 0.5 * (p_hi + p_lo), half, np.exp(1j * theta[owner]), w_theta[owner] * half, owner
 
 
-def _panel_nodes(mid, half, e, w_half, band, mask_patches):
+def _panel_nodes(mid, half, e, w_half, band, mask_patches, origin):
     """Nodes, polar area weights and bands of panels: (zeta, weight, band).
 
-    Patch neighborhoods go to the local grids via the C^4 partition, so the
-    global weights carry the complementary mask.
+    Panels and patch circles are relative to the ray origin; the nodes are
+    returned in disc coordinates.  Patch neighborhoods go to the local
+    grids via the C^4 partition, so the global weights carry the
+    complementary mask.
     """
     gx, gw = _GL10
     r = mid[:, None] + half[:, None] * gx[None, :]
@@ -285,21 +296,32 @@ def _panel_nodes(mid, half, e, w_half, band, mask_patches):
     for c, radius in mask_patches:
         mask *= 1.0 - _chi(np.abs(zeta - c), radius)
     keep = mask > _MASK_FLOOR
-    return zeta[keep], wgt[keep] * mask[keep], np.repeat(band, gx.size)[keep]
+    return zeta[keep] + origin, wgt[keep] * mask[keep], np.repeat(band, gx.size)[keep]
 
 
-def _global_panels(psi_fn, cuts, config, mask_patches, all_centers):
+def _reach(thetas, origin):
+    """Distance from origin to the unit circle along each direction."""
+    if origin == 0:
+        return np.ones(thetas.size)
+    b = np.real(np.conj(origin) * np.exp(1j * thetas))
+    return np.sqrt(b * b + (1.0 - abs(origin) ** 2)) - b
+
+
+def _global_panels(psi_fn, cuts, config, mask_patches, all_centers, origin):
     """Band-sorted global panels with per-band tangency refinement.
 
-    A ray whose piece count in some band differs from a neighbor's is cut
-    again on _TANGENT_SPLIT sub-rays; the sub-rays carry only those bands,
-    and the parent ray keeps the rest.  Returns (mid, half, e, w_half, band)
-    per panel.
+    Rays start at ``origin``; psi_fn, the patch circles and the centers are
+    given relative to it, and panels are returned in those coordinates.  A
+    ray whose piece count in some band differs from a neighbor's is cut
+    again on _TANGENT_SPLIT sub-rays, at the thresholds of the bands that
+    differ; the sub-rays carry only those bands, and the parent ray keeps
+    the rest.  Returns (mid, half, e, w_half, band) per panel.
     """
     n_ang = config.angular
     d_theta = 2 * math.pi / n_ang
     thetas = (np.arange(n_ang) + 0.5) * d_theta
-    ray, lo, hi, band, level_len = _ray_pieces(psi_fn, thetas, cuts, all_centers)
+    ray, lo, hi, band, level_len = _ray_pieces(psi_fn, thetas, _reach(thetas, origin),
+                                               cuts, all_centers)
     counts = np.zeros((cuts.size - 1, n_ang), dtype=int)
     np.add.at(counts, (band, ray), 1)
     refine = np.zeros(counts.shape, dtype=bool)
@@ -313,7 +335,9 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers):
     if parents.size:
         offsets = ((np.arange(_TANGENT_SPLIT) + 0.5) / _TANGENT_SPLIT - 0.5) * d_theta
         sub_thetas = (thetas[parents][:, None] + offsets[None, :]).ravel()
-        ray, lo, hi, band, level_len = _ray_pieces(psi_fn, sub_thetas, cuts, all_centers)
+        ray, lo, hi, band, level_len = _ray_pieces(psi_fn, sub_thetas,
+                                                   _reach(sub_thetas, origin), cuts, all_centers,
+                                                   bands=refine.any(axis=1))
         keep = refine[band, parents[ray // _TANGENT_SPLIT]]
         pieces.append((sub_thetas[ray[keep]],
                        np.full(int(keep.sum()), d_theta / _TANGENT_SPLIT),
@@ -367,10 +391,12 @@ def build_region(psi_fn, patches, config, cuts, radii):
     sublevel = not math.isfinite(cuts[-1])
     active = [(p, r, contained) for p, (r, contained) in zip(patches, radii)
               if sublevel or not contained]
-    mask_patches = [(p.center, r) for p, r, _ in active]
-    all_centers = [p.center for p in patches]
+    origin = patches[0].center if len(patches) == 1 else 0j
+    mask_patches = [(p.center - origin, r) for p, r, _ in active]
+    ray_centers = [p.center - origin for p in patches]
+    ray_psi = (lambda z: psi_fn(z + origin)) if origin != 0 else psi_fn
 
-    panels = _global_panels(psi_fn, cuts, config, mask_patches, all_centers)
+    panels = _global_panels(ray_psi, cuts, config, mask_patches, ray_centers, origin)
     patch_parts = []
     for p, r, contained in active:
         z_p, w_p = _patch_nodes(p, r, config)
@@ -391,7 +417,7 @@ def build_region(psi_fn, patches, config, cuts, radii):
     pos = 0
     step = max(1, _CHUNK // n_gl)
     for i0 in range(0, panels[0].size, step):
-        nodes = _panel_nodes(*(x[i0:i0 + step] for x in panels), mask_patches)
+        nodes = _panel_nodes(*(x[i0:i0 + step] for x in panels), mask_patches, origin)
         end = pos + nodes[0].size
         zeta[pos:end], wgt[pos:end], band[pos:end] = nodes
         pos = end
