@@ -315,7 +315,10 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers, origin):
     ray whose piece count in some band differs from a neighbor's is cut
     again on _TANGENT_SPLIT sub-rays, at the thresholds of the bands that
     differ; the sub-rays carry only those bands, and the parent ray keeps
-    the rest.  Returns (mid, half, e, w_half, band) per panel.
+    the rest.  A sub-ray near a tangency crosses a short chord of its
+    level, so its pieces get the radial panel density of the widest base
+    ray of their band instead of the full budget per chord.  Returns
+    (mid, half, e, w_half, band) per panel.
     """
     n_ang = config.angular
     d_theta = 2 * math.pi / n_ang
@@ -332,6 +335,8 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers, origin):
     pieces = [(thetas[ray[stay]], np.full(int(stay.sum()), d_theta),
                lo[stay], hi[stay], band[stay], level_len[stay])]
     parents = np.flatnonzero(refine.any(axis=0))
+    widest = np.zeros(cuts.size - 1)
+    np.maximum.at(widest, band, level_len)
     if parents.size:
         offsets = ((np.arange(_TANGENT_SPLIT) + 0.5) / _TANGENT_SPLIT - 0.5) * d_theta
         sub_thetas = (thetas[parents][:, None] + offsets[None, :]).ravel()
@@ -341,7 +346,8 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers, origin):
         keep = refine[band, parents[ray // _TANGENT_SPLIT]]
         pieces.append((sub_thetas[ray[keep]],
                        np.full(int(keep.sum()), d_theta / _TANGENT_SPLIT),
-                       lo[keep], hi[keep], band[keep], level_len[keep]))
+                       lo[keep], hi[keep], band[keep],
+                       np.maximum(level_len[keep], widest[band[keep]])))
     theta, w_theta, lo, hi, band, level_len = (np.concatenate(x) for x in zip(*pieces))
     order = np.argsort(band, kind="stable")
     budget = max(4, config.radial // 10)

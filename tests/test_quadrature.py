@@ -9,6 +9,7 @@ from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, MarkedPoint
 from jetmin.quadrature import (
     QuadratureConfig,
+    _global_panels,
     _patch_radii,
     _ray_pieces,
     _reach,
@@ -63,12 +64,17 @@ def test_reach_ends_on_the_unit_circle():
         assert np.allclose(np.abs(ends), 1.0, atol=1e-14)
 
 
+def split_level_kernel():
+    # psi(0) = -5.32: the levels below t = 5.32 are split into two discs
+    pts = (MarkedPoint(0.33, green_weight=1.2, jet_order=1, jet_coeff=1.0),
+           MarkedPoint(-0.33, green_weight=1.2, jet_order=0, jet_coeff=0.5))
+    return WeightKernel(UNIT_DISC, WeightPair.standard(pts))
+
+
 def test_marked_band_cuts_keep_their_pieces():
     # sub-rays cut only at the thresholds of the bands they refine; the
     # pieces and level lengths of those bands match a cut at every threshold
-    pts = (MarkedPoint(0.33, green_weight=1.2, jet_order=1, jet_coeff=1.0),
-           MarkedPoint(-0.33, green_weight=1.2, jet_order=0, jet_coeff=0.5))
-    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(pts))
+    kernel = split_level_kernel()
     cuts = np.array([0.1, 1.0, 3.0, 5.0, 5.5, 6.0, math.inf])
     thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
     reach = _reach(thetas, 0j)
@@ -82,3 +88,19 @@ def test_marked_band_cuts_keep_their_pieces():
         assert sel_full.sum() > 0
         for a, b in zip(full, part):
             assert np.array_equal(a[sel_full], b[sel_part])
+
+
+@pytest.mark.parametrize("cuts", [(0.1, 1.0, 3.0, 5.0, 5.5, 6.0), (0.5, 2.0, 5.5)])
+def test_sub_rays_take_the_widest_base_density(cuts):
+    # tangency sub-rays cross short chords of the split levels; at the
+    # panel density of the widest base ray they need fewer panels than the
+    # full per-level budget each (about 37 per sub-ray at the full budget)
+    kernel = split_level_kernel()
+    config = QuadratureConfig()
+    mid, half, e, w_half, band = _global_panels(
+        kernel.psi, np.array([*cuts, math.inf]), config, [], [0.33, -0.33], 0j)
+    w_theta = w_half / half
+    sub = w_theta < 0.5 * w_theta.max()
+    n_sub_rays = np.unique(np.round(np.angle(e[sub]), 12)).size
+    assert n_sub_rays > 0
+    assert sub.sum() < 1.2 * (config.radial // 10) * n_sub_rays
