@@ -335,9 +335,9 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers, origin):
     pieces = [(thetas[ray[stay]], np.full(int(stay.sum()), d_theta),
                lo[stay], hi[stay], band[stay], level_len[stay])]
     parents = np.flatnonzero(refine.any(axis=0))
-    widest = np.zeros(cuts.size - 1)
-    np.maximum.at(widest, band, level_len)
     if parents.size:
+        widest = np.zeros(cuts.size - 1)
+        np.maximum.at(widest, band, level_len)
         offsets = ((np.arange(_TANGENT_SPLIT) + 0.5) / _TANGENT_SPLIT - 0.5) * d_theta
         sub_thetas = (thetas[parents][:, None] + offsets[None, :]).ravel()
         ray, lo, hi, band, level_len = _ray_pieces(psi_fn, sub_thetas,
