@@ -332,18 +332,19 @@ def suita_compare(problem: Problem) -> SuitaReport:
     )
 
 
-def _psi_terms(psi: PsiSpec) -> list[tuple[complex, float]]:
+def lemma_integrals(psi: PsiSpec, beta_max: int, mesh: QuadratureConfig | None = None):
+    """(mass of dd^c e^psi, squared norm of d e^psi, pairings of d e^psi with
+    conj(zeta)^d for d = 0, ..., beta_max), on one region per mesh level.
+
+    Uses the closed-form density e^psi |sum p_j b_j'/b_j|^2, which is
+    continuous when every p_j > 2.
+    """
     terms = [(complex(loc), coeff / 2.0) for loc, coeff in psi.all_terms()]
     for _, p in terms:
         if p <= 2.0:
             raise BadInputError(
                 f"the mass/orthogonality identities need every p > 2, got {p}"
             )
-    return terms
-
-
-def _mass_pieces(psi: PsiSpec):
-    terms = _psi_terms(psi)
 
     def psi_fn(z):
         acc = np.zeros(np.shape(z), dtype=float)
@@ -357,56 +358,47 @@ def _mass_pieces(psi: PsiSpec):
             s = s + p * blaschke_deriv(loc, z) / blaschke_factor(loc, z)
         return psi_fn(z), s
 
-    patches = [PatchSpec(center=loc, order=0, exponent=2 * p - 2) for loc, p in terms]
-    return psi_fn, log_density, patches
-
-
-def verify_mass(psi: PsiSpec, mesh: QuadratureConfig | None = None) -> float:
-    """Total mass of dd^c e^psi over the disc; equals 2 pi sum p_j exactly.
-
-    Uses the closed-form density e^psi |sum p_j b_j'/b_j|^2, which is
-    continuous when every p_j > 2.
-    """
-    mesh = mesh or QuadratureConfig()
-    psi_fn, log_density, patches = _mass_pieces(psi)
-
-    def fn(z):
+    def mass(z):
         psi_v, s = log_density(z)
         return 2.0 * np.exp(psi_v) * np.abs(s) ** 2
-
-    val, _err, degen = assembled_integral(psi_fn, fn, patches, mesh)
-    if degen[0]:
-        raise NumericalError("mass quadrature found no region nodes")
-    return float(val[0].real)
-
-
-def verify_orthogonality(
-    psi: PsiSpec, beta_degree: int, mesh: QuadratureConfig | None = None
-) -> float:
-    """|integral of d e^psi wedge conj(beta)| over the disc, relative to the
-    product of norms; the identity says the integral vanishes exactly."""
-    if beta_degree < 0:
-        raise BadInputError("beta degree must be >= 0")
-    mesh = mesh or QuadratureConfig()
-    psi_fn, log_density, patches = _mass_pieces(psi)
-
-    def pairing(z):
-        psi_v, s = log_density(z)
-        return 2.0 * np.exp(psi_v) * s * np.conj(z) ** beta_degree
 
     def norm_sq(z):
         psi_v, s = log_density(z)
         return 2.0 * np.exp(2.0 * psi_v) * np.abs(s) ** 2
 
-    raw, _e1, degen = assembled_integral(psi_fn, pairing, patches, mesh)
+    def pairing(z, degree):
+        psi_v, s = log_density(z)
+        return 2.0 * np.exp(psi_v) * s * np.conj(z) ** degree
+
+    patches = [PatchSpec(center=loc, order=0, exponent=2 * p - 2) for loc, p in terms]
+    fns = [mass, norm_sq] + [lambda z, d=d: pairing(z, d) for d in range(beta_max + 1)]
+    val, _err, degen = assembled_integral(psi_fn, fns, patches, mesh or QuadratureConfig())
     if degen[0]:
-        raise NumericalError("orthogonality quadrature found no region nodes")
-    nsq, _e2, _ = assembled_integral(psi_fn, norm_sq, patches, mesh)
+        raise NumericalError("lemma quadrature found no region nodes")
+    return float(val[0, 0].real), float(val[0, 1].real), tuple(val[0, 2:])
+
+
+def verify_mass(psi: PsiSpec, mesh: QuadratureConfig | None = None, integrals=None) -> float:
+    """Total mass of dd^c e^psi over the disc; equals 2 pi sum p_j exactly.
+    ``integrals`` from lemma_integrals lets several checks share a region."""
+    return (integrals or lemma_integrals(psi, -1, mesh))[0]
+
+
+def verify_orthogonality(
+    psi: PsiSpec, beta_degree: int, mesh: QuadratureConfig | None = None, integrals=None
+) -> float:
+    """|integral of d e^psi wedge conj(beta)| over the disc, relative to the
+    product of norms; the identity says the integral vanishes exactly.
+    ``integrals`` from lemma_integrals up to a degree >= beta_degree lets
+    several checks share a region."""
+    if beta_degree < 0:
+        raise BadInputError("beta degree must be >= 0")
+    _mass, nsq, pairings = integrals or lemma_integrals(psi, beta_degree, mesh)
     beta_norm = math.sqrt(2 * math.pi / (beta_degree + 1))
-    scale = math.sqrt(max(nsq[0].real, 0.0)) * beta_norm
+    scale = math.sqrt(max(nsq, 0.0)) * beta_norm
     if scale == 0:
         raise NumericalError("degenerate scale in orthogonality check")
-    return float(abs(raw[0]) / scale)
+    return float(abs(pairings[beta_degree]) / scale)
 
 
 def linear_restriction_identity(

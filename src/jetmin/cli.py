@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from .analysis import scan_G, suita_compare, verify_mass, verify_orthogonality
+from .analysis import lemma_integrals, scan_G, suita_compare, verify_mass, verify_orthogonality
 from .errors import BadInputError, NumericalError, TheoremViolationError
 from .geometry import UNIT_DISC, MarkedPoint, green_disc, log_capacity
 from .problems import (
@@ -262,15 +262,19 @@ def _rel(x: float, y: float) -> float:
 def cmd_verify_lemmas(args) -> int:
     if args.beta_max < 0:
         raise BadInputError(f"--beta-max must be >= 0, got {args.beta_max}")
+    for flag, tol in (("--mass-tol", args.mass_tol), ("--orth-tol", args.orth_tol)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise BadInputError(f"{flag} must be finite and >= 0, got {tol}")
     p = load_problem(args.problem)
     psi = p.weights.psi
     expected = 2 * math.pi * sum(c / 2.0 for _, c in psi.all_terms())
-    mass = verify_mass(psi, p.numerics.mesh)
+    integrals = lemma_integrals(psi, args.beta_max, p.numerics.mesh)
+    mass = verify_mass(psi, integrals=integrals)
     mass_rel = abs(mass - expected) / expected
     orth = [
         {
             "beta_degree": d,
-            "residual": verify_orthogonality(psi, d, p.numerics.mesh),
+            "residual": verify_orthogonality(psi, d, integrals=integrals),
             "tolerance": args.orth_tol,
         }
         for d in range(args.beta_max + 1)

@@ -8,13 +8,14 @@ scan grid are (t_0, ..., t_{K-1}, inf), and the band {-t1 <= psi < -t2} is
 (t2, t1).  The public entry points take ``ts=`` or ``band=`` and convert
 them once, in the two-level driver.
 
-A global polar grid cuts each ray at every threshold in one pass
-(sampling, then bisection), tags each piece between cuts with its band,
-and integrates with Gauss-Legendre panels split at every patch-circle
-crossing.  Its rays start at the singular center when there is only one
-(the levels are then discs around it, crossed once by every ray) and at
-the origin otherwise.  Values are accumulated per band; the value
-over level k is the sum of the bands j >= k.  Neighborhoods of singular
+A global polar grid cuts each ray at every threshold in one pass (one
+sorted search of the psi samples, one bisection of all crossings; psi < 0,
+so t <= 0 is never cut and a t = 0 ray is one unsampled piece), tags each
+piece with its band, and integrates with Gauss-Legendre panels split at
+every patch-circle crossing.  Rays start at the singular center when there
+is only one (its levels are discs around it) and at the origin otherwise.
+Values are accumulated per band; level k sums the bands j >= k, and a Gram
+is reduced from monomial moments, P^H (V^H W V) P.  Neighborhoods of singular
 centers are handed to local geometric-ring patches through a C^4 partition
 of unity; patch products are assembled in log space with the enforced
 vanishing order factored out of the basis, so near-critical exponents
@@ -40,6 +41,7 @@ _TANGENT_SPLIT = 16
 _MIN_RADIUS_FRACTION = 1e-36
 _MASK_FLOOR = 1e-14
 _CHUNK = 8192
+_GRAM_CHUNK = 2048  # the moment kernel holds two [N + 1, chunk] arrays
 _RAY_BLOCK = 32  # rays sampled and cut together
 _TAIL_EPS = 1e-13  # relative radial tail of a patch integrand left uncovered
 
@@ -183,14 +185,16 @@ def _sample_rays(psi_fn, thetas, reach, centers):
 
 
 def _bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh):
-    """Vectorized bisection for psi(r e) + thresh = 0 on brackets [lo, hi]."""
-    lo = lo.copy()
-    hi = hi.copy()
+    """Vectorized bisection for psi(r e) + thresh = 0 on brackets [lo, hi];
+    stops once no bracket moves, as every further step would repeat the
+    same decisions."""
     neg_lo = f_lo < 0
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         fm = psi_fn(mid * e_ray) + thresh
         go_right = (fm < 0) == neg_lo
+        if not np.where(go_right, mid != lo, mid != hi).any():
+            break
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     return 0.5 * (lo + hi)
@@ -199,49 +203,56 @@ def _bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh):
 def _ray_pieces(psi_fn, thetas, reach, cuts, centers, bands=None):
     """Band pieces of the rays: arrays (ray, r_lo, r_hi, band, level_len).
 
-    The ray at angle thetas[i] runs from 0 to reach[i].  Each ray is cut
-    at the finite thresholds of ``cuts`` in one pass, the cuts refined to
-    bisection accuracy; each piece between consecutive breakpoints is
-    tagged with its band by psi at its midpoint, and pieces outside every
-    band are dropped.  ``level_len`` is the length, on the piece's ray, of
-    the level of its band (that band and the bands inside it).  Rays are
-    sampled in blocks of _RAY_BLOCK to bound memory.
+    The ray at angle thetas[i] runs from 0 to reach[i].  Rays are sampled
+    in blocks of _RAY_BLOCK to bound memory, and the brackets of all blocks
+    are bisected together.  Each piece between consecutive breakpoints is
+    tagged with its band by psi at its midpoint; pieces outside every band
+    are dropped.  ``level_len`` is the length, on the piece's ray, of the
+    level of its band (that band and the bands inside it).  psi < 0 on the
+    open disc, so thresholds t <= 0 are never cut: without a positive one,
+    each ray is one piece and is not sampled.
 
     With ``bands`` (a boolean mask over the bands) only the two thresholds
     of each marked band are cut: the pieces and level lengths of the marked
     bands are the same, and a piece of another band may span several bands.
     """
     n_bands = cuts.size - 1
+    n = thetas.size
     cut_at = np.ones(cuts.size, dtype=bool)
     if bands is not None:
         cut_at = np.r_[bands, False] | np.r_[False, bands]
-    finite = cuts[cut_at & np.isfinite(cuts)]
-    parts = []
-    for i0 in range(0, thetas.size, _RAY_BLOCK):
-        th = thetas[i0:i0 + _RAY_BLOCK]
-        n = th.size
-        rs, vals = _sample_rays(psi_fn, th, reach[i0:i0 + _RAY_BLOCK], centers)
-        found = []  # (ray, sample column, threshold) per sign change of psi + t
-        for thresh in finite:
-            f = vals + thresh
-            ray_idx, col_idx = np.nonzero((f[:, 1:] < 0) != (f[:, :-1] < 0))
-            found.append((ray_idx, col_idx, np.full(ray_idx.size, thresh)))
-        ray_idx, col_idx, thresh = (np.concatenate(x) for x in zip(*found))
-        roots = _bisect_cuts(psi_fn, np.exp(1j * th[ray_idx]), rs[ray_idx, col_idx],
-                             rs[ray_idx, col_idx + 1],
-                             vals[ray_idx, col_idx] + thresh, thresh)
-        ray = np.concatenate([np.arange(n), np.arange(n), ray_idx])
-        brk = np.concatenate([np.zeros(n), reach[i0:i0 + _RAY_BLOCK], roots])
-        order = np.lexsort((brk, ray))
-        ray, brk = ray[order], brk[order]
-        lo, hi = brk[:-1], brk[1:]
-        ok = (ray[:-1] == ray[1:]) & (hi - lo > 1e-14)
-        ray, lo, hi = ray[:-1][ok], lo[ok], hi[ok]
-        band = _band_of(cuts, psi_fn(0.5 * (lo + hi) * np.exp(1j * th[ray])))
-        keep = (band >= 0) & (band < n_bands)
-        parts.append((ray[keep] + i0, lo[keep], hi[keep], band[keep]))
-    ray, lo, hi, band = (np.concatenate(x) for x in zip(*parts))
-    length = np.zeros((thetas.size, n_bands))
+    finite = cuts[cut_at & np.isfinite(cuts) & (cuts > 0)]
+    e = np.exp(1j * thetas)
+    rays, breaks = [np.arange(n), np.arange(n)], [np.zeros(n), reach]
+    found = []  # (ray, r_lo, r_hi, psi + t at r_lo, t) per threshold t a sample pair brackets
+    for i0 in range(0, n if finite.size else 0, _RAY_BLOCK):
+        rs, vals = _sample_rays(psi_fn, thetas[i0:i0 + _RAY_BLOCK],
+                                reach[i0:i0 + _RAY_BLOCK], centers)
+        # psi + t < 0 exactly when -psi > t, so a sample pair brackets the
+        # thresholds between the counts of thresholds below -psi at its ends
+        below = np.searchsorted(finite, -vals)
+        a, b = below[:, :-1], below[:, 1:]
+        r, c = np.nonzero(a != b)
+        count = np.abs(b - a)[r, c]
+        pair = np.repeat(np.arange(r.size), count)
+        t = finite[np.minimum(a, b)[r, c][pair] + np.arange(pair.size)
+                   - (np.cumsum(count) - count)[pair]]
+        r, c = r[pair], c[pair]
+        found.append((r + i0, rs[r, c], rs[r, c + 1], vals[r, c] + t, t))
+    if found:
+        ray_idx, r_lo, r_hi, f_lo, thresh = (np.concatenate(x) for x in zip(*found))
+        rays.append(ray_idx)
+        breaks.append(_bisect_cuts(psi_fn, e[ray_idx], r_lo, r_hi, f_lo, thresh))
+    ray, brk = np.concatenate(rays), np.concatenate(breaks)
+    order = np.lexsort((brk, ray))
+    ray, brk = ray[order], brk[order]
+    lo, hi = brk[:-1], brk[1:]
+    ok = (ray[:-1] == ray[1:]) & (hi - lo > 1e-14)
+    ray, lo, hi = ray[:-1][ok], lo[ok], hi[ok]
+    band = _band_of(cuts, psi_fn(0.5 * (lo + hi) * e[ray]))
+    keep = (band >= 0) & (band < n_bands)
+    ray, lo, hi, band = ray[keep], lo[keep], hi[keep], band[keep]
+    length = np.zeros((n, n_bands))
     np.add.at(length, (ray, band), hi - lo)
     level_len = np.cumsum(length[:, ::-1], axis=1)[:, ::-1]
     return ray, lo, hi, band, level_len[ray, band]
@@ -467,15 +478,6 @@ def _coeff_matrix(basis):
     return P
 
 
-def _eval_block(zeta, P):
-    """Vandermonde x coefficient product, chunk-friendly: [n_nodes, n_basis]."""
-    V = np.empty((zeta.size, P.shape[0]), dtype=complex)
-    V[:, 0] = 1.0
-    for k in range(1, P.shape[0]):
-        V[:, k] = V[:, k - 1] * zeta
-    return V @ P
-
-
 def _band_runs(band):
     """(band, start, stop) for each run of equal entries of a band array."""
     cut = np.flatnonzero(band[1:] != band[:-1]) + 1
@@ -488,36 +490,36 @@ def gram_on_nodes(nodes, kernel, gain, basis):
     """Hermitian Grams of the basis under 2 e^{-phi} c(-psi), one per band.
 
     Returns an array [n_bands, n_basis, n_basis]; entry [k][l][m] is
-    conjugate-linear in l.  Patch blocks use the log-space weight with the
-    enforced vanishing factored out.
+    conjugate-linear in l.  Each group of nodes (the global part, each patch
+    block) sums the weighted monomial moments M_k = V^H W V per band and
+    adds P^H M_k P, P its coefficient matrix.  Patch blocks deflate the
+    basis and use the log-space weight with the enforced vanishing factored out.
     """
-    n_b = len(basis)
-    H = np.zeros((nodes.n_bands, n_b, n_b), dtype=complex)
-    if nodes.zeta.size == 0:
-        return H
+    H = np.zeros((nodes.n_bands, len(basis), len(basis)), dtype=complex)
     P_global = _coeff_matrix(basis)
-
-    def accumulate(i0, i1, P, extra_order, center):
-        # one chunk; its [n, n_basis] temporaries are freed on return
-        z = nodes.zeta[i0:i1]
-        psi = kernel.psi(z)
-        log_w = _LOG2 + psi - kernel.phi_plus_psi(z) + eval_log_c(gain, -psi)
-        if extra_order:
-            log_w = log_w + 2.0 * extra_order * np.log(np.abs(z - center))
-        B = _eval_block(z, P)
-        Bw = B.conj().T
-        Bw *= nodes.area_w[i0:i1] * np.exp(log_w)
-        for k, s, e in _band_runs(nodes.band[i0:i1]):
-            H[k] += Bw[:, s:e] @ B[s:e]
-
     groups = [(slice(0, nodes.n_global), P_global, 0, 0.0 + 0.0j)]
     for blk in nodes.blocks:
         nu = blk.spec.order
         P = _coeff_matrix([_deflate(b, blk.spec.center, nu) for b in basis]) if nu else P_global
         groups.append((blk.sl, P, nu, blk.spec.center))
     for sl, P, nu, center in groups:
-        for i0 in range(sl.start, sl.stop, _CHUNK):
-            accumulate(i0, min(i0 + _CHUNK, sl.stop), P, nu, center)
+        d = P.shape[0]
+        M = np.zeros((nodes.n_bands, d, d), dtype=complex)
+        for i0 in range(sl.start, sl.stop, _GRAM_CHUNK):
+            z = nodes.zeta[i0:min(i0 + _GRAM_CHUNK, sl.stop)]
+            psi = kernel.psi(z)
+            log_w = _LOG2 + psi - kernel.phi_plus_psi(z) + eval_log_c(gain, -psi)
+            if nu:
+                log_w = log_w + 2.0 * nu * np.log(np.abs(z - center))
+            V = np.empty((d, z.size), dtype=complex)  # row k holds z^k
+            V[0] = 1.0
+            for k in range(1, d):
+                np.multiply(V[k - 1], z, out=V[k])
+            Vw = V.conj()
+            Vw *= nodes.area_w[i0:i0 + z.size] * np.exp(log_w)
+            for k, s, e in _band_runs(nodes.band[i0:i0 + z.size]):
+                M[k] += Vw[:, s:e] @ V[:, s:e].T
+        H += P.conj().T @ M @ P
     return 0.5 * (H + H.conj().transpose(0, 2, 1))
 
 
@@ -585,7 +587,9 @@ def assembled_gram(kernel, gain, basis, patches, config, *, ts=(0.0,), band=None
                       patches, config, ts, band)
 
 
-def assembled_integral(psi_fn, fn, patches, config, *, ts=(0.0,), band=None):
-    """Two-level scalar integrals of fn, one per level: arrays (value, err, degenerate)."""
-    return _two_level(psi_fn, lambda nodes: integral_on_nodes(nodes, fn),
+def assembled_integral(psi_fn, fns, patches, config, *, ts=(0.0,), band=None):
+    """Two-level scalar integrals of each of fns, on one region per mesh level:
+    arrays (value [level, fn], err, degenerate), err the largest over fns."""
+    return _two_level(psi_fn,
+                      lambda nodes: np.stack([integral_on_nodes(nodes, fn) for fn in fns], axis=1),
                       patches, config, ts, band)

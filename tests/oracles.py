@@ -5,7 +5,8 @@ integrals and random walks for Green values, plain Monte Carlo for areas,
 sympy differentiation for jet rows, steepest descent for the constrained
 minimum.  Values frozen into tests were produced by these functions (see
 test modules for the frozen constants).  The references are scalar psi/phi
-evaluators and the raw-monomial Gram, which the library itself never needs.
+evaluators, the raw-monomial Gram, which the library itself never needs,
+and a direct B^H W B Gram on built nodes.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ import numpy as np
 
 from jetmin.errors import BadInputError, NumericalError
 from jetmin.forms import GramMatrix, JetConstraintSystem, constraint_basis
-from jetmin.gain import growth_rate_bound
+from jetmin.gain import eval_log_c, growth_rate_bound
 from jetmin.geometry import UNIT_DISC, green_disc_raw
-from jetmin.quadrature import PatchSpec, QuadratureConfig, assembled_gram
+from jetmin.quadrature import PatchSpec, QuadratureConfig, _deflate, assembled_gram
 from jetmin.weights import WeightKernel, eval_u
 
 
@@ -54,6 +55,30 @@ def gram_quadrature(dom, w, g, t: float, N: int,
     H, err, degen = assembled_gram(kernel, g, monomials, specs,
                                    mesh or QuadratureConfig(), ts=(t,))
     return GramMatrix(entries=H[0], quad_error=float(err[0]), degenerate=bool(degen[0]))
+
+
+def gram_direct(nodes, kernel, gain, basis) -> np.ndarray:
+    """Per-band Grams B^H W B from the values of the basis forms at the nodes.
+
+    The reference for the moment kernel of ``gram_on_nodes``: each form
+    (divided by the enforced vanishing in a patch block, whose weight then
+    carries that factor) is evaluated by Horner's rule and the weighted
+    products are summed band by band, with no monomial moments in between.
+    """
+    H = np.zeros((nodes.n_bands, len(basis), len(basis)), dtype=complex)
+    groups = [(slice(0, nodes.n_global), 0, 0j)]
+    groups += [(blk.sl, blk.spec.order, blk.spec.center) for blk in nodes.blocks]
+    for sl, nu, center in groups:
+        z, band = nodes.zeta[sl], nodes.band[sl]
+        psi = kernel.psi(z)
+        log_w = math.log(2.0) + psi - kernel.phi_plus_psi(z) + eval_log_c(gain, -psi)
+        log_w += 2.0 * nu * np.log(np.abs(z - center)) if nu else 0.0
+        B = np.stack([np.polynomial.polynomial.polyval(z, _deflate(b, center, nu))
+                      for b in basis])
+        BW = B.conj() * (nodes.area_w[sl] * np.exp(log_w))
+        for k in range(nodes.n_bands):
+            H[k] += BW[:, band == k] @ B[:, band == k].T
+    return H
 
 
 def poisson_green_disc(z: complex, z0: complex, n: int = 4096) -> float:

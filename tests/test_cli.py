@@ -1,11 +1,13 @@
 """Command line interface tests: values, files, exit codes, determinism."""
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import jetmin
 from jetmin import cli
 from jetmin.analysis import ConcavityReport, scan_G
 from jetmin.errors import NumericalError
@@ -19,11 +21,18 @@ from jetmin.problems import (
 )
 
 
+# child interpreters import the same jetmin as the tests, installed or not
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(jetmin.__file__)))
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "jetmin.cli", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -106,7 +115,8 @@ def test_invalid_problem_exits_4(tmp_path, capsys):
 def test_import_loads_no_scipy():
     code = ("import sys, jetmin, jetmin.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=CHILD_ENV)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
@@ -289,3 +299,44 @@ def test_verify_lemmas_rejects_negative_beta_max(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--beta-max" in captured.err
+
+
+@pytest.mark.parametrize("flag,value", [("--mass-tol", "-1"), ("--orth-tol", "nan"),
+                                        ("--orth-tol", "-1e-9"), ("--mass-tol", "inf")])
+def test_verify_lemmas_rejects_bad_tolerances(tmp_path, capsys, monkeypatch, flag, value):
+    # rejected as bad input before any quadrature runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("lemma integrals computed for a bad tolerance")
+
+    monkeypatch.setattr(cli, "lemma_integrals", no_work)
+    p = problem_from_dict(
+        {"marked": [{"location": [0.2, 0.0], "green_weight": 3.0}]}
+    )
+    path = tmp_path / "mass.json"
+    save_problem(p, path)
+    assert cli.main(["verify-lemmas", str(path), f"{flag}={value}"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_verify_lemmas_builds_one_region_per_mesh_level(tmp_path, capsys, monkeypatch):
+    from jetmin import quadrature
+
+    calls = []
+    build = quadrature.build_region
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "build_region", counted)
+    p = problem_from_dict(
+        {"marked": [{"location": [0.2, 0.0], "green_weight": 3.0}]}
+    )
+    path = tmp_path / "mass.json"
+    save_problem(p, path)
+    assert cli.main(["verify-lemmas", str(path), "--beta-max", "3"]) == 0
+    assert len(calls) == 2
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert [o["beta_degree"] for o in rep["orthogonality"]] == [0, 1, 2, 3]

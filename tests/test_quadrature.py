@@ -1,10 +1,11 @@
-"""Region geometry of the polar quadrature: ray origin and sub-ray cuts."""
+"""Region geometry of the polar quadrature (ray origin, threshold cuts, sub-rays)
+and the moment Gram kernel."""
 import math
 
 import numpy as np
 import pytest
 
-from jetmin.forms import _patch_specs
+from jetmin.forms import _patch_specs, constraint_basis, jet_constraints
 from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, MarkedPoint
 from jetmin.quadrature import (
@@ -14,8 +15,10 @@ from jetmin.quadrature import (
     _ray_pieces,
     _reach,
     build_region,
+    gram_on_nodes,
 )
 from jetmin.weights import WeightKernel, WeightPair
+from oracles import gram_direct
 
 CUTS = np.array([0.2, 0.7, 1.5, 3.0, 5.0, math.inf])
 
@@ -104,3 +107,80 @@ def test_sub_rays_take_the_widest_base_density(cuts):
     n_sub_rays = np.unique(np.round(np.angle(e[sub]), 12)).size
     assert n_sub_rays > 0
     assert sub.sum() < 1.2 * (config.radial // 10) * n_sub_rays
+
+
+def level_on_rays(pieces, k):
+    """[ray, r_lo, r_hi] of each run of pieces in band k or deeper."""
+    out = []
+    ray, lo, hi, band, _ = pieces
+    inside = band >= k
+    for r, a, b in zip(ray[inside], lo[inside], hi[inside]):
+        if out and out[-1][0] == r and out[-1][2] == a:
+            out[-1][2] = b
+        else:
+            out.append([r, a, b])
+    return out
+
+
+def test_all_thresholds_cut_as_each_alone():
+    # one pass finds every threshold a sample pair brackets (5.5 and 5.501
+    # share sample pairs), and the brackets of all ray blocks are bisected
+    # together: each level's ends on every ray are bitwise those of a run
+    # with its threshold alone
+    kernel = split_level_kernel()
+    cuts = np.array([0.1, 1.0, 3.0, 5.0, 5.5, 5.501, 6.0, math.inf])
+    thetas = (np.arange(80) + 0.5) * (2 * math.pi / 80)  # blocks of 32, 32 and 16 rays
+    reach = _reach(thetas, 0j)
+    centers = [0.33, -0.33]
+    full = _ray_pieces(kernel.psi, thetas, reach, cuts, centers)
+    for k, t in enumerate(cuts[:-1]):
+        alone = _ray_pieces(kernel.psi, thetas, reach, np.array([t, math.inf]), centers)
+        assert level_on_rays(alone, 0)
+        assert level_on_rays(full, k) == level_on_rays(alone, 0)
+
+
+def test_zero_threshold_rays_are_not_sampled():
+    # psi < 0 on the open disc, so the level t = 0 has no threshold to cut:
+    # each ray is one piece [0, reach], and psi is evaluated only at the
+    # piece midpoints to tag their band
+    kernel = split_level_kernel()
+    origin = 0.2 - 0.1j  # rays start here; psi and centers are relative to it
+    seen = []
+
+    def psi(z):
+        seen.append(np.array(z, dtype=complex).ravel())
+        return kernel.psi(z + origin)
+
+    thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
+    reach = _reach(thetas, origin)
+    ray, lo, hi, band, level_len = _ray_pieces(psi, thetas, reach, np.array([0.0, math.inf]),
+                                               [0.33 - origin, -0.33 - origin])
+    assert np.array_equal(ray, np.arange(64))
+    assert np.array_equal(lo, np.zeros(64))
+    assert np.array_equal(hi, reach)
+    assert np.array_equal(band, np.zeros(64))
+    assert np.array_equal(level_len, reach)
+    assert np.array_equal(np.concatenate(seen), 0.5 * reach * np.exp(1j * thetas))
+
+
+def test_moment_gram_matches_direct_products():
+    # the moment kernel sums V^H W V per band and reduces it with each node
+    # group's coefficient matrix; on a multi-band region whose first patch
+    # deflates the (complex) basis it agrees with the direct products B^H W B
+    pts = (MarkedPoint(0.3 + 0.15j, green_weight=1.2, jet_order=1, jet_coeff=0.8 + 0.6j),
+           MarkedPoint(-0.25 - 0.2j, green_weight=1.2, jet_order=0, jet_coeff=0.5j))
+    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(pts))
+    gain = GainFunction.exponential(0.3)
+    specs = _patch_specs(kernel, gain)
+    cuts = np.array([0.0, 1.0, 3.0, 4.0, math.inf])
+    config = QuadratureConfig(angular=64, radial=64, patch_angular=32, patch_radial=32)
+    nodes = build_region(kernel.psi, specs, config, cuts, _patch_radii(kernel.psi, specs, 4.0))
+    assert any(blk.spec.order > 0 and blk.sl.stop > blk.sl.start for blk in nodes.blocks)
+    assert np.unique(nodes.band[:nodes.n_global]).size == nodes.n_bands
+    a_part, Z = constraint_basis(jet_constraints(kernel.w, 16))
+    basis = [a_part] + list(Z.T)
+    got = gram_on_nodes(nodes, kernel, gain, basis)
+    ref = gram_direct(nodes, kernel, gain, basis)
+    ref = 0.5 * (ref + ref.conj().transpose(0, 2, 1))
+    for k in range(nodes.n_bands):
+        assert np.abs(got[k] - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max()
