@@ -15,11 +15,18 @@ piece with its band, and integrates with Gauss-Legendre panels split at
 every patch-circle crossing.  Rays start at the singular center when there
 is only one (its levels are discs around it) and at the origin otherwise.
 Values are accumulated per band; level k sums the bands j >= k, and a Gram
-is reduced from monomial moments, P^H (V^H W V) P.  Neighborhoods of singular
-centers are handed to local geometric-ring patches through a C^4 partition
-of unity; patch products are assembled in log space with the enforced
-vanishing order factored out of the basis, so near-critical exponents
-neither overflow nor lose their radial tail.
+is reduced from weighted monomial moments M, Q^H M Q with Q the basis
+coefficients.  Rays from the origin and patch rings have polar moments:
+the region records where each run of nodes on one ray or ring (and in one
+band) starts, and each run sums N + 1 or 2N + 1 moments per node, not
+(N + 1)^2.  Rays from a pole off the origin sum the monomial moments of
+zeta itself, since a local expansion about the pole loses every digit at
+|zeta - pole| up to 1 + |pole|.  Neighborhoods of singular centers are
+handed to local geometric-ring patches through a C^4 partition of unity;
+patch products are assembled in log space with the enforced vanishing order
+factored out of the basis (the leading local coefficients of its Taylor
+shift to the center), so near-critical exponents neither overflow nor lose
+their radial tail.
 """
 from __future__ import annotations
 
@@ -41,7 +48,10 @@ _TANGENT_SPLIT = 16
 _MIN_RADIUS_FRACTION = 1e-36
 _MASK_FLOOR = 1e-14
 _CHUNK = 8192
-_GRAM_CHUNK = 2048  # the moment kernel holds two [N + 1, chunk] arrays
+# nodes per moment pass, which holds a [2N + 1, chunk] real array on rays from
+# the origin, an [N + 1, chunk] complex one on patch rings and two [N + 1, chunk]
+# complex ones on rays from a pole off the origin
+_GRAM_CHUNK = 2048
 _RAY_BLOCK = 32  # rays sampled and cut together
 _TAIL_EPS = 1e-13  # relative radial tail of a patch integrand left uncovered
 
@@ -93,14 +103,24 @@ class QuadratureConfig:
 
 @dataclass
 class PatchBlock:
+    """The nodes ``sl`` of one patch and their ring runs: ``ring_runs`` is
+    (start, radius), the first node and the ring radius of each run of
+    consecutive nodes on one ring and in one band."""
+
     spec: PatchSpec
     sl: slice
+    ring_runs: tuple
 
 
 @dataclass
 class RegionNodes:
     """Nodes, area weights and band indices; the global part and every patch
-    block are sorted by band."""
+    block are sorted by band.
+
+    ``ray_runs`` is (start, direction) for each run of consecutive global
+    nodes on one ray and in one band when the rays start at the origin, and
+    None when they start at a pole off it.
+    """
 
     zeta: np.ndarray
     area_w: np.ndarray
@@ -108,6 +128,7 @@ class RegionNodes:
     n_bands: int
     blocks: list
     n_global: int
+    ray_runs: tuple | None
 
 
 def _smooth_step(x):
@@ -292,7 +313,8 @@ def _panels(theta, w_theta, lo, hi, level_len, mask_patches, budget):
 
 
 def _panel_nodes(mid, half, e, w_half, band, mask_patches, origin):
-    """Nodes, polar area weights and bands of panels: (zeta, weight, band).
+    """Nodes, polar area weights and bands of panels, and the number of
+    nodes each panel keeps: (zeta, weight, band, kept).
 
     Panels and patch circles are relative to the ray origin; the nodes are
     returned in disc coordinates.  Patch neighborhoods go to the local
@@ -307,7 +329,8 @@ def _panel_nodes(mid, half, e, w_half, band, mask_patches, origin):
     for c, radius in mask_patches:
         mask *= 1.0 - _chi(np.abs(zeta - c), radius)
     keep = mask > _MASK_FLOOR
-    return zeta[keep] + origin, wgt[keep] * mask[keep], np.repeat(band, gx.size)[keep]
+    return (zeta[keep] + origin, wgt[keep] * mask[keep], np.repeat(band, gx.size)[keep],
+            keep.reshape(-1, gx.size).sum(axis=1))
 
 
 def _reach(thetas, origin):
@@ -368,7 +391,8 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers, origin):
 
 
 def _patch_nodes(spec, radius, config):
-    """Geometric-ring polar nodes around one singular center."""
+    """Geometric-ring polar nodes around one singular center: (zeta, weight,
+    rho), the nodes ring by ring and rho the ring radii."""
     margin = spec.exponent + 2.0
     if margin <= 0:
         raise NonIntegrableWeightError(
@@ -392,7 +416,16 @@ def _patch_nodes(spec, radius, config):
     zeta = (spec.center + rho[:, None] * ring[None, :]).ravel()
     wgt = (w_rho[:, None] * np.full((1, n_ang), 2 * math.pi / n_ang)).ravel()
     chi = _chi(np.abs(rho[:, None] * np.ones((1, n_ang))).ravel(), radius)
-    return zeta, wgt * chi
+    return zeta, wgt * chi, rho
+
+
+def _run_starts(*keys):
+    """Indices where a run of equal entries of all the key arrays starts."""
+    change = np.zeros(keys[0].size, dtype=bool)
+    change[:1] = True
+    for k in keys:
+        change[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(change)
 
 
 def build_region(psi_fn, patches, config, cuts, radii):
@@ -402,7 +435,9 @@ def build_region(psi_fn, patches, config, cuts, radii):
     singular centers (PatchSpec), and ``radii`` carries their (radius,
     contained) pairs, so two refinement levels share the same geometry.  A
     contained patch lies in the deepest band of a list of sublevel sets and
-    below every band of a band list, where it is left out.
+    below every band of a band list, where it is left out.  Besides the
+    nodes, the region records where each run of nodes on one ray (rays from
+    the origin only) or one patch ring, in one band, starts.
     """
     n_bands = cuts.size - 1
     sublevel = not math.isfinite(cuts[-1])
@@ -416,14 +451,17 @@ def build_region(psi_fn, patches, config, cuts, radii):
     panels = _global_panels(ray_psi, cuts, config, mask_patches, ray_centers, origin)
     patch_parts = []
     for p, r, contained in active:
-        z_p, w_p = _patch_nodes(p, r, config)
+        z_p, w_p, rho = _patch_nodes(p, r, config)
         if contained:
             b_p = np.full(z_p.size, n_bands - 1)
         else:
             b_p = _band_of(cuts, psi_fn(z_p))
         keep = np.flatnonzero((w_p != 0) & (b_p >= 0) & (b_p < n_bands))
         keep = keep[np.argsort(b_p[keep], kind="stable")]
-        patch_parts.append((p, z_p[keep], w_p[keep], b_p[keep]))
+        # the stable sort keeps each ring's nodes together within a band
+        ring = keep // config.patch_angular
+        first = _run_starts(ring, b_p[keep])
+        patch_parts.append((p, z_p[keep], w_p[keep], b_p[keep], first, rho[ring[first]]))
     # nodes are written chunk by chunk into arrays sized for every panel node,
     # so no full-size temporary is held beside them
     n_gl = _GL10[0].size
@@ -431,44 +469,35 @@ def build_region(psi_fn, patches, config, cuts, radii):
     zeta = np.empty(size, dtype=complex)
     wgt = np.empty(size)
     band = np.empty(size, dtype=np.int32)
+    kept = np.empty(panels[0].size, dtype=np.int64)
     pos = 0
     step = max(1, _CHUNK // n_gl)
     for i0 in range(0, panels[0].size, step):
-        nodes = _panel_nodes(*(x[i0:i0 + step] for x in panels), mask_patches, origin)
+        *nodes, kept[i0:i0 + step] = _panel_nodes(*(x[i0:i0 + step] for x in panels),
+                                                  mask_patches, origin)
         end = pos + nodes[0].size
         zeta[pos:end], wgt[pos:end], band[pos:end] = nodes
         pos = end
     n_global = pos
+    ray_runs = None
+    if origin == 0:
+        e = panels[2]
+        first = _run_starts(e, panels[4])
+        start = (np.cumsum(kept) - kept)[first]
+        # a run whose panels keep no node shares its start with the next run
+        nonempty = start < np.r_[start[1:], n_global]
+        ray_runs = (start[nonempty], e[first][nonempty])
     blocks = []
-    for p, z_p, w_p, b_p in patch_parts:
+    for p, z_p, w_p, b_p, first, ring_rho in patch_parts:
         end = pos + z_p.size
         zeta[pos:end], wgt[pos:end], band[pos:end] = z_p, w_p, b_p
-        blocks.append(PatchBlock(spec=p, sl=slice(pos, end)))
+        blocks.append(PatchBlock(spec=p, sl=slice(pos, end), ring_runs=(first + pos, ring_rho)))
         pos = end
     return RegionNodes(zeta=zeta[:pos], area_w=wgt[:pos], band=band[:pos], n_bands=n_bands,
-                       blocks=blocks, n_global=n_global)
+                       blocks=blocks, n_global=n_global, ray_runs=ray_runs)
 
 
 # -- assembly ----------------------------------------------------------------
-
-def _deflate(coeffs, center, order):
-    """Divide a polynomial by (zeta - center)^order, dropping the remainder.
-
-    Valid only for polynomials vanishing to that order at the center up to
-    roundoff; the dropped remainder then contributes O(eps * norm).
-    """
-    c = np.asarray(coeffs, dtype=complex).copy()
-    for _ in range(order):
-        if c.size <= 1:
-            return np.zeros(1, dtype=complex)
-        q = np.empty(c.size - 1, dtype=complex)
-        acc = 0.0 + 0.0j
-        for k in range(c.size - 1, 0, -1):
-            acc = c[k] + center * acc
-            q[k - 1] = acc
-        c = q
-    return c
-
 
 def _coeff_matrix(basis):
     dmax = max(len(b) for b in basis)
@@ -486,40 +515,165 @@ def _band_runs(band):
     return zip(band[starts].tolist(), starts.tolist(), stops.tolist())
 
 
+def _taylor_shift(P, center):
+    """Coefficients in x = zeta - center of the polynomials whose zeta
+    coefficients are the columns of P.
+
+    Horner's rule in polynomial arithmetic, p = (a_d (x + c) + a_(d-1)) (x + c)
+    + ...; at degree 64 and |c| near 0.57 its shifted values were about 1.5x
+    more accurate than those of the product with the binomial matrix
+    c^(n-k) C(n, k).
+    """
+    Q = np.zeros(P.shape, dtype=complex)
+    R = np.empty_like(Q)
+    for a in P[::-1]:
+        np.multiply(Q, center, out=R)  # R = (x + c) Q + a
+        R[1:] += Q[:-1]
+        R[0] += a
+        Q, R = R, Q
+    return Q
+
+
+def _direct_moments(nodes, weights, d):
+    """Per-band monomial moments M_k = V^H W V of the global nodes, V[n, l] = zeta_n^l."""
+    M = np.zeros((nodes.n_bands, d, d), dtype=complex)
+    for i0 in range(0, nodes.n_global, _GRAM_CHUNK):
+        z, w = weights(i0, min(i0 + _GRAM_CHUNK, nodes.n_global))
+        V = np.empty((d, z.size), dtype=complex)  # row k holds z^k
+        V[0] = 1.0
+        for k in range(1, d):
+            np.multiply(V[k - 1], z, out=V[k])
+        Vw = V.conj()
+        Vw *= w
+        for k, s, e in _band_runs(nodes.band[i0:i0 + z.size]):
+            M[k] += Vw[:, s:e] @ V[:, s:e].T
+    return M
+
+
+def _run_sums(starts, stop, rows, n_rows, dtype):
+    """Per-run sums [run, row] of node columns, taken in node chunks.
+
+    ``rows(i0, i1, runs, local)`` returns an [n_rows, i1 - i0] array for the
+    nodes i0:i1; ``runs`` slices the runs that meet them and ``local`` holds
+    those runs' first nodes there, less i0.  Runs start at ``starts`` and the
+    last ends at ``stop``; a run that straddles a chunk boundary adds up its
+    pieces.
+    """
+    out = np.zeros((starts.size, n_rows), dtype=dtype)
+    for i0 in range(starts[0], stop, _GRAM_CHUNK):
+        i1 = min(i0 + _GRAM_CHUNK, stop)
+        a = np.searchsorted(starts, i0, side="right") - 1
+        b = np.searchsorted(starts, i1, side="left")
+        local = np.maximum(starts[a:b], i0) - i0
+        out[a:b] += np.add.reduceat(rows(i0, i1, slice(a, b), local), local, axis=1).T
+    return out
+
+
+def _moments_of_runs(ang, rad, run_band, n_bands):
+    """Hermitian M_k with M_k[i, j] = sum over the runs of band k of
+    ang_(j-i) rad_(i+j), j >= i.
+
+    ``rad`` is [run, 0 .. 2d-2]; ``ang(s, e)`` returns [run, 0 .. d-1] for the
+    runs s:e only, so no angular table of every run is held at once.
+    """
+    d = rad.shape[1] // 2 + 1
+    i, j = np.triu_indices(d)
+    M = np.zeros((n_bands, d, d), dtype=complex)
+    for k, s, e in _band_runs(run_band):
+        M[k, i, j] += (ang(s, e).T @ rad[s:e])[j - i, i + j]
+    return M + np.triu(M, 1).conj().transpose(0, 2, 1)
+
+
+def _ray_moments(nodes, weights, d):
+    """Per-band monomial moments of the global nodes on rays from the origin.
+
+    There conj(zeta)^i zeta^j = r^(i+j) e^{i(j-i)theta}: each run on one ray
+    sums S_m = sum w r^m, m <= 2d - 2, and M_ij = sum_runs e^{i(j-i)theta} S_(i+j).
+    """
+    starts, e = nodes.ray_runs
+
+    def rows(i0, i1, runs, local):
+        z, w = weights(i0, i1)
+        r = np.abs(z)
+        R = np.empty((2 * d - 1, z.size))  # row m holds w r^m
+        R[0] = w
+        for m in range(1, 2 * d - 1):
+            np.multiply(R[m - 1], r, out=R[m])
+        return R
+
+    S = _run_sums(starts, nodes.n_global, rows, 2 * d - 1, float)
+    return _moments_of_runs(lambda s, t: np.vander(e[s:t], d, increasing=True), S,
+                            nodes.band[starts], nodes.n_bands)
+
+
+def _ring_moments(nodes, blk, weights, d):
+    """Per-band moments conj(x)^i x^j of a patch block, x = zeta - center.
+
+    On a ring of radius rho they are rho^(i+j) (x/rho)^(j-i): each run on one
+    ring sums A_k = sum w (x/rho)^k, 0 <= k < d, and M_ij = sum_runs
+    rho^(i+j) A_(j-i) for j >= i.
+    """
+    starts, rho = blk.ring_runs
+    center = blk.spec.center
+
+    def rows(i0, i1, runs, local):
+        z, w = weights(i0, i1)
+        u = (z - center) / np.repeat(rho[runs], np.diff(np.r_[local, z.size]))
+        U = np.empty((d, z.size), dtype=complex)  # row k holds w u^k
+        U[0] = w
+        for k in range(1, d):
+            np.multiply(U[k - 1], u, out=U[k])
+        return U
+
+    A = _run_sums(starts, blk.sl.stop, rows, d, complex)
+    return _moments_of_runs(lambda s, t: A[s:t], np.vander(rho, 2 * d - 1, increasing=True),
+                            nodes.band[starts], nodes.n_bands)
+
+
 def gram_on_nodes(nodes, kernel, gain, basis):
     """Hermitian Grams of the basis under 2 e^{-phi} c(-psi), one per band.
 
     Returns an array [n_bands, n_basis, n_basis]; entry [k][l][m] is
     conjugate-linear in l.  Each group of nodes (the global part, each patch
-    block) sums the weighted monomial moments M_k = V^H W V per band and
-    adds P^H M_k P, P its coefficient matrix.  Patch blocks deflate the
-    basis and use the log-space weight with the enforced vanishing factored out.
+    block) sums weighted monomial moments M_k per band and adds Q^H M_k Q,
+    Q the basis coefficients in that group's monomials.  Rays from the
+    origin and patch rings sum polar moments run by run (``_ray_moments``,
+    ``_ring_moments``), so the work per node grows with the degree, not its
+    square.  Rays from a pole off the origin reach |zeta - pole| = 1 + |pole|,
+    where a local expansion would lose every digit, so they sum the monomial
+    moments of zeta directly.  Patch blocks use local coefficients in
+    zeta - center (a Taylor shift) with the enforced vanishing order nu
+    dropped from the basis and moved into the log-space weight.  psi and
+    phi + psi come from one kernel call, ``psi_and_phi_plus_psi``.
     """
     H = np.zeros((nodes.n_bands, len(basis), len(basis)), dtype=complex)
-    P_global = _coeff_matrix(basis)
-    groups = [(slice(0, nodes.n_global), P_global, 0, 0.0 + 0.0j)]
+    P = _coeff_matrix(basis)
+    d = P.shape[0]
+
+    def weights(i0, i1, center=0j, nu=0):
+        """Nodes i0:i1 and their area weights times 2 e^{-phi} c(-psi), and
+        times |zeta - center|^(2 nu) when nu is factored out of the basis."""
+        z = nodes.zeta[i0:i1]
+        psi, phi_plus_psi = kernel.psi_and_phi_plus_psi(z)
+        log_w = _LOG2 + psi - phi_plus_psi + eval_log_c(gain, -psi)
+        if nu:
+            log_w = log_w + 2.0 * nu * np.log(np.abs(z - center))
+        return z, nodes.area_w[i0:i1] * np.exp(log_w)
+
+    if nodes.n_global:
+        if nodes.ray_runs is None:
+            M = _direct_moments(nodes, weights, d)
+        else:
+            M = _ray_moments(nodes, weights, d)
+        H += P.conj().T @ M @ P
     for blk in nodes.blocks:
         nu = blk.spec.order
-        P = _coeff_matrix([_deflate(b, blk.spec.center, nu) for b in basis]) if nu else P_global
-        groups.append((blk.sl, P, nu, blk.spec.center))
-    for sl, P, nu, center in groups:
-        d = P.shape[0]
-        M = np.zeros((nodes.n_bands, d, d), dtype=complex)
-        for i0 in range(sl.start, sl.stop, _GRAM_CHUNK):
-            z = nodes.zeta[i0:min(i0 + _GRAM_CHUNK, sl.stop)]
-            psi = kernel.psi(z)
-            log_w = _LOG2 + psi - kernel.phi_plus_psi(z) + eval_log_c(gain, -psi)
-            if nu:
-                log_w = log_w + 2.0 * nu * np.log(np.abs(z - center))
-            V = np.empty((d, z.size), dtype=complex)  # row k holds z^k
-            V[0] = 1.0
-            for k in range(1, d):
-                np.multiply(V[k - 1], z, out=V[k])
-            Vw = V.conj()
-            Vw *= nodes.area_w[i0:i0 + z.size] * np.exp(log_w)
-            for k, s, e in _band_runs(nodes.band[i0:i0 + z.size]):
-                M[k] += Vw[:, s:e] @ V[:, s:e].T
-        H += P.conj().T @ M @ P
+        if blk.sl.stop == blk.sl.start or nu >= d:
+            continue
+        center = blk.spec.center
+        Q = _taylor_shift(P, center)[nu:]
+        M = _ring_moments(nodes, blk, lambda i0, i1: weights(i0, i1, center, nu), d - nu)
+        H += Q.conj().T @ M @ Q
     return 0.5 * (H + H.conj().transpose(0, 2, 1))
 
 

@@ -186,16 +186,39 @@ class WeightKernel:
 
     def psi(self, zeta) -> np.ndarray:
         zeta = np.asarray(zeta, dtype=complex)
-        out = np.zeros(zeta.shape, dtype=float)
-        for loc, coeff in self.green:
-            out += coeff * green_disc_raw(zeta, loc)
-        return out
+        return self._psi(zeta, lambda loc: green_disc_raw(zeta, loc))
 
     def phi_plus_psi(self, zeta) -> np.ndarray:
         zeta = np.asarray(zeta, dtype=complex)
+        return self._phi_plus_psi(zeta, lambda loc: green_disc_raw(zeta, loc))
+
+    def psi_and_phi_plus_psi(self, zeta) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, phi + psi), bit for bit those of ``psi`` and ``phi_plus_psi``.
+
+        The Green function of each distinct center is evaluated once; the
+        divisor zeros of ``WeightPair.standard`` sit on the marked points, so
+        the two sums share their centers.
+        """
+        zeta = np.asarray(zeta, dtype=complex)
+        cache: dict[complex, np.ndarray] = {}
+
+        def green(loc):
+            if loc not in cache:
+                cache[loc] = green_disc_raw(zeta, loc)
+            return cache[loc]
+
+        return self._psi(zeta, green), self._phi_plus_psi(zeta, green)
+
+    def _psi(self, zeta, green) -> np.ndarray:
+        out = np.zeros(zeta.shape, dtype=float)
+        for loc, coeff in self.green:
+            out += coeff * green(loc)
+        return out
+
+    def _phi_plus_psi(self, zeta, green) -> np.ndarray:
         out = np.full(zeta.shape, 2.0 * self.log_lead, dtype=float)
         for loc, m in self.zeros:
-            out += 2.0 * m * green_disc_raw(zeta, loc)
+            out += 2.0 * m * green(loc)
         if self.has_u or self.bump:
             z = self.dom.forward(zeta)
             if self.has_u:

@@ -6,7 +6,8 @@ sympy differentiation for jet rows, steepest descent for the constrained
 minimum.  Values frozen into tests were produced by these functions (see
 test modules for the frozen constants).  The references are scalar psi/phi
 evaluators, the raw-monomial Gram, which the library itself never needs,
-and a direct B^H W B Gram on built nodes.
+and a direct B^H W B Gram on built nodes with its own deflation at the
+patch centers.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from jetmin.errors import BadInputError, NumericalError
 from jetmin.forms import GramMatrix, JetConstraintSystem, constraint_basis
 from jetmin.gain import eval_log_c, growth_rate_bound
 from jetmin.geometry import UNIT_DISC, green_disc_raw
-from jetmin.quadrature import PatchSpec, QuadratureConfig, _deflate, assembled_gram
+from jetmin.quadrature import PatchSpec, QuadratureConfig, assembled_gram
 from jetmin.weights import WeightKernel, eval_u
 
 
@@ -55,6 +56,25 @@ def gram_quadrature(dom, w, g, t: float, N: int,
     H, err, degen = assembled_gram(kernel, g, monomials, specs,
                                    mesh or QuadratureConfig(), ts=(t,))
     return GramMatrix(entries=H[0], quad_error=float(err[0]), degenerate=bool(degen[0]))
+
+
+def _deflate(coeffs, center, order):
+    """Divide a polynomial by (zeta - center)^order, dropping the remainder.
+
+    Valid only for polynomials vanishing to that order at the center up to
+    roundoff; the dropped remainder then contributes O(eps * norm).
+    """
+    c = np.asarray(coeffs, dtype=complex).copy()
+    for _ in range(order):
+        if c.size <= 1:
+            return np.zeros(1, dtype=complex)
+        q = np.empty(c.size - 1, dtype=complex)
+        acc = 0.0 + 0.0j
+        for k in range(c.size - 1, 0, -1):
+            acc = c[k] + center * acc
+            q[k - 1] = acc
+        c = q
+    return c
 
 
 def gram_direct(nodes, kernel, gain, basis) -> np.ndarray:

@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from jetmin import quadrature
 from jetmin.forms import _patch_specs, constraint_basis, jet_constraints
 from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, MarkedPoint
+from jetmin.problems import random_concavity_problem
 from jetmin.quadrature import (
     QuadratureConfig,
     _global_panels,
     _patch_radii,
     _ray_pieces,
     _reach,
+    _taylor_shift,
     build_region,
     gram_on_nodes,
 )
@@ -67,11 +70,13 @@ def test_reach_ends_on_the_unit_circle():
         assert np.allclose(np.abs(ends), 1.0, atol=1e-14)
 
 
+# psi(0) = -5.32: the levels below t = 5.32 are split into two discs
+SPLIT_POINTS = (MarkedPoint(0.33, green_weight=1.2, jet_order=1, jet_coeff=1.0),
+                MarkedPoint(-0.33, green_weight=1.2, jet_order=0, jet_coeff=0.5))
+
+
 def split_level_kernel():
-    # psi(0) = -5.32: the levels below t = 5.32 are split into two discs
-    pts = (MarkedPoint(0.33, green_weight=1.2, jet_order=1, jet_coeff=1.0),
-           MarkedPoint(-0.33, green_weight=1.2, jet_order=0, jet_coeff=0.5))
-    return WeightKernel(UNIT_DISC, WeightPair.standard(pts))
+    return WeightKernel(UNIT_DISC, WeightPair.standard(SPLIT_POINTS))
 
 
 def test_marked_band_cuts_keep_their_pieces():
@@ -163,24 +168,142 @@ def test_zero_threshold_rays_are_not_sampled():
     assert np.array_equal(np.concatenate(seen), 0.5 * reach * np.exp(1j * thetas))
 
 
-def test_moment_gram_matches_direct_products():
-    # the moment kernel sums V^H W V per band and reduces it with each node
-    # group's coefficient matrix; on a multi-band region whose first patch
-    # deflates the (complex) basis it agrees with the direct products B^H W B
-    pts = (MarkedPoint(0.3 + 0.15j, green_weight=1.2, jet_order=1, jet_coeff=0.8 + 0.6j),
-           MarkedPoint(-0.25 - 0.2j, green_weight=1.2, jet_order=0, jet_coeff=0.5j))
+SMALL = QuadratureConfig(angular=64, radial=64, patch_angular=32, patch_radial=32)
+GAIN = GainFunction.exponential(0.3)
+TWO_POINTS = (MarkedPoint(0.3 + 0.15j, green_weight=1.2, jet_order=1, jet_coeff=0.8 + 0.6j),
+              MarkedPoint(-0.25 - 0.2j, green_weight=1.2, jet_order=0, jet_coeff=0.5j))
+FAR_POINTS = (MarkedPoint(0.57 * np.exp(0.7j), green_weight=1.0, jet_order=2,
+                          jet_coeff=0.6 - 0.3j),
+              MarkedPoint(-0.2 + 0.3j, green_weight=1.3, jet_order=0, jet_coeff=0.5))
+ONE_POINT = (MarkedPoint(0.45 - 0.2j, green_weight=1.0, jet_order=1, jet_coeff=0.7),)
+CUTS_SPLIT = (0.1, 1.0, 3.0, 5.0, 5.5, 6.0)
+
+
+def region_and_basis(pts, cuts, N, config=SMALL):
+    """Kernel, region and constrained basis [a_part | Z] of a standard pair."""
     kernel = WeightKernel(UNIT_DISC, WeightPair.standard(pts))
-    gain = GainFunction.exponential(0.3)
-    specs = _patch_specs(kernel, gain)
-    cuts = np.array([0.0, 1.0, 3.0, 4.0, math.inf])
-    config = QuadratureConfig(angular=64, radial=64, patch_angular=32, patch_radial=32)
-    nodes = build_region(kernel.psi, specs, config, cuts, _patch_radii(kernel.psi, specs, 4.0))
-    assert any(blk.spec.order > 0 and blk.sl.stop > blk.sl.start for blk in nodes.blocks)
-    assert np.unique(nodes.band[:nodes.n_global]).size == nodes.n_bands
-    a_part, Z = constraint_basis(jet_constraints(kernel.w, 16))
-    basis = [a_part] + list(Z.T)
-    got = gram_on_nodes(nodes, kernel, gain, basis)
-    ref = gram_direct(nodes, kernel, gain, basis)
+    specs = _patch_specs(kernel, GAIN)
+    cuts = np.array(cuts)
+    nodes = build_region(kernel.psi, specs, config, cuts,
+                         _patch_radii(kernel.psi, specs, cuts[-2]))
+    a_part, Z = constraint_basis(jet_constraints(kernel.w, N))
+    return kernel, nodes, [a_part] + list(Z.T)
+
+
+def assert_matches_direct(kernel, nodes, basis):
+    got = gram_on_nodes(nodes, kernel, GAIN, basis)
+    ref = gram_direct(nodes, kernel, GAIN, basis)
     ref = 0.5 * (ref + ref.conj().transpose(0, 2, 1))
     for k in range(nodes.n_bands):
         assert np.abs(got[k] - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max()
+
+
+def test_moment_gram_matches_direct_products():
+    # the polar moments of rays from the origin and of patch rings agree with
+    # the direct products B^H W B on a multi-band region whose first patch
+    # deflates the (complex) basis
+    kernel, nodes, basis = region_and_basis(TWO_POINTS, [0.0, 1.0, 3.0, 4.0, math.inf], 16)
+    assert nodes.ray_runs is not None
+    assert any(blk.spec.order > 0 and blk.sl.stop > blk.sl.start for blk in nodes.blocks)
+    assert np.unique(nodes.band[:nodes.n_global]).size == nodes.n_bands
+    assert_matches_direct(kernel, nodes, basis)
+
+
+def test_moment_gram_on_tangency_sub_rays():
+    # several bands of a split level, refined on sub-rays between the base rays
+    kernel, nodes, basis = region_and_basis(SPLIT_POINTS, [*CUTS_SPLIT, math.inf], 16)
+    assert np.unique(nodes.ray_runs[1]).size > SMALL.angular
+    assert_matches_direct(kernel, nodes, basis)
+
+
+def test_moment_gram_far_patch_with_vanishing():
+    # a patch at |c| = 0.57 with nu = 2: the Taylor-shifted basis drops its two
+    # leading local coefficients
+    kernel, nodes, basis = region_and_basis(FAR_POINTS, [0.0, 2.0, math.inf], 24)
+    far = [blk for blk in nodes.blocks if abs(blk.spec.center) > 0.5]
+    assert far[0].spec.order == 2 and far[0].sl.stop > far[0].sl.start
+    assert_matches_direct(kernel, nodes, basis)
+
+
+def test_moment_gram_degree_40():
+    kernel, nodes, basis = region_and_basis(TWO_POINTS, [0.0, 2.0, math.inf], 40)
+    assert len(basis[0]) == 41
+    assert_matches_direct(kernel, nodes, basis)
+
+
+def test_moment_gram_one_pole_takes_direct_path():
+    # rays cast from a pole off the origin keep the monomial moments of zeta
+    kernel, nodes, basis = region_and_basis(ONE_POINT, [0.2, 1.5, math.inf], 16)
+    assert nodes.ray_runs is None and nodes.n_global > 0
+    assert_matches_direct(kernel, nodes, basis)
+
+
+@pytest.mark.parametrize("pts", [ONE_POINT, TWO_POINTS], ids=["one-pole", "two-pole"])
+def test_moment_gram_of_emptied_patch_blocks(pts):
+    # no node lies in {psi < -200}: every patch block is emptied by the band
+    # filter and the Gram is zero
+    kernel, nodes, basis = region_and_basis(pts, [200.0, math.inf], 8)
+    assert nodes.zeta.size == 0 and nodes.blocks
+    assert not np.any(gram_on_nodes(nodes, kernel, GAIN, basis))
+
+
+def test_ray_runs_skip_wholly_masked_pieces():
+    # a patch of radius 0.9 at the origin masks all of the inner level
+    # {|z| < e^-1} on the global rays: those runs keep no node and are left
+    # out of the run table, which then starts strictly increasing runs only
+    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(
+        (MarkedPoint(0.0, green_weight=1.0, jet_order=0, jet_coeff=1.0),)))
+    specs = _patch_specs(kernel, GAIN)
+    nodes = build_region(kernel.psi, specs, SMALL, np.array([0.5, 2.0, math.inf]),
+                         [(0.9, False)])
+    starts = nodes.ray_runs[0]
+    assert np.all(nodes.band[:nodes.n_global] == 0)
+    assert np.all(np.diff(starts) > 0) and starts[-1] < nodes.n_global
+    a_part, Z = constraint_basis(jet_constraints(kernel.w, 8))
+    assert_matches_direct(kernel, nodes, [a_part] + list(Z.T))
+
+
+@pytest.mark.parametrize("pts", [ONE_POINT, FAR_POINTS, SPLIT_POINTS],
+                         ids=["one-pole", "far-patch", "split"])
+def test_moment_gram_runs_straddle_chunks(pts, monkeypatch):
+    # a small odd chunk cuts ray and ring runs at every few nodes; a run's
+    # pieces in successive chunks add up to the whole run
+    monkeypatch.setattr(quadrature, "_GRAM_CHUNK", 7)
+    config = QuadratureConfig(angular=16, radial=40, patch_angular=8, patch_radial=8)
+    kernel, nodes, basis = region_and_basis(pts, [*CUTS_SPLIT[:3], math.inf], 12, config)
+    runs = [blk.ring_runs[0] for blk in nodes.blocks]
+    if nodes.ray_runs is not None:
+        runs.append(nodes.ray_runs[0])
+    assert any(np.any(np.diff(r) > 7) for r in runs)
+    assert_matches_direct(kernel, nodes, basis)
+
+
+def direct_values(zeta, P):
+    """Values of the columns of P at zeta by Horner's rule in extended precision."""
+    z = zeta.astype(np.clongdouble)
+    out = np.zeros((P.shape[1], z.size), dtype=np.clongdouble)
+    for row in P[::-1].astype(np.clongdouble):
+        out = out * z + row[:, None]
+    return out
+
+
+@pytest.mark.parametrize("N", [24, 64])
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_taylor_shift_matches_direct_values(seed, N):
+    # the shifted constrained basis [a_part | Z], evaluated in x = zeta - c on
+    # every 11th node of the patch rings, against the basis evaluated at zeta
+    p = random_concavity_problem(seed)
+    kernel = WeightKernel(p.domain, p.weights)
+    specs = _patch_specs(kernel, p.gain)
+    nodes = build_region(kernel.psi, specs, QuadratureConfig(), np.array([0.0, math.inf]),
+                         _patch_radii(kernel.psi, specs, 0.0))
+    a_part, Z = constraint_basis(jet_constraints(p.weights, N, p.domain))
+    P = np.column_stack([a_part, Z])
+    for blk in nodes.blocks:
+        c = blk.spec.center
+        assert abs(c) <= 0.6
+        z = nodes.zeta[blk.sl][::11]
+        want = direct_values(z, P)
+        got = np.polynomial.polynomial.polyval(z - c, _taylor_shift(P, c))
+        err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert err.max() <= 1e-13

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import jetmin.weights
 from jetmin.errors import BadInputError
-from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
+from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint, green_disc_raw
 from jetmin.weights import (
     PhiSpec,
     PsiSpec,
@@ -213,3 +214,31 @@ def test_kernel_singular_centers_zero_jet():
     k = WeightKernel(UNIT_DISC, w)
     (zeta, p, m, nu), = k.singular_centers()
     assert nu == 2  # zero target coefficient forces one extra order
+
+
+@pytest.mark.parametrize("dom", [UNIT_DISC, DomainSpec.moebius(2.0, 0.3, 0.1, 1.2)],
+                         ids=["disc", "moebius"])
+def test_shared_kernel_evaluation_is_bitwise(dom, monkeypatch):
+    # psi and phi + psi share the Green terms of their common centers: the
+    # shared evaluator gives the bits of each alone and evaluates every
+    # distinct center once, with extra psi mass on a marked point and off
+    # them, and a divisor zero off the marked points
+    z1, z2, z3, z4 = (complex(dom.forward(v)) for v in (0.2, -0.3 + 0.1j, 0.1 - 0.5j, 0.6j))
+    marked = (MarkedPoint(z1, green_weight=1.0, jet_order=1, jet_coeff=1.0),
+              MarkedPoint(z2, green_weight=1.5, jet_order=0, jet_coeff=0.5))
+    w = WeightPair.standard(marked, zeros=((z1, 2), (z2, 1), (z3, 1)), leading=0.7,
+                            u_coeffs=(0.1, 0.2j), bump=0.3, extra_psi=((z2, 0.4), (z4, 0.5)))
+    kernel = WeightKernel(dom, w)
+    r, a = np.meshgrid(np.linspace(0.0, 0.95, 23), np.linspace(0.0, 2 * math.pi, 31))
+    zeta = (r * np.exp(1j * a)).ravel()
+    calls = []
+
+    def counted(z, z0):
+        calls.append(z0)
+        return green_disc_raw(z, z0)
+
+    monkeypatch.setattr(jetmin.weights, "green_disc_raw", counted)
+    psi, phi_plus_psi = kernel.psi_and_phi_plus_psi(zeta)
+    assert len(calls) == 4
+    assert np.array_equal(psi, kernel.psi(zeta))
+    assert np.array_equal(phi_plus_psi, kernel.phi_plus_psi(zeta))
