@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BadInputError, NumericalError
 from .forms import TruncatedForm
 from .gain import GainFunction, eval_h, invert_h
-from .geometry import blaschke_deriv, blaschke_factor, green_disc_raw
+from .geometry import blaschke_deriv, blaschke_factor
 from .problems import Problem
 from .quadrature import PatchSpec, QuadratureConfig, assembled_integral
 from .series import (
@@ -25,7 +25,7 @@ from .series import (
     ppow,
 )
 from .solver import extension_bound, minimal_integral, minimal_integrals
-from .weights import PsiSpec
+from .weights import WeightKernel
 
 
 @dataclass(frozen=True)
@@ -332,60 +332,48 @@ def suita_compare(problem: Problem) -> SuitaReport:
     )
 
 
-def lemma_integrals(psi: PsiSpec, beta_max: int, mesh: QuadratureConfig | None = None):
+def lemma_integrals(kernel: WeightKernel, beta_max: int, mesh: QuadratureConfig | None = None):
     """(mass of dd^c e^psi, squared norm of d e^psi, pairings of d e^psi with
-    conj(zeta)^d for d = 0, ..., beta_max), on one region per mesh level.
+    conj(zeta)^d for d = 0, ..., beta_max) in the disc coordinates of the
+    kernel's domain, from one region and one integrand pass per node chunk.
 
-    Uses the closed-form density e^psi |sum p_j b_j'/b_j|^2, which is
-    continuous when every p_j > 2.
+    psi is ``kernel.psi``; the density e^psi |sum p_j b_j'/b_j|^2, with the
+    Green terms merged per center, is continuous when every center's p_j > 2.
+    The identities have exact targets, so no half-resolution mesh is built.
     """
-    terms = [(complex(loc), coeff / 2.0) for loc, coeff in psi.all_terms()]
-    for _, p in terms:
+    # divisor zeros off psi's centers carry p = 0; the density has no phi
+    centers = [(zeta, p) for zeta, p, _m, _nu in kernel.singular_centers() if p > 0]
+    for _, p in centers:
         if p <= 2.0:
             raise BadInputError(
                 f"the mass/orthogonality identities need every p > 2, got {p}"
             )
 
-    def psi_fn(z):
-        acc = np.zeros(np.shape(z), dtype=float)
-        for loc, p in terms:
-            acc = acc + 2.0 * p * green_disc_raw(z, loc)
-        return acc
+    def integrand(z):
+        psi = kernel.psi(z)
+        s = sum(p * blaschke_deriv(loc, z) / blaschke_factor(loc, z) for loc, p in centers)
+        e_psi = 2.0 * np.exp(psi)
+        rows = [e_psi * np.abs(s) ** 2, 2.0 * np.exp(2.0 * psi) * np.abs(s) ** 2]
+        rows += [e_psi * s * np.conj(z) ** d for d in range(beta_max + 1)]
+        return np.array(rows)
 
-    def log_density(z):
-        s = np.zeros(np.shape(z), dtype=complex)
-        for loc, p in terms:
-            s = s + p * blaschke_deriv(loc, z) / blaschke_factor(loc, z)
-        return psi_fn(z), s
-
-    def mass(z):
-        psi_v, s = log_density(z)
-        return 2.0 * np.exp(psi_v) * np.abs(s) ** 2
-
-    def norm_sq(z):
-        psi_v, s = log_density(z)
-        return 2.0 * np.exp(2.0 * psi_v) * np.abs(s) ** 2
-
-    def pairing(z, degree):
-        psi_v, s = log_density(z)
-        return 2.0 * np.exp(psi_v) * s * np.conj(z) ** degree
-
-    patches = [PatchSpec(center=loc, order=0, exponent=2 * p - 2) for loc, p in terms]
-    fns = [mass, norm_sq] + [lambda z, d=d: pairing(z, d) for d in range(beta_max + 1)]
-    val, _err, degen = assembled_integral(psi_fn, fns, patches, mesh or QuadratureConfig())
+    patches = [PatchSpec(center=zeta, order=0, exponent=2 * p - 2) for zeta, p in centers]
+    one_level = replace(mesh or QuadratureConfig(), levels=1)
+    val, _err, degen = assembled_integral(kernel.psi, integrand, patches, one_level)
     if degen[0]:
         raise NumericalError("lemma quadrature found no region nodes")
     return float(val[0, 0].real), float(val[0, 1].real), tuple(val[0, 2:])
 
 
-def verify_mass(psi: PsiSpec, mesh: QuadratureConfig | None = None, integrals=None) -> float:
+def verify_mass(kernel: WeightKernel, mesh: QuadratureConfig | None = None,
+                integrals=None) -> float:
     """Total mass of dd^c e^psi over the disc; equals 2 pi sum p_j exactly.
     ``integrals`` from lemma_integrals lets several checks share a region."""
-    return (integrals or lemma_integrals(psi, -1, mesh))[0]
+    return (integrals or lemma_integrals(kernel, -1, mesh))[0]
 
 
 def verify_orthogonality(
-    psi: PsiSpec, beta_degree: int, mesh: QuadratureConfig | None = None, integrals=None
+    kernel: WeightKernel, beta_degree: int, mesh: QuadratureConfig | None = None, integrals=None
 ) -> float:
     """|integral of d e^psi wedge conj(beta)| over the disc, relative to the
     product of norms; the identity says the integral vanishes exactly.
@@ -393,7 +381,11 @@ def verify_orthogonality(
     several checks share a region."""
     if beta_degree < 0:
         raise BadInputError("beta degree must be >= 0")
-    _mass, nsq, pairings = integrals or lemma_integrals(psi, beta_degree, mesh)
+    _mass, nsq, pairings = integrals or lemma_integrals(kernel, beta_degree, mesh)
+    if beta_degree >= len(pairings):
+        raise BadInputError(
+            f"the shared integrals reach beta degree {len(pairings) - 1}, not {beta_degree}"
+        )
     beta_norm = math.sqrt(2 * math.pi / (beta_degree + 1))
     scale = math.sqrt(max(nsq, 0.0)) * beta_norm
     if scale == 0:
@@ -431,7 +423,8 @@ def linear_restriction_identity(
         a_fn,
         res.extremal,
         band=(t1, t2),
-        mesh=problem.numerics.mesh,
+        # the error estimate is not used, so the half-resolution mesh is not built
+        mesh=replace(problem.numerics.mesh, levels=1),
     )
     rhs = res.value / eval_h(problem.gain, t1) * (eval_h(a_fn, t2) - eval_h(a_fn, t1))
     return float(lhs), float(rhs)

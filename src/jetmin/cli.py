@@ -21,6 +21,7 @@ from .problems import (
     problem_to_dict,
     two_point_problem,
 )
+from .weights import WeightKernel
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
@@ -266,15 +267,15 @@ def cmd_verify_lemmas(args) -> int:
         if not (math.isfinite(tol) and tol >= 0):
             raise BadInputError(f"{flag} must be finite and >= 0, got {tol}")
     p = load_problem(args.problem)
-    psi = p.weights.psi
-    expected = 2 * math.pi * sum(c / 2.0 for _, c in psi.all_terms())
-    integrals = lemma_integrals(psi, args.beta_max, p.numerics.mesh)
-    mass = verify_mass(psi, integrals=integrals)
+    kernel = WeightKernel(p.domain, p.weights)
+    expected = 2 * math.pi * sum(c / 2.0 for _, c in p.weights.psi.all_terms())
+    integrals = lemma_integrals(kernel, args.beta_max, p.numerics.mesh)
+    mass = verify_mass(kernel, integrals=integrals)
     mass_rel = abs(mass - expected) / expected
     orth = [
         {
             "beta_degree": d,
-            "residual": verify_orthogonality(psi, d, integrals=integrals),
+            "residual": verify_orthogonality(kernel, d, integrals=integrals),
             "tolerance": args.orth_tol,
         }
         for d in range(args.beta_max + 1)

@@ -415,7 +415,7 @@ def _patch_nodes(spec, radius, config):
     ring = np.exp(1j * phi)
     zeta = (spec.center + rho[:, None] * ring[None, :]).ravel()
     wgt = (w_rho[:, None] * np.full((1, n_ang), 2 * math.pi / n_ang)).ravel()
-    chi = _chi(np.abs(rho[:, None] * np.ones((1, n_ang))).ravel(), radius)
+    chi = np.repeat(_chi(rho, radius), n_ang)  # one blend value per ring
     return zeta, wgt * chi, rho
 
 
@@ -678,15 +678,16 @@ def gram_on_nodes(nodes, kernel, gain, basis):
 
 
 def integral_on_nodes(nodes, fn):
-    """Sums of fn over the nodes with area weights, one per band; fn supplies
-    the full integrand apart from the polar Jacobian and blending masks."""
-    total = np.zeros(nodes.n_bands, dtype=complex)
+    """Sums of the rows of fn over the nodes with area weights, an array
+    [band, row]; fn(zeta) returns the rows [row, node] of the full integrand
+    apart from the polar Jacobian and blending masks."""
     z = nodes.zeta
     w = nodes.area_w
+    total = np.zeros((nodes.n_bands, len(fn(z[:0]))), dtype=complex)
     for i0 in range(0, z.size, _CHUNK):
         vals = w[i0:i0 + _CHUNK] * fn(z[i0:i0 + _CHUNK])
         for k, s, e in _band_runs(nodes.band[i0:i0 + _CHUNK]):
-            total[k] += complex(np.sum(vals[s:e]))
+            total[k] += vals[:, s:e].sum(axis=1)
     return total
 
 
@@ -741,9 +742,10 @@ def assembled_gram(kernel, gain, basis, patches, config, *, ts=(0.0,), band=None
                       patches, config, ts, band)
 
 
-def assembled_integral(psi_fn, fns, patches, config, *, ts=(0.0,), band=None):
-    """Two-level scalar integrals of each of fns, on one region per mesh level:
-    arrays (value [level, fn], err, degenerate), err the largest over fns."""
-    return _two_level(psi_fn,
-                      lambda nodes: np.stack([integral_on_nodes(nodes, fn) for fn in fns], axis=1),
-                      patches, config, ts, band)
+def assembled_integral(psi_fn, fn, patches, config, *, ts=(0.0,)):
+    """Integrals of the rows of fn over the sublevel sets {psi < -t}, t in
+    ``ts``, on one region per mesh level: arrays (value [level, row], err,
+    degenerate), err the largest over the rows (zero when config.levels is
+    1).  One pass of fn per node chunk serves every row."""
+    return _two_level(psi_fn, lambda nodes: integral_on_nodes(nodes, fn),
+                      patches, config, ts, None)

@@ -28,7 +28,7 @@ from jetmin.problems import (
     two_point_problem,
 )
 from jetmin.solver import extension_bound, kkt_minimize, minimal_integral
-from jetmin.weights import WeightPair
+from jetmin.weights import WeightKernel, WeightPair
 from oracles import oracle_minimize
 
 SWEEP = np.linspace(-1.0, 1.0, 41)
@@ -176,26 +176,27 @@ def test_criterion_06_bump_nonlinearity():
 def test_criterion_07_lemma_identities():
     start = time.perf_counter()
     configs = [
-        WeightPair.standard((MarkedPoint(0.2 + 0.0j, green_weight=3.0),)).psi,
+        WeightPair.standard((MarkedPoint(0.2 + 0.0j, green_weight=3.0),)),
         WeightPair.standard(
             (
                 MarkedPoint(0.2 + 0.0j, green_weight=3.0),
                 MarkedPoint(-0.3 + 0.1j, green_weight=3.0),
             )
-        ).psi,
+        ),
         WeightPair.standard(
             (
                 MarkedPoint(0.1 - 0.2j, green_weight=2.5),
                 MarkedPoint(0.35 + 0.0j, green_weight=4.5),
             )
-        ).psi,
+        ),
     ]
     worst_mass = worst_orth = 0.0
-    for psi in configs:
-        expected = 2 * math.pi * sum(c / 2 for _, c in psi.all_terms())
-        worst_mass = max(worst_mass, abs(verify_mass(psi) - expected) / expected)
+    for w in configs:
+        kernel = WeightKernel(UNIT_DISC, w)
+        expected = 2 * math.pi * sum(c / 2 for _, c in w.psi.all_terms())
+        worst_mass = max(worst_mass, abs(verify_mass(kernel) - expected) / expected)
         for deg in range(4):
-            worst_orth = max(worst_orth, verify_orthogonality(psi, deg))
+            worst_orth = max(worst_orth, verify_orthogonality(kernel, deg))
     elapsed = time.perf_counter() - start
     ok = worst_mass <= 1e-3 and worst_orth <= 1e-6 and elapsed < 60.0
     report(

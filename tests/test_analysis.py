@@ -8,6 +8,7 @@ import pytest
 from jetmin.analysis import (
     criterion_check,
     extremal_candidate,
+    lemma_integrals,
     linear_restriction_identity,
     scan_G,
     strictness_experiment,
@@ -30,7 +31,7 @@ from jetmin.problems import (
     two_point_problem,
 )
 from jetmin.solver import minimal_integral
-from jetmin.weights import PsiSpec, WeightPair
+from jetmin.weights import WeightKernel, WeightPair
 
 
 def offcenter_problem():
@@ -274,33 +275,47 @@ def test_suita_single_point_cases():
 
 # -- mass and orthogonality identities ---------------------------------------
 
+def lemma_kernel(*points):
+    """Unit-disc kernel with a marked point of Green weight p per (location, p)."""
+    marked = tuple(MarkedPoint(loc, green_weight=p) for loc, p in points)
+    return WeightKernel(UNIT_DISC, WeightPair.standard(marked))
+
+
 def test_mass_identity_three_configs():
     configs = [
-        PsiSpec(green_terms=((0.2 + 0j, 6.0),)),
-        PsiSpec(green_terms=((0.2 + 0j, 6.0), (-0.3 + 0.1j, 6.0))),
-        PsiSpec(green_terms=((0.1 - 0.2j, 5.0), (0.35 + 0j, 9.0))),
+        lemma_kernel((0.2 + 0j, 3.0)),
+        lemma_kernel((0.2 + 0j, 3.0), (-0.3 + 0.1j, 3.0)),
+        lemma_kernel((0.1 - 0.2j, 2.5), (0.35 + 0j, 4.5)),
     ]
-    for psi in configs:
-        total_p = sum(c / 2 for _, c in psi.green_terms)
-        got = verify_mass(psi)
+    for kernel in configs:
+        total_p = sum(c / 2 for _, c in kernel.green)
+        got = verify_mass(kernel)
         assert abs(got - 2 * math.pi * total_p) <= 1e-3 * 2 * math.pi * total_p
 
 
 def test_mass_identity_needs_p_above_two():
     with pytest.raises(BadInputError):
-        verify_mass(PsiSpec(green_terms=((0.2 + 0j, 4.0),)))
+        verify_mass(lemma_kernel((0.2 + 0j, 2.0)))
     with pytest.raises(BadInputError):
-        verify_mass(PsiSpec(green_terms=((0.2 + 0j, 3.0),)))
+        verify_mass(lemma_kernel((0.2 + 0j, 1.5)))
 
 
 def test_orthogonality_identity():
-    psi = PsiSpec(green_terms=((0.25 + 0j, 6.0),))
+    kernel = lemma_kernel((0.25 + 0j, 3.0))
     for deg in range(4):
-        assert verify_orthogonality(psi, deg) <= 1e-6
-    two = PsiSpec(green_terms=((0.2 + 0j, 6.0), (-0.3 + 0.1j, 6.0)))
+        assert verify_orthogonality(kernel, deg) <= 1e-6
+    two = lemma_kernel((0.2 + 0j, 3.0), (-0.3 + 0.1j, 3.0))
     assert verify_orthogonality(two, 1) <= 1e-6
     with pytest.raises(BadInputError):
-        verify_orthogonality(psi, -1)
+        verify_orthogonality(kernel, -1)
+
+
+def test_orthogonality_rejects_short_shared_integrals():
+    kernel = lemma_kernel((0.25 + 0j, 3.0))
+    integrals = lemma_integrals(kernel, 1)
+    assert verify_orthogonality(kernel, 1, integrals=integrals) <= 1e-6
+    with pytest.raises(BadInputError, match="beta degree 1"):
+        verify_orthogonality(kernel, 2, integrals=integrals)
 
 
 # -- band restriction identity -----------------------------------------------

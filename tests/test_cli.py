@@ -320,7 +320,7 @@ def test_verify_lemmas_rejects_bad_tolerances(tmp_path, capsys, monkeypatch, fla
     assert flag in captured.err
 
 
-def test_verify_lemmas_builds_one_region_per_mesh_level(tmp_path, capsys, monkeypatch):
+def test_verify_lemmas_builds_one_region(tmp_path, capsys, monkeypatch):
     from jetmin import quadrature
 
     calls = []
@@ -337,6 +337,56 @@ def test_verify_lemmas_builds_one_region_per_mesh_level(tmp_path, capsys, monkey
     path = tmp_path / "mass.json"
     save_problem(p, path)
     assert cli.main(["verify-lemmas", str(path), "--beta-max", "3"]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     rep = json.loads(capsys.readouterr().out)["report"]
     assert [o["beta_degree"] for o in rep["orthogonality"]] == [0, 1, 2, 3]
+
+
+def lemma_problem(points, T=None, psi_extra=()):
+    """Problem dict with a marked point of Green weight p per (disc point,
+    p), moved by the Moebius map T = (a, b, c, d) with coord_scale 1/T'."""
+    def pair(z):
+        return [complex(z).real, complex(z).imag]
+
+    dom = {"kind": "unit_disc"}
+    if T is not None:
+        dom = {"kind": "moebius_image", "map_coeffs": [pair(v) for v in T]}
+    marked = []
+    for zeta, p in points:
+        loc, scale = zeta, 1.0
+        if T is not None:
+            a, b, c, d = T
+            loc, scale = (a * zeta + b) / (c * zeta + d), (c * zeta + d) ** 2 / (a * d - b * c)
+        marked.append({"location": pair(loc), "green_weight": p, "coord_scale": pair(scale)})
+    return {"domain": dom, "marked": marked, "psi_extra": [[pair(z), c] for z, c in psi_extra]}
+
+
+def verify_lemmas_report(tmp_path, capsys, problem):
+    path = tmp_path / "lemmas.json"
+    save_problem(problem_from_dict(problem), path)
+    assert cli.main(["verify-lemmas", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)["report"]
+
+
+@pytest.mark.parametrize("points,T", [
+    (((0.2 + 0j, 3.0), (-0.3 + 0.1j, 3.0)), (0.9, 0.5 + 0.2j, 0.3, 1.0)),
+    # the first point lands at |z| = 1.57, outside the unit disc
+    (((0.785 + 0j, 3.0), (-0.2 + 0.1j, 2.5)), (2.0, 0.0, 0.0, 1.0)),
+])
+def test_verify_lemmas_works_in_disc_coordinates(tmp_path, capsys, points, T):
+    disc = verify_lemmas_report(tmp_path, capsys, lemma_problem(points))
+    moved = verify_lemmas_report(tmp_path, capsys, lemma_problem(points, T))
+    assert moved["passed"] is True
+    assert moved["mass"]["expected"] == disc["mass"]["expected"]
+    assert abs(moved["mass"]["value"] - disc["mass"]["value"]) <= 1e-12 * disc["mass"]["value"]
+    for o_moved, o_disc in zip(moved["orthogonality"], disc["orthogonality"]):
+        assert abs(o_moved["residual"] - o_disc["residual"]) <= 1e-12
+
+
+def test_verify_lemmas_merges_extra_psi_mass_at_a_marked_point(tmp_path, capsys):
+    extra = verify_lemmas_report(
+        tmp_path, capsys, lemma_problem(((0.2 + 0j, 3.0),), psi_extra=((0.2 + 0j, 1.0),)))
+    merged = verify_lemmas_report(tmp_path, capsys, lemma_problem(((0.2 + 0j, 3.5),)))
+    assert extra["passed"] is True
+    assert extra["mass"]["expected"] == pytest.approx(2 * math.pi * 3.5, rel=1e-15)
+    assert abs(extra["mass"]["value"] - merged["mass"]["value"]) <= 1e-12 * merged["mass"]["value"]
