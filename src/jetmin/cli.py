@@ -8,8 +8,10 @@ statements are proved), 4 bad input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
+from dataclasses import asdict, fields, is_dataclass, replace
 
 from .analysis import lemma_integrals, scan_G, suita_compare, verify_mass, verify_orthogonality
 from .errors import BadInputError, NumericalError, TheoremViolationError
@@ -57,18 +59,6 @@ def _plain(x: float) -> str:
     return s.rstrip("0").rstrip(".") if "." in s else s
 
 
-def _safe_float(x):
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
-def _safe_complex(z):
-    z = complex(z)
-    if math.isfinite(z.real) and math.isfinite(z.imag):
-        return [z.real, z.imag]
-    return None
-
-
 def _emit(text: str, path) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -78,19 +68,33 @@ def _emit(text: str, path) -> None:
 
 
 def _criterion_dict(crit) -> dict:
-    return {
-        "psi_pure": crit.psi_pure,
-        "harmonic_structure": crit.harmonic_structure,
-        "characters_trivial": crit.characters_trivial,
-        "ratios_constant": crit.ratios_constant,
-        "all_hold": crit.all_hold,
-        "witnesses": [_safe_complex(w) for w in crit.witnesses],
-        "witnesses_alt": [_safe_complex(w) for w in crit.witnesses_alt],
-        "spread": _safe_float(crit.spread),
-        "spread_alt": _safe_float(crit.spread_alt),
-        "c0": _safe_complex(crit.c0),
-        "notes": list(crit.notes),
-    }
+    """A criterion report as JSON, plus ``all_hold``: non-finite floats and
+    complex values become null."""
+    d = {k: _null_non_finite(v) for k, v in asdict(crit).items()}
+    d["all_hold"] = crit.all_hold
+    return d
+
+
+def _null_non_finite(v):
+    """Report values as JSON values: complex as [re, im], tuples as lists, and
+    non-finite floats and complex values as null."""
+    if isinstance(v, (list, tuple)):
+        return [_null_non_finite(x) for x in v]
+    if isinstance(v, complex):
+        return [v.real, v.imag] if cmath.isfinite(v) else None
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    return v
+
+
+def _report_dict(rep) -> dict:
+    """A report's fields by name; a nested criterion report goes through
+    _criterion_dict."""
+    out = {}
+    for f in fields(rep):
+        v = getattr(rep, f.name)
+        out[f.name] = _criterion_dict(v) if is_dataclass(v) else v
+    return out
 
 
 # -- commands ----------------------------------------------------------------
@@ -109,24 +113,10 @@ def cmd_capacity(args) -> int:
 
 def cmd_scan(args) -> int:
     p = load_problem(args.problem)
-    rep = scan_G(p, r_count=args.r_count)
-    payload = {
-        "command": "scan",
-        "problem": problem_to_dict(p),
-        "report": {
-            "r_grid": list(rep.r_grid),
-            "t_grid": list(rep.t_grid),
-            "g_values": list(rep.g_values),
-            "second_differences": list(rep.second_differences),
-            "max_violation": rep.max_violation,
-            "violation_threshold": rep.violation_threshold,
-            "is_linear": rep.is_linear,
-            "slope": rep.slope,
-            "intercept": rep.intercept,
-            "residual": rep.residual,
-            "max_quad_error": rep.max_quad_error,
-        },
-    }
+    if args.r_count is not None:
+        p = replace(p, numerics=replace(p.numerics, r_count=args.r_count))
+    rep = scan_G(p)
+    payload = {"command": "scan", "problem": problem_to_dict(p), "report": _report_dict(rep)}
     _emit(dump_json(payload), args.out_json)
     if args.out_csv:
         _write_scan_csv(rep, args.out_csv)
@@ -167,19 +157,7 @@ def _write_plot_data(rep, prefix) -> None:
 def cmd_suita(args) -> int:
     p = load_problem(args.problem)
     rep = suita_compare(p)
-    payload = {
-        "command": "suita",
-        "problem": problem_to_dict(p),
-        "report": {
-            "bound": rep.bound,
-            "c_omega_f": rep.c_omega_f,
-            "gap": rep.gap,
-            "equality": rep.equality,
-            "equality_tolerance": rep.equality_tolerance,
-            "quad_error": rep.quad_error,
-            "criterion": _criterion_dict(rep.criterion),
-        },
-    }
+    payload = {"command": "suita", "problem": problem_to_dict(p), "report": _report_dict(rep)}
     _emit(dump_json(payload), args.out_json)
     if rep.gap < -rep.equality_tolerance:
         raise TheoremViolationError(
@@ -216,7 +194,7 @@ def _appendix_case(a: float, label: str) -> dict:
         "gap_computed": rep.gap,
         "gap_target": gap_target,
         "criterion_flags": list(rep.criterion.flags),
-        "witnesses": [_safe_complex(w) for w in rep.criterion.witnesses],
+        "witnesses": _null_non_finite(rep.criterion.witnesses),
         "equality": rep.equality,
         "checks_passed": all(checks),
     }

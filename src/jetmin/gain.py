@@ -24,7 +24,7 @@ _CLASS_P_GRID = 1000
 
 @dataclass(frozen=True)
 class GainFunction:
-    kind: str  # "constant" | "exponential" | "tabulated"
+    kind: str = "constant"  # "constant" | "exponential" | "tabulated"
     value: float = 1.0
     rate: float = 0.0
     grid_t: tuple[float, ...] = field(default=())

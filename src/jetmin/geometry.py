@@ -121,8 +121,8 @@ class MarkedPoint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "location", _require_finite(self.location, "location"))
-        object.__setattr__(self, "jet_coeff", complex(self.jet_coeff))
-        object.__setattr__(self, "coord_scale", complex(self.coord_scale))
+        object.__setattr__(self, "jet_coeff", _require_finite(self.jet_coeff, "jet_coeff"))
+        object.__setattr__(self, "coord_scale", _require_finite(self.coord_scale, "coord_scale"))
         if not (self.green_weight > 0 and math.isfinite(self.green_weight)):
             raise BadInputError(f"green_weight must be > 0, got {self.green_weight}")
         if not (isinstance(self.jet_order, (int, np.integer)) and self.jet_order >= 0):

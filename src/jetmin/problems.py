@@ -1,14 +1,26 @@
 """Problem files: domain + weights + gain + numerics, with a deterministic
 JSON round trip and the stock configurations used by the test suite and CLI.
 
+The dataclasses are the file format.  The reader takes the ``marked``,
+``phi``, ``numerics`` and ``mesh`` blocks field by field, parsing each value
+by its field's annotated type and passing only the keys the file holds, so
+every default is the dataclass's own; weights always go through
+``WeightPair.standard``.  A gain block takes only the keys its kind reads.
+The writer emits those blocks from ``dataclasses.asdict`` with complex values
+as ``[re, im]``.
+
 Floats are emitted with 17 significant digits and sorted keys, so identical
-problems produce byte-identical files and reports.
+problems produce byte-identical files and reports.  -0.0 is written as -0
+and read back as -0.0, so a saved file survives a load and a second save
+byte for byte.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -81,17 +93,28 @@ def _c_in(v, what: str = "complex value") -> complex:
     return complex(v)
 
 
-def _list_in(v, what: str) -> list:
-    if not isinstance(v, list):
-        raise BadInputError(f"{what} must be a JSON list, got {v!r}")
+def _str_in(v, what: str) -> str:
+    if not isinstance(v, str):
+        raise BadInputError(f"{what} must be a string, got {v!r}")
     return v
 
 
-def _pairs_in(v, what: str) -> list:
-    """A JSON list of two-entry lists."""
-    for item in _list_in(v, what):
-        if not (isinstance(item, list) and len(item) == 2):
-            raise BadInputError(f"{what} entries must be pairs, got {item!r}")
+_SCALAR_IN = {int: _int_in, float: _float_in, complex: _c_in, str: _str_in}
+
+# The GainFunction fields each gain kind reads; a gain block takes only these.
+_GAIN_FIELDS = {"constant": ("value",), "exponential": ("rate",),
+                "tabulated": ("grid_t", "grid_c")}
+
+
+@cache
+def _field_types(cls) -> dict:
+    """Field name -> resolved annotated type of a dataclass."""
+    return get_type_hints(cls)
+
+
+def _list_in(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise BadInputError(f"{what} must be a JSON list, got {v!r}")
     return v
 
 
@@ -103,146 +126,94 @@ def _require_keys(d, allowed: set, what: str) -> None:
         raise BadInputError(f"unknown {what} keys: {sorted(extra)}")
 
 
+def _json_out(v):
+    """Dataclass field values as JSON values: complex as [re, im], tuples as lists."""
+    if isinstance(v, complex):
+        return _c_out(v)
+    if isinstance(v, dict):
+        return {k: _json_out(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_out(x) for x in v]
+    return v
+
+
+def _value_in(tp, v, what: str):
+    """A JSON value parsed by the annotated type of the field it fills."""
+    if is_dataclass(tp):
+        return tp(**_fields_in(tp, v, what))
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            return tuple(_value_in(args[0], x, what) for x in _list_in(v, what))
+        if not (isinstance(v, list) and len(v) == len(args)):
+            raise BadInputError(f"{what}: expected a list of {len(args)} entries, got {v!r}")
+        return tuple(_value_in(t, x, what) for t, x in zip(args, v))
+    return _SCALAR_IN[tp](v, what)
+
+
+def _fields_in(cls, d, what: str, names=None) -> dict:
+    """Constructor arguments of dataclass ``cls`` from the keys the JSON object
+    ``d`` holds, each parsed by its field's type; an absent key keeps the
+    dataclass's default.  ``names`` narrows the accepted keys."""
+    types = _field_types(cls)
+    _require_keys(d, set(types if names is None else names), what)
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in d:
+            raise BadInputError(f"{what} needs a {f.name}")
+    return {k: _value_in(types[k], v, f"{what} {k}") for k, v in d.items()}
+
+
 def problem_to_dict(p: Problem) -> dict:
     """Canonical dict form with every default written out."""
     dom: dict = {"kind": p.domain.kind}
     if p.domain.kind != "unit_disc":
-        dom["map_coeffs"] = [_c_out(w) for w in p.domain.map_coeffs]
-    gain: dict = {"kind": p.gain.kind}
-    if p.gain.kind == "constant":
-        gain["value"] = p.gain.value
-    elif p.gain.kind == "exponential":
-        gain["rate"] = p.gain.rate
-    else:
-        gain["grid_t"] = list(p.gain.grid_t)
-        gain["grid_c"] = list(p.gain.grid_c)
-    w = p.weights
+        dom["map_coeffs"] = _json_out(p.domain.map_coeffs)
+    gain = {"kind": p.gain.kind}
+    gain.update({k: _json_out(getattr(p.gain, k)) for k in _GAIN_FIELDS[p.gain.kind]})
+    w = _json_out(asdict(p.weights))
     return {
         "domain": dom,
-        "marked": [
-            {
-                "location": _c_out(pt.location),
-                "green_weight": pt.green_weight,
-                "jet_order": pt.jet_order,
-                "jet_coeff": _c_out(pt.jet_coeff),
-                "coord_scale": _c_out(pt.coord_scale),
-            }
-            for pt in w.marked
-        ],
-        "psi_extra": [[_c_out(loc), coeff] for loc, coeff in w.psi.extra_terms],
-        "phi": {
-            "zeros": [[_c_out(loc), m] for loc, m in w.phi.zeros],
-            "leading": _c_out(w.phi.leading),
-            "u_coeffs": [_c_out(c) for c in w.phi.u_coeffs],
-            "bump": w.phi.bump,
-        },
+        "marked": w["marked"],
+        "psi_extra": w["psi"]["extra_terms"],
+        "phi": w["phi"],
         "gain": gain,
-        "numerics": {
-            "N": p.numerics.N,
-            "r_count": p.numerics.r_count,
-            "tolerance": p.numerics.tolerance,
-            "mesh": {
-                "angular": p.numerics.mesh.angular,
-                "radial": p.numerics.mesh.radial,
-                "patch_angular": p.numerics.mesh.patch_angular,
-                "patch_radial": p.numerics.mesh.patch_radial,
-                "levels": p.numerics.mesh.levels,
-            },
-        },
+        "numerics": _json_out(asdict(p.numerics)),
     }
 
 
 def problem_from_dict(d: dict) -> Problem:
-    """Build and fully validate a problem; rejects unknown keys."""
+    """Build and fully validate a problem; rejects unknown keys.
+
+    Each block is read by the fields of its dataclass, so a key the file
+    leaves out takes that dataclass's default."""
     if not isinstance(d, dict):
         raise BadInputError("problem file must contain a JSON object")
     _require_keys(
         d, {"domain", "marked", "psi_extra", "phi", "gain", "numerics"}, "problem"
     )
-    dom_d = d.get("domain", {"kind": "unit_disc"})
-    _require_keys(dom_d, {"kind", "map_coeffs"}, "domain")
-    kind = dom_d.get("kind", "unit_disc")
-    mc = dom_d.get("map_coeffs", [1.0, 0.0, 0.0, 1.0] if kind == "unit_disc" else None)
-    if not (isinstance(mc, list) and len(mc) == 4):
-        raise BadInputError("domain map_coeffs needs 4 entries")
-    dom = DomainSpec(kind=kind, map_coeffs=tuple(_c_in(v, "map_coeffs") for v in mc))
+    dom = _fields_in(DomainSpec, d.get("domain", {}), "domain")
+    if dom.get("kind") == "moebius_image" and "map_coeffs" not in dom:
+        raise BadInputError("a moebius_image domain needs map_coeffs")
     if "marked" not in d or not d["marked"]:
         raise BadInputError("problem file needs a nonempty marked list")
-    marked = []
-    for m in _list_in(d["marked"], "marked"):
-        _require_keys(
-            m,
-            {"location", "green_weight", "jet_order", "jet_coeff", "coord_scale"},
-            "marked point",
-        )
-        if "location" not in m:
-            raise BadInputError("marked point needs a location")
-        marked.append(
-            MarkedPoint(
-                location=_c_in(m["location"], "location"),
-                green_weight=_float_in(m.get("green_weight", 1.0), "green_weight"),
-                jet_order=_int_in(m.get("jet_order", 0), "jet_order"),
-                jet_coeff=_c_in(m.get("jet_coeff", 1.0), "jet_coeff"),
-                coord_scale=_c_in(m.get("coord_scale", 1.0), "coord_scale"),
-            )
-        )
-    marked = tuple(marked)
-    extra = tuple((_c_in(loc, "psi_extra location"), _float_in(c, "psi_extra coefficient"))
-                  for loc, c in _pairs_in(d.get("psi_extra", []), "psi_extra"))
-    if "phi" in d:
-        ph = d["phi"]
-        _require_keys(ph, {"zeros", "leading", "u_coeffs", "bump"}, "phi")
-        default_zeros = [[_c_out(pt.location), pt.jet_order + 1] for pt in marked]
-        phi = PhiSpec(
-            zeros=tuple((_c_in(loc, "phi zero location"), _int_in(m, "phi zero order"))
-                        for loc, m in _pairs_in(ph.get("zeros", default_zeros), "phi zeros")),
-            leading=_c_in(ph.get("leading", 1.0), "phi leading"),
-            u_coeffs=tuple(_c_in(c, "phi u_coeffs")
-                           for c in _list_in(ph.get("u_coeffs", [0.0]), "phi u_coeffs")),
-            bump=_float_in(ph.get("bump", 0.0), "phi bump"),
-        )
-        weights = WeightPair(
-            marked=marked,
-            psi=PsiSpec(
-                green_terms=tuple((pt.location, 2.0 * pt.green_weight) for pt in marked),
-                extra_terms=extra,
-            ),
-            phi=phi,
-        )
-    else:
-        weights = WeightPair.standard(marked, extra_psi=extra)
-    gd = d.get("gain", {"kind": "constant", "value": 1.0})
-    _require_keys(gd, {"kind", "value", "rate", "grid_t", "grid_c"}, "gain")
-    kind = gd.get("kind", "constant")
-    if kind == "constant":
-        gain = GainFunction.constant(_float_in(gd.get("value", 1.0), "gain value"))
-    elif kind == "exponential":
-        gain = GainFunction.exponential(_float_in(gd.get("rate", 0.0), "gain rate"))
-    elif kind == "tabulated":
-        gain = GainFunction.tabulated(
-            [_float_in(x, "gain grid_t") for x in _list_in(gd.get("grid_t", []), "gain grid_t")],
-            [_float_in(x, "gain grid_c") for x in _list_in(gd.get("grid_c", []), "gain grid_c")],
-        )
-    else:
+    marked = tuple(_value_in(MarkedPoint, m, "marked point")
+                   for m in _list_in(d["marked"], "marked"))
+    weights = _fields_in(PhiSpec, d.get("phi", {}), "phi")
+    if "psi_extra" in d:
+        extra = _field_types(PsiSpec)["extra_terms"]
+        weights["extra_psi"] = _value_in(extra, d["psi_extra"], "psi_extra")
+    gd = d.get("gain", {})
+    _require_keys(gd, set(_field_types(GainFunction)), "gain")
+    kind = gd.get("kind", GainFunction.kind)
+    if not (isinstance(kind, str) and kind in _GAIN_FIELDS):
         raise BadInputError(f"unknown gain kind {kind!r}")
-    nd = d.get("numerics", {})
-    _require_keys(nd, {"N", "r_count", "tolerance", "mesh"}, "numerics")
-    md = nd.get("mesh", {})
-    _require_keys(
-        md, {"angular", "radial", "patch_angular", "patch_radial", "levels"}, "mesh"
+    gain = _fields_in(GainFunction, gd, f"{kind} gain", {"kind", *_GAIN_FIELDS[kind]})
+    return Problem(
+        domain=DomainSpec(**dom),
+        weights=WeightPair.standard(marked, **weights),
+        gain=GainFunction(**gain),
+        numerics=_value_in(Numerics, d.get("numerics", {}), "numerics"),
     )
-    base_mesh = QuadratureConfig()
-    mesh = QuadratureConfig(**{
-        key: _int_in(md.get(key, getattr(base_mesh, key)), f"mesh {key}")
-        for key in ("angular", "radial", "patch_angular", "patch_radial", "levels")
-    })
-    numerics = Numerics(
-        N=_int_in(nd.get("N", 24), "N"),
-        r_count=_int_in(nd.get("r_count", 17), "r_count"),
-        tolerance=_float_in(nd.get("tolerance", 1e-6), "tolerance"),
-        mesh=mesh,
-    )
-    return Problem(domain=dom, weights=weights, gain=gain, numerics=numerics)
 
 
 def dump_json(obj) -> str:
@@ -307,10 +278,15 @@ def _dump(obj, out: list[str], depth: int) -> None:
         raise BadInputError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
+def _json_int(text: str):
+    """A JSON integer; -0, which the writer prints for -0.0, stays -0.0."""
+    return -0.0 if text == "-0" else int(text)
+
+
 def load_problem(path) -> Problem:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise BadInputError(f"invalid JSON in {path}: {exc}") from exc
     return problem_from_dict(data)

@@ -19,6 +19,7 @@ from .geometry import (
     UNIT_DISC,
     DomainSpec,
     MarkedPoint,
+    _require_finite,
     check_marked_points,
     green_disc_raw,
 )
@@ -76,8 +77,9 @@ class PhiSpec:
                 raise BadInputError(f"divisor multiplicity must be an integer >= 1, got {mult}")
             cleaned.append((complex(loc), int(mult)))
         object.__setattr__(self, "zeros", tuple(cleaned))
-        object.__setattr__(self, "leading", complex(self.leading))
-        object.__setattr__(self, "u_coeffs", tuple(complex(c) for c in self.u_coeffs))
+        object.__setattr__(self, "leading", _require_finite(self.leading, "divisor leading"))
+        object.__setattr__(
+            self, "u_coeffs", tuple(_require_finite(c, "u coefficient") for c in self.u_coeffs))
         if self.leading == 0:
             raise BadInputError("divisor leading constant must be nonzero")
         if not (self.bump >= 0 and math.isfinite(self.bump)):

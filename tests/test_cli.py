@@ -12,6 +12,7 @@ from jetmin import cli
 from jetmin.analysis import ConcavityReport, scan_G
 from jetmin.errors import NumericalError
 from jetmin.problems import (
+    Numerics,
     eps_bump_problem,
     load_problem,
     problem_from_dict,
@@ -105,11 +106,35 @@ def test_invalid_problem_exits_4(tmp_path, capsys):
         {"gain": {"kind": "tabulated", "grid_t": None, "grid_c": [1, 1]}},
         {"psi_extra": [[0.1]]},
         {"phi": {"zeros": [[[0, 0], None]]}},
+        {"gain": {"kind": "constant", "value": 2, "rate": 0.5}},
+        {"gain": {"kind": "tabulated", "grid_t": [0, 1], "grid_c": [1, 1], "value": 1}},
+        {"numerics": [24]},
+        {"phi": [1]},
+        {"gain": None},
+        {"domain": 3},
     ]
     for case in cases:
         bad.write_text(json.dumps({"marked": [point], **case}))
         assert cli.main(["suita", str(bad)]) == 4, case
         assert "bad input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("block,key", [("marked", "jet_coeff"), ("marked", "coord_scale"),
+                                       ("phi", "leading"), ("phi", "u_coeffs")])
+def test_non_finite_fields_exit_4(tmp_path, capsys, block, key, value):
+    point = {"location": [0.1, 0.05]}
+    entry = [[0, 0], [value, 0]] if key == "u_coeffs" else [value, 0]
+    problem = {"marked": [point], "numerics": {"N": 6}}
+    if block == "marked":
+        problem["marked"] = [dict(point, **{key: entry})]
+    else:
+        problem["phi"] = {key: entry}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(problem))
+    for command in ("suita", "scan"):
+        assert cli.main([command, str(path)]) == 4, command
+        assert "must be finite" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():
@@ -158,6 +183,22 @@ def test_scan_single_point(tmp_path, single_file, capsys):
     prob = json.loads(out_json.read_text())["problem"]
     assert prob["numerics"]["N"] == 12
     assert prob["numerics"]["mesh"]["angular"] > 0
+
+
+def test_scan_r_count_override_is_recorded(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    save_problem(single_point_problem(Numerics(N=12, r_count=5)), path)
+    assert cli.main(["scan", str(path), "--r-count", "6"]) == 0
+    text = capsys.readouterr().out
+    out = json.loads(text)
+    assert out["problem"]["numerics"]["r_count"] == len(out["report"]["r_grid"]) == 6
+    # the embedded problem alone reproduces the report
+    embedded = tmp_path / "embedded.json"
+    embedded.write_text(json.dumps(out["problem"]))
+    assert cli.main(["scan", str(embedded)]) == 0
+    assert capsys.readouterr().out == text
+    assert cli.main(["scan", str(path), "--r-count", "4"]) == 4
+    assert "r_count" in capsys.readouterr().err
 
 
 def test_scan_stdout_and_violation_gate(single_file, capsys):

@@ -244,3 +244,30 @@ def test_load_rejects_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(BadInputError):
         load_problem(path)
+
+
+def test_negative_zero_survives_the_file_round_trip(tmp_path):
+    p = Problem(
+        domain=DomainSpec.unit_disc(),
+        weights=WeightPair.standard((MarkedPoint(complex(0.3, -0.0)),)),
+        gain=GainFunction.constant(1.0),
+    )
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_problem(p, first)
+    assert "-0]" in first.read_text()
+    q = load_problem(first)
+    assert math.copysign(1.0, q.weights.marked[0].location.imag) == -1.0
+    save_problem(q, second)
+    assert second.read_text() == first.read_text()
+
+
+def test_gain_block_takes_only_its_own_kinds_keys():
+    base = {"marked": [{"location": [0, 0]}]}
+    for gain in ({"kind": "constant", "value": 2, "rate": 0.5},
+                 {"kind": "exponential", "rate": 0.5, "grid_c": [1, 1]},
+                 {"kind": "tabulated", "grid_t": [0, 1], "grid_c": [1, 1], "value": 1}):
+        with pytest.raises(BadInputError, match="gain keys"):
+            problem_from_dict({**base, "gain": gain})
+    p = problem_from_dict({**base, "gain": {"value": 2}})
+    assert p.gain == GainFunction.constant(2.0)
+

@@ -8,6 +8,7 @@ from jetmin.errors import BadInputError
 from jetmin.forms import GramMatrix, JetConstraintSystem, gram_analytic_disc, jet_constraints
 from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, MarkedPoint
+from jetmin.problems import Numerics, single_point_problem
 from jetmin.solver import extension_bound, kkt_minimize, minimal_integral, minimal_integrals
 from jetmin.weights import WeightPair
 from oracles import oracle_minimize
@@ -154,6 +155,19 @@ def test_uniqueness_certificate():
         assert res.diagnostics["reduced_min_eig"] > 0
         assert math.isfinite(res.diagnostics["gram_condition"])
         assert res.diagnostics["constraint_residual"] <= 1e-10
+
+
+def test_no_free_coefficient_solve():
+    # N = 0 leaves only the jet-fixed coefficient, so the reduced problem has
+    # no free direction: G(0) = 2 pi |a|^2 for a unit mass at the origin
+    p = single_point_problem(Numerics(N=0))
+    for gram in ("analytic", "quadrature"):
+        res = minimal_integral(p.domain, p.weights, p.gain, 0.0, N=0, gram=gram)
+        assert res.diagnostics["gram_path"] == gram
+        assert abs(res.value - 2 * math.pi) <= 1e-12 * 2 * math.pi
+        assert res.diagnostics["unique"] is True
+        assert res.diagnostics["reduced_min_eig"] == math.inf
+        assert res.extremal.coeffs == (1 + 0j,)
 
 
 def test_reduced_gradient_certifies_stationarity():
