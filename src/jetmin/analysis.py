@@ -117,7 +117,7 @@ class StrictnessReport:
     separated: bool
 
 
-def scan_G(problem: Problem, r_count: int | None = None) -> ConcavityReport:
+def scan_G(problem: Problem) -> ConcavityReport:
     """Sample G on a uniform r-grid in (0, h(0)) and test concavity/linearity.
 
     All G values come from one minimal_integrals call, so the quadrature
@@ -126,9 +126,7 @@ def scan_G(problem: Problem, r_count: int | None = None) -> ConcavityReport:
     function are <= 0; positive values beyond the quadrature tolerance
     indicate a bug, not new mathematics.
     """
-    n = problem.numerics.r_count if r_count is None else int(r_count)
-    if n < 5:
-        raise BadInputError("scans need at least 5 r-samples")
+    n = problem.numerics.r_count
     g = problem.gain
     h0 = eval_h(g, 0.0)
     r_grid = [h0 * (i + 1) / (n + 1) for i in range(n)]

@@ -41,6 +41,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
+    def _parse_optional(self, arg_string):
+        # argparse takes "-0.2" for a value but "-0.2-0.1j" for an option
+        if _is_complex(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
+def _is_complex(text: str) -> bool:
+    try:
+        complex(text)
+    except ValueError:
+        return False
+    return True
+
 
 def _complex_arg(text: str) -> complex:
     try:

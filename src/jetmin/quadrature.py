@@ -18,8 +18,12 @@ Values are accumulated per band; level k sums the bands j >= k, and a Gram
 is reduced from weighted monomial moments M, Q^H M Q with Q the basis
 coefficients.  Rays from the origin and patch rings have polar moments:
 the region records where each run of nodes on one ray or ring (and in one
-band) starts, and each run sums N + 1 or 2N + 1 moments per node, not
-(N + 1)^2.  Rays from a pole off the origin sum the monomial moments of
+band) starts.  A run on a ray sums 2N + 1 radial moments per node, not
+(N + 1)^2.  Every ring node sits at one of the patch grid's fixed angles
+phi_a, so the angular moments of all runs of a patch are one product of
+its weights, laid out as a [run, angle] array, with a table of
+e^{i k phi_a} built once per region; no power is formed per ring node.
+Rays from a pole off the origin sum the monomial moments of
 zeta itself, since a local expansion about the pole loses every digit at
 |zeta - pole| up to 1 + |pole|.  Neighborhoods of singular centers are
 handed to local geometric-ring patches through a C^4 partition of unity;
@@ -49,8 +53,7 @@ _MIN_RADIUS_FRACTION = 1e-36
 _MASK_FLOOR = 1e-14
 _CHUNK = 8192
 # nodes per moment pass, which holds a [2N + 1, chunk] real array on rays from
-# the origin, an [N + 1, chunk] complex one on patch rings and two [N + 1, chunk]
-# complex ones on rays from a pole off the origin
+# the origin and two [N + 1, chunk] complex ones on rays from a pole off it
 _GRAM_CHUNK = 2048
 _RAY_BLOCK = 32  # rays sampled and cut together
 _TAIL_EPS = 1e-13  # relative radial tail of a patch integrand left uncovered
@@ -105,11 +108,19 @@ class QuadratureConfig:
 class PatchBlock:
     """The nodes ``sl`` of one patch and their ring runs: ``ring_runs`` is
     (start, radius), the first node and the ring radius of each run of
-    consecutive nodes on one ring and in one band."""
+    consecutive nodes on one ring and in one band.
+
+    Every node sits at one of the patch grid's angles phi_a, and the ring
+    moments scatter its weight to the cell (run, a) of a [run, angle] array.
+    ``cell`` is None when each run is a whole ring (every contained patch),
+    so node i of the block is cell i; a block that the band filter thinned
+    stores the flat cell index run * patch_angular + a of each node.
+    """
 
     spec: PatchSpec
     sl: slice
     ring_runs: tuple
+    cell: np.ndarray | None
 
 
 @dataclass
@@ -119,7 +130,8 @@ class RegionNodes:
 
     ``ray_runs`` is (start, direction) for each run of consecutive global
     nodes on one ray and in one band when the rays start at the origin, and
-    None when they start at a pole off it.
+    None when they start at a pole off it.  ``patch_angular`` is the number
+    of angles on every patch ring.
     """
 
     zeta: np.ndarray
@@ -129,6 +141,7 @@ class RegionNodes:
     blocks: list
     n_global: int
     ray_runs: tuple | None
+    patch_angular: int
 
 
 def _smooth_step(x):
@@ -450,6 +463,7 @@ def build_region(psi_fn, patches, config, cuts, radii):
 
     panels = _global_panels(ray_psi, cuts, config, mask_patches, ray_centers, origin)
     patch_parts = []
+    n_ang = config.patch_angular
     for p, r, contained in active:
         z_p, w_p, rho = _patch_nodes(p, r, config)
         if contained:
@@ -458,10 +472,15 @@ def build_region(psi_fn, patches, config, cuts, radii):
             b_p = _band_of(cuts, psi_fn(z_p))
         keep = np.flatnonzero((w_p != 0) & (b_p >= 0) & (b_p < n_bands))
         keep = keep[np.argsort(b_p[keep], kind="stable")]
-        # the stable sort keeps each ring's nodes together within a band
-        ring = keep // config.patch_angular
+        # the stable sort keeps each ring's nodes together within a band, in
+        # angle order; a zero weight drops a whole ring (it is one per ring)
+        ring = keep // n_ang
         first = _run_starts(ring, b_p[keep])
-        patch_parts.append((p, z_p[keep], w_p[keep], b_p[keep], first, rho[ring[first]]))
+        length = np.diff(np.r_[first, keep.size])
+        cell = None
+        if np.any(length != n_ang):
+            cell = np.repeat(np.arange(first.size) * n_ang, length) + keep % n_ang
+        patch_parts.append((p, z_p[keep], w_p[keep], b_p[keep], first, rho[ring[first]], cell))
     # nodes are written chunk by chunk into arrays sized for every panel node,
     # so no full-size temporary is held beside them
     n_gl = _GL10[0].size
@@ -488,13 +507,14 @@ def build_region(psi_fn, patches, config, cuts, radii):
         nonempty = start < np.r_[start[1:], n_global]
         ray_runs = (start[nonempty], e[first][nonempty])
     blocks = []
-    for p, z_p, w_p, b_p, first, ring_rho in patch_parts:
+    for p, z_p, w_p, b_p, first, ring_rho, cell in patch_parts:
         end = pos + z_p.size
         zeta[pos:end], wgt[pos:end], band[pos:end] = z_p, w_p, b_p
-        blocks.append(PatchBlock(spec=p, sl=slice(pos, end), ring_runs=(first + pos, ring_rho)))
+        blocks.append(PatchBlock(spec=p, sl=slice(pos, end), ring_runs=(first + pos, ring_rho),
+                                 cell=cell))
         pos = end
     return RegionNodes(zeta=zeta[:pos], area_w=wgt[:pos], band=band[:pos], n_bands=n_bands,
-                       blocks=blocks, n_global=n_global, ray_runs=ray_runs)
+                       blocks=blocks, n_global=n_global, ray_runs=ray_runs, patch_angular=n_ang)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -550,25 +570,6 @@ def _direct_moments(nodes, weights, d):
     return M
 
 
-def _run_sums(starts, stop, rows, n_rows, dtype):
-    """Per-run sums [run, row] of node columns, taken in node chunks.
-
-    ``rows(i0, i1, runs, local)`` returns an [n_rows, i1 - i0] array for the
-    nodes i0:i1; ``runs`` slices the runs that meet them and ``local`` holds
-    those runs' first nodes there, less i0.  Runs start at ``starts`` and the
-    last ends at ``stop``; a run that straddles a chunk boundary adds up its
-    pieces.
-    """
-    out = np.zeros((starts.size, n_rows), dtype=dtype)
-    for i0 in range(starts[0], stop, _GRAM_CHUNK):
-        i1 = min(i0 + _GRAM_CHUNK, stop)
-        a = np.searchsorted(starts, i0, side="right") - 1
-        b = np.searchsorted(starts, i1, side="left")
-        local = np.maximum(starts[a:b], i0) - i0
-        out[a:b] += np.add.reduceat(rows(i0, i1, slice(a, b), local), local, axis=1).T
-    return out
-
-
 def _moments_of_runs(ang, rad, run_band, n_bands):
     """Hermitian M_k with M_k[i, j] = sum over the runs of band k of
     ang_(j-i) rad_(i+j), j >= i.
@@ -589,43 +590,60 @@ def _ray_moments(nodes, weights, d):
 
     There conj(zeta)^i zeta^j = r^(i+j) e^{i(j-i)theta}: each run on one ray
     sums S_m = sum w r^m, m <= 2d - 2, and M_ij = sum_runs e^{i(j-i)theta} S_(i+j).
+    The sums are taken in node chunks; a run that straddles a chunk boundary
+    adds up its pieces.
     """
     starts, e = nodes.ray_runs
-
-    def rows(i0, i1, runs, local):
+    S = np.zeros((starts.size, 2 * d - 1))
+    for i0 in range(starts[0], nodes.n_global, _GRAM_CHUNK):
+        i1 = min(i0 + _GRAM_CHUNK, nodes.n_global)
         z, w = weights(i0, i1)
         r = np.abs(z)
         R = np.empty((2 * d - 1, z.size))  # row m holds w r^m
         R[0] = w
         for m in range(1, 2 * d - 1):
             np.multiply(R[m - 1], r, out=R[m])
-        return R
-
-    S = _run_sums(starts, nodes.n_global, rows, 2 * d - 1, float)
+        a = np.searchsorted(starts, i0, side="right") - 1  # runs a:b meet the chunk
+        b = np.searchsorted(starts, i1, side="left")
+        S[a:b] += np.add.reduceat(R, np.maximum(starts[a:b], i0) - i0, axis=1).T
     return _moments_of_runs(lambda s, t: np.vander(e[s:t], d, increasing=True), S,
                             nodes.band[starts], nodes.n_bands)
 
 
-def _ring_moments(nodes, blk, weights, d):
+def _angle_table(n_ang, d):
+    """e^{i k phi_a} for the patch grid's angles phi_a = (a + 1/2) 2 pi / n_ang
+    and 0 <= k < d, as a real [angle, 2d] array of (cos, sin) pairs.
+
+    k phi_a = k (2a + 1) pi / n_ang is reduced modulo 2 pi in integers, so
+    the rounding of an entry does not grow with k.
+    """
+    m = np.outer(2 * np.arange(n_ang) + 1, np.arange(d)) % (2 * n_ang)
+    return np.exp(1j * (math.pi / n_ang) * m).view(float)
+
+
+def _ring_moments(nodes, blk, weights, table):
     """Per-band moments conj(x)^i x^j of a patch block, x = zeta - center.
 
-    On a ring of radius rho they are rho^(i+j) (x/rho)^(j-i): each run on one
-    ring sums A_k = sum w (x/rho)^k, 0 <= k < d, and M_ij = sum_runs
+    A node of a ring of radius rho sits at a grid angle phi_a, so
+    conj(x)^i x^j = rho^(i+j) e^{i(j-i)phi_a}.  The block's weights, taken in
+    _CHUNK slices, are scattered by angle into W [run, angle] (``blk.cell``),
+    and one product with ``table`` (``_angle_table``) gives each run on one
+    ring A_k = sum w e^{i k phi_a}, 0 <= k < d; then M_ij = sum_runs
     rho^(i+j) A_(j-i) for j >= i.
     """
     starts, rho = blk.ring_runs
-    center = blk.spec.center
-
-    def rows(i0, i1, runs, local):
-        z, w = weights(i0, i1)
-        u = (z - center) / np.repeat(rho[runs], np.diff(np.r_[local, z.size]))
-        U = np.empty((d, z.size), dtype=complex)  # row k holds w u^k
-        U[0] = w
-        for k in range(1, d):
-            np.multiply(U[k - 1], u, out=U[k])
-        return U
-
-    A = _run_sums(starts, blk.sl.stop, rows, d, complex)
+    n_ang = table.shape[0]
+    d = table.shape[1] // 2
+    W = np.zeros(starts.size * n_ang)
+    lo, hi = blk.sl.start, blk.sl.stop
+    for i0 in range(lo, hi, _CHUNK):
+        i1 = min(i0 + _CHUNK, hi)
+        w = weights(i0, i1)[1]
+        if blk.cell is None:
+            W[i0 - lo:i1 - lo] = w
+        else:
+            W[blk.cell[i0 - lo:i1 - lo]] = w
+    A = (W.reshape(-1, n_ang) @ table).view(complex)
     return _moments_of_runs(lambda s, t: A[s:t], np.vander(rho, 2 * d - 1, increasing=True),
                             nodes.band[starts], nodes.n_bands)
 
@@ -666,13 +684,15 @@ def gram_on_nodes(nodes, kernel, gain, basis):
         else:
             M = _ray_moments(nodes, weights, d)
         H += P.conj().T @ M @ P
+    table = _angle_table(nodes.patch_angular, d)
     for blk in nodes.blocks:
         nu = blk.spec.order
         if blk.sl.stop == blk.sl.start or nu >= d:
             continue
         center = blk.spec.center
         Q = _taylor_shift(P, center)[nu:]
-        M = _ring_moments(nodes, blk, lambda i0, i1: weights(i0, i1, center, nu), d - nu)
+        M = _ring_moments(nodes, blk, lambda i0, i1: weights(i0, i1, center, nu),
+                          table[:, :2 * (d - nu)])
         H += Q.conj().T @ M @ Q
     return 0.5 * (H + H.conj().transpose(0, 2, 1))
 

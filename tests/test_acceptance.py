@@ -5,6 +5,7 @@ pytest -v listing gives the same one-line-per-criterion view.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -233,7 +234,7 @@ def test_criterion_08_linear_restriction_identity():
     n_linear = 0
     worst = 0.0
     for p in family:
-        if not scan_G(p, r_count=9).is_linear:
+        if not scan_G(replace(p, numerics=replace(p.numerics, r_count=9))).is_linear:
             continue
         n_linear += 1
         for a_fn in densities:

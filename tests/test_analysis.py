@@ -1,6 +1,7 @@
 """Scan, criterion, candidate, bound-comparison, and identity tests."""
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,11 @@ from jetmin.problems import (
 )
 from jetmin.solver import minimal_integral
 from jetmin.weights import WeightKernel, WeightPair
+
+
+def with_r_count(p, r_count):
+    """The problem p with its scan grid size set to r_count."""
+    return replace(p, numerics=replace(p.numerics, r_count=r_count))
 
 
 def offcenter_problem():
@@ -128,7 +134,7 @@ def test_scan_single_point_linear_slope():
 
 
 def test_scan_appendix_equality_linear():
-    rep = scan_G(two_point_problem(-1.0 / 3.0), r_count=9)
+    rep = scan_G(with_r_count(two_point_problem(-1.0 / 3.0), 9))
     assert rep.is_linear
     assert abs(rep.slope / (6 * math.pi) - 1) < 1e-6
     assert rep.residual <= 1e-8
@@ -136,7 +142,7 @@ def test_scan_appendix_equality_linear():
 
 
 def test_scan_appendix_generic_concave_not_linear():
-    rep = scan_G(two_point_problem(1.0), r_count=9)
+    rep = scan_G(with_r_count(two_point_problem(1.0), 9))
     assert not rep.is_linear
     assert rep.residual > 1e-3
     assert rep.max_violation <= 10 * rep.max_quad_error
@@ -155,7 +161,7 @@ def test_scan_random_problems_concave():
     from jetmin.problems import random_concavity_problem
 
     for seed in (0, 1):
-        rep = scan_G(random_concavity_problem(seed), r_count=9)
+        rep = scan_G(with_r_count(random_concavity_problem(seed), 9))
         assert rep.max_violation <= max(1e-9, 10 * rep.max_quad_error)
         assert all(v >= 0 for v in rep.g_values)
 
@@ -194,10 +200,10 @@ def test_scan_offcenter_single_point_closed_form(zeta0, gain):
 
 
 def test_scan_r_count_control():
-    rep = scan_G(single_point_problem(), r_count=5)
+    rep = scan_G(with_r_count(single_point_problem(), 5))
     assert len(rep.r_grid) == 5 and len(rep.second_differences) == 3
     with pytest.raises(BadInputError):
-        scan_G(single_point_problem(), r_count=4)
+        with_r_count(single_point_problem(), 4)
 
 
 # -- extremal candidate ------------------------------------------------------

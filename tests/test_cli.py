@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ import jetmin
 from jetmin import cli
 from jetmin.analysis import ConcavityReport, scan_G
 from jetmin.errors import NumericalError
+from jetmin.geometry import green_disc
 from jetmin.problems import (
     Numerics,
     eps_bump_problem,
@@ -57,6 +59,20 @@ def test_green_values(capsys):
     assert cli.main(["green", "--z0", "0", "--z", "0.25", "0.5"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["-1.386294", "-0.693147"]
+
+
+def test_green_takes_negative_complex_values(capsys):
+    # argparse reads "-0.2-0.1j" as an option unless the parser knows better
+    z0, zs = 0.3 + 0.2j, (0, 0.5, -0.2 - 0.1j)
+    assert cli.main(["green", "--z0", "0.3+0.2j", "--z", "0", "0.5", "-0.2-0.1j"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [cli._plain(green_disc(z, z0)) for z in zs]
+    assert cli.main(["green", "--z0", "-0.3-0.2j", "--z", "-0.5j"]) == 0
+    assert capsys.readouterr().out == cli._plain(green_disc(-0.5j, -0.3 - 0.2j)) + "\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["green", "--z0", "0.3", "--z", "0", "-x"])
+    assert exc.value.code == 4
+    assert "unrecognized arguments: -x" in capsys.readouterr().err
 
 
 def test_capacity_values(capsys):
@@ -206,7 +222,8 @@ def test_scan_stdout_and_violation_gate(single_file, capsys):
     rep = json.loads(capsys.readouterr().out)["report"]
     assert rep["max_violation"] <= rep["violation_threshold"]
     # the report carries the library's own verdict threshold
-    lib = scan_G(load_problem(single_file), r_count=5)
+    p = load_problem(single_file)
+    lib = scan_G(replace(p, numerics=replace(p.numerics, r_count=5)))
     assert rep["violation_threshold"] == lib.violation_threshold
 
 
@@ -224,13 +241,13 @@ def test_scan_concavity_violation_exits_3(monkeypatch, single_file, capsys):
         residual=0.5,
         max_quad_error=1e-9,
     )
-    monkeypatch.setattr(cli, "scan_G", lambda p, r_count=None: fake)
+    monkeypatch.setattr(cli, "scan_G", lambda p: fake)
     assert cli.main(["scan", single_file]) == 3
     assert "concavity" in capsys.readouterr().err
 
 
 def test_scan_solver_failure_exits_2(monkeypatch, single_file, capsys):
-    def boom(p, r_count=None):
+    def boom(p):
         raise NumericalError("solver failed at r = 0.5")
 
     monkeypatch.setattr(cli, "scan_G", boom)

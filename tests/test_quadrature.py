@@ -263,12 +263,57 @@ def test_ray_runs_skip_wholly_masked_pieces():
     assert_matches_direct(kernel, nodes, [a_part] + list(Z.T))
 
 
+@pytest.mark.parametrize("cuts", [[0.0, 6.5, math.inf], [5.5, 6.5, 7.2]],
+                         ids=["sublevel", "band"])
+@pytest.mark.parametrize("halved", [False, True], ids=["fine", "coarse"])
+def test_moment_gram_on_thinned_patch_rings(cuts, halved):
+    # patches of radius 0.15 whose rings near radius 0.1 (psi from -6.9 to
+    # -6.1) the threshold 6.5 cuts: the band filter thins those rings into
+    # arcs, whose nodes are scattered to their grid angles by a cell index
+    config = SMALL.halved() if halved else SMALL
+    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(TWO_POINTS))
+    specs = _patch_specs(kernel, GAIN)
+    cuts = np.array(cuts)
+    nodes = build_region(kernel.psi, specs, config, cuts, [(0.15, False)] * len(specs))
+    thinned = [blk for blk in nodes.blocks if blk.cell is not None]
+    assert thinned
+    for blk in thinned:
+        length = np.diff(np.r_[blk.ring_runs[0], blk.sl.stop])
+        assert length.min() < config.patch_angular
+    a_part, Z = constraint_basis(jet_constraints(kernel.w, 16))
+    assert_matches_direct(kernel, nodes, [a_part] + list(Z.T))
+
+
+def test_ray_runs_end_at_band_changes_on_one_ray():
+    # psi is deep only on the three rays nearest the angle 0 and below
+    # |z| = 0.3; those rays start band 1's pieces, and the base ray at
+    # angle -d_theta / 2 holds both band 0's last piece and band 1's first,
+    # which must be separate runs
+    config = QuadratureConfig(angular=16, radial=40, patch_angular=8, patch_radial=8)
+    d_theta = 2 * math.pi / config.angular
+
+    def psi(z):
+        z = np.asarray(z)
+        deep = (np.abs(z) < 0.3) & (np.abs(np.angle(z) + 0.5 * d_theta) < 1.5 * d_theta)
+        return np.where(deep, -2.0, -0.5)
+
+    nodes = build_region(psi, [], config, np.array([0.0, 1.0, math.inf]), [])
+    change = np.flatnonzero(np.diff(nodes.band))
+    assert change.size == 1
+    last, first = nodes.zeta[change[0]:change[0] + 2]
+    assert abs(np.angle(last) - np.angle(first)) < 1e-12
+    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(TWO_POINTS))
+    a_part, Z = constraint_basis(jet_constraints(kernel.w, 12))
+    assert_matches_direct(kernel, nodes, [a_part] + list(Z.T))
+
+
 @pytest.mark.parametrize("pts", [ONE_POINT, FAR_POINTS, SPLIT_POINTS],
                          ids=["one-pole", "far-patch", "split"])
 def test_moment_gram_runs_straddle_chunks(pts, monkeypatch):
-    # a small odd chunk cuts ray and ring runs at every few nodes; a run's
+    # small odd chunks cut ray and ring runs at every few nodes; a run's
     # pieces in successive chunks add up to the whole run
     monkeypatch.setattr(quadrature, "_GRAM_CHUNK", 7)
+    monkeypatch.setattr(quadrature, "_CHUNK", 11)
     config = QuadratureConfig(angular=16, radial=40, patch_angular=8, patch_radial=8)
     kernel, nodes, basis = region_and_basis(pts, [*CUTS_SPLIT[:3], math.inf], 12, config)
     runs = [blk.ring_runs[0] for blk in nodes.blocks]
