@@ -184,15 +184,14 @@ def criterion_check(problem: Problem) -> CriterionReport:
     if not psi_pure:
         notes.append("psi carries Green mass beyond the marked points")
 
-    orders_match = all(
-        w.phi.order_at(pt.location) == pt.jet_order + 1 for pt in w.marked
-    )
-    total_order = sum(m for _, m in w.phi.zeros)
-    no_stray_zeros = total_order == sum(pt.jet_order + 1 for pt in w.marked)
-    harmonic_structure = w.phi.bump == 0.0 and orders_match and no_stray_zeros
+    # divisor order k_j + 1 at each marked point and no zero anywhere else
+    orders = [m for _loc, _p, m in w.points]
+    orders_match = orders == ([pt.jet_order + 1 for pt in w.marked]
+                              + [0] * (len(orders) - len(w.marked)))
+    harmonic_structure = w.phi.bump == 0.0 and orders_match
     if w.phi.bump != 0.0:
         notes.append("phi + psi has a strictly subharmonic bump term")
-    if not (orders_match and no_stray_zeros):
+    if not orders_match:
         notes.append("divisor does not realize order k_j + 1 at the marked points")
 
     characters_trivial = True
@@ -340,7 +339,7 @@ def lemma_integrals(kernel: WeightKernel, beta_max: int, mesh: QuadratureConfig 
     The identities have exact targets, so no half-resolution mesh is built.
     """
     # divisor zeros off psi's centers carry p = 0; the density has no phi
-    centers = [(zeta, p) for zeta, p, _m, _nu in kernel.singular_centers() if p > 0]
+    centers = [(zeta, p) for zeta, p, _m in kernel.points if p > 0]
     for _, p in centers:
         if p <= 2.0:
             raise BadInputError(

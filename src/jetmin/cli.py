@@ -260,7 +260,7 @@ def cmd_verify_lemmas(args) -> int:
             raise BadInputError(f"{flag} must be finite and >= 0, got {tol}")
     p = load_problem(args.problem)
     kernel = WeightKernel(p.domain, p.weights)
-    expected = 2 * math.pi * sum(c / 2.0 for _, c in p.weights.psi.all_terms())
+    expected = 2 * math.pi * sum(mass for _loc, mass, _m in p.weights.points)
     integrals = lemma_integrals(kernel, args.beta_max, p.numerics.mesh)
     mass = verify_mass(kernel, integrals=integrals)
     mass_rel = abs(mass - expected) / expected

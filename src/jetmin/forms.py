@@ -6,7 +6,8 @@ conjugate-linear-first convention H[l][m] = <zeta^l d zeta, zeta^m d zeta>,
 matching numpy.vdot.  Weighted Grams on the raw monomial basis can diverge
 at divisor zeros; the reduced path substitutes the jet-constraint null-space
 parametrization first and integrates only functions with the enforced
-vanishing, which is always integrable for admissible weights.
+vanishing, which is always integrable for admissible weights.  The closed
+form applies when the weight's point table has 2p = 2m at every point.
 """
 from __future__ import annotations
 
@@ -21,10 +22,9 @@ from .gain import GainFunction, growth_rate_bound
 from .geometry import UNIT_DISC, DomainSpec, check_marked_points
 from .quadrature import PatchSpec, QuadratureConfig, assembled_gram
 from .series import moebius_taylor, pderiv, pmul
-from .weights import WeightKernel, WeightPair
+from .weights import _LOC_TOL, WeightKernel, WeightPair
 
 _SIGMA_TOL = 1e-12
-_LOC_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,9 @@ def analytic_reduction(
     """(radius, scale) when the weighted region integral has a closed form.
 
     Requires the identity domain, a constant gain, and a divisor realizing
-    psi exactly (so e^{-phi} is identically 1); the region must be the full
-    disc (t = 0) or a centered sublevel disc (all psi mass at the origin).
+    psi exactly, 2p = 2m at every point of the weight's table (so e^{-phi}
+    is identically 1); the region must be the full disc (t = 0) or a
+    centered sublevel disc (one point, at the origin).
     Raises BadInputError otherwise, pointing at the quadrature Gram path.
     """
     hint = ("no closed-form Gram for this configuration; "
@@ -175,27 +176,12 @@ def analytic_reduction(
         raise BadInputError(hint)
     if abs(abs(w.phi.leading) - 1.0) > 1e-14:
         raise BadInputError(hint)
-    need = [(loc, coeff) for loc, coeff in w.psi.all_terms()]
-    have = list(w.phi.zeros)
-    matched = []
-    for loc, coeff in need:
-        hit = None
-        for i, (zloc, m) in enumerate(have):
-            if abs(zloc - loc) <= _LOC_TOL and i not in matched:
-                if abs(2 * m - coeff) > 1e-12:
-                    raise BadInputError(hint)
-                hit = i
-                break
-        if hit is None:
-            raise BadInputError(hint)
-        matched.append(hit)
-    if len(matched) != len(have):
+    if any(abs(2 * p - 2 * m) > 1e-12 for _loc, p, m in w.points):
         raise BadInputError(hint)
     if t == 0:
         return 1.0, g.value
-    if len(need) == 1 and abs(need[0][0]) <= _LOC_TOL:
-        p_total = need[0][1] / 2.0
-        return math.exp(-t / (2.0 * p_total)), g.value
+    if len(w.points) == 1 and abs(w.points[0][0]) <= _LOC_TOL:
+        return math.exp(-t / (2.0 * w.points[0][1])), g.value
     raise BadInputError(hint)
 
 
@@ -264,7 +250,9 @@ def gram_reduced(
     kernel = WeightKernel(dom, w)
     specs = _patch_specs(kernel, g)
     basis = [a_part] + [Z[:, i] for i in range(Z.shape[1])]
-    H, err, degen = assembled_gram(kernel, g, basis, specs, mesh, ts=ts)
+    # a weight that overflows leaves non-finite entries, which the solve refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        H, err, degen = assembled_gram(kernel, g, basis, specs, mesh, ts=ts)
     grams = [GramMatrix(entries=h, quad_error=float(e), degenerate=bool(d))
              for h, e, d in zip(H, err, degen)]
     return grams, a_part, Z

@@ -529,9 +529,8 @@ def _coeff_matrix(basis):
 
 def _band_runs(band):
     """(band, start, stop) for each run of equal entries of a band array."""
-    cut = np.flatnonzero(band[1:] != band[:-1]) + 1
-    starts = np.concatenate([[0], cut])
-    stops = np.concatenate([cut, [band.size]])
+    starts = _run_starts(band)
+    stops = np.r_[starts[1:], band.size]
     return zip(band[starts].tolist(), starts.tolist(), stops.tolist())
 
 

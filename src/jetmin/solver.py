@@ -88,8 +88,8 @@ def kkt_minimize_reduced(
 ) -> MinimalIntegralResult:
     """Minimum from a reduced Gram on the basis [particular | null columns].
 
-    (a_part, Z) come from constraint_basis(C); the attaining coefficients are
-    checked against C.
+    (a_part, Z) come from constraint_basis(C); a non-finite Gram entry is a
+    NumericalError, and the attaining coefficients are checked against C.
     """
     if R.size != Z.shape[1] + 1:
         raise BadInputError("reduced Gram size does not match the null basis")
@@ -98,6 +98,8 @@ def kkt_minimize_reduced(
         diag = {"unique": False, "reduced_min_eig": 0.0, "gram_condition": math.inf}
     else:
         E = R.entries
+        if not np.all(np.isfinite(E)):
+            raise NumericalError("reduced Gram has non-finite entries; the weight overflows")
         value, y, diag = _solve_reduced(float(np.real(E[0, 0])), E[1:, 0], E[1:, 1:])
         a = a_part + (Z @ y if y.size else 0.0)
     resid = float(np.linalg.norm(C.matrix @ a - C.rhs))

@@ -6,6 +6,11 @@ are exact data.  Here ``g`` is the divisor realized through domain Blaschke
 factors: 2 log|g| means sum 2 m_a G(., a) + 2 log|leading|, which on the unit
 disc is the modulus of an honest Blaschke product with the unimodular constant
 normalized away.  ``u = Re q`` for a polynomial q in the domain coordinate.
+
+psi's Green terms come from the marked points, plus any extra mass.  A
+``WeightPair`` merges its singular data once, into one (location, p, m) per
+distinct point (psi mass p, divisor order m); the kernel, the Lelong numbers
+and alpha_j all read that table.
 """
 from __future__ import annotations
 
@@ -34,31 +39,23 @@ def _same_point(a: complex, b: complex) -> bool:
 
 @dataclass(frozen=True)
 class PsiSpec:
-    """psi = sum of Green terms; coefficients are the full 2 p_j weights.
+    """Green mass of psi beyond the marked points' own 2 p_j G(., z_j).
 
-    ``green_terms`` carries (location, 2p) pairs for the marked points;
-    ``extra_terms`` holds additional Green mass (auxiliary points or extra
-    charge at marked ones) used by the negative tests where psi sits strictly
-    below 2 sum p_j G.
+    ``extra_terms`` holds (location, 2p) pairs: auxiliary points, or extra
+    charge stacked on a marked point, where psi sits strictly below
+    2 sum p_j G.  The marked points' terms come from the points themselves.
     """
 
-    green_terms: tuple[tuple[complex, float], ...]
     extra_terms: tuple[tuple[complex, float], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("green_terms", "extra_terms"):
-            cleaned = []
-            for loc, coeff in getattr(self, name):
-                coeff = float(coeff)
-                if not (coeff > 0 and math.isfinite(coeff)):
-                    raise BadInputError(f"psi coefficient must be > 0, got {coeff}")
-                cleaned.append((complex(loc), coeff))
-            object.__setattr__(self, name, tuple(cleaned))
-        if not self.green_terms:
-            raise BadInputError("psi needs at least one Green term")
-
-    def all_terms(self) -> tuple[tuple[complex, float], ...]:
-        return self.green_terms + self.extra_terms
+        cleaned = []
+        for loc, coeff in self.extra_terms:
+            coeff = float(coeff)
+            if not (coeff > 0 and math.isfinite(coeff)):
+                raise BadInputError(f"psi coefficient must be > 0, got {coeff}")
+            cleaned.append((complex(loc), coeff))
+        object.__setattr__(self, "extra_terms", tuple(cleaned))
 
 
 @dataclass(frozen=True)
@@ -85,13 +82,18 @@ class PhiSpec:
         if not (self.bump >= 0 and math.isfinite(self.bump)):
             raise BadInputError(f"bump coefficient must be >= 0, got {self.bump}")
 
-    def order_at(self, z: complex) -> int:
-        return sum(m for loc, m in self.zeros if _same_point(loc, z))
-
 
 @dataclass(frozen=True)
 class WeightPair:
-    """Marked points plus the structural (psi, phi) pair."""
+    """Marked points plus the structural (psi, phi) pair.
+
+    psi = sum 2 p_j G(., z_j) over the marked points plus ``psi.extra_terms``.
+    Construction merges the singular data into ``points``: one
+    (location, p, m) per distinct point, with p its psi mass and m its
+    divisor order, marked points first and in their order, then the other
+    psi points, then the zero-only points.  It is not a field, so
+    ``asdict`` and the problem files do not carry it.
+    """
 
     marked: tuple[MarkedPoint, ...]
     psi: PsiSpec
@@ -101,23 +103,25 @@ class WeightPair:
         object.__setattr__(self, "marked", tuple(self.marked))
         if not self.marked:
             raise BadInputError("a weight pair needs at least one marked point")
+        points: list[list] = []
+
+        def entry(loc: complex) -> list:
+            for e in points:
+                if _same_point(e[0], loc):
+                    return e
+            points.append([loc, 0.0, 0])
+            return points[-1]
+
         for pt in self.marked:
-            coeffs = [c for loc, c in self.psi.green_terms if _same_point(loc, pt.location)]
-            if len(coeffs) != 1:
-                raise BadInputError(
-                    f"psi must carry exactly one Green term at marked point {pt.location}"
-                )
-            if abs(coeffs[0] - 2 * pt.green_weight) > 1e-9 * (1 + 2 * pt.green_weight):
-                raise BadInputError(
-                    f"psi coefficient {coeffs[0]} at {pt.location} does not match 2p = "
-                    f"{2 * pt.green_weight}"
-                )
-        marked_locs = [pt.location for pt in self.marked]
-        for loc, _ in self.psi.green_terms:
-            if not any(_same_point(loc, z) for z in marked_locs):
-                raise BadInputError(
-                    f"green term at {loc} has no marked point; use extra_terms for auxiliary mass"
-                )
+            e = entry(pt.location)
+            if e[1]:
+                raise BadInputError(f"marked points coincide at {pt.location}")
+            e[1] = pt.green_weight
+        for loc, coeff in self.psi.extra_terms:
+            entry(loc)[1] += coeff / 2.0
+        for loc, m in self.phi.zeros:
+            entry(loc)[2] += m
+        object.__setattr__(self, "points", tuple(tuple(e) for e in points))
 
     @classmethod
     def standard(
@@ -130,15 +134,15 @@ class WeightPair:
         bump: float = 0.0,
         extra_psi=(),
     ) -> "WeightPair":
-        """Build psi from the marked weights; default divisor has a zero of
-        order k_j + 1 at each marked point (the equality-type decomposition)."""
+        """psi from the marked weights plus ``extra_psi``; the default divisor
+        has a zero of order k_j + 1 at each marked point (the equality-type
+        decomposition)."""
         marked = tuple(marked)
-        green = tuple((pt.location, 2.0 * pt.green_weight) for pt in marked)
         if zeros is None:
             zeros = tuple((pt.location, pt.jet_order + 1) for pt in marked)
         return cls(
             marked=marked,
-            psi=PsiSpec(green_terms=green, extra_terms=tuple(extra_psi)),
+            psi=PsiSpec(extra_terms=tuple(extra_psi)),
             phi=PhiSpec(zeros=tuple(zeros), leading=leading, u_coeffs=tuple(u_coeffs), bump=bump),
         )
 
@@ -149,10 +153,9 @@ class WeightPair:
 
 
 def lelong_psi(w: WeightPair, j: int) -> float:
-    """p_j read from structure, plus any extra Green mass charging z_j."""
-    pt = w.point_index(j)
-    extra = sum(c for loc, c in w.psi.extra_terms if _same_point(loc, pt.location))
-    return pt.green_weight + extra / 2.0
+    """psi's mass at z_j: p_j plus any extra Green mass charging z_j."""
+    w.point_index(j)
+    return w.points[j][1]
 
 
 def eval_u(w: WeightPair, z) -> np.ndarray:
@@ -163,64 +166,51 @@ def eval_u(w: WeightPair, z) -> np.ndarray:
 class WeightKernel:
     """Vectorized disc-coordinate evaluators for one (domain, weight) pair.
 
-    All inputs are zeta arrays in the unit disc; Green terms and divisor
-    zeros are pulled back through the domain map once at construction.
+    All inputs are zeta arrays in the unit disc.  The weight's points are
+    pulled back through the domain map once at construction: psi sums
+    2p G over the points with p > 0, phi + psi sums 2m G over those with
+    m > 0.
     """
 
     def __init__(self, dom: DomainSpec, w: WeightPair):
         check_marked_points(dom, w.marked)
+        for loc, _p, _m in w.points:
+            if not dom.contains(loc):
+                raise DomainError(f"singular point {loc} of the weight lies outside the domain")
         self.dom = dom
         self.w = w
-        self.zeta_marked = [complex(dom.inverse(pt.location)) for pt in w.marked]
-        self.green = [
-            (complex(dom.inverse(loc)), coeff) for loc, coeff in w.psi.all_terms()
-        ]
-        for loc, _ in w.psi.all_terms():
-            if not dom.contains(loc):
-                raise DomainError(f"psi Green term at {loc} lies outside the domain")
-        for loc, _ in w.phi.zeros:
-            if not dom.contains(loc):
-                raise DomainError(f"divisor zero at {loc} lies outside the domain")
-        self.zeros = [(complex(dom.inverse(loc)), m) for loc, m in w.phi.zeros]
+        self.points = [(complex(dom.inverse(loc)), p, m) for loc, p, m in w.points]
         self.log_lead = math.log(abs(w.phi.leading))
         self.has_u = any(c != 0 for c in w.phi.u_coeffs)
         self.bump = w.phi.bump
 
     def psi(self, zeta) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=complex)
-        return self._psi(zeta, lambda loc: green_disc_raw(zeta, loc))
+        return self._psi(np.asarray(zeta, dtype=complex))
 
     def phi_plus_psi(self, zeta) -> np.ndarray:
-        zeta = np.asarray(zeta, dtype=complex)
-        return self._phi_plus_psi(zeta, lambda loc: green_disc_raw(zeta, loc))
+        return self._phi_plus_psi(np.asarray(zeta, dtype=complex))
 
     def psi_and_phi_plus_psi(self, zeta) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, phi + psi), bit for bit those of ``psi`` and ``phi_plus_psi``.
-
-        The Green function of each distinct center is evaluated once; the
-        divisor zeros of ``WeightPair.standard`` sit on the marked points, so
-        the two sums share their centers.
-        """
+        """(psi, phi + psi), bit for bit those of ``psi`` and ``phi_plus_psi``,
+        with the Green function of each point evaluated once."""
         zeta = np.asarray(zeta, dtype=complex)
-        cache: dict[complex, np.ndarray] = {}
+        greens = [green_disc_raw(zeta, z) for z, _p, _m in self.points]
+        return self._psi(zeta, greens), self._phi_plus_psi(zeta, greens)
 
-        def green(loc):
-            if loc not in cache:
-                cache[loc] = green_disc_raw(zeta, loc)
-            return cache[loc]
-
-        return self._psi(zeta, green), self._phi_plus_psi(zeta, green)
-
-    def _psi(self, zeta, green) -> np.ndarray:
+    # given ``greens``, the Green arrays are shared; without them each is
+    # evaluated where it is added, so a lone psi holds one at a time
+    def _psi(self, zeta, greens=None) -> np.ndarray:
         out = np.zeros(zeta.shape, dtype=float)
-        for loc, coeff in self.green:
-            out += coeff * green(loc)
+        for i, (z, p, _m) in enumerate(self.points):
+            if p > 0:
+                out += 2.0 * p * (greens[i] if greens else green_disc_raw(zeta, z))
         return out
 
-    def _phi_plus_psi(self, zeta, green) -> np.ndarray:
+    def _phi_plus_psi(self, zeta, greens=None) -> np.ndarray:
         out = np.full(zeta.shape, 2.0 * self.log_lead, dtype=float)
-        for loc, m in self.zeros:
-            out += 2.0 * m * green(loc)
+        for i, (z, _p, m) in enumerate(self.points):
+            if m > 0:
+                out += 2.0 * m * (greens[i] if greens else green_disc_raw(zeta, z))
         if self.has_u or self.bump:
             z = self.dom.forward(zeta)
             if self.has_u:
@@ -230,28 +220,14 @@ class WeightKernel:
         return out
 
     def singular_centers(self):
-        """(zeta, p_total, divisor order, enforced vanishing order) per center.
+        """(zeta, p, divisor order m, enforced vanishing order nu) per point.
 
-        Centers are marked points and divisor zeros; the vanishing order is
-        the minimal order of any form in the constrained affine family.
+        nu is the minimal order of any form in the constrained affine family:
+        k_j, or k_j + 1 when a_j = 0, at the marked points and 0 elsewhere.
         """
-        centers: dict[complex, dict] = {}
-
-        def slot(zeta: complex) -> dict:
-            for key in centers:
-                if _same_point(key, zeta):
-                    return centers[key]
-            centers[zeta] = {"p": 0.0, "m": 0, "nu": 0}
-            return centers[zeta]
-
-        for zeta_j, pt in zip(self.zeta_marked, self.w.marked):
-            s = slot(zeta_j)
-            s["nu"] = pt.jet_order if pt.jet_coeff != 0 else pt.jet_order + 1
-        for loc, coeff in self.green:
-            slot(loc)["p"] += coeff / 2.0
-        for loc, m in self.zeros:
-            slot(loc)["m"] += m
-        return [(z, s["p"], s["m"], s["nu"]) for z, s in centers.items()]
+        nus = [pt.jet_order if pt.jet_coeff != 0 else pt.jet_order + 1 for pt in self.w.marked]
+        nus += [0] * (len(self.points) - len(nus))
+        return [(z, p, m, nu) for (z, p, m), nu in zip(self.points, nus)]
 
 
 def alpha_j(w: WeightPair, j: int, dom: DomainSpec = UNIT_DISC) -> float:
@@ -263,17 +239,16 @@ def alpha_j(w: WeightPair, j: int, dom: DomainSpec = UNIT_DISC) -> float:
     """
     pt = w.point_index(j)
     k = pt.jet_order
-    order = w.phi.order_at(pt.location)
+    order = w.points[j][2]
     if order != k + 1:
         raise BadInputError(
             f"alpha_{j} is not finite: divisor order {order} at {pt.location} != k+1 = {k + 1}"
         )
     total = 2.0 * math.log(abs(w.phi.leading))
     zeta_j = complex(dom.inverse(pt.location))
-    for loc, m in w.phi.zeros:
-        if _same_point(loc, pt.location):
-            continue
-        zeta0 = complex(dom.inverse(loc))
-        total += 2.0 * m * float(green_disc_raw(zeta_j, zeta0))
+    for i, (loc, _p, m) in enumerate(w.points):
+        if i != j and m > 0:
+            zeta0 = complex(dom.inverse(loc))
+            total += 2.0 * m * float(green_disc_raw(zeta_j, zeta0))
     total += 2.0 * float(eval_u(w, pt.location)) + w.phi.bump * abs(pt.location) ** 2
     return total

@@ -26,8 +26,9 @@ from jetmin.weights import WeightKernel, eval_u
 def eval_psi(w, z: complex, dom=UNIT_DISC) -> float:
     """psi(z) = sum 2 p_j G(z, z_j) + extra terms, one point at a time."""
     zeta = complex(dom.inverse(complex(z)))
+    terms = [(pt.location, 2.0 * pt.green_weight) for pt in w.marked] + list(w.psi.extra_terms)
     return sum(coeff * float(green_disc_raw(zeta, complex(dom.inverse(loc))))
-               for loc, coeff in w.psi.all_terms())
+               for loc, coeff in terms)
 
 
 def eval_phi(w, z: complex, dom=UNIT_DISC) -> float:

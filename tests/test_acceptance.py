@@ -194,7 +194,7 @@ def test_criterion_07_lemma_identities():
     worst_mass = worst_orth = 0.0
     for w in configs:
         kernel = WeightKernel(UNIT_DISC, w)
-        expected = 2 * math.pi * sum(c / 2 for _, c in w.psi.all_terms())
+        expected = 2 * math.pi * sum(pt.green_weight for pt in w.marked)
         worst_mass = max(worst_mass, abs(verify_mass(kernel) - expected) / expected)
         for deg in range(4):
             worst_orth = max(worst_orth, verify_orthogonality(kernel, deg))

@@ -109,6 +109,19 @@ def test_criterion_extra_green_mass_breaks_purity():
     assert not rep.all_hold
 
 
+@pytest.mark.parametrize("zeros,holds", [
+    (((0.0, 2),), True),
+    (((0.0, 1), (0.0, 1)), True),  # one point's order, listed in two parts
+    (((0.0, 1),), False),
+    (((0.0, 2), (0.3, 1)), False),  # a zero off the marked point
+])
+def test_criterion_divisor_orders_decide_structure(zeros, holds):
+    pt = MarkedPoint(0.0, jet_order=1, jet_coeff=1.0)
+    w = WeightPair.standard((pt,), zeros=zeros)
+    rep = criterion_check(Problem(UNIT_DISC, w, GainFunction.constant(1.0)))
+    assert rep.harmonic_structure is holds
+
+
 def test_criterion_zero_jet_degrades():
     pts = (
         MarkedPoint(0.0, jet_order=0, jet_coeff=0.0),
@@ -294,7 +307,7 @@ def test_mass_identity_three_configs():
         lemma_kernel((0.1 - 0.2j, 2.5), (0.35 + 0j, 4.5)),
     ]
     for kernel in configs:
-        total_p = sum(c / 2 for _, c in kernel.green)
+        total_p = sum(pt.green_weight for pt in kernel.w.marked)
         got = verify_mass(kernel)
         assert abs(got - 2 * math.pi * total_p) <= 1e-3 * 2 * math.pi * total_p
 

@@ -153,6 +153,29 @@ def test_non_finite_fields_exit_4(tmp_path, capsys, block, key, value):
         assert "must be finite" in capsys.readouterr().err
 
 
+def test_steep_tabulated_gain_exits_4(tmp_path, capsys):
+    gain = {"kind": "tabulated", "grid_t": [0, 5, 5.001, 10],
+            "grid_c": [1, 1, math.exp(0.005), math.exp(0.005)]}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"marked": [{"location": [0, 0]}], "gain": gain}))
+    assert cli.main(["scan", str(path)]) == 4
+    assert "not admissible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("phi", [{"u_coeffs": [[-400, 0]]}, {"leading": [1e-300, 0]}],
+                         ids=["u", "leading"])
+@pytest.mark.parametrize("command", ["suita", "scan"])
+def test_overflowing_weight_exits_2(tmp_path, command, phi):
+    # e^{-phi} overflows on the region: a typed numerical failure, no warnings
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"marked": [{"location": [0.2, 0]}], "phi": phi,
+                                "numerics": {"N": 8}}))
+    out = run_cli([command, str(path)])
+    assert out.returncode == 2
+    assert out.stderr.startswith("jetmin: numerical failure")
+    assert "Traceback" not in out.stderr
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, jetmin, jetmin.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")

@@ -99,6 +99,16 @@ def test_class_p_margin_values():
     assert class_p_margin(GainFunction.tabulated(ts, 1.0 / (1.0 + ts))) >= 0.0
 
 
+def test_class_p_checks_every_knot_interval():
+    # c e^{-t} rises from 6.7380e-3 to 6.7650e-3 on [5, 5.001] only
+    with pytest.raises(BadInputError):
+        GainFunction.tabulated((0.0, 5.0, 5.001, 10.0),
+                               (1.0, 1.0, math.exp(0.005), math.exp(0.005)))
+    # slope of log c exactly 1: c e^{-t} is constant on [0, 1], still admissible
+    g = GainFunction.tabulated((0.0, 1.0), (1.0, math.e))
+    assert class_p_margin(g) >= -1e-12
+
+
 def test_tabulated_validation():
     with pytest.raises(BadInputError):
         GainFunction.tabulated([1.0, 1.0, 2.0], [1.0, 1.0, 1.0])

@@ -169,9 +169,10 @@ def test_two_point_builder_structure():
     assert [pt.green_weight for pt in w.marked] == [2.0, 1.0]
     assert [pt.jet_order for pt in w.marked] == [1, 0]
     assert w.marked[1].jet_coeff == -1.0 / 3.0 + 0j
-    # standard pair: psi carries 2p Green masses, phi zeros match jet orders
-    assert w.psi.green_terms == ((0j, 4.0), (0.5 + 0j, 2.0))
+    # standard pair: no extra psi mass, phi zeros match jet orders
+    assert w.psi.extra_terms == ()
     assert w.phi.zeros == ((0j, 2), (0.5 + 0j, 1))
+    assert w.points == ((0j, 2.0, 2), (0.5 + 0j, 1.0, 1))
     assert w.phi.leading == 1 + 0j
     assert w.phi.bump == 0.0
 

@@ -85,6 +85,18 @@ def test_single_point_decay_analytic():
         assert res.value == pytest.approx(2 * math.pi * math.exp(-t), rel=1e-12)
 
 
+def test_stacked_mass_takes_the_closed_form():
+    # extra psi mass on the marked point adds to its p: p = 1 + 2/2 = 2 meets
+    # the divisor order 2, so e^{-phi} = 1 and {psi < -t} is |z| < e^{-t/4}
+    w = WeightPair.standard((MarkedPoint(0.0),), zeros=((0.0, 2),), extra_psi=((0.0, 2.0),))
+    for t in (0.0, 0.7):
+        res = minimal_integral(UNIT_DISC, w, CONST, t, N=8)
+        assert res.diagnostics["gram_path"] == "analytic"
+        assert res.value == pytest.approx(2 * math.pi * math.exp(-t / 2), rel=1e-14)
+        quad = minimal_integral(UNIT_DISC, w, CONST, t, N=8, gram="quadrature")
+        assert abs(quad.value - res.value) <= 1e-12 * res.value
+
+
 def test_single_point_decay_quadrature():
     res = minimal_integral(
         UNIT_DISC, single_point_pair(), CONST, 1.0, N=12, gram="quadrature"

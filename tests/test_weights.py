@@ -133,23 +133,10 @@ def test_alpha_infinite_when_order_mismatch():
 
 
 def test_weight_pair_validation():
-    pt = MarkedPoint(0.0)
     with pytest.raises(BadInputError):
-        WeightPair(
-            marked=(pt,),
-            psi=PsiSpec(green_terms=((0.5, 2.0),)),
-            phi=PhiSpec(),
-        )  # green term misses the marked point
+        PsiSpec(extra_terms=((0.0, -1.0),))
     with pytest.raises(BadInputError):
-        WeightPair(
-            marked=(pt,),
-            psi=PsiSpec(green_terms=((0.0, 3.0),)),
-            phi=PhiSpec(),
-        )  # coefficient does not match 2p
-    with pytest.raises(BadInputError):
-        PsiSpec(green_terms=())
-    with pytest.raises(BadInputError):
-        PsiSpec(green_terms=((0.0, -1.0),))
+        WeightPair.standard([MarkedPoint(0.0), MarkedPoint(1e-13)])  # one point within tolerance
     with pytest.raises(BadInputError):
         PhiSpec(leading=0.0)
     with pytest.raises(BadInputError):
