@@ -124,7 +124,8 @@ def scan_G(problem: Problem) -> ConcavityReport:
     builds one region per mesh level for the whole t grid, with the patch
     radii set by the deepest level.  Second differences of a concave
     function are <= 0; positive values beyond the quadrature tolerance
-    indicate a bug, not new mathematics.
+    indicate a bug, not new mathematics.  psi has a pole at every marked
+    point, so a level without quadrature nodes is unresolved: NumericalError.
     """
     n = problem.numerics.r_count
     g = problem.gain
@@ -139,6 +140,10 @@ def scan_G(problem: Problem) -> ConcavityReport:
         N=problem.numerics.N,
         mesh=problem.numerics.mesh,
     )
+    empty = [t for t, res in zip(t_grid, results) if res.diagnostics["degenerate"]]
+    if empty:
+        raise NumericalError(f"no quadrature node in {{psi < -t}} at t = {empty[0]:.6g}: "
+                             "the mesh cannot resolve this level")
     vals = np.array([res.value for res in results])
     max_err = max(res.diagnostics["quadrature_error"] for res in results)
     d2 = vals[2:] - 2 * vals[1:-1] + vals[:-2]

@@ -1,15 +1,21 @@
 """Gain functions c(t) and the tail transform h(t) = int_t^inf c(s) e^{-s} ds.
 
 Admissible gains have c > 0 with c(t) e^{-t} non-increasing and h(0) finite.
-Three kinds are supported: a positive constant, an exponential e^{delta t}
-with delta < 1, and a tabulated grid with log-linear interpolation.  The
-tabulated kind is extended by constants beyond its grid, which preserves both
-admissibility conditions.
+A positive constant v, an exponential e^{delta t} with delta < 1 and a
+tabulated grid are each normalised once, when built, into one piecewise
+log-linear table: knots t_0 < ... < t_K with c and log c there, log c affine
+between knots, c constant below t_0 and log c of slope s beyond t_K.  A
+constant is ([0], [v], s = 0), an exponential ([0], [1], s = delta) and a
+tabulated gain its grid with s = 0.  Every function below reads that table
+with no case per kind: on each piece c(s) e^{-a s} is the exponential of an
+affine function, so h is a closed form there, and so is h^{-1}.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +24,13 @@ from .errors import BadInputError, NumericalError
 TAG_ONE = "->1"
 TAG_ZERO = "->0"
 TAG_INF = "->inf"
+
+
+class _Table(NamedTuple):
+    t: np.ndarray  # knots t_0 < ... < t_K
+    c: np.ndarray  # c at the knots, exactly as given
+    log_c: np.ndarray  # log c at the knots
+    slope: float  # slope of log c beyond t_K
 
 
 @dataclass(frozen=True)
@@ -32,11 +45,13 @@ class GainFunction:
         if self.kind == "constant":
             if not (self.value > 0 and math.isfinite(self.value)):
                 raise BadInputError(f"constant gain needs value > 0, got {self.value}")
+            t, c, log_c, slope = [0.0], [self.value], [math.log(self.value)], 0.0
         elif self.kind == "exponential":
             if not (self.rate < 1 and math.isfinite(self.rate)):
                 raise BadInputError(
                     f"exponential gain needs rate < 1 for h(0) < inf, got {self.rate}"
                 )
+            t, c, log_c, slope = [0.0], [1.0], [0.0], self.rate
         elif self.kind == "tabulated":
             t = np.asarray(self.grid_t, dtype=float)
             c = np.asarray(self.grid_c, dtype=float)
@@ -50,14 +65,26 @@ class GainFunction:
                 raise BadInputError("tabulated gain grid must start at t >= 0")
             object.__setattr__(self, "grid_t", tuple(float(x) for x in t))
             object.__setattr__(self, "grid_c", tuple(float(x) for x in c))
+            log_c, slope = np.log(c), 0.0
         else:
             raise BadInputError(f"unknown gain kind {self.kind!r}")
+        # an attribute, not a field: equality, asdict and problem files skip it
+        arrays = (np.asarray(x, dtype=float) for x in (t, c, log_c))
+        object.__setattr__(self, "_table", _Table(*arrays, float(slope)))
         margin = class_p_margin(self)
         if margin < -1e-12:
             raise BadInputError(
                 f"gain is not admissible: log(c(t)e^-t) increases by {-margin:.3e} "
                 "on a knot interval"
             )
+
+    @cached_property
+    def _h_knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """0 and the knots, log c there and h there: the ends of h^-1's pieces."""
+        tab = self._table
+        t = np.concatenate(([0.0], tab.t))
+        log_c = np.concatenate((tab.log_c[:1], tab.log_c))
+        return t, log_c, np.array([eval_h(self, x) for x in t])
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "GainFunction":
@@ -75,34 +102,14 @@ class GainFunction:
 def class_p_margin(g: GainFunction) -> float:
     """Smallest decrease of log(c(t) e^{-t}) over one knot interval.
 
-    log c is affine on each knot interval and constant off the grid, so
-    c(t) e^{-t} is non-increasing exactly when log c rises by at most the
-    interval's length on every interval: the margin is >= 0 exactly for
-    admissible gains, and 0 for the constant and exponential kinds.
+    log c is affine on each knot interval, constant below the knots and of
+    slope s < 1 beyond them, so c(t) e^{-t} is non-increasing exactly when
+    log c rises by at most the interval's length on every interval: the
+    margin is >= 0 exactly for admissible gains, and 0 without intervals.
     """
-    if g.kind != "tabulated":
-        # c(t) e^{-t} is e^{-t} or e^{(rate-1) t} with rate < 1: decreasing
-        return 0.0
-    t = np.asarray(g.grid_t)
-    return float(np.min(np.diff(t) - np.diff(np.log(np.asarray(g.grid_c)))))
-
-
-def eval_c(g: GainFunction, t):
-    """c(t) for t > 0; vectorized over numpy arrays."""
-    scalar = np.isscalar(t)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr <= 0):
-        raise BadInputError("eval_c needs t > 0")
-    if g.kind == "constant":
-        out = np.full_like(t_arr, g.value)
-    elif g.kind == "exponential":
-        out = np.exp(g.rate * t_arr)
-    else:
-        gt = np.asarray(g.grid_t)
-        gc = np.asarray(g.grid_c)
-        # log-linear in c between samples, constant beyond the grid
-        out = np.exp(np.interp(t_arr, gt, np.log(gc)))
-    return float(out[0]) if scalar else out
+    tab = g._table
+    drop = np.diff(tab.t) - np.diff(tab.log_c)
+    return float(np.min(drop)) if drop.size else 0.0
 
 
 def eval_log_c(g: GainFunction, t):
@@ -110,35 +117,28 @@ def eval_log_c(g: GainFunction, t):
     scalar = np.isscalar(t)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr <= 0):
-        raise BadInputError("eval_log_c needs t > 0")
-    if g.kind == "constant":
-        out = np.full_like(t_arr, math.log(g.value))
-    elif g.kind == "exponential":
-        out = g.rate * t_arr
-    else:
-        out = np.interp(t_arr, np.asarray(g.grid_t), np.log(np.asarray(g.grid_c)))
+        raise BadInputError("c(t) needs t > 0")
+    tab = g._table
+    out = np.interp(t_arr, tab.t, tab.log_c)
+    if tab.slope:
+        out += tab.slope * np.maximum(t_arr - tab.t[-1], 0.0)
     return float(out[0]) if scalar else out
 
 
+def eval_c(g: GainFunction, t):
+    """c(t) for t > 0; vectorized over numpy arrays."""
+    out = np.exp(eval_log_c(g, t))
+    return float(out) if np.isscalar(t) else out
+
+
 def _tail_integral(g: GainFunction, a: float, t: float) -> float:
-    """int_t^inf c(s) e^{-a s} ds, requiring convergence."""
-    if g.kind == "constant":
-        if a <= 0:
-            raise BadInputError(f"divergent tail integral for a = {a}")
-        return g.value * math.exp(-a * t) / a
-    if g.kind == "exponential":
-        if a <= g.rate:
-            raise BadInputError(f"divergent tail integral for a = {a} <= rate {g.rate}")
-        return math.exp(-(a - g.rate) * t) / (a - g.rate)
-    if a <= 0:
-        raise BadInputError(f"divergent tail integral for a = {a}")
-    # exact: log c is affine on each knot interval, so the integrand is the
-    # exponential of an affine function there; c is constant off the grid
-    gt = np.asarray(g.grid_t)
-    lc = np.log(np.asarray(g.grid_c))
-    total = g.grid_c[-1] * math.exp(-a * max(t, gt[-1])) / a
+    """int_t^inf c(s) e^{-a s} ds for a > s, exact on every piece of the table."""
+    gt, gc, lc, s = g._table
+    if a <= s:
+        raise BadInputError(f"divergent tail integral for a = {a} <= tail slope {s}")
+    total = gc[-1] * math.exp(-(a - s) * max(t, gt[-1]) - s * gt[-1]) / (a - s)
     if t < gt[0]:
-        total += g.grid_c[0] * math.exp(-a * t) * -math.expm1(-a * (gt[0] - t)) / a
+        total += gc[0] * math.exp(-a * t) * -math.expm1(-a * (gt[0] - t)) / a
     i = np.nonzero(gt[1:] > t)[0]  # knot intervals reaching past t
     lo = np.maximum(gt[i], t)
     L = gt[i + 1] - lo
@@ -148,8 +148,8 @@ def _tail_integral(g: GainFunction, a: float, t: float) -> float:
     ratio = np.divide(np.expm1(k * L), k, out=L.copy(), where=k * L != 0)
     total += float(np.sum(head * ratio))
     if not math.isfinite(total):
-        raise NumericalError("tabulated tail integral is not finite")
-    return total
+        raise NumericalError("gain tail integral is not finite")
+    return float(total)
 
 
 def eval_h(g: GainFunction, t: float) -> float:
@@ -161,33 +161,36 @@ def eval_h(g: GainFunction, t: float) -> float:
 
 
 def invert_h(g: GainFunction, r: float) -> float:
-    """The t with h(t) = r, for 0 < r < h(0).
+    """The t with h(t) = r, for 0 < r < h(0), in closed form.
 
-    Monotone bisection with bracket growth; absolute tolerance 1e-12 h(0)
-    (h can be flat near infinity, so the tolerance is anchored at h(0)).
+    h at 0 and at the knots picks the piece [a, b] that holds r.  Beyond the
+    last knot h(t) = h(t_K) e^{-(1-s)(t - t_K)}.  On [a, b], where log c has
+    slope m (0 below the knots), c(t) e^{-t} = w e^{k(t-a)} with k = m - 1 <= 0
+    and w = c(a) e^{-a}, its largest value there, so h(t) = h(a) + w
+    expm1(k(t - a)) / k.  With q = (h(a) - r) / w and y = -k q this gives
+    t = a + log1p(-y) / k, or a + q on an interval of slope 1 (k = 0).  For
+    y > 1/2 the same e^{k(t-a)} = 1 - y is summed from the right end instead,
+    e^{k(b-a)} + y (r - h(b)) / (h(a) - r), since 1 - y would cancel.
     """
     r = float(r)
-    h0 = eval_h(g, 0.0)
-    if not (0 < r < h0):
-        raise BadInputError(f"invert_h needs 0 < r < h(0) = {h0:g}, got {r}")
-    lo, hi = 0.0, 1.0
-    while eval_h(g, hi) > r:
-        lo, hi = hi, 2 * hi
-        if hi > 1e6:
-            raise NumericalError("invert_h bracket growth failed")
-    tol = 1e-12 * h0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        hm = eval_h(g, mid)
-        if abs(hm - r) <= tol:
-            return mid
-        if hm > r:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    t, lc, h = g._h_knots
+    if not (0 < r < h[0]):
+        raise BadInputError(f"invert_h needs 0 < r < h(0) = {h[0]:g}, got {r}")
+    j = int(np.count_nonzero(h > r))
+    if j == t.size:
+        return float(t[-1] + math.log(h[-1] / r) / (1.0 - g._table.slope))
+    a, b = float(t[j - 1]), float(t[j])
+    k = (lc[j] - lc[j - 1]) / (b - a) - 1.0
+    w = math.exp(lc[j - 1] - a)
+    if w == 0:
+        raise NumericalError(f"h^-1({r:g}) lies beyond t = {a:g}, where c(t) e^-t underflows")
+    q = (h[j - 1] - r) / w
+    y = -k * q
+    if y > 0.5:
+        q = math.log(math.exp(k * (b - a)) + y * (r - h[j]) / (h[j - 1] - r)) / k
+    elif k:
+        q = math.log1p(-y) / k
+    return float(a + q)
 
 
 @dataclass(frozen=True)
@@ -208,8 +211,8 @@ def ratio_probe(g: GainFunction, a: float, t_grid=None) -> RatioProbeResult:
     if t_grid is None:
         t_grid = np.linspace(1.0, 20.0, 20)
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size < 3 or not np.all(np.diff(t_grid) > 0):
-        raise BadInputError("ratio_probe needs an increasing grid of >= 3 points")
+    if t_grid.size < 3 or not np.all(np.diff(t_grid) > 0) or not t_grid[0] >= 0:
+        raise BadInputError("ratio_probe needs an increasing grid of >= 3 points t >= 0")
     ratios = np.array([
         _tail_integral(g, a, t) / _tail_integral(g, 1.0, t) for t in t_grid
     ])
@@ -236,6 +239,4 @@ def ratio_probe(g: GainFunction, a: float, t_grid=None) -> RatioProbeResult:
 
 def growth_rate_bound(g: GainFunction) -> float:
     """A delta with c(t) <= C e^{delta t}; used by integrability prechecks."""
-    if g.kind == "exponential":
-        return max(g.rate, 0.0)
-    return 0.0
+    return max(g._table.slope, 0.0)

@@ -88,7 +88,8 @@ def kkt_minimize_reduced(
 ) -> MinimalIntegralResult:
     """Minimum from a reduced Gram on the basis [particular | null columns].
 
-    (a_part, Z) come from constraint_basis(C); a non-finite Gram entry is a
+    (a_part, Z) come from constraint_basis(C); a non-finite Gram entry, or a
+    non-degenerate Gram with no entry above the smallest normal float, is a
     NumericalError, and the attaining coefficients are checked against C.
     """
     if R.size != Z.shape[1] + 1:
@@ -100,6 +101,9 @@ def kkt_minimize_reduced(
         E = R.entries
         if not np.all(np.isfinite(E)):
             raise NumericalError("reduced Gram has non-finite entries; the weight overflows")
+        if not np.max(np.abs(E)) >= np.finfo(float).tiny:
+            raise NumericalError("reduced Gram has no normal entry: the weight e^-phi "
+                                 "or the level {psi < -t} is too small")
         value, y, diag = _solve_reduced(float(np.real(E[0, 0])), E[1:, 0], E[1:, 1:])
         a = a_part + (Z @ y if y.size else 0.0)
     resid = float(np.linalg.norm(C.matrix @ a - C.rhs))

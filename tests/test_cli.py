@@ -162,11 +162,13 @@ def test_steep_tabulated_gain_exits_4(tmp_path, capsys):
     assert "not admissible" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("phi", [{"u_coeffs": [[-400, 0]]}, {"leading": [1e-300, 0]}],
-                         ids=["u", "leading"])
+@pytest.mark.parametrize("phi", [{"u_coeffs": [[-400, 0]]}, {"leading": [1e-300, 0]},
+                                 {"leading": [1e300, 0]}],
+                         ids=["u", "leading", "leading-underflow"])
 @pytest.mark.parametrize("command", ["suita", "scan"])
 def test_overflowing_weight_exits_2(tmp_path, command, phi):
-    # e^{-phi} overflows on the region: a typed numerical failure, no warnings
+    # e^{-phi} overflows on the region, or underflows everywhere (1e-600, so
+    # G and the bound would both read 0): a typed numerical failure, no warnings
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({"marked": [{"location": [0.2, 0]}], "phi": phi,
                                 "numerics": {"N": 8}}))
@@ -174,6 +176,36 @@ def test_overflowing_weight_exits_2(tmp_path, command, phi):
     assert out.returncode == 2
     assert out.stderr.startswith("jetmin: numerical failure")
     assert "Traceback" not in out.stderr
+
+
+def test_scan_level_without_nodes_exits_2(tmp_path):
+    # rate -> 1 puts the scan grid at t ~ 6e5 to 3e7, where {psi < -t} is a
+    # disc of pseudo-hyperbolic radius e^{-t/2} about the point: no node falls in it
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"marked": [{"location": [0.2, 0]}],
+                                "gain": {"kind": "exponential", "rate": 0.9999999},
+                                "numerics": {"N": 8}}))
+    out = run_cli(["scan", str(path)])
+    assert out.returncode == 2
+    assert out.stderr.startswith("jetmin: numerical failure")
+    assert "no quadrature node" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
+def test_scan_with_a_knot_past_708(tmp_path):
+    # c = 1 on [0, 1000]: c(t) e^{-t} is 0 in floats at the last knot, but
+    # h^-1(r) = log(1/r) on the whole grid
+    gain = {"kind": "tabulated", "grid_t": [0, 1000], "grid_c": [1, 1]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"marked": [{"location": [0, 0]}], "gain": gain,
+                                "numerics": {"N": 8, "r_count": 5}}))
+    out = run_cli(["scan", str(path)])
+    assert out.returncode == 0, out.stderr
+    rep = json.loads(out.stdout)["report"]
+    for r, t in zip(rep["r_grid"], rep["t_grid"]):
+        assert t == pytest.approx(-math.log(r), rel=1e-15)
+    assert rep["is_linear"]
 
 
 def test_import_loads_no_scipy():

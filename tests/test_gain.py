@@ -1,5 +1,6 @@
 """Gain profiles: evaluation, leftover mass, inversion, tail ratio probe."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from jetmin.gain import (
     class_p_margin,
     eval_c,
     eval_h,
+    eval_log_c,
     growth_rate_bound,
     invert_h,
     ratio_probe,
@@ -144,6 +146,47 @@ def test_invert_round_trip():
             assert invert_h(g, r) == pytest.approx(t, abs=1e-10)
 
 
+@pytest.mark.parametrize("g", [
+    GainFunction.constant(1.0),
+    GainFunction.constant(0.3),
+    GainFunction.exponential(-1.0),
+    GainFunction.exponential(0.5),
+    GainFunction.exponential(0.99),
+    GainFunction.exponential(0.9999999),
+    GainFunction.tabulated([0.0, 0.5, 1.0, 2.0, 4.0], [1.0, 1.2, 1.3, 2.0, 2.5]),
+    # grid starting above 0: c is held at c(t_0) below it
+    GainFunction.tabulated([0.2, 1.0, 2.0], [2.0, 1.0, 0.5]),
+    # slope of log c exactly 1 on [0, 1]: h is affine there
+    GainFunction.tabulated([0.0, 1.0, 3.0], [1.0, math.e, math.e]),
+    GainFunction.tabulated([0.5, 1.5, 2.0], [1.0, math.e, math.e ** 1.2]),
+    # knots past t = 708, where c(t) e^{-t} is subnormal or 0
+    GainFunction.tabulated([0.0, 740.0], [1.0, 1.0]),
+    GainFunction.tabulated([0.0, 1000.0], [1.0, 1.0]),
+], ids=lambda g: g.kind)
+def test_invert_h_round_trip_is_exact(g):
+    h0 = eval_h(g, 0.0)
+    rs = [h0 * (i + 1) / 18 for i in range(17)] + [h0 * 1e-9, h0 * (1 - 1e-12)]
+    # the knots themselves, where h is a normal float
+    rs += [eval_h(g, t) for t in g.grid_t if 0 < t and eval_h(g, t) > sys.float_info.min]
+    for r in rs:
+        t = invert_h(g, r)
+        assert t >= 0
+        assert abs(eval_h(g, t) - r) <= 1e-14 * r
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-9, 0.3, 1.0, 7.5, 40.0, 600.0])
+def test_constant_and_exponential_values_are_exact(t):
+    for v in (1.0, 0.3, 3.5):
+        assert eval_h(GainFunction.constant(v), t) == v * math.exp(-t)
+        if t > 0:
+            assert eval_log_c(GainFunction.constant(v), t) == math.log(v)
+    for delta in (-1.0, 0.0, 0.25, 0.5, 0.99):
+        g = GainFunction.exponential(delta)
+        assert eval_h(g, t) == math.exp(-(1 - delta) * t) / (1 - delta)
+        if t > 0:
+            assert eval_log_c(g, t) == delta * t
+
+
 def test_invert_rejects_out_of_range():
     g = GainFunction.constant(1.0)
     with pytest.raises(BadInputError):
@@ -177,6 +220,15 @@ def test_ratio_probe_flat_exact_ratio():
     res = ratio_probe(g, 2.0, t_grid=np.array([1.0, 2.0, 3.0]))
     expect = np.exp(-np.array([1.0, 2.0, 3.0])) / 2.0
     assert np.allclose(res.ratios, expect, rtol=1e-8)
+
+
+def test_ratio_probe_rejects_negative_grid_points():
+    # c is defined on t >= 0 only
+    for g in (GainFunction.constant(1.0), GainFunction.exponential(0.5)):
+        with pytest.raises(BadInputError):
+            ratio_probe(g, 2.0, t_grid=np.array([-1.0, 0.0, 1.0]))
+    assert ratio_probe(GainFunction.exponential(0.5), 2.0,
+                       t_grid=np.array([0.0, 1.0, 2.0])).tag == TAG_ZERO
 
 
 def test_ratio_probe_divergent_tail():
