@@ -13,6 +13,7 @@ affine function, so h is a closed form there, and so is h^{-1}.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -131,14 +132,22 @@ def eval_c(g: GainFunction, t):
     return float(out) if np.isscalar(t) else out
 
 
+def _scaled_exp(c: float, log_c: float, x: float) -> float:
+    """c e^{-x}, rounded once from c times e^{-x} while e^{-x} is a normal
+    float (so constant and exponential gains stay exact), and with log c in
+    the exponent past x = 708, where e^{-x} alone loses its digits."""
+    e = math.exp(-x)
+    return c * e if e >= sys.float_info.min else math.exp(log_c - x)
+
+
 def _tail_integral(g: GainFunction, a: float, t: float) -> float:
     """int_t^inf c(s) e^{-a s} ds for a > s, exact on every piece of the table."""
     gt, gc, lc, s = g._table
     if a <= s:
         raise BadInputError(f"divergent tail integral for a = {a} <= tail slope {s}")
-    total = gc[-1] * math.exp(-(a - s) * max(t, gt[-1]) - s * gt[-1]) / (a - s)
+    total = _scaled_exp(gc[-1], lc[-1], (a - s) * max(t, gt[-1]) + s * gt[-1]) / (a - s)
     if t < gt[0]:
-        total += gc[0] * math.exp(-a * t) * -math.expm1(-a * (gt[0] - t)) / a
+        total += _scaled_exp(gc[0], lc[0], a * t) * -math.expm1(-a * (gt[0] - t)) / a
     i = np.nonzero(gt[1:] > t)[0]  # knot intervals reaching past t
     lo = np.maximum(gt[i], t)
     L = gt[i + 1] - lo

@@ -31,6 +31,11 @@ patch products are assembled in log space with the enforced vanishing order
 factored out of the basis (the leading local coefficients of its Taylor
 shift to the center), so near-critical exponents neither overflow nor lose
 their radial tail.
+
+The default mesh (``QuadratureConfig``) casts 256 rays with about 256 radial
+nodes per level length and gives each patch 64 geometric radial intervals
+of 8 Gauss rings, each ring of 32 angles.  The error estimate is the
+difference from the mesh with every count halved.
 """
 from __future__ import annotations
 
@@ -78,12 +83,22 @@ class QuadratureConfig:
     """Mesh sizes: global angular/radial counts, per-patch counts, levels.
 
     ``levels`` is 1 (fine mesh only) or 2 (plus the half-resolution mesh that
-    gives the error estimate).
+    gives the error estimate).  ``halved`` halves every count down to the
+    floors (32, 40, 16, 16), so a two-level mesh needs every count above its
+    floor; at a floor the two meshes would be one and the estimate 0.
+
+    32 angles per patch ring suffice: a ring is a periodic trapezoid rule,
+    and angular mode k of the integrand on a ring of radius rho decays like
+    (rho / R)^k, R the distance to the unit circle or to the next center.
+    Patch radii keep rho <= R / 2, so 32 angles alias at most about 0.5^32
+    (2e-10).  A gain knot that cuts a ring leaves a kink, whose modes decay
+    only algebraically; the coarse level's 16 angles carry that into the
+    estimate.
     """
 
     angular: int = 256
     radial: int = 256
-    patch_angular: int = 64
+    patch_angular: int = 32
     patch_radial: int = 64
     levels: int = 2
 
@@ -736,6 +751,14 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band):
         cuts = np.array([t_lo, t_hi])
         level = np.zeros(1, dtype=int)
         deepest = t_hi
+    if config.levels == 2:
+        coarse_config = config.halved()
+        if any(getattr(coarse_config, f) >= getattr(config, f)
+               for f in ("angular", "radial", "patch_angular", "patch_radial")):
+            raise BadInputError(
+                "a two-level mesh needs every count above the half-resolution floors "
+                "(angular 32, radial 40, patch_angular 16, patch_radial 16), else its "
+                "error estimate reads 0; set levels: 1 to skip the estimate")
     radii = _patch_radii(psi_fn, patches, deepest)
     fine = build_region(psi_fn, patches, config, cuts, radii)
     per_band = np.bincount(fine.band, minlength=fine.n_bands)
@@ -744,7 +767,7 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band):
     del fine  # the coarse mesh is built without the fine nodes in memory
     err = np.zeros(degenerate.size)
     if config.levels == 2 and not degenerate.all():
-        coarse = build_region(psi_fn, patches, config.halved(), cuts, radii)
+        coarse = build_region(psi_fn, patches, coarse_config, cuts, radii)
         diff = np.abs(val - _level_sums(evaluate(coarse)))
         err = np.where(degenerate, 0.0, diff.reshape(diff.shape[0], -1).max(axis=1))
     return val[level], err[level], degenerate[level]

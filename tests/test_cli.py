@@ -153,6 +153,26 @@ def test_non_finite_fields_exit_4(tmp_path, capsys, block, key, value):
         assert "must be finite" in capsys.readouterr().err
 
 
+def test_two_level_mesh_at_the_coarse_floors_exits_4(tmp_path, capsys):
+    # every count at its half-resolution floor: the coarse mesh is the fine
+    # one, and the error estimate would read 0 (G is 1.3e-4 relative off the
+    # default mesh's, under an equality tolerance of 2.2e-8 relative)
+    ring = [{"location": [0.7 * math.cos(k * math.pi / 3), 0.7 * math.sin(k * math.pi / 3)]}
+            for k in range(6)]
+    floors = {"angular": 32, "radial": 40, "patch_angular": 16, "patch_radial": 16}
+    problem = {"marked": ring, "gain": {"kind": "exponential", "rate": 0.5},
+               "numerics": {"N": 24, "mesh": dict(floors, levels=2)}}
+    path = tmp_path / "floors.json"
+    path.write_text(json.dumps(problem))
+    assert cli.main(["suita", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "half-resolution floors" in err and "levels: 1" in err
+    problem["numerics"]["mesh"]["levels"] = 1
+    path.write_text(json.dumps(problem))
+    assert cli.main(["suita", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["quad_error"] == 0
+
+
 def test_steep_tabulated_gain_exits_4(tmp_path, capsys):
     gain = {"kind": "tabulated", "grid_t": [0, 5, 5.001, 10],
             "grid_c": [1, 1, math.exp(0.005), math.exp(0.005)]}

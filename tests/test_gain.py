@@ -174,6 +174,17 @@ def test_invert_h_round_trip_is_exact(g):
         assert abs(eval_h(g, t) - r) <= 1e-14 * r
 
 
+@pytest.mark.parametrize("scale", [1e-300, 3e-302, 1e-305])
+def test_round_trip_where_the_tail_factor_underflows(scale):
+    # c_K = e^50 past t_K = 60, so h(t) = e^{50 - t} there: at r ~ 1e-300 h(0)
+    # the round trip lands near t = 739, where e^{-t} alone is subnormal
+    g = GainFunction.tabulated([0.0, 50.0, 60.0], [1.0, math.exp(40.0), math.exp(50.0)])
+    r = scale * eval_h(g, 0.0)
+    t = invert_h(g, r)
+    assert 730 < t < 755
+    assert abs(eval_h(g, t) - r) <= 1e-12 * r
+
+
 @pytest.mark.parametrize("t", [0.0, 1e-9, 0.3, 1.0, 7.5, 40.0, 600.0])
 def test_constant_and_exponential_values_are_exact(t):
     for v in (1.0, 0.3, 3.5):

@@ -1,11 +1,13 @@
 """Region geometry of the polar quadrature (ray origin, threshold cuts, sub-rays)
 and the moment Gram kernel."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from jetmin import quadrature
+from jetmin.errors import BadInputError
 from jetmin.forms import _patch_specs, constraint_basis, jet_constraints
 from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, MarkedPoint
@@ -17,6 +19,7 @@ from jetmin.quadrature import (
     _ray_pieces,
     _reach,
     _taylor_shift,
+    assembled_integral,
     build_region,
     gram_on_nodes,
 )
@@ -352,3 +355,22 @@ def test_taylor_shift_matches_direct_values(seed, N):
         got = np.polynomial.polynomial.polyval(z - c, _taylor_shift(P, c))
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= 1e-13
+
+
+@pytest.mark.parametrize("count,floor", [("angular", 32), ("radial", 40),
+                                         ("patch_angular", 16), ("patch_radial", 16)])
+def test_two_level_mesh_needs_counts_above_the_coarse_floors(count, floor):
+    # a count at its floor is not halved, so that part of the mesh would be
+    # compared with itself; one level at the floor needs no coarse mesh
+    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(TWO_POINTS))
+    specs = _patch_specs(kernel, GAIN)
+
+    def area_error(config):
+        return assembled_integral(kernel.psi, lambda z: np.ones((1, z.size)), specs, config,
+                                  ts=(0.5,))[1][0]
+
+    at_floor = replace(QuadratureConfig(), **{count: floor})
+    with pytest.raises(BadInputError, match="half-resolution floors"):
+        area_error(at_floor)
+    assert area_error(replace(at_floor, levels=1)) == 0
+    assert area_error(replace(at_floor, **{count: floor + 1})) > 0
