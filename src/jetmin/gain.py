@@ -120,7 +120,10 @@ def eval_log_c(g: GainFunction, t):
     if np.any(t_arr <= 0):
         raise BadInputError("c(t) needs t > 0")
     tab = g._table
-    out = np.interp(t_arr, tab.t, tab.log_c)
+    if tab.t.size == 1:  # constant and exponential gains: log c(t_0) up to the tail
+        out = np.full(t_arr.shape, tab.log_c[0])
+    else:
+        out = np.interp(t_arr, tab.t, tab.log_c)
     if tab.slope:
         out += tab.slope * np.maximum(t_arr - tab.t[-1], 0.0)
     return float(out[0]) if scalar else out

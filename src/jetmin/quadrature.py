@@ -12,7 +12,9 @@ A global polar grid cuts each ray at every threshold in one pass (one
 sorted search of the psi samples, one bisection of all crossings; psi < 0,
 so t <= 0 is never cut and a t = 0 ray is one unsampled piece), tags each
 piece with its band, and integrates with Gauss-Legendre panels split at
-every patch-circle crossing.  Rays start at the singular center when there
+every patch-circle crossing.  A Gram region is also cut at the gain's
+knots, which define bands but no level, so no panel straddles a kink of
+c(-psi).  Rays start at the singular center when there
 is only one (its levels are discs around it) and at the origin otherwise.
 Values are accumulated per band; level k sums the bands j >= k, and a Gram
 is reduced from weighted monomial moments M, Q^H M Q with Q the basis
@@ -32,10 +34,12 @@ factored out of the basis (the leading local coefficients of its Taylor
 shift to the center), so near-critical exponents neither overflow nor lose
 their radial tail.
 
-The default mesh (``QuadratureConfig``) casts 256 rays with about 256 radial
-nodes per level length and gives each patch 64 geometric radial intervals
-of 8 Gauss rings, each ring of 32 angles.  The error estimate is the
-difference from the mesh with every count halved.
+The default mesh (``QuadratureConfig``) casts 256 rays with about 128 radial
+nodes per level length, in panels of 10 nodes whose count per piece is
+rounded up, and at least 2 panels on a piece in a blending annulus; it
+gives each patch 64 geometric radial intervals of 8 Gauss rings, each ring
+of 32 angles.  The error estimate is the difference from the mesh with
+every count halved.
 """
 from __future__ import annotations
 
@@ -87,6 +91,13 @@ class QuadratureConfig:
     floors (32, 40, 16, 16), so a two-level mesh needs every count above its
     floor; at a floor the two meshes would be one and the estimate 0.
 
+    ``radial`` is about the number of radial nodes across one level on one
+    ray, in Gauss-Legendre panels of 10 nodes.  128 suffices because the
+    rays are cut at every level and gain knot, so each panel sees a smooth
+    integrand; panel counts round up, and a piece in a patch's blending
+    annulus gets at least 2 panels, so the coarse level (64) still resolves
+    the blending mask there.
+
     32 angles per patch ring suffice: a ring is a periodic trapezoid rule,
     and angular mode k of the integrand on a ring of radius rho decays like
     (rho / R)^k, R the distance to the unit circle or to the next center.
@@ -97,7 +108,7 @@ class QuadratureConfig:
     """
 
     angular: int = 256
-    radial: int = 256
+    radial: int = 128
     patch_angular: int = 32
     patch_radial: int = 64
     levels: int = 2
@@ -183,8 +194,8 @@ def _patch_radii(psi_fn, patches, threshold):
     """Blending radius per patch plus a containment flag.
 
     A patch is "contained" when its closed disc lies inside {psi < -threshold},
-    the deepest level of the region (t_K for a band list, t_{K-1} for a list
-    of sublevel sets), so it lies inside every level; psi is subharmonic off
+    the deepest level asked for (t1 of a band, the largest t of a list of
+    sublevel sets), so it lies inside every level; psi is subharmonic off
     its poles, so a boundary-circle maximum below the threshold certifies the
     whole disc.
     """
@@ -312,9 +323,11 @@ def _panels(theta, w_theta, lo, hi, level_len, mask_patches, budget):
 
     Each piece [lo, hi] of the ray at angle theta is split where the ray
     crosses a patch circle (radius and half radius), and each sub-piece gets
-    max(1, round(budget * length / level_len)) equal panels.  A panel is its
-    midpoint and half width, the ray direction e = exp(i theta), the angular
-    weight times the half width, and the index of its piece.
+    ceil(budget * length / level_len) equal panels, and at least 2 where it
+    lies in a blending annulus (half radius to radius), whose C^4 mask one
+    panel of the coarse budget does not resolve.  A panel is its midpoint
+    and half width, the ray direction e = exp(i theta), the angular weight
+    times the half width, and the index of its piece.
     """
     conj_e = np.exp(-1j * theta)
     edges = [lo, hi]
@@ -329,7 +342,14 @@ def _panels(theta, w_theta, lo, hi, level_len, mask_patches, budget):
     edges = np.sort(np.stack(edges, axis=1), axis=1)  # lo, splits, hi, then nan
     piece, col = np.nonzero(edges[:, 1:] > edges[:, :-1])
     s_lo, s_hi = edges[piece, col], edges[piece, col + 1]
-    n_pan = np.maximum(1, np.rint(budget * (s_hi - s_lo) / level_len[piece])).astype(int)
+    # a sub-piece lies wholly inside or outside each annulus: test its midpoint
+    s_mid = 0.5 * (s_lo + s_hi) * np.exp(1j * theta[piece])
+    blend = np.zeros(piece.size, dtype=bool)
+    for c, radius in mask_patches:
+        dist = np.abs(s_mid - c)
+        blend |= (dist > radius / 2) & (dist < radius)
+    n_pan = np.maximum(np.where(blend, 2, 1),
+                       np.ceil(budget * (s_hi - s_lo) / level_len[piece])).astype(int)
     sub = np.repeat(np.arange(n_pan.size), n_pan)
     j = np.arange(sub.size) - (np.cumsum(n_pan) - n_pan)[sub]
     step = ((s_hi - s_lo) / n_pan)[sub]
@@ -462,10 +482,10 @@ def build_region(psi_fn, patches, config, cuts, radii):
     ``cuts`` is the sorted array t_0 < ... < t_K; ``patches`` lists the
     singular centers (PatchSpec), and ``radii`` carries their (radius,
     contained) pairs, so two refinement levels share the same geometry.  A
-    contained patch lies in the deepest band of a list of sublevel sets and
-    below every band of a band list, where it is left out.  Besides the
-    nodes, the region records where each run of nodes on one ray (rays from
-    the origin only) or one patch ring, in one band, starts.
+    contained patch is tagged with the deepest band of a list of sublevel
+    sets and lies below every band of a band list, where it is left out.
+    Besides the nodes, the region records where each run of nodes on one ray
+    (rays from the origin only) or one patch ring, in one band, starts.
     """
     n_bands = cuts.size - 1
     sublevel = not math.isfinite(cuts[-1])
@@ -588,14 +608,16 @@ def _moments_of_runs(ang, rad, run_band, n_bands):
     """Hermitian M_k with M_k[i, j] = sum over the runs of band k of
     ang_(j-i) rad_(i+j), j >= i.
 
-    ``rad`` is [run, 0 .. 2d-2]; ``ang(s, e)`` returns [run, 0 .. d-1] for the
-    runs s:e only, so no angular table of every run is held at once.
+    ``rad`` is [run, 0 .. 2d-2] (real); ``ang(s, e)`` returns a C-contiguous
+    complex [run, 0 .. d-1] for the runs s:e only, so no angular table of
+    every run is held at once.  The product is taken in reals, on the
+    (re, im) pairs of ``ang``.
     """
     d = rad.shape[1] // 2 + 1
     i, j = np.triu_indices(d)
     M = np.zeros((n_bands, d, d), dtype=complex)
     for k, s, e in _band_runs(run_band):
-        M[k, i, j] += (ang(s, e).T @ rad[s:e])[j - i, i + j]
+        M[k, i, j] += (rad[s:e].T @ ang(s, e).view(float)).view(complex)[i + j, j - i]
     return M + np.triu(M, 1).conj().transpose(0, 2, 1)
 
 
@@ -725,13 +747,17 @@ def integral_on_nodes(nodes, fn):
     return total
 
 
-def _two_level(psi_fn, evaluate, patches, config, ts, band):
+def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
     """evaluate(nodes) over each level, with a two-level error estimate.
 
     The levels are the sublevel sets {psi < -t} for t in ``ts``, or the one
     band {-t1 <= psi < -t2} when ``band`` is (t1, t2).  One region per mesh
     level serves all of them: evaluate returns one value per band, and a
-    level's value is the sum over its bands.  Returns arrays (value, err,
+    level's value is the sum over its bands.  ``knots`` (the gain's) are
+    extra cuts inside the region, so no radial panel straddles a kink of
+    c(-psi); they define bands but no level, so a contained patch, tagged
+    with the deepest band, still falls in every level where knots beyond
+    the deepest t split it.  Returns arrays (value, err,
     degenerate) with one entry per level, in the order of ``ts``; err is the
     max entrywise difference from the half-resolution mesh when
     config.levels is 2.  Both meshes share the patch radii, which the
@@ -741,14 +767,16 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band):
         ts = [float(t) for t in ts]
         if not ts or not all(t >= 0 for t in ts):
             raise BadInputError("sublevel parameter t must be >= 0")
-        cuts = np.array(sorted(set(ts)) + [math.inf])
+        inner = [float(k) for k in knots if k > min(ts)]
+        cuts = np.array(sorted(set(ts + inner)) + [math.inf])
         level = np.searchsorted(cuts, ts)
-        deepest = cuts[-2]
+        deepest = max(ts)
     else:
         t_hi, t_lo = float(band[0]), float(band[1])
         if not (t_hi > t_lo >= 0):
             raise BadInputError(f"band needs t1 > t2 >= 0, got {band!r}")
-        cuts = np.array([t_lo, t_hi])
+        inner = [float(k) for k in knots if t_lo < k < t_hi]
+        cuts = np.array([t_lo, *inner, t_hi])
         level = np.zeros(1, dtype=int)
         deepest = t_hi
     if config.levels == 2:
@@ -779,9 +807,10 @@ def _level_sums(per_band):
 
 
 def assembled_gram(kernel, gain, basis, patches, config, *, ts=(0.0,), band=None):
-    """Two-level Grams of the basis, one per level: arrays (H, err, degenerate)."""
+    """Two-level Grams of the basis, one per level: arrays (H, err, degenerate);
+    the region is cut at the gain's knots as well."""
     return _two_level(kernel.psi, lambda nodes: gram_on_nodes(nodes, kernel, gain, basis),
-                      patches, config, ts, band)
+                      patches, config, ts, band, gain._table.t)
 
 
 def assembled_integral(psi_fn, fn, patches, config, *, ts=(0.0,)):

@@ -20,7 +20,7 @@ from jetmin.analysis import (
 from jetmin.errors import BadInputError
 from jetmin.forms import gram_analytic_disc, jet_constraints, norm_of_form
 from jetmin.gain import GainFunction
-from jetmin.geometry import UNIT_DISC, MarkedPoint
+from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
 from jetmin.problems import (
     Numerics,
     Problem,
@@ -210,6 +210,24 @@ def test_scan_offcenter_single_point_closed_form(zeta0, gain):
     scale = 2 * math.pi * (1 - abs(zeta0) ** 2) ** 2
     rel_err = max(abs(g - scale * r) / (scale * r) for r, g in zip(rep.r_grid, rep.g_values))
     assert rel_err <= 1e-6
+
+
+def test_scan_transported_point_under_a_tabulated_gain():
+    # one point of a Moebius image under a gain with a different log slope on
+    # each knot interval: c(-psi) has a kink on every knot level, and the
+    # rays from the point are cut there, so G keeps the closed form
+    # 2 pi (1 - |zeta0|^2)^2 r to far below the panel error a kink would leave
+    dom = DomainSpec.moebius(2.0, 0.3, 0.1, 1.2)
+    zeta0 = 0.45 * cmath.exp(1.1j)
+    pt = MarkedPoint(complex(dom.forward(zeta0)), green_weight=1.0, jet_order=0,
+                     jet_coeff=cmath.exp(0.7j), coord_scale=1.0 / dom.derivative(zeta0))
+    gain = GainFunction.tabulated([0.0, 0.5, 1.0, 2.0, 4.0], np.exp([0.1, 0.55, 0.6, 1.4, 1.6]))
+    p = Problem(domain=dom, weights=WeightPair.standard((pt,)), gain=gain,
+                numerics=Numerics(N=24, r_count=9))
+    rep = scan_G(p)
+    scale = 2 * math.pi * (1 - abs(zeta0) ** 2) ** 2
+    for r, g in zip(rep.r_grid, rep.g_values):
+        assert g == pytest.approx(scale * r, rel=1e-10)
 
 
 def test_scan_r_count_control():

@@ -268,17 +268,23 @@ def moebius_two_point():
     return dom, WeightPair.standard(pts)
 
 
-@pytest.mark.parametrize("case", ["disc", "moebius"])
+@pytest.mark.parametrize("case", ["disc", "moebius", "disc-tabulated", "moebius-tabulated"])
 def test_band_norm_is_difference_of_sublevel_norms(case):
     # {-1.2 <= psi < -0.4} = {psi < -0.4} minus {psi < -1.2}: the band skips
     # the patches its deep region contains, while each sublevel norm
-    # integrates them on their local grids
-    if case == "disc":
+    # integrates them on their local grids.  A tabulated gain puts kinks in
+    # c(-psi) at its knots, two of them inside the band; the band and both
+    # sublevel sets cut their rays there
+    geometry, _, gain = case.partition("-")
+    if geometry == "disc":
         p = two_point_problem(0.3)
         dom, w = p.domain, p.weights
     else:
         dom, w = moebius_two_point()
     g = GainFunction.exponential(0.5)
+    if gain == "tabulated":
+        g = GainFunction.tabulated([0.0, 0.5, 1.0, 2.0, 4.0],
+                                   np.exp([0.0, 0.45, 0.5, 1.3, 1.5]))
     F = minimal_integral(dom, w, g, 0.4, N=12).extremal
     band, _, _ = form_norm_quadrature(dom, w, g, F, band=(1.2, 0.4))
     outer, _, _ = form_norm_quadrature(dom, w, g, F, t=0.4)

@@ -298,6 +298,25 @@ def test_default_patch_angles_resolve_a_six_point_ring():
     assert err == pytest.approx(solve(QuadratureConfig(patch_angular=64))[1], rel=0.01)
 
 
+def test_blending_pieces_get_two_radial_panels():
+    # six unit-mass points at radius 0.44 under an exponential gain, N = 24:
+    # a radial piece in a patch's blending annulus takes at least 2 panels,
+    # so the half-resolution mesh resolves the C^4 mask there as well and the
+    # error estimate is that of the finer radial budget 256 (with one panel
+    # on such a piece it reads 1.7e-5, not 3.9e-5); G is that of radial 512
+    pts = tuple(MarkedPoint(0.44 * complex(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)),
+                            green_weight=1.0, jet_order=0, jet_coeff=1.0) for k in range(6))
+    w, g = WeightPair.standard(pts), GainFunction.exponential(0.5)
+
+    def solve(mesh):
+        res = minimal_integral(UNIT_DISC, w, g, 0.0, N=24, mesh=mesh)
+        return res.value, res.diagnostics["quadrature_error"]
+
+    value, err = solve(QuadratureConfig())
+    assert value == pytest.approx(solve(QuadratureConfig(radial=512, levels=1))[0], rel=1e-10)
+    assert err == pytest.approx(solve(QuadratureConfig(radial=256))[1], rel=0.01)
+
+
 @pytest.mark.parametrize("angle", [
     0.0,
     # here the fine-coarse difference cancels: quad_error 8.3e-8 against a
