@@ -9,30 +9,31 @@ scan grid are (t_0, ..., t_{K-1}, inf), and the band {-t1 <= psi < -t2} is
 them once, in the two-level driver.
 
 A global polar grid cuts each ray at every threshold in one pass (one
-sorted search of the psi samples, one bisection of all crossings; psi < 0,
-so t <= 0 is never cut and a t = 0 ray is one unsampled piece), tags each
-piece with its band, and integrates with Gauss-Legendre panels split at
-every patch-circle crossing.  A Gram region is also cut at the gain's
+sorted search of the psi samples, one secant search of all crossings; psi
+< 0, so t <= 0 is never cut and a t = 0 ray is one unsampled piece), tags
+each piece with its band, and integrates with Gauss-Legendre panels split
+at every patch-circle crossing.  A Gram region is also cut at the gain's
 knots, which define bands but no level, so no panel straddles a kink of
-c(-psi).  Rays start at the singular center when there
-is only one (its levels are discs around it) and at the origin otherwise.
+c(-psi).  Rays start at the singular center when there is only one (its
+levels are discs around it, so psi rises along every ray and a coarse
+sample grid brackets each crossing) and at the origin otherwise.
 Values are accumulated per band; level k sums the bands j >= k, and a Gram
 is reduced from weighted monomial moments M, Q^H M Q with Q the basis
-coefficients.  Rays from the origin and patch rings have polar moments:
-the region records where each run of nodes on one ray or ring (and in one
-band) starts.  A run on a ray sums 2N + 1 radial moments per node, not
-(N + 1)^2.  Every ring node sits at one of the patch grid's fixed angles
-phi_a, so the angular moments of all runs of a patch are one product of
-its weights, laid out as a [run, angle] array, with a table of
-e^{i k phi_a} built once per region; no power is formed per ring node.
-Rays from a pole off the origin sum the monomial moments of
-zeta itself, since a local expansion about the pole loses every digit at
-|zeta - pole| up to 1 + |pole|.  Neighborhoods of singular centers are
-handed to local geometric-ring patches through a C^4 partition of unity;
-patch products are assembled in log space with the enforced vanishing order
-factored out of the basis (the leading local coefficients of its Taylor
-shift to the center), so near-critical exponents neither overflow nor lose
-their radial tail.
+coefficients.  Rays and patch rings have polar moments: a Gram region
+records where each run of nodes on one ray or ring (and in one band)
+starts.  A run on a ray sums 2N + 1 radial moments about the ray origin c
+per node, not (N + 1)^2, over its nodes with |zeta - c| <= 1 - |c|, where
+coefficients Taylor-shifted to c lose no digits; nodes beyond, on rays
+from a pole near the circle, sum the monomial moments of zeta itself.
+Every ring node sits at one of the patch grid's fixed angles phi_a, so the
+angular moments of all runs of a patch are one product of its weights,
+laid out as a [run, angle] array, with a table of e^{i k phi_a} built once
+per region; no power is formed per ring node.  Neighborhoods of singular
+centers are handed to local geometric-ring patches through a C^4
+partition of unity; patch products are assembled in log space with the
+enforced vanishing order factored out of the basis (the leading local
+coefficients of its Taylor shift to the center), so near-critical
+exponents neither overflow nor lose their radial tail.
 
 The default mesh (``QuadratureConfig``) casts 256 rays with about 128 radial
 nodes per level length, in panels of 10 nodes whose count per piece is
@@ -55,14 +56,16 @@ _LOG2 = math.log(2.0)
 _GL10 = np.polynomial.legendre.leggauss(10)
 _GL8 = np.polynomial.legendre.leggauss(8)
 _BISECT_ITERS = 60
+_CUT_ULPS = 4  # a cut bracket this many ulps wide has converged
 _BOUNDARY_SAMPLES = 512
 _RAY_SAMPLES = 1024
+_ONE_CENTER_SAMPLES = 64  # psi is monotone on rays from the only center
 _TANGENT_SPLIT = 16
 _MIN_RADIUS_FRACTION = 1e-36
 _MASK_FLOOR = 1e-14
 _CHUNK = 8192
-# nodes per moment pass, which holds a [2N + 1, chunk] real array on rays from
-# the origin and two [N + 1, chunk] complex ones on rays from a pole off it
+# nodes per moment pass, which holds a [2N + 1, chunk] real array, and two
+# [N + 1, chunk] complex ones for the nodes of a ray beyond 1 - |origin|
 _GRAM_CHUNK = 2048
 _RAY_BLOCK = 32  # rays sampled and cut together
 _TAIL_EPS = 1e-13  # relative radial tail of a patch integrand left uncovered
@@ -134,7 +137,8 @@ class QuadratureConfig:
 class PatchBlock:
     """The nodes ``sl`` of one patch and their ring runs: ``ring_runs`` is
     (start, radius), the first node and the ring radius of each run of
-    consecutive nodes on one ring and in one band.
+    consecutive nodes on one ring and in one band, or None in a region
+    built without run tables.
 
     Every node sits at one of the patch grid's angles phi_a, and the ring
     moments scatter its weight to the cell (run, a) of a [run, angle] array.
@@ -145,7 +149,7 @@ class PatchBlock:
 
     spec: PatchSpec
     sl: slice
-    ring_runs: tuple
+    ring_runs: tuple | None
     cell: np.ndarray | None
 
 
@@ -154,10 +158,10 @@ class RegionNodes:
     """Nodes, area weights and band indices; the global part and every patch
     block are sorted by band.
 
-    ``ray_runs`` is (start, direction) for each run of consecutive global
-    nodes on one ray and in one band when the rays start at the origin, and
-    None when they start at a pole off it.  ``patch_angular`` is the number
-    of angles on every patch ring.
+    The global rays start at ``origin``.  ``ray_runs`` is (start,
+    direction) for each run of consecutive global nodes on one ray and in
+    one band, or None in a region built without run tables.
+    ``patch_angular`` is the number of angles on every patch ring.
     """
 
     zeta: np.ndarray
@@ -166,6 +170,7 @@ class RegionNodes:
     n_bands: int
     blocks: list
     n_global: int
+    origin: complex
     ray_runs: tuple | None
     patch_angular: int
 
@@ -225,9 +230,9 @@ def _patch_radii(psi_fn, patches, threshold):
 
 # -- global polar part -------------------------------------------------------
 
-def _sample_rays(psi_fn, thetas, reach, centers):
+def _sample_rays(psi_fn, thetas, reach, centers, n_samples):
     """Radial psi samples along each ray, clustered near center approaches."""
-    base = np.arange(1, _RAY_SAMPLES + 1) / (_RAY_SAMPLES + 1.0)
+    base = np.arange(1, n_samples + 1) / (n_samples + 1.0)
     cols = [base[None, :] * reach[:, None]]
     conj_e = np.exp(-1j * thetas)[:, None]
     for c in centers:
@@ -244,11 +249,38 @@ def _sample_rays(psi_fn, thetas, reach, centers):
     return rs, vals
 
 
-def _bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh):
-    """Vectorized bisection for psi(r e) + thresh = 0 on brackets [lo, hi];
-    stops once no bracket moves, as every further step would repeat the
-    same decisions."""
+def _bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, f_hi, thresh):
+    """The crossings of psi(r e) + thresh = 0 on brackets [lo, hi] whose ends
+    have the values f_lo and f_hi, one negative and one not.
+
+    Illinois steps (regula falsi that halves the value of an end kept twice
+    in a row; Dowell & Jarratt, BIT 11, 1971) shrink each bracket until it
+    spans at most _CUT_ULPS ulps, and only the brackets not yet converged
+    are evaluated.  A secant point within _CUT_ULPS ulps of an end is moved
+    that far inward, so a bracket whose end sits on the root collapses too;
+    a non-finite one is replaced by the midpoint.  Bisection then finishes
+    every bracket and stops once no bracket moves, as every further step
+    would repeat the same decisions.
+    """
     neg_lo = f_lo < 0
+    lo, hi, f_lo, f_hi = (np.array(x, dtype=float) for x in (lo, hi, f_lo, f_hi))
+    kept_hi = np.zeros(lo.size, dtype=np.int8)  # the last step kept hi (1) or lo (-1)
+    act = np.arange(lo.size)
+    for _ in range(_BISECT_ITERS):
+        act = act[hi[act] - lo[act] > _CUT_ULPS * np.spacing(hi[act])]
+        if not act.size:
+            break
+        a, b, fa, fb = lo[act], hi[act], f_lo[act], f_hi[act]
+        nudge = np.minimum(_CUT_ULPS * np.spacing(b), 0.5 * (b - a))
+        x = b - fb * ((b - a) / (fb - fa))
+        x = np.where(np.isfinite(x), np.clip(x, a + nudge, b - nudge), 0.5 * (a + b))
+        fx = psi_fn(x * e_ray[act]) + thresh[act]
+        left = (fx < 0) == neg_lo[act]  # x replaces lo, hi is kept
+        fb = np.where(left & (kept_hi[act] == 1), 0.5 * fb, fb)
+        fa = np.where(~left & (kept_hi[act] == -1), 0.5 * fa, fa)
+        lo[act], f_lo[act] = np.where(left, x, a), np.where(left, fx, fa)
+        hi[act], f_hi[act] = np.where(left, b, x), np.where(left, fb, fx)
+        kept_hi[act] = np.where(left, 1, -1)
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         fm = psi_fn(mid * e_ray) + thresh
@@ -270,7 +302,10 @@ def _ray_pieces(psi_fn, thetas, reach, cuts, centers, bands=None):
     are dropped.  ``level_len`` is the length, on the piece's ray, of the
     level of its band (that band and the bands inside it).  psi < 0 on the
     open disc, so thresholds t <= 0 are never cut: without a positive one,
-    each ray is one piece and is not sampled.
+    each ray is one piece and is not sampled.  Rays from the only center
+    (``centers`` is [0]) cross each level once, since psi = 2p G(., c) rises
+    along them, so any sample grid brackets every crossing and
+    _ONE_CENTER_SAMPLES samples suffice; other rays take _RAY_SAMPLES.
 
     With ``bands`` (a boolean mask over the bands) only the two thresholds
     of each marked band are cut: the pieces and level lengths of the marked
@@ -283,11 +318,12 @@ def _ray_pieces(psi_fn, thetas, reach, cuts, centers, bands=None):
         cut_at = np.r_[bands, False] | np.r_[False, bands]
     finite = cuts[cut_at & np.isfinite(cuts) & (cuts > 0)]
     e = np.exp(1j * thetas)
+    n_samples = _ONE_CENTER_SAMPLES if list(centers) == [0] else _RAY_SAMPLES
     rays, breaks = [np.arange(n), np.arange(n)], [np.zeros(n), reach]
-    found = []  # (ray, r_lo, r_hi, psi + t at r_lo, t) per threshold t a sample pair brackets
+    found = []  # (ray, r_lo, r_hi, psi + t at r_lo and r_hi, t) per threshold t a pair brackets
     for i0 in range(0, n if finite.size else 0, _RAY_BLOCK):
         rs, vals = _sample_rays(psi_fn, thetas[i0:i0 + _RAY_BLOCK],
-                                reach[i0:i0 + _RAY_BLOCK], centers)
+                                reach[i0:i0 + _RAY_BLOCK], centers, n_samples)
         # psi + t < 0 exactly when -psi > t, so a sample pair brackets the
         # thresholds between the counts of thresholds below -psi at its ends
         below = np.searchsorted(finite, -vals)
@@ -298,11 +334,11 @@ def _ray_pieces(psi_fn, thetas, reach, cuts, centers, bands=None):
         t = finite[np.minimum(a, b)[r, c][pair] + np.arange(pair.size)
                    - (np.cumsum(count) - count)[pair]]
         r, c = r[pair], c[pair]
-        found.append((r + i0, rs[r, c], rs[r, c + 1], vals[r, c] + t, t))
+        found.append((r + i0, rs[r, c], rs[r, c + 1], vals[r, c] + t, vals[r, c + 1] + t, t))
     if found:
-        ray_idx, r_lo, r_hi, f_lo, thresh = (np.concatenate(x) for x in zip(*found))
+        ray_idx, *brackets = (np.concatenate(x) for x in zip(*found))
         rays.append(ray_idx)
-        breaks.append(_bisect_cuts(psi_fn, e[ray_idx], r_lo, r_hi, f_lo, thresh))
+        breaks.append(_bisect_cuts(psi_fn, e[ray_idx], *brackets))
     ray, brk = np.concatenate(rays), np.concatenate(breaks)
     order = np.lexsort((brk, ray))
     ray, brk = ray[order], brk[order]
@@ -367,15 +403,23 @@ def _panel_nodes(mid, half, e, w_half, band, mask_patches, origin):
     Panels and patch circles are relative to the ray origin; the nodes are
     returned in disc coordinates.  Patch neighborhoods go to the local
     grids via the C^4 partition, so the global weights carry the
-    complementary mask.
+    complementary mask 1 - chi.  ``_panels`` splits every ray at each patch
+    circle and half-radius circle, so a panel lies wholly outside a circle
+    (mask 1), inside its half-radius disc (mask 0) or in its blending
+    annulus: its midpoint tells which, and chi is evaluated on annulus
+    panels only.
     """
     gx, gw = _GL10
     r = mid[:, None] + half[:, None] * gx[None, :]
     wgt = (w_half[:, None] * gw[None, :] * r).ravel()  # polar Jacobian r
-    zeta = (r * e[:, None]).ravel()
-    mask = np.ones_like(wgt)
+    zeta = r * e[:, None]
+    mask = np.ones(zeta.shape)
     for c, radius in mask_patches:
-        mask *= 1.0 - _chi(np.abs(zeta - c), radius)
+        dist = np.abs(mid * e - c)
+        mask[dist <= radius / 2] = 0.0
+        blend = np.flatnonzero((dist > radius / 2) & (dist < radius))
+        mask[blend] *= 1.0 - _chi(np.abs(zeta[blend] - c), radius)
+    zeta, mask = zeta.ravel(), mask.ravel()
     keep = mask > _MASK_FLOOR
     return (zeta[keep] + origin, wgt[keep] * mask[keep], np.repeat(band, gx.size)[keep],
             keep.reshape(-1, gx.size).sum(axis=1))
@@ -476,7 +520,7 @@ def _run_starts(*keys):
     return np.flatnonzero(change)
 
 
-def build_region(psi_fn, patches, config, cuts, radii):
+def build_region(psi_fn, patches, config, cuts, radii, runs=True):
     """Band-tagged nodes and area weights for the bands of the cut list.
 
     ``cuts`` is the sorted array t_0 < ... < t_K; ``patches`` lists the
@@ -484,8 +528,8 @@ def build_region(psi_fn, patches, config, cuts, radii):
     contained) pairs, so two refinement levels share the same geometry.  A
     contained patch is tagged with the deepest band of a list of sublevel
     sets and lies below every band of a band list, where it is left out.
-    Besides the nodes, the region records where each run of nodes on one ray
-    (rays from the origin only) or one patch ring, in one band, starts.
+    With ``runs`` (for a Gram), the region also records where each run of
+    nodes on one ray or one patch ring, in one band, starts.
     """
     n_bands = cuts.size - 1
     sublevel = not math.isfinite(cuts[-1])
@@ -507,15 +551,17 @@ def build_region(psi_fn, patches, config, cuts, radii):
             b_p = _band_of(cuts, psi_fn(z_p))
         keep = np.flatnonzero((w_p != 0) & (b_p >= 0) & (b_p < n_bands))
         keep = keep[np.argsort(b_p[keep], kind="stable")]
-        # the stable sort keeps each ring's nodes together within a band, in
-        # angle order; a zero weight drops a whole ring (it is one per ring)
-        ring = keep // n_ang
-        first = _run_starts(ring, b_p[keep])
-        length = np.diff(np.r_[first, keep.size])
-        cell = None
-        if np.any(length != n_ang):
-            cell = np.repeat(np.arange(first.size) * n_ang, length) + keep % n_ang
-        patch_parts.append((p, z_p[keep], w_p[keep], b_p[keep], first, rho[ring[first]], cell))
+        ring_runs = cell = None
+        if runs:
+            # the stable sort keeps each ring's nodes together within a band,
+            # in angle order; a zero weight drops a whole ring (one per ring)
+            ring = keep // n_ang
+            first = _run_starts(ring, b_p[keep])
+            length = np.diff(np.r_[first, keep.size])
+            if np.any(length != n_ang):
+                cell = np.repeat(np.arange(first.size) * n_ang, length) + keep % n_ang
+            ring_runs = (first, rho[ring[first]])
+        patch_parts.append((p, z_p[keep], w_p[keep], b_p[keep], ring_runs, cell))
     # nodes are written chunk by chunk into arrays sized for every panel node,
     # so no full-size temporary is held beside them
     n_gl = _GL10[0].size
@@ -534,7 +580,7 @@ def build_region(psi_fn, patches, config, cuts, radii):
         pos = end
     n_global = pos
     ray_runs = None
-    if origin == 0:
+    if runs:
         e = panels[2]
         first = _run_starts(e, panels[4])
         start = (np.cumsum(kept) - kept)[first]
@@ -542,14 +588,16 @@ def build_region(psi_fn, patches, config, cuts, radii):
         nonempty = start < np.r_[start[1:], n_global]
         ray_runs = (start[nonempty], e[first][nonempty])
     blocks = []
-    for p, z_p, w_p, b_p, first, ring_rho, cell in patch_parts:
+    for p, z_p, w_p, b_p, ring_runs, cell in patch_parts:
         end = pos + z_p.size
         zeta[pos:end], wgt[pos:end], band[pos:end] = z_p, w_p, b_p
-        blocks.append(PatchBlock(spec=p, sl=slice(pos, end), ring_runs=(first + pos, ring_rho),
-                                 cell=cell))
+        if ring_runs is not None:
+            ring_runs = (ring_runs[0] + pos, ring_runs[1])
+        blocks.append(PatchBlock(spec=p, sl=slice(pos, end), ring_runs=ring_runs, cell=cell))
         pos = end
     return RegionNodes(zeta=zeta[:pos], area_w=wgt[:pos], band=band[:pos], n_bands=n_bands,
-                       blocks=blocks, n_global=n_global, ray_runs=ray_runs, patch_angular=n_ang)
+                       blocks=blocks, n_global=n_global, origin=origin, ray_runs=ray_runs,
+                       patch_angular=n_ang)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -588,20 +636,18 @@ def _taylor_shift(P, center):
     return Q
 
 
-def _direct_moments(nodes, weights, d):
-    """Per-band monomial moments M_k = V^H W V of the global nodes, V[n, l] = zeta_n^l."""
-    M = np.zeros((nodes.n_bands, d, d), dtype=complex)
-    for i0 in range(0, nodes.n_global, _GRAM_CHUNK):
-        z, w = weights(i0, min(i0 + _GRAM_CHUNK, nodes.n_global))
-        V = np.empty((d, z.size), dtype=complex)  # row k holds z^k
-        V[0] = 1.0
-        for k in range(1, d):
-            np.multiply(V[k - 1], z, out=V[k])
-        Vw = V.conj()
-        Vw *= w
-        for k, s, e in _band_runs(nodes.band[i0:i0 + z.size]):
-            M[k] += Vw[:, s:e] @ V[:, s:e].T
-    return M
+def _add_zeta_moments(M, z, w, band):
+    """Add the per-band monomial moments V^H W V, V[n, l] = z_n^l, of nodes
+    z with weights w and bands ``band`` (sorted) to M [band, d, d]."""
+    d = M.shape[1]
+    V = np.empty((d, z.size), dtype=complex)  # row k holds z^k
+    V[0] = 1.0
+    for k in range(1, d):
+        np.multiply(V[k - 1], z, out=V[k])
+    Vw = V.conj()
+    Vw *= w
+    for k, s, e in _band_runs(band):
+        M[k] += Vw[:, s:e] @ V[:, s:e].T
 
 
 def _moments_of_runs(ang, rad, run_band, n_bands):
@@ -622,19 +668,33 @@ def _moments_of_runs(ang, rad, run_band, n_bands):
 
 
 def _ray_moments(nodes, weights, d):
-    """Per-band monomial moments of the global nodes on rays from the origin.
+    """Per-band moments of the global nodes: (M_ray, M_zeta).
 
-    There conj(zeta)^i zeta^j = r^(i+j) e^{i(j-i)theta}: each run on one ray
-    sums S_m = sum w r^m, m <= 2d - 2, and M_ij = sum_runs e^{i(j-i)theta} S_(i+j).
-    The sums are taken in node chunks; a run that straddles a chunk boundary
+    The rays start at c = ``nodes.origin``.  In x = zeta - c a node on a ray
+    at angle theta has conj(x)^i x^j = r^(i+j) e^{i(j-i)theta}: each run on
+    one ray sums S_m = sum w r^m, m <= 2d - 2, over its nodes with
+    r <= 1 - |c|, and M_ray_ij = sum_runs e^{i(j-i)theta} S_(i+j) are the
+    moments of x.  There (|c| + r)^k <= 1, so coefficients Taylor-shifted
+    to c lose no digits.  The nodes beyond, which a ray from a center near
+    the circle reaches up to r = 1 + |c|, sum the monomial moments of zeta
+    itself into M_zeta, None when there are none (always when c = 0).  The
+    sums are taken in node chunks; a run that straddles a chunk boundary
     adds up its pieces.
     """
     starts, e = nodes.ray_runs
+    c = nodes.origin
     S = np.zeros((starts.size, 2 * d - 1))
+    M_zeta = None
     for i0 in range(starts[0], nodes.n_global, _GRAM_CHUNK):
         i1 = min(i0 + _GRAM_CHUNK, nodes.n_global)
         z, w = weights(i0, i1)
-        r = np.abs(z)
+        r = np.abs(z - c)
+        far = r > 1.0 - abs(c)
+        if far.any():
+            if M_zeta is None:
+                M_zeta = np.zeros((nodes.n_bands, d, d), dtype=complex)
+            _add_zeta_moments(M_zeta, z[far], w[far], nodes.band[i0:i1][far])
+            r[far] = w[far] = 0.0
         R = np.empty((2 * d - 1, z.size))  # row m holds w r^m
         R[0] = w
         for m in range(1, 2 * d - 1):
@@ -642,8 +702,9 @@ def _ray_moments(nodes, weights, d):
         a = np.searchsorted(starts, i0, side="right") - 1  # runs a:b meet the chunk
         b = np.searchsorted(starts, i1, side="left")
         S[a:b] += np.add.reduceat(R, np.maximum(starts[a:b], i0) - i0, axis=1).T
-    return _moments_of_runs(lambda s, t: np.vander(e[s:t], d, increasing=True), S,
-                            nodes.band[starts], nodes.n_bands)
+    M_ray = _moments_of_runs(lambda s, t: np.vander(e[s:t], d, increasing=True), S,
+                             nodes.band[starts], nodes.n_bands)
+    return M_ray, M_zeta
 
 
 def _angle_table(n_ang, d):
@@ -690,15 +751,17 @@ def gram_on_nodes(nodes, kernel, gain, basis):
     Returns an array [n_bands, n_basis, n_basis]; entry [k][l][m] is
     conjugate-linear in l.  Each group of nodes (the global part, each patch
     block) sums weighted monomial moments M_k per band and adds Q^H M_k Q,
-    Q the basis coefficients in that group's monomials.  Rays from the
-    origin and patch rings sum polar moments run by run (``_ray_moments``,
+    Q the basis coefficients in that group's monomials.  Global rays and
+    patch rings sum polar moments run by run (``_ray_moments``,
     ``_ring_moments``), so the work per node grows with the degree, not its
-    square.  Rays from a pole off the origin reach |zeta - pole| = 1 + |pole|,
-    where a local expansion would lose every digit, so they sum the monomial
-    moments of zeta directly.  Patch blocks use local coefficients in
-    zeta - center (a Taylor shift) with the enforced vanishing order nu
-    dropped from the basis and moved into the log-space weight.  psi and
-    phi + psi come from one kernel call, ``psi_and_phi_plus_psi``.
+    square.  Ray moments are taken about the ray origin c, in coefficients
+    Taylor-shifted to c, on the disc |zeta - c| <= 1 - |c|; the nodes beyond
+    it (rays from a pole near the circle reach |zeta - c| = 1 + |c|, where a
+    local expansion would lose every digit) sum the monomial moments of
+    zeta directly.  Patch blocks use local coefficients in zeta - center
+    with the enforced vanishing order nu dropped from the basis and moved
+    into the log-space weight.  psi and phi + psi come from one kernel
+    call, ``psi_and_phi_plus_psi``.
     """
     H = np.zeros((nodes.n_bands, len(basis), len(basis)), dtype=complex)
     P = _coeff_matrix(basis)
@@ -715,11 +778,11 @@ def gram_on_nodes(nodes, kernel, gain, basis):
         return z, nodes.area_w[i0:i1] * np.exp(log_w)
 
     if nodes.n_global:
-        if nodes.ray_runs is None:
-            M = _direct_moments(nodes, weights, d)
-        else:
-            M = _ray_moments(nodes, weights, d)
-        H += P.conj().T @ M @ P
+        M_ray, M_zeta = _ray_moments(nodes, weights, d)
+        Q = _taylor_shift(P, nodes.origin)
+        H += Q.conj().T @ M_ray @ Q
+        if M_zeta is not None:
+            H += P.conj().T @ M_zeta @ P
     table = _angle_table(nodes.patch_angular, d)
     for blk in nodes.blocks:
         nu = blk.spec.order
@@ -747,7 +810,7 @@ def integral_on_nodes(nodes, fn):
     return total
 
 
-def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
+def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=(), runs=True):
     """evaluate(nodes) over each level, with a two-level error estimate.
 
     The levels are the sublevel sets {psi < -t} for t in ``ts``, or the one
@@ -761,7 +824,8 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
     degenerate) with one entry per level, in the order of ``ts``; err is the
     max entrywise difference from the half-resolution mesh when
     config.levels is 2.  Both meshes share the patch radii, which the
-    deepest level sets.
+    deepest level sets.  ``runs`` is False when evaluate reads no run
+    table, so the regions record none.
     """
     if band is None:
         ts = [float(t) for t in ts]
@@ -788,14 +852,14 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
                 "(angular 32, radial 40, patch_angular 16, patch_radial 16), else its "
                 "error estimate reads 0; set levels: 1 to skip the estimate")
     radii = _patch_radii(psi_fn, patches, deepest)
-    fine = build_region(psi_fn, patches, config, cuts, radii)
+    fine = build_region(psi_fn, patches, config, cuts, radii, runs)
     per_band = np.bincount(fine.band, minlength=fine.n_bands)
     degenerate = np.cumsum(per_band[::-1])[::-1] == 0
     val = _level_sums(evaluate(fine))
     del fine  # the coarse mesh is built without the fine nodes in memory
     err = np.zeros(degenerate.size)
     if config.levels == 2 and not degenerate.all():
-        coarse = build_region(psi_fn, patches, coarse_config, cuts, radii)
+        coarse = build_region(psi_fn, patches, coarse_config, cuts, radii, runs)
         diff = np.abs(val - _level_sums(evaluate(coarse)))
         err = np.where(degenerate, 0.0, diff.reshape(diff.shape[0], -1).max(axis=1))
     return val[level], err[level], degenerate[level]
@@ -819,4 +883,4 @@ def assembled_integral(psi_fn, fn, patches, config, *, ts=(0.0,)):
     degenerate), err the largest over the rows (zero when config.levels is
     1).  One pass of fn per node chunk serves every row."""
     return _two_level(psi_fn, lambda nodes: integral_on_nodes(nodes, fn),
-                      patches, config, ts, None)
+                      patches, config, ts, None, runs=False)

@@ -6,8 +6,8 @@ sympy differentiation for jet rows, steepest descent for the constrained
 minimum.  Values frozen into tests were produced by these functions (see
 test modules for the frozen constants).  The references are scalar psi/phi
 evaluators, the raw-monomial Gram, which the library itself never needs,
-and a direct B^H W B Gram on built nodes with its own deflation at the
-patch centers.
+a direct B^H W B Gram on built nodes with its own deflation at the
+patch centers, and plain bisection of cut brackets.
 """
 from __future__ import annotations
 
@@ -100,6 +100,23 @@ def gram_direct(nodes, kernel, gain, basis) -> np.ndarray:
         for k in range(nodes.n_bands):
             H[k] += BW[:, band == k] @ B[:, band == k].T
     return H
+
+
+def bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh, iters: int = 60):
+    """Crossings of psi(r e) + thresh = 0 by plain bisection of the brackets
+    [lo, hi], f_lo the value at lo; stops once no bracket moves.
+
+    The reference for the secant cut search of ``quadrature._bisect_cuts``.
+    """
+    neg_lo = f_lo < 0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        go_right = (psi_fn(mid * e_ray) + thresh < 0) == neg_lo
+        if not np.where(go_right, mid != lo, mid != hi).any():
+            break
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def poisson_green_disc(z: complex, z0: complex, n: int = 4096) -> float:

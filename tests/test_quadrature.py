@@ -24,7 +24,7 @@ from jetmin.quadrature import (
     gram_on_nodes,
 )
 from jetmin.weights import WeightKernel, WeightPair
-from oracles import gram_direct
+from oracles import bisect_cuts, gram_direct
 
 CUTS = np.array([0.2, 0.7, 1.5, 3.0, 5.0, math.inf])
 
@@ -64,6 +64,47 @@ def test_single_pole_region_area():
             a = abs(zeta0)
             radius = s * (1 - a * a) / (1 - s * s * a * a)
             assert area == pytest.approx(math.pi * radius**2, rel=1e-9)
+
+
+def sample_counts(psi_fn, calls):
+    """psi_fn, recording the samples per ray of each 2-D (ray sampling) call."""
+    def recorded(z):
+        if np.ndim(z) == 2:
+            calls.append(np.shape(z)[1])
+        return psi_fn(z)
+    return recorded
+
+
+def test_one_center_rays_take_coarse_samples(monkeypatch):
+    # psi = 2p G(., c) rises along every ray from the only center c, so 64
+    # samples bracket each crossing: the (ray, band) pieces are those of
+    # 1024 samples, with breaks within 4 ulps
+    thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
+    for zeta0 in (0.0, 0.1, 0.45 - 0.2j, 0.6j):
+        kernel, _ = single_pole_region(zeta0)
+        reach = _reach(thetas, zeta0)
+        pieces = {}
+        for n in (64, 1024):
+            monkeypatch.setattr(quadrature, "_ONE_CENTER_SAMPLES", n)
+            calls = []
+            psi = sample_counts(lambda z: kernel.psi(z + zeta0), calls)
+            pieces[n] = _ray_pieces(psi, thetas, reach, CUTS, [0j])
+            assert set(calls) == {n}
+        (ray, lo, hi, band, _), (ray_f, lo_f, hi_f, band_f, _) = pieces[64], pieces[1024]
+        assert np.array_equal(ray, ray_f) and np.array_equal(band, band_f)
+        assert np.unique(band).size == CUTS.size - 1
+        for a, b in ((lo, lo_f), (hi, hi_f)):
+            assert np.all(np.abs(a - b) <= 4 * np.spacing(np.maximum(a, b)))
+
+
+def test_rays_among_two_centers_take_fine_samples():
+    # psi need not be monotone along rays from the origin between two poles
+    kernel = split_level_kernel()
+    thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
+    calls = []
+    _ray_pieces(sample_counts(kernel.psi, calls), thetas, _reach(thetas, 0j),
+                np.array([1.0, 5.5, math.inf]), [0.33, -0.33])
+    assert calls and min(calls) >= 1024
 
 
 def test_reach_ends_on_the_unit_circle():
@@ -201,6 +242,44 @@ def assert_matches_direct(kernel, nodes, basis):
         assert np.abs(got[k] - ref[k]).max() <= 1e-13 * np.abs(ref[k]).max()
 
 
+def recorded_cut_searches(monkeypatch):
+    """Each later _bisect_cuts call as (psi_fn, args, cuts, kernel passes)."""
+    calls = []
+    search = quadrature._bisect_cuts
+
+    def recorded(psi_fn, *args):
+        passes = []
+
+        def counted(z):
+            passes.append(1)
+            return psi_fn(z)
+
+        cuts = search(counted, *args)
+        calls.append((psi_fn, args, cuts, len(passes)))
+        return cuts
+
+    monkeypatch.setattr(quadrature, "_bisect_cuts", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("pts,cuts", [(ONE_POINT, CUTS),
+                                      (TWO_POINTS, [0.2, 0.7, 1.5, 3.0, math.inf])],
+                         ids=["one-point", "two-point"])
+def test_secant_cut_search_matches_bisection(pts, cuts, monkeypatch):
+    # Illinois steps find every crossing within 4 ulps of plain bisection
+    # from the same brackets, in at most 16 kernel passes per call, where
+    # bisection takes 44 to 49.  (Where a ray grazes a deep level, the
+    # rounding of psi + t leaves a run of float roots, and the two searches
+    # may end at different ones.)
+    calls = recorded_cut_searches(monkeypatch)
+    region_and_basis(pts, cuts, 4, QuadratureConfig())
+    assert calls
+    for psi_fn, (e_ray, lo, hi, f_lo, _f_hi, thresh), got, passes in calls:
+        want = bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+        assert passes <= 16
+
+
 def test_moment_gram_matches_direct_products():
     # the polar moments of rays from the origin and of patch rings agree with
     # the direct products B^H W B on a multi-band region whose first patch
@@ -234,10 +313,18 @@ def test_moment_gram_degree_40():
     assert_matches_direct(kernel, nodes, basis)
 
 
-def test_moment_gram_one_pole_takes_direct_path():
-    # rays cast from a pole off the origin keep the monomial moments of zeta
-    kernel, nodes, basis = region_and_basis(ONE_POINT, [0.2, 1.5, math.inf], 16)
-    assert nodes.ray_runs is None and nodes.n_global > 0
+@pytest.mark.parametrize("N", [16, 40, 64])
+@pytest.mark.parametrize("radius", [0.49, 0.6, 0.86, 0.95])
+def test_moment_gram_on_rays_from_a_pole(radius, N):
+    # rays cast from a pole c off the origin take polar moments about c, in
+    # Taylor-shifted coefficients, on |zeta - c| <= 1 - |c| and the monomial
+    # moments of zeta beyond it; nodes lie on both sides of that circle
+    pole = radius * np.exp(-0.42j)
+    pts = (MarkedPoint(pole, green_weight=1.0, jet_order=1, jet_coeff=0.7),)
+    kernel, nodes, basis = region_and_basis(pts, [0.2, 1.5, math.inf], N)
+    assert nodes.origin == pole and nodes.ray_runs is not None
+    x = np.abs(nodes.zeta[:nodes.n_global] - pole)
+    assert np.any(x <= 1 - radius) and np.any(x > 1 - radius)
     assert_matches_direct(kernel, nodes, basis)
 
 
@@ -319,9 +406,7 @@ def test_moment_gram_runs_straddle_chunks(pts, monkeypatch):
     monkeypatch.setattr(quadrature, "_CHUNK", 11)
     config = QuadratureConfig(angular=16, radial=40, patch_angular=8, patch_radial=8)
     kernel, nodes, basis = region_and_basis(pts, [*CUTS_SPLIT[:3], math.inf], 12, config)
-    runs = [blk.ring_runs[0] for blk in nodes.blocks]
-    if nodes.ray_runs is not None:
-        runs.append(nodes.ray_runs[0])
+    runs = [blk.ring_runs[0] for blk in nodes.blocks] + [nodes.ray_runs[0]]
     assert any(np.any(np.diff(r) > 7) for r in runs)
     assert_matches_direct(kernel, nodes, basis)
 
@@ -355,6 +440,30 @@ def test_taylor_shift_matches_direct_values(seed, N):
         got = np.polynomial.polynomial.polyval(z - c, _taylor_shift(P, c))
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= 1e-13
+
+
+def test_only_gram_regions_record_run_tables(monkeypatch):
+    # the ray and ring run tables serve the Gram's polar moments only; a
+    # region for scalar integrals (verify-lemmas) skips them
+    built = []
+    build = quadrature.build_region
+
+    def recorded(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(quadrature, "build_region", recorded)
+    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(TWO_POINTS))
+    specs = _patch_specs(kernel, GAIN)
+    assembled_integral(kernel.psi, lambda z: np.ones((1, z.size)), specs, SMALL, ts=(0.5,))
+    assert len(built) == 2 and all(n.blocks for n in built)
+    for nodes in built:
+        assert nodes.ray_runs is None and all(b.ring_runs is None for b in nodes.blocks)
+    built.clear()
+    quadrature.assembled_gram(kernel, GAIN, [np.ones(3)], specs, SMALL, ts=(0.5,))
+    assert len(built) == 2
+    for nodes in built:
+        assert nodes.ray_runs is not None and all(b.ring_runs is not None for b in nodes.blocks)
 
 
 @pytest.mark.parametrize("count,floor", [("angular", 32), ("radial", 40),
