@@ -19,27 +19,31 @@ levels are discs around it, so psi rises along every ray and a coarse
 sample grid brackets each crossing) and at the origin otherwise.
 Values are accumulated per band; level k sums the bands j >= k, and a Gram
 is reduced from weighted monomial moments M, Q^H M Q with Q the basis
-coefficients.  Rays and patch rings have polar moments: a Gram region
-records where each run of nodes on one ray or ring (and in one band)
-starts.  A run on a ray sums 2N + 1 radial moments about the ray origin c
-per node, not (N + 1)^2, over its nodes with |zeta - c| <= 1 - |c|, where
+coefficients.  Rays and patch rings have polar moments: every region
+records where each run of nodes on one ray (and in one band) starts.  A
+run on a ray sums 2N + 1 radial moments about the ray origin c per node,
+not (N + 1)^2, over its nodes with |zeta - c| <= 1 - |c|, where
 coefficients Taylor-shifted to c lose no digits; nodes beyond, on rays
 from a pole near the circle, sum the monomial moments of zeta itself.
-Every ring node sits at one of the patch grid's fixed angles phi_a, so the
-angular moments of all runs of a patch are one product of its weights,
-laid out as a [run, angle] array, with a table of e^{i k phi_a} built once
-per region; no power is formed per ring node.  Neighborhoods of singular
-centers are handed to local geometric-ring patches through a C^4
-partition of unity; patch products are assembled in log space with the
+
+Neighborhoods of singular centers are handed to local geometric-ring
+patches through a C^4 partition of unity.  Each patch is one whole ring
+grid in one band: its radius is halved until it lies inside the deepest
+level, and it joins the band of its circle maximum.  Every ring node sits
+at one of the patch grid's fixed angles phi_a, so the angular moments of a
+patch are one product of its weights, laid out as a [ring, angle] array,
+with a table of e^{i k phi_a} built once per region; no power is formed
+per ring node.  Patch products are assembled in log space with the
 enforced vanishing order factored out of the basis (the leading local
 coefficients of its Taylor shift to the center), so near-critical
-exponents neither overflow nor lose their radial tail.
+exponents do not overflow, and a last ring at the inner edge carries the
+radial tail inside it.
 
 The default mesh (``QuadratureConfig``) casts 256 rays with about 128 radial
 nodes per level length, in panels of 10 nodes whose count per piece is
 rounded up, and at least 2 panels on a piece in a blending annulus; it
-gives each patch 64 geometric radial intervals of 8 Gauss rings, each ring
-of 32 angles.  The error estimate is the difference from the mesh with
+gives each patch 64 geometric radial intervals of 8 Gauss rings and the
+tail ring, each ring of 32 angles.  The error estimate is the difference from the mesh with
 every count halved.
 """
 from __future__ import annotations
@@ -68,7 +72,8 @@ _CHUNK = 8192
 # [N + 1, chunk] complex ones for the nodes of a ray beyond 1 - |origin|
 _GRAM_CHUNK = 2048
 _RAY_BLOCK = 32  # rays sampled and cut together
-_TAIL_EPS = 1e-13  # relative radial tail of a patch integrand left uncovered
+_TAIL_EPS = 1e-13  # relative radial tail of a patch integrand left to the tail ring
+_REP_FLOOR = 1e-12  # patch radii and rings stay above this times max(1, |center|)
 
 
 @dataclass(frozen=True)
@@ -135,33 +140,24 @@ class QuadratureConfig:
 
 @dataclass
 class PatchBlock:
-    """The nodes ``sl`` of one patch and their ring runs: ``ring_runs`` is
-    (start, radius), the first node and the ring radius of each run of
-    consecutive nodes on one ring and in one band, or None in a region
-    built without run tables.
-
-    Every node sits at one of the patch grid's angles phi_a, and the ring
-    moments scatter its weight to the cell (run, a) of a [run, angle] array.
-    ``cell`` is None when each run is a whole ring (every contained patch),
-    so node i of the block is cell i; a block that the band filter thinned
-    stores the flat cell index run * patch_angular + a of each node.
-    """
+    """The nodes ``sl`` of one patch, all in band ``band``: whole rings of
+    ``RegionNodes.patch_angular`` nodes each, ring k of radius rho[k]
+    starting at sl.start + k * patch_angular, in angle order."""
 
     spec: PatchSpec
     sl: slice
-    ring_runs: tuple | None
-    cell: np.ndarray | None
+    rho: np.ndarray
+    band: int
 
 
 @dataclass
 class RegionNodes:
-    """Nodes, area weights and band indices; the global part and every patch
-    block are sorted by band.
+    """Nodes, area weights and band indices; the global part is sorted by
+    band, and each patch block lies in one band.
 
     The global rays start at ``origin``.  ``ray_runs`` is (start,
     direction) for each run of consecutive global nodes on one ray and in
-    one band, or None in a region built without run tables.
-    ``patch_angular`` is the number of angles on every patch ring.
+    one band.  ``patch_angular`` is the number of angles on every patch ring.
     """
 
     zeta: np.ndarray
@@ -171,7 +167,7 @@ class RegionNodes:
     blocks: list
     n_global: int
     origin: complex
-    ray_runs: tuple | None
+    ray_runs: tuple
     patch_angular: int
 
 
@@ -196,13 +192,16 @@ def _band_of(cuts, vals):
 
 
 def _patch_radii(psi_fn, patches, threshold):
-    """Blending radius per patch plus a containment flag.
+    """(radius, top) per patch: the blending radius and the largest psi on
+    the patch circle.
 
-    A patch is "contained" when its closed disc lies inside {psi < -threshold},
+    The radius is halved until the closed disc lies inside {psi < -threshold},
     the deepest level asked for (t1 of a band, the largest t of a list of
-    sublevel sets), so it lies inside every level; psi is subharmonic off
-    its poles, so a boundary-circle maximum below the threshold certifies the
-    whole disc.
+    sublevel sets); psi is subharmonic off its poles, so a circle maximum
+    below the threshold certifies the whole disc.  Halving stops at the
+    representability floor of ``_patch_nodes``, 1e-12 max(1, |c|), where the
+    disc need not fit (a level deeper than about 55 p at a psi pole of mass
+    p, or a divisor zero without psi mass).
     """
     locs = [p.center for p in patches]
     out = []
@@ -215,16 +214,12 @@ def _patch_radii(psi_fn, patches, threshold):
                 r = min(r, 0.45 * abs(p.center - q))
         if r <= 0:
             raise BadInputError(f"patch center {p.center} too close to the boundary")
-        contained = threshold == 0
-        if not contained:
-            for _ in range(40):
-                if float(np.max(psi_fn(p.center + r * ang))) < -threshold:
-                    contained = True
-                    break
-                if r < 1e-9:
-                    break
-                r *= 0.5
-        out.append((r, contained))
+        floor = _REP_FLOOR * max(1.0, abs(p.center))
+        top = float(np.max(psi_fn(p.center + r * ang)))
+        while top >= -threshold and r >= floor:
+            r *= 0.5
+            top = float(np.max(psi_fn(p.center + r * ang)))
+        out.append((r, top))
     return out
 
 
@@ -236,8 +231,6 @@ def _sample_rays(psi_fn, thetas, reach, centers, n_samples):
     cols = [base[None, :] * reach[:, None]]
     conj_e = np.exp(-1j * thetas)[:, None]
     for c in centers:
-        if c == 0:
-            continue
         rstar = np.real(conj_e * c)
         dperp = np.maximum(np.abs(np.imag(conj_e * c)), 1e-7)
         scales = 2.0 ** np.arange(0, 7)[None, :]
@@ -385,7 +378,7 @@ def _panels(theta, w_theta, lo, hi, level_len, mask_patches, budget):
         dist = np.abs(s_mid - c)
         blend |= (dist > radius / 2) & (dist < radius)
     n_pan = np.maximum(np.where(blend, 2, 1),
-                       np.ceil(budget * (s_hi - s_lo) / level_len[piece])).astype(int)
+                       np.ceil(budget * ((s_hi - s_lo) / level_len[piece]))).astype(int)
     sub = np.repeat(np.arange(n_pan.size), n_pan)
     j = np.arange(sub.size) - (np.cumsum(n_pan) - n_pan)[sub]
     step = ((s_hi - s_lo) / n_pan)[sub]
@@ -484,7 +477,14 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers, origin):
 
 def _patch_nodes(spec, radius, config):
     """Geometric-ring polar nodes around one singular center: (zeta, weight,
-    rho), the nodes ring by ring and rho the ring radii."""
+    rho), the nodes ring by ring and rho the ring radii.
+
+    The rings stop at an inner edge e, where the radial tail left out is
+    about _TAIL_EPS of the integrand, or at the representability floor.  One
+    more ring at e carries the disc inside it: an integrand ~ r^sigma there,
+    sigma = ``spec.exponent``, has int_0^e f r dr = f(e) e^2 / (sigma + 2).
+    Rings whose blending weight vanishes are left out.
+    """
     margin = spec.exponent + 2.0
     if margin <= 0:
         raise NonIntegrableWeightError(
@@ -493,7 +493,7 @@ def _patch_nodes(spec, radius, config):
     frac = max(_TAIL_EPS ** (1.0 / margin), _MIN_RADIUS_FRACTION)
     # rings below roundoff of an off-origin center collapse onto it exactly;
     # clamp so every node stays representable away from the singular point
-    rep_floor = 1e-12 * max(1.0, abs(spec.center)) / radius
+    rep_floor = _REP_FLOOR * max(1.0, abs(spec.center)) / radius
     frac = max(frac, min(rep_floor, 0.5))
     n_ring = config.patch_radial
     edges = radius * frac ** (np.arange(n_ring + 1) / n_ring)  # decreasing
@@ -502,13 +502,14 @@ def _patch_nodes(spec, radius, config):
     mid = 0.5 * (edges[:-1] + edges[1:])
     rho = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
     w_rho = (half[:, None] * gw[None, :]).ravel() * rho
+    rho = np.r_[rho, edges[-1]]
+    w_rho = np.r_[w_rho, edges[-1] ** 2 / margin]
     n_ang = config.patch_angular
+    w_ring = w_rho * (2 * math.pi / n_ang) * _chi(rho, radius)
+    rho, w_ring = rho[w_ring != 0], w_ring[w_ring != 0]
     phi = (np.arange(n_ang) + 0.5) * (2 * math.pi / n_ang)
-    ring = np.exp(1j * phi)
-    zeta = (spec.center + rho[:, None] * ring[None, :]).ravel()
-    wgt = (w_rho[:, None] * np.full((1, n_ang), 2 * math.pi / n_ang)).ravel()
-    chi = np.repeat(_chi(rho, radius), n_ang)  # one blend value per ring
-    return zeta, wgt * chi, rho
+    zeta = (spec.center + rho[:, None] * np.exp(1j * phi)[None, :]).ravel()
+    return zeta, np.repeat(w_ring, n_ang), rho
 
 
 def _run_starts(*keys):
@@ -520,52 +521,35 @@ def _run_starts(*keys):
     return np.flatnonzero(change)
 
 
-def build_region(psi_fn, patches, config, cuts, radii, runs=True):
+def build_region(psi_fn, patches, config, cuts, radii):
     """Band-tagged nodes and area weights for the bands of the cut list.
 
     ``cuts`` is the sorted array t_0 < ... < t_K; ``patches`` lists the
-    singular centers (PatchSpec), and ``radii`` carries their (radius,
-    contained) pairs, so two refinement levels share the same geometry.  A
-    contained patch is tagged with the deepest band of a list of sublevel
-    sets and lies below every band of a band list, where it is left out.
-    With ``runs`` (for a Gram), the region also records where each run of
-    nodes on one ray or one patch ring, in one band, starts.
+    singular centers (PatchSpec), and ``radii`` carries their (radius, top)
+    pairs (``_patch_radii``), so two refinement levels share the same
+    geometry.  A patch lies in the band of its circle maximum ``top``, the
+    deepest level that holds all of it; a patch below every band (a psi pole
+    of a band list) or above every level is left out, and its disc is not
+    masked from the rays.  The region records where each run of global
+    nodes on one ray, in one band, starts.
     """
     n_bands = cuts.size - 1
-    sublevel = not math.isfinite(cuts[-1])
-    active = [(p, r, contained) for p, (r, contained) in zip(patches, radii)
-              if sublevel or not contained]
+    active = []
+    for p, (r, top) in zip(patches, radii):
+        k = int(_band_of(cuts, top))
+        if 0 <= k < n_bands:
+            active.append((p, r, k))
     origin = patches[0].center if len(patches) == 1 else 0j
     mask_patches = [(p.center - origin, r) for p, r, _ in active]
     ray_centers = [p.center - origin for p in patches]
     ray_psi = (lambda z: psi_fn(z + origin)) if origin != 0 else psi_fn
 
     panels = _global_panels(ray_psi, cuts, config, mask_patches, ray_centers, origin)
-    patch_parts = []
-    n_ang = config.patch_angular
-    for p, r, contained in active:
-        z_p, w_p, rho = _patch_nodes(p, r, config)
-        if contained:
-            b_p = np.full(z_p.size, n_bands - 1)
-        else:
-            b_p = _band_of(cuts, psi_fn(z_p))
-        keep = np.flatnonzero((w_p != 0) & (b_p >= 0) & (b_p < n_bands))
-        keep = keep[np.argsort(b_p[keep], kind="stable")]
-        ring_runs = cell = None
-        if runs:
-            # the stable sort keeps each ring's nodes together within a band,
-            # in angle order; a zero weight drops a whole ring (one per ring)
-            ring = keep // n_ang
-            first = _run_starts(ring, b_p[keep])
-            length = np.diff(np.r_[first, keep.size])
-            if np.any(length != n_ang):
-                cell = np.repeat(np.arange(first.size) * n_ang, length) + keep % n_ang
-            ring_runs = (first, rho[ring[first]])
-        patch_parts.append((p, z_p[keep], w_p[keep], b_p[keep], ring_runs, cell))
+    patch_parts = [(p, k, *_patch_nodes(p, r, config)) for p, r, k in active]
     # nodes are written chunk by chunk into arrays sized for every panel node,
     # so no full-size temporary is held beside them
     n_gl = _GL10[0].size
-    size = panels[0].size * n_gl + sum(part[1].size for part in patch_parts)
+    size = panels[0].size * n_gl + sum(part[2].size for part in patch_parts)
     zeta = np.empty(size, dtype=complex)
     wgt = np.empty(size)
     band = np.empty(size, dtype=np.int32)
@@ -579,25 +563,21 @@ def build_region(psi_fn, patches, config, cuts, radii, runs=True):
         zeta[pos:end], wgt[pos:end], band[pos:end] = nodes
         pos = end
     n_global = pos
-    ray_runs = None
-    if runs:
-        e = panels[2]
-        first = _run_starts(e, panels[4])
-        start = (np.cumsum(kept) - kept)[first]
-        # a run whose panels keep no node shares its start with the next run
-        nonempty = start < np.r_[start[1:], n_global]
-        ray_runs = (start[nonempty], e[first][nonempty])
+    e = panels[2]
+    first = _run_starts(e, panels[4])
+    start = (np.cumsum(kept) - kept)[first]
+    # a run whose panels keep no node shares its start with the next run
+    nonempty = start < np.r_[start[1:], n_global]
+    ray_runs = (start[nonempty], e[first][nonempty])
     blocks = []
-    for p, z_p, w_p, b_p, ring_runs, cell in patch_parts:
+    for p, k, z_p, w_p, rho in patch_parts:
         end = pos + z_p.size
-        zeta[pos:end], wgt[pos:end], band[pos:end] = z_p, w_p, b_p
-        if ring_runs is not None:
-            ring_runs = (ring_runs[0] + pos, ring_runs[1])
-        blocks.append(PatchBlock(spec=p, sl=slice(pos, end), ring_runs=ring_runs, cell=cell))
+        zeta[pos:end], wgt[pos:end], band[pos:end] = z_p, w_p, k
+        blocks.append(PatchBlock(spec=p, sl=slice(pos, end), rho=rho, band=k))
         pos = end
     return RegionNodes(zeta=zeta[:pos], area_w=wgt[:pos], band=band[:pos], n_bands=n_bands,
                        blocks=blocks, n_global=n_global, origin=origin, ray_runs=ray_runs,
-                       patch_angular=n_ang)
+                       patch_angular=config.patch_angular)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -718,43 +698,36 @@ def _angle_table(n_ang, d):
     return np.exp(1j * (math.pi / n_ang) * m).view(float)
 
 
-def _ring_moments(nodes, blk, weights, table):
-    """Per-band moments conj(x)^i x^j of a patch block, x = zeta - center.
+def _ring_moments(blk, weights, table):
+    """Moments conj(x)^i x^j of a patch block, x = zeta - center.
 
     A node of a ring of radius rho sits at a grid angle phi_a, so
     conj(x)^i x^j = rho^(i+j) e^{i(j-i)phi_a}.  The block's weights, taken in
-    _CHUNK slices, are scattered by angle into W [run, angle] (``blk.cell``),
-    and one product with ``table`` (``_angle_table``) gives each run on one
-    ring A_k = sum w e^{i k phi_a}, 0 <= k < d; then M_ij = sum_runs
-    rho^(i+j) A_(j-i) for j >= i.
+    _CHUNK slices, form W [ring, angle], and one product with ``table``
+    (``_angle_table``) gives each ring A_k = sum w e^{i k phi_a}, 0 <= k < d;
+    then M_ij = sum_rings rho^(i+j) A_(j-i) for j >= i.
     """
-    starts, rho = blk.ring_runs
-    n_ang = table.shape[0]
     d = table.shape[1] // 2
-    W = np.zeros(starts.size * n_ang)
     lo, hi = blk.sl.start, blk.sl.stop
+    W = np.empty(hi - lo)
     for i0 in range(lo, hi, _CHUNK):
         i1 = min(i0 + _CHUNK, hi)
-        w = weights(i0, i1)[1]
-        if blk.cell is None:
-            W[i0 - lo:i1 - lo] = w
-        else:
-            W[blk.cell[i0 - lo:i1 - lo]] = w
-    A = (W.reshape(-1, n_ang) @ table).view(complex)
-    return _moments_of_runs(lambda s, t: A[s:t], np.vander(rho, 2 * d - 1, increasing=True),
-                            nodes.band[starts], nodes.n_bands)
+        W[i0 - lo:i1 - lo] = weights(i0, i1)[1]
+    A = (W.reshape(blk.rho.size, -1) @ table).view(complex)
+    return _moments_of_runs(lambda s, t: A[s:t], np.vander(blk.rho, 2 * d - 1, increasing=True),
+                            np.zeros(blk.rho.size, dtype=int), 1)[0]
 
 
 def gram_on_nodes(nodes, kernel, gain, basis):
     """Hermitian Grams of the basis under 2 e^{-phi} c(-psi), one per band.
 
     Returns an array [n_bands, n_basis, n_basis]; entry [k][l][m] is
-    conjugate-linear in l.  Each group of nodes (the global part, each patch
-    block) sums weighted monomial moments M_k per band and adds Q^H M_k Q,
-    Q the basis coefficients in that group's monomials.  Global rays and
-    patch rings sum polar moments run by run (``_ray_moments``,
-    ``_ring_moments``), so the work per node grows with the degree, not its
-    square.  Ray moments are taken about the ray origin c, in coefficients
+    conjugate-linear in l.  The global part sums weighted monomial moments
+    M_k per band and adds Q^H M_k Q, Q the basis coefficients in its
+    monomials; each patch block, which lies in one band, adds its Q^H M Q
+    to that band.  Global rays sum polar moments run by run, and patch
+    rings ring by ring (``_ray_moments``, ``_ring_moments``), so the work
+    per node grows with the degree, not its square.  Ray moments are taken about the ray origin c, in coefficients
     Taylor-shifted to c, on the disc |zeta - c| <= 1 - |c|; the nodes beyond
     it (rays from a pole near the circle reach |zeta - c| = 1 + |c|, where a
     local expansion would lose every digit) sum the monomial moments of
@@ -786,13 +759,13 @@ def gram_on_nodes(nodes, kernel, gain, basis):
     table = _angle_table(nodes.patch_angular, d)
     for blk in nodes.blocks:
         nu = blk.spec.order
-        if blk.sl.stop == blk.sl.start or nu >= d:
+        if nu >= d:
             continue
         center = blk.spec.center
         Q = _taylor_shift(P, center)[nu:]
-        M = _ring_moments(nodes, blk, lambda i0, i1: weights(i0, i1, center, nu),
+        M = _ring_moments(blk, lambda i0, i1: weights(i0, i1, center, nu),
                           table[:, :2 * (d - nu)])
-        H += Q.conj().T @ M @ Q
+        H[blk.band] += Q.conj().T @ M @ Q
     return 0.5 * (H + H.conj().transpose(0, 2, 1))
 
 
@@ -810,7 +783,7 @@ def integral_on_nodes(nodes, fn):
     return total
 
 
-def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=(), runs=True):
+def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
     """evaluate(nodes) over each level, with a two-level error estimate.
 
     The levels are the sublevel sets {psi < -t} for t in ``ts``, or the one
@@ -818,14 +791,13 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=(), runs=True)
     level serves all of them: evaluate returns one value per band, and a
     level's value is the sum over its bands.  ``knots`` (the gain's) are
     extra cuts inside the region, so no radial panel straddles a kink of
-    c(-psi); they define bands but no level, so a contained patch, tagged
-    with the deepest band, still falls in every level where knots beyond
-    the deepest t split it.  Returns arrays (value, err,
-    degenerate) with one entry per level, in the order of ``ts``; err is the
-    max entrywise difference from the half-resolution mesh when
-    config.levels is 2.  Both meshes share the patch radii, which the
-    deepest level sets.  ``runs`` is False when evaluate reads no run
-    table, so the regions record none.
+    c(-psi); they define bands but no level, and a patch lies in the band
+    of its circle maximum, at or below the deepest level, so it still falls
+    in every level where knots beyond the deepest t split it.  Returns
+    arrays (value, err, degenerate) with one entry per level, in the order
+    of ``ts``; err is the max entrywise difference from the half-resolution
+    mesh when config.levels is 2.  Both meshes share the patch radii, which
+    the deepest level sets.
     """
     if band is None:
         ts = [float(t) for t in ts]
@@ -852,14 +824,14 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=(), runs=True)
                 "(angular 32, radial 40, patch_angular 16, patch_radial 16), else its "
                 "error estimate reads 0; set levels: 1 to skip the estimate")
     radii = _patch_radii(psi_fn, patches, deepest)
-    fine = build_region(psi_fn, patches, config, cuts, radii, runs)
+    fine = build_region(psi_fn, patches, config, cuts, radii)
     per_band = np.bincount(fine.band, minlength=fine.n_bands)
     degenerate = np.cumsum(per_band[::-1])[::-1] == 0
     val = _level_sums(evaluate(fine))
     del fine  # the coarse mesh is built without the fine nodes in memory
     err = np.zeros(degenerate.size)
     if config.levels == 2 and not degenerate.all():
-        coarse = build_region(psi_fn, patches, coarse_config, cuts, radii, runs)
+        coarse = build_region(psi_fn, patches, coarse_config, cuts, radii)
         diff = np.abs(val - _level_sums(evaluate(coarse)))
         err = np.where(degenerate, 0.0, diff.reshape(diff.shape[0], -1).max(axis=1))
     return val[level], err[level], degenerate[level]
@@ -883,4 +855,4 @@ def assembled_integral(psi_fn, fn, patches, config, *, ts=(0.0,)):
     degenerate), err the largest over the rows (zero when config.levels is
     1).  One pass of fn per node chunk serves every row."""
     return _two_level(psi_fn, lambda nodes: integral_on_nodes(nodes, fn),
-                      patches, config, ts, None, runs=False)
+                      patches, config, ts, None)

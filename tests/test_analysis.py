@@ -230,6 +230,41 @@ def test_scan_transported_point_under_a_tabulated_gain():
         assert g == pytest.approx(scale * r, rel=1e-10)
 
 
+def steep_exponential_point(zeta0, rate):
+    """One point at zeta0 under the gain c(t) = e^{rate t}, N = 12."""
+    return problem_from_dict({"marked": [{"location": [zeta0, 0]}],
+                              "gain": {"kind": "exponential", "rate": rate},
+                              "numerics": {"N": 12}})
+
+
+@pytest.mark.parametrize("rate,zeta0,tol", [(0.7, 0.0, 1e-10), (0.7, 0.3, 1e-10),
+                                             (0.8, 0.0, 1e-8), (0.8, 0.3, 1e-8),
+                                             (0.85, 0.0, 1e-8), (0.85, 0.3, 1e-8),
+                                             (0.9, 0.0, 1e-8)])
+def test_scan_deep_levels_of_a_steep_gain(rate, zeta0, tol):
+    # the grid reaches t = 9.6 (rate 0.7) to 28.9 (rate 0.9): levels of
+    # radius about e^{-t/2} around the pole, inside the first uniform ray
+    # sample, and a near-critical exponent 2 (1 - rate) that puts much of
+    # the patch integral inside its last ring
+    rep = scan_G(steep_exponential_point(zeta0, rate))
+    scale = 2 * math.pi * (1 - zeta0**2) ** 2
+    assert max(abs(g - scale * r) / (scale * r)
+               for r, g in zip(rep.r_grid, rep.g_values)) <= tol
+    assert rep.is_linear
+
+
+@pytest.mark.parametrize("rate", [0.8, 0.9, 0.95])
+@pytest.mark.parametrize("zeta0", [0.0, 0.3])
+def test_suita_equality_under_a_steep_gain(rate, zeta0):
+    # one point meets the optimal-jets bound; the near-critical exponent
+    # 2 (1 - rate) puts much of the patch integral inside its last ring
+    rep = suita_compare(steep_exponential_point(zeta0, rate))
+    assert rep.equality == rep.criterion.all_hold
+    assert rep.equality
+    assert abs(rep.gap) <= rep.equality_tolerance
+    assert abs(rep.gap) <= 1e-7 * rep.bound
+
+
 def test_scan_r_count_control():
     rep = scan_G(with_r_count(single_point_problem(), 5))
     assert len(rep.r_grid) == 5 and len(rep.second_differences) == 3

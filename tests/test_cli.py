@@ -213,6 +213,20 @@ def test_scan_level_without_nodes_exits_2(tmp_path):
     assert out.stdout == ""
 
 
+def test_scan_deep_levels_of_a_steep_gain(tmp_path):
+    # rate 0.8 puts the grid at t up to 14.5: levels of radius about e^{-t/2}
+    # around the point, inside the first uniform sample of every ray from it
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({"marked": [{"location": [0.3, 0]}],
+                                "gain": {"kind": "exponential", "rate": 0.8},
+                                "numerics": {"N": 12}}))
+    out = run_cli(["scan", str(path)])
+    assert out.returncode == 0, out.stderr
+    rep = json.loads(out.stdout)["report"]
+    assert rep["is_linear"]
+    assert max(rep["t_grid"]) > 14
+
+
 def test_scan_with_a_knot_past_708(tmp_path):
     # c = 1 on [0, 1000]: c(t) e^{-t} is 0 in floats at the last knot, but
     # h^-1(r) = log(1/r) on the whole grid

@@ -15,6 +15,7 @@ from jetmin.problems import random_concavity_problem
 from jetmin.quadrature import (
     QuadratureConfig,
     _global_panels,
+    _panels,
     _patch_radii,
     _ray_pieces,
     _reach,
@@ -78,9 +79,14 @@ def sample_counts(psi_fn, calls):
 def test_one_center_rays_take_coarse_samples(monkeypatch):
     # psi = 2p G(., c) rises along every ray from the only center c, so 64
     # samples bracket each crossing: the (ray, band) pieces are those of
-    # 1024 samples, with breaks within 4 ulps
+    # 1024 samples, with breaks within 4 ulps.  The center at the ray origin
+    # adds its 15 clustered samples (down to 1e-9) as any center does, so
+    # the level t = 12 about a pole at 0, of radius e^-6 inside the first
+    # uniform sample 1/65, is still bracketed.
     thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
-    for zeta0 in (0.0, 0.1, 0.45 - 0.2j, 0.6j):
+    deep = np.array([0.2, 12.0, math.inf])
+    for zeta0, cuts in ((0.0, CUTS), (0.1, CUTS), (0.45 - 0.2j, CUTS), (0.6j, CUTS),
+                        (0.0, deep)):
         kernel, _ = single_pole_region(zeta0)
         reach = _reach(thetas, zeta0)
         pieces = {}
@@ -88,11 +94,11 @@ def test_one_center_rays_take_coarse_samples(monkeypatch):
             monkeypatch.setattr(quadrature, "_ONE_CENTER_SAMPLES", n)
             calls = []
             psi = sample_counts(lambda z: kernel.psi(z + zeta0), calls)
-            pieces[n] = _ray_pieces(psi, thetas, reach, CUTS, [0j])
-            assert set(calls) == {n}
+            pieces[n] = _ray_pieces(psi, thetas, reach, cuts, [0j])
+            assert set(calls) == {n + 15}
         (ray, lo, hi, band, _), (ray_f, lo_f, hi_f, band_f, _) = pieces[64], pieces[1024]
         assert np.array_equal(ray, ray_f) and np.array_equal(band, band_f)
-        assert np.unique(band).size == CUTS.size - 1
+        assert np.unique(band).size == cuts.size - 1
         for a, b in ((lo, lo_f), (hi, hi_f)):
             assert np.all(np.abs(a - b) <= 4 * np.spacing(np.maximum(a, b)))
 
@@ -156,6 +162,17 @@ def test_sub_rays_take_the_widest_base_density(cuts):
     n_sub_rays = np.unique(np.round(np.angle(e[sub]), 12)).size
     assert n_sub_rays > 0
     assert sub.sum() < 1.2 * (config.radial // 10) * n_sub_rays
+
+
+def test_whole_level_pieces_get_the_budget():
+    # a piece that is its whole level gets exactly `budget` panels: the
+    # length ratio is taken first, as 12 * x / x can round to 12 + 2 ulps
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(0.0, 0.5, 1000)
+    hi = lo + rng.uniform(1e-3, 0.5, 1000)
+    n = lo.size
+    *_, piece = _panels(rng.uniform(0, 2 * math.pi, n), np.ones(n), lo, hi, hi - lo, [], 12)
+    assert np.array_equal(np.bincount(piece, minlength=n), np.full(n, 12))
 
 
 def level_on_rays(pieces, k):
@@ -330,23 +347,26 @@ def test_moment_gram_on_rays_from_a_pole(radius, N):
 
 @pytest.mark.parametrize("pts", [ONE_POINT, TWO_POINTS], ids=["one-pole", "two-pole"])
 def test_moment_gram_of_emptied_patch_blocks(pts):
-    # no node lies in {psi < -200}: every patch block is emptied by the band
-    # filter and the Gram is zero
+    # {psi < -200} lies inside the representability floor of every pole: no
+    # patch fits inside it, so no patch block is built, no ray node lies in
+    # it, and the Gram is zero
     kernel, nodes, basis = region_and_basis(pts, [200.0, math.inf], 8)
-    assert nodes.zeta.size == 0 and nodes.blocks
+    assert nodes.zeta.size == 0 and not nodes.blocks
     assert not np.any(gram_on_nodes(nodes, kernel, GAIN, basis))
 
 
 def test_ray_runs_skip_wholly_masked_pieces():
-    # a patch of radius 0.9 at the origin masks all of the inner level
-    # {|z| < e^-1} on the global rays: those runs keep no node and are left
-    # out of the run table, which then starts strictly increasing runs only
+    # a patch of radius 0.75 at the origin (psi = 2 log|z| on its circle, in
+    # band 0) masks all of the inner level {|z| < e^-1} on the global rays:
+    # those runs keep no node and are left out of the run table, which then
+    # starts strictly increasing runs only
     kernel = WeightKernel(UNIT_DISC, WeightPair.standard(
         (MarkedPoint(0.0, green_weight=1.0, jet_order=0, jet_coeff=1.0),)))
     specs = _patch_specs(kernel, GAIN)
     nodes = build_region(kernel.psi, specs, SMALL, np.array([0.5, 2.0, math.inf]),
-                         [(0.9, False)])
+                         [(0.75, 2 * math.log(0.75))])
     starts = nodes.ray_runs[0]
+    assert [blk.band for blk in nodes.blocks] == [0]
     assert np.all(nodes.band[:nodes.n_global] == 0)
     assert np.all(np.diff(starts) > 0) and starts[-1] < nodes.n_global
     a_part, Z = constraint_basis(jet_constraints(kernel.w, 8))
@@ -356,22 +376,25 @@ def test_ray_runs_skip_wholly_masked_pieces():
 @pytest.mark.parametrize("cuts", [[0.0, 6.5, math.inf], [5.5, 6.5, 7.2]],
                          ids=["sublevel", "band"])
 @pytest.mark.parametrize("halved", [False, True], ids=["fine", "coarse"])
-def test_moment_gram_on_thinned_patch_rings(cuts, halved):
-    # patches of radius 0.15 whose rings near radius 0.1 (psi from -6.9 to
-    # -6.1) the threshold 6.5 cuts: the band filter thins those rings into
-    # arcs, whose nodes are scattered to their grid angles by a cell index
+def test_patches_are_whole_rings_in_one_band(cuts, halved):
+    # each patch is whole rings of patch_angular nodes, all in the band of
+    # its circle maximum, and lies inside that band's level; a band region
+    # builds none at a psi pole, whose patch lies below every band
     config = SMALL.halved() if halved else SMALL
-    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(TWO_POINTS))
-    specs = _patch_specs(kernel, GAIN)
-    cuts = np.array(cuts)
-    nodes = build_region(kernel.psi, specs, config, cuts, [(0.15, False)] * len(specs))
-    thinned = [blk for blk in nodes.blocks if blk.cell is not None]
-    assert thinned
-    for blk in thinned:
-        length = np.diff(np.r_[blk.ring_runs[0], blk.sl.stop])
-        assert length.min() < config.patch_angular
-    a_part, Z = constraint_basis(jet_constraints(kernel.w, 16))
-    assert_matches_direct(kernel, nodes, [a_part] + list(Z.T))
+    kernel, nodes, basis = region_and_basis(TWO_POINTS, cuts, 16, config)
+    n_ang = config.patch_angular
+    if math.isfinite(cuts[-1]):
+        assert not nodes.blocks
+    else:
+        assert len(nodes.blocks) == 2
+    for blk in nodes.blocks:
+        size = blk.sl.stop - blk.sl.start
+        assert size == blk.rho.size * n_ang
+        assert np.all(nodes.band[blk.sl] == blk.band)
+        assert np.all(kernel.psi(nodes.zeta[blk.sl]) < -cuts[blk.band])
+        x = (nodes.zeta[blk.sl] - blk.spec.center).reshape(-1, n_ang)
+        assert np.allclose(np.abs(x), blk.rho[:, None], rtol=1e-12)
+    assert_matches_direct(kernel, nodes, basis)
 
 
 def test_ray_runs_end_at_band_changes_on_one_ray():
@@ -406,7 +429,9 @@ def test_moment_gram_runs_straddle_chunks(pts, monkeypatch):
     monkeypatch.setattr(quadrature, "_CHUNK", 11)
     config = QuadratureConfig(angular=16, radial=40, patch_angular=8, patch_radial=8)
     kernel, nodes, basis = region_and_basis(pts, [*CUTS_SPLIT[:3], math.inf], 12, config)
-    runs = [blk.ring_runs[0] for blk in nodes.blocks] + [nodes.ray_runs[0]]
+    n_ang = config.patch_angular
+    runs = [blk.sl.start + n_ang * np.arange(blk.rho.size) for blk in nodes.blocks]
+    runs.append(nodes.ray_runs[0])
     assert any(np.any(np.diff(r) > 7) for r in runs)
     assert_matches_direct(kernel, nodes, basis)
 
@@ -440,30 +465,6 @@ def test_taylor_shift_matches_direct_values(seed, N):
         got = np.polynomial.polynomial.polyval(z - c, _taylor_shift(P, c))
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= 1e-13
-
-
-def test_only_gram_regions_record_run_tables(monkeypatch):
-    # the ray and ring run tables serve the Gram's polar moments only; a
-    # region for scalar integrals (verify-lemmas) skips them
-    built = []
-    build = quadrature.build_region
-
-    def recorded(*args, **kwargs):
-        built.append(build(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(quadrature, "build_region", recorded)
-    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(TWO_POINTS))
-    specs = _patch_specs(kernel, GAIN)
-    assembled_integral(kernel.psi, lambda z: np.ones((1, z.size)), specs, SMALL, ts=(0.5,))
-    assert len(built) == 2 and all(n.blocks for n in built)
-    for nodes in built:
-        assert nodes.ray_runs is None and all(b.ring_runs is None for b in nodes.blocks)
-    built.clear()
-    quadrature.assembled_gram(kernel, GAIN, [np.ones(3)], specs, SMALL, ts=(0.5,))
-    assert len(built) == 2
-    for nodes in built:
-        assert nodes.ray_runs is not None and all(b.ring_runs is not None for b in nodes.blocks)
 
 
 @pytest.mark.parametrize("count,floor", [("angular", 32), ("radial", 40),
