@@ -6,8 +6,9 @@ conjugate-linear-first convention H[l][m] = <zeta^l d zeta, zeta^m d zeta>,
 matching numpy.vdot.  Weighted Grams on the raw monomial basis can diverge
 at divisor zeros; the reduced path substitutes the jet-constraint null-space
 parametrization first and integrates only functions with the enforced
-vanishing, which is always integrable for admissible weights.  The closed
-form applies when the weight's point table has 2p = 2m at every point.
+vanishing; a center where that does not suffice is refused only when the
+region reaches it (quadrature._patch_nodes).  The closed form applies when
+the weight's point table has 2p = 2m at every point.
 """
 from __future__ import annotations
 
@@ -17,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInputError, NonIntegrableWeightError
+from .errors import BadInputError
 from .gain import GainFunction, growth_rate_bound
 from .geometry import UNIT_DISC, DomainSpec, check_marked_points
 from .quadrature import PatchSpec, QuadratureConfig, assembled_gram
 from .series import moebius_taylor, pderiv, pmul
 from .weights import _LOC_TOL, WeightKernel, WeightPair
-
-_SIGMA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,57 +158,41 @@ def gram_analytic_disc(N: int, *, radius: float = 1.0, scale: float = 1.0) -> Gr
 
 def analytic_reduction(
     dom: DomainSpec, w: WeightPair, g: GainFunction, t: float
-) -> tuple[float, float]:
-    """(radius, scale) when the weighted region integral has a closed form.
+) -> tuple[float, float] | None:
+    """(radius, scale) when the weighted region integral has a closed form,
+    else None.
 
     Requires the identity domain, a constant gain, and a divisor realizing
     psi exactly, 2p = 2m at every point of the weight's table (so e^{-phi}
     is identically 1); the region must be the full disc (t = 0) or a
     centered sublevel disc (one point, at the origin).
-    Raises BadInputError otherwise, pointing at the quadrature Gram path.
     """
-    hint = ("no closed-form Gram for this configuration; "
-            "use minimal_integral(..., gram=\"quadrature\")")
     if not dom.is_identity or g.kind != "constant":
-        raise BadInputError(hint)
+        return None
     if w.phi.bump != 0 or any(x != 0 for x in w.phi.u_coeffs):
-        raise BadInputError(hint)
+        return None
     if abs(abs(w.phi.leading) - 1.0) > 1e-14:
-        raise BadInputError(hint)
+        return None
     if any(abs(2 * p - 2 * m) > 1e-12 for _loc, p, m in w.points):
-        raise BadInputError(hint)
+        return None
     if t == 0:
         return 1.0, g.value
     if len(w.points) == 1 and abs(w.points[0][0]) <= _LOC_TOL:
         return math.exp(-t / (2.0 * w.points[0][1])), g.value
-    raise BadInputError(hint)
+    return None
 
 
-def _patch_specs(kernel: WeightKernel, g: GainFunction,
-                 check: bool = True) -> list[PatchSpec]:
+def _patch_specs(kernel: WeightKernel, g: GainFunction) -> list[PatchSpec]:
     """Singular-center descriptors with local integrand exponents.
 
     sigma = 2 nu + 2 p (1 - delta) - 2 m at each center, where nu is the
     enforced vanishing order of the constrained family, p the psi mass, m
-    the divisor order, delta the gain growth rate.
-    Divergent exponents (sigma <= -2) are refused.
+    the divisor order, delta the gain growth rate.  A patch the region
+    builds refuses sigma <= -2 (quadrature._patch_nodes).
     """
     delta = growth_rate_bound(g)
-    specs = []
-    for zeta_c, p, m, nu in kernel.singular_centers():
-        sigma = 2 * nu + 2 * p * (1 - delta) - 2 * m
-        if check:
-            if sigma <= -2 + _SIGMA_TOL:
-                raise NonIntegrableWeightError(
-                    f"weighted integrand exponent {sigma:g} at center {zeta_c} diverges; "
-                    "the weight is integrable only against forms with enforced vanishing"
-                )
-        else:
-            # band regions exclude the singular cores; clamp only to keep the
-            # fallback ring depth finite
-            sigma = max(sigma, 0.0)
-        specs.append(PatchSpec(center=zeta_c, order=nu, exponent=sigma))
-    return specs
+    return [PatchSpec(center=zeta_c, order=nu, exponent=2 * nu + 2 * p * (1 - delta) - 2 * m)
+            for zeta_c, p, m, nu in kernel.singular_centers()]
 
 
 def constraint_basis(C: JetConstraintSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -232,30 +215,27 @@ def gram_reduced(
     w: WeightPair,
     g: GainFunction,
     ts: Sequence[float],
-    N: int,
+    a_part: np.ndarray,
+    Z: np.ndarray,
     mesh: QuadratureConfig | None = None,
-    constraints: JetConstraintSystem | None = None,
-) -> tuple[list[GramMatrix], np.ndarray, np.ndarray]:
-    """Grams on [particular | null-space] after constraint substitution.
+) -> list[GramMatrix]:
+    """Grams on [particular | null-space] after constraint substitution, one
+    per t; (a_part, Z) come from constraint_basis.
 
     This is the regularization that makes singular weights integrable: every
     reduced basis function carries the enforced vanishing at the marked
     points.  The basis does not depend on t, so one region per mesh level
-    serves every sublevel set {psi < -t}, t in ``ts``.  Returns (one reduced
-    Gram per t, particular coefficients, null basis).
+    serves every sublevel set {psi < -t}, t in ``ts``.
     """
     mesh = mesh or QuadratureConfig()
-    C = constraints if constraints is not None else jet_constraints(w, N, dom)
-    a_part, Z = constraint_basis(C)
     kernel = WeightKernel(dom, w)
     specs = _patch_specs(kernel, g)
     basis = [a_part] + [Z[:, i] for i in range(Z.shape[1])]
     # a weight that overflows leaves non-finite entries, which the solve refuses
     with np.errstate(over="ignore", invalid="ignore"):
         H, err, degen = assembled_gram(kernel, g, basis, specs, mesh, ts=ts)
-    grams = [GramMatrix(entries=h, quad_error=float(e), degenerate=bool(d))
-             for h, e, d in zip(H, err, degen)]
-    return grams, a_part, Z
+    return [GramMatrix(entries=h, quad_error=float(e), degenerate=bool(d))
+            for h, e, d in zip(H, err, degen)]
 
 
 def form_norm_quadrature(
@@ -272,11 +252,12 @@ def form_norm_quadrature(
 
     Returns (value, error estimate, degenerate flag).  The form is assumed
     to carry the enforced vanishing at the marked points, which keeps the
-    integrand integrable at the singular centers.
+    integrand integrable at the singular centers; a center inside the
+    region where it does not (sigma <= -2) raises NonIntegrableWeightError.
     """
     mesh = mesh or QuadratureConfig()
     kernel = WeightKernel(dom, w)
-    specs = _patch_specs(kernel, g, check=band is None)
+    specs = _patch_specs(kernel, g)
     H, err, degen = assembled_gram(kernel, g, [F.coeff_array()], specs, mesh,
                                    ts=(t,), band=band)
     return float(H[0, 0, 0].real), float(err[0]), bool(degen[0])

@@ -117,7 +117,7 @@ def eval_log_c(g: GainFunction, t):
     """log c(t) without forming c; stable for arguments deep in the tail."""
     scalar = np.isscalar(t)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr <= 0):
+    if not np.all(t_arr > 0):
         raise BadInputError("c(t) needs t > 0")
     tab = g._table
     if tab.t.size == 1:  # constant and exponential gains: log c(t_0) up to the tail
@@ -167,7 +167,7 @@ def _tail_integral(g: GainFunction, a: float, t: float) -> float:
 def eval_h(g: GainFunction, t: float) -> float:
     """h(t) = int_t^inf c(s) e^{-s} ds; strictly decreasing, h(inf) = 0."""
     t = float(t)
-    if t < 0:
+    if not (t >= 0):
         raise BadInputError("eval_h needs t >= 0")
     return _tail_integral(g, 1.0, t)
 

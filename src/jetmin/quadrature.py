@@ -65,7 +65,6 @@ _BOUNDARY_SAMPLES = 512
 _RAY_SAMPLES = 1024
 _ONE_CENTER_SAMPLES = 64  # psi is monotone on rays from the only center
 _TANGENT_SPLIT = 16
-_MIN_RADIUS_FRACTION = 1e-36
 _MASK_FLOOR = 1e-14
 _CHUNK = 8192
 # nodes per moment pass, which holds a [2N + 1, chunk] real array, and two
@@ -73,6 +72,7 @@ _CHUNK = 8192
 _GRAM_CHUNK = 2048
 _RAY_BLOCK = 32  # rays sampled and cut together
 _TAIL_EPS = 1e-13  # relative radial tail of a patch integrand left to the tail ring
+_SIGMA_TOL = 1e-12  # a local exponent within this of -2 is not integrable
 _REP_FLOOR = 1e-12  # patch radii and rings stay above this times max(1, |center|)
 
 
@@ -482,15 +482,17 @@ def _patch_nodes(spec, radius, config):
     The rings stop at an inner edge e, where the radial tail left out is
     about _TAIL_EPS of the integrand, or at the representability floor.  One
     more ring at e carries the disc inside it: an integrand ~ r^sigma there,
-    sigma = ``spec.exponent``, has int_0^e f r dr = f(e) e^2 / (sigma + 2).
+    sigma = ``spec.exponent``, has int_0^e f r dr = f(e) e^2 / (sigma + 2);
+    sigma <= -2 is not integrable and raises NonIntegrableWeightError.
     Rings whose blending weight vanishes are left out.
     """
     margin = spec.exponent + 2.0
-    if margin <= 0:
+    if margin <= _SIGMA_TOL:
         raise NonIntegrableWeightError(
-            f"integrand exponent {spec.exponent} at {spec.center} is not integrable"
+            f"weighted integrand exponent {spec.exponent:g} at center {spec.center} "
+            "diverges; the weight is integrable only against forms with enforced vanishing"
         )
-    frac = max(_TAIL_EPS ** (1.0 / margin), _MIN_RADIUS_FRACTION)
+    frac = _TAIL_EPS ** (1.0 / margin)
     # rings below roundoff of an off-origin center collapse onto it exactly;
     # clamp so every node stays representable away from the singular point
     rep_floor = _REP_FLOOR * max(1.0, abs(spec.center)) / radius

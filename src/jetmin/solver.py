@@ -4,8 +4,10 @@ The minimum of a* H a over {C a = b} is computed by the null-space method:
 a = a_part + Z y with Z orthonormal in the null space of C, reducing to an
 unconstrained quadratic in y.  For singular weights the reduced Gram comes
 straight from quadrature on the substituted basis (see forms.gram_reduced),
-so no divergent monomial entry is ever formed.  A closed-form Gram is
-reduced through the same basis, so one solve serves both Gram paths.
+so no divergent monomial entry is ever formed.  Where the weight and the
+level admit a closed-form Gram (forms.analytic_reduction), it is reduced
+through the same basis, so one solve serves both Gram paths; the input alone
+picks the path, and ``diagnostics["gram_path"]`` reports it.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ class MinimalIntegralResult:
 
 
 def _solve_reduced(h00, gvec, M):
-    """Minimize h00 + 2 Re(y* g) + y* M y; returns (value, y, diagnostics).
+    """Minimize h00 + 2 Re(y* g) + y* M y, M Hermitian; returns (value, y, diagnostics).
 
     One eigendecomposition of M gives the conditioning diagnostics and the
     minimum-norm stationary point; on a positive semidefinite M the
@@ -55,7 +57,6 @@ def _solve_reduced(h00, gvec, M):
         diag["gram_condition"] = 1.0
         diag["unique"] = True
         return float(h00), np.zeros(0, dtype=complex), diag
-    M = 0.5 * (M + M.conj().T)
     eigs, V = np.linalg.eigh(M)
     diag["reduced_min_eig"] = float(eigs[0])
     diag["gram_condition"] = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
@@ -111,36 +112,10 @@ def kkt_minimize_reduced(
         raise NumericalError(f"constraint residual {resid:g} out of tolerance")
     diag["constraint_residual"] = resid
     diag["quadrature_error"] = R.quad_error
-    diag["truncation_tail"] = 0.0
     diag["degenerate"] = R.degenerate
     return MinimalIntegralResult(
         value=value, extremal=TruncatedForm(coeffs=tuple(a)), diagnostics=diag
     )
-
-
-def _truncation_tail(value: float, N: int, marked_radii) -> float:
-    """Heuristic geometric bound on the degree-N truncation gap of the value.
-
-    Optimal coefficient sequences decay like (l+1) r^l with r the largest
-    marked-point modulus in disc coordinates; the dropped tail of the value
-    is then of order value * (N+2)^2 r^{2N} / (1-r^2)^2.
-    """
-    r = max([0.0] + [abs(z) for z in marked_radii])
-    if r == 0.0:
-        return 0.0
-    return value * (N + 2) ** 2 * r ** (2 * N) / (1 - r * r) ** 2
-
-
-def _closed_form(dom, w, g, t, gram):
-    """(radius, scale) of the closed-form Gram at t, or None for quadrature."""
-    if gram == "quadrature":
-        return None
-    try:
-        return analytic_reduction(dom, w, g, t)
-    except BadInputError:
-        if gram == "analytic":
-            raise
-        return None
 
 
 def minimal_integrals(
@@ -150,31 +125,24 @@ def minimal_integrals(
     ts: Sequence[float],
     N: int = 64,
     mesh: QuadratureConfig | None = None,
-    gram: str = "auto",
 ) -> list[MinimalIntegralResult]:
     """G(t) for every t in ``ts``: minimal weighted L2 integrals over forms
     matching the jet data.
 
-    ``gram`` selects the Gram path per t: "analytic" (closed form, errors
-    when unavailable), "quadrature", or "auto" (analytic when eligible).
-    The constraint basis does not depend on t, so all quadrature Grams come
-    from one region per mesh level; each t gets its own reduced solve and
-    constraint-residual check.
+    The input picks the Gram path per t: the closed form wherever
+    analytic_reduction gives one, quadrature elsewhere (``diagnostics
+    ["gram_path"]`` says which).  The constraint basis does not depend on t,
+    so all quadrature Grams come from one region per mesh level; each t gets
+    its own reduced solve and constraint-residual check.
     """
     ts = [float(t) for t in ts]
     if not all(t >= 0 for t in ts):
         raise BadInputError("sublevel parameter t must be >= 0")
-    if gram not in ("auto", "analytic", "quadrature"):
-        raise BadInputError(f"unknown gram mode {gram!r}")
     C = jet_constraints(w, N, dom)
-    zeta_marked = [complex(dom.inverse(pt.location)) for pt in w.marked]
-    reductions = [_closed_form(dom, w, g, t, gram) for t in ts]
+    a_part, Z = constraint_basis(C)
+    reductions = [analytic_reduction(dom, w, g, t) for t in ts]
     quad_ts = [t for t, red in zip(ts, reductions) if red is None]
-    if quad_ts:
-        grams, a_part, Z = gram_reduced(dom, w, g, quad_ts, N, mesh=mesh, constraints=C)
-        quad_grams = iter(grams)
-    else:
-        a_part, Z = constraint_basis(C)
+    quad_grams = iter(gram_reduced(dom, w, g, quad_ts, a_part, Z, mesh=mesh) if quad_ts else ())
     results = []
     for t, reduction in zip(ts, reductions):
         if reduction is not None:
@@ -189,7 +157,6 @@ def minimal_integrals(
             res = kkt_minimize_reduced(R, a_part, Z, C)
         except NumericalError as exc:
             raise NumericalError(f"solver failed at t = {t:.6g}: {exc}") from exc
-        res.diagnostics["truncation_tail"] = _truncation_tail(res.value, N, zeta_marked)
         res.diagnostics["gram_path"] = path
         results.append(res)
     return results
@@ -202,10 +169,9 @@ def minimal_integral(
     t: float,
     N: int = 64,
     mesh: QuadratureConfig | None = None,
-    gram: str = "auto",
 ) -> MinimalIntegralResult:
     """G(t): minimal_integrals at the single sublevel parameter t."""
-    return minimal_integrals(dom, w, g, [t], N=N, mesh=mesh, gram=gram)[0]
+    return minimal_integrals(dom, w, g, [t], N=N, mesh=mesh)[0]
 
 
 def extension_bound(
@@ -219,7 +185,7 @@ def extension_bound(
     Requires every alpha_j finite (divisor order k_j + 1 at each marked
     point); raises BadInputError otherwise.
     """
-    if t < 0:
+    if not (t >= 0):
         raise BadInputError("sublevel parameter t must be >= 0")
     h = eval_h(g, t)
     total = 0.0

@@ -6,6 +6,7 @@ sympy differentiation for jet rows, steepest descent for the constrained
 minimum.  Values frozen into tests were produced by these functions (see
 test modules for the frozen constants).  The references are scalar psi/phi
 evaluators, the raw-monomial Gram, which the library itself never needs,
+G(t) from the quadrature Gram where the library would take the closed form,
 a direct B^H W B Gram on built nodes with its own deflation at the
 patch centers, and plain bisection of cut brackets.
 """
@@ -16,10 +17,17 @@ import math
 import numpy as np
 
 from jetmin.errors import BadInputError, NumericalError
-from jetmin.forms import GramMatrix, JetConstraintSystem, constraint_basis
+from jetmin.forms import (
+    GramMatrix,
+    JetConstraintSystem,
+    constraint_basis,
+    gram_reduced,
+    jet_constraints,
+)
 from jetmin.gain import eval_log_c, growth_rate_bound
 from jetmin.geometry import UNIT_DISC, green_disc_raw
 from jetmin.quadrature import PatchSpec, QuadratureConfig, assembled_gram
+from jetmin.solver import kkt_minimize_reduced
 from jetmin.weights import WeightKernel, eval_u
 
 
@@ -57,6 +65,20 @@ def gram_quadrature(dom, w, g, t: float, N: int,
     H, err, degen = assembled_gram(kernel, g, monomials, specs,
                                    mesh or QuadratureConfig(), ts=(t,))
     return GramMatrix(entries=H[0], quad_error=float(err[0]), degenerate=bool(degen[0]))
+
+
+def quadrature_minima(dom, w, g, ts, N: int, mesh: QuadratureConfig | None = None):
+    """G(t) for every t in ``ts`` from the quadrature Gram, even where
+    minimal_integrals would take the closed form."""
+    C = jet_constraints(w, N, dom)
+    a_part, Z = constraint_basis(C)
+    return [kkt_minimize_reduced(R, a_part, Z, C)
+            for R in gram_reduced(dom, w, g, ts, a_part, Z, mesh=mesh)]
+
+
+def quadrature_minimum(dom, w, g, t: float, N: int, mesh: QuadratureConfig | None = None):
+    """quadrature_minima at the single sublevel parameter t."""
+    return quadrature_minima(dom, w, g, [t], N, mesh)[0]
 
 
 def _deflate(coeffs, center, order):

@@ -30,7 +30,7 @@ from jetmin.problems import (
 )
 from jetmin.solver import extension_bound, kkt_minimize, minimal_integral
 from jetmin.weights import WeightKernel, WeightPair
-from oracles import oracle_minimize
+from oracles import oracle_minimize, quadrature_minimum
 
 SWEEP = np.linspace(-1.0, 1.0, 41)
 
@@ -42,7 +42,8 @@ def report(num, ok, text):
 
 def solve_two_point(a):
     p = two_point_problem(a, numerics=Numerics(N=64))
-    res = minimal_integral(p.domain, p.weights, p.gain, 0.0, N=64, gram="analytic")
+    res = minimal_integral(p.domain, p.weights, p.gain, 0.0, N=64)
+    assert res.diagnostics["gram_path"] == "analytic"
     bound = extension_bound(p.weights, p.gain, 0.0, p.domain)
     return p, res, bound
 
@@ -126,8 +127,9 @@ def test_criterion_04_single_point_linearity():
     worst_q = worst_a = 0.0
     for t in (0.0, 0.5, 1.0, 2.0):
         target = 2 * math.pi * math.exp(-t)
-        res_q = minimal_integral(p.domain, p.weights, p.gain, t, N=12, gram="quadrature")
-        res_a = minimal_integral(p.domain, p.weights, p.gain, t, N=12, gram="analytic")
+        res_q = quadrature_minimum(p.domain, p.weights, p.gain, t, 12)
+        res_a = minimal_integral(p.domain, p.weights, p.gain, t, N=12)
+        assert res_a.diagnostics["gram_path"] == "analytic"
         worst_q = max(worst_q, abs(res_q.value - target) / target)
         worst_a = max(worst_a, abs(res_a.value - target) / target)
     scan = scan_G(p)

@@ -20,6 +20,7 @@ from jetmin.forms import (
 from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
 from jetmin.problems import two_point_problem
+from jetmin.quadrature import QuadratureConfig
 from jetmin.solver import minimal_integral
 from jetmin.weights import PhiSpec, WeightPair
 from oracles import gram_quadrature
@@ -193,19 +194,18 @@ def test_analytic_reduction_eligibility():
     rad, sc = analytic_reduction(UNIT_DISC, single_point_pair(k=1, p=2.0), CONST, 1.5)
     assert rad == pytest.approx(math.exp(-1.5 / 4))
     assert sc == 1.0
-    with pytest.raises(BadInputError):
-        analytic_reduction(UNIT_DISC, two_point_pair(), CONST, 1.0)
-    with pytest.raises(BadInputError):
-        analytic_reduction(UNIT_DISC, two_point_pair(), GainFunction.exponential(0.5), 0.0)
+    assert analytic_reduction(UNIT_DISC, two_point_pair(), CONST, 1.0) is None
+    assert analytic_reduction(UNIT_DISC, two_point_pair(), GainFunction.exponential(0.5),
+                              0.0) is None
     dom = DomainSpec.moebius(2.0, 0.0, 0.0, 1.0)
     w = WeightPair.standard((MarkedPoint(0.0, jet_order=0),))
-    with pytest.raises(BadInputError):
-        analytic_reduction(dom, w, CONST, 0.0)
+    assert analytic_reduction(dom, w, CONST, 0.0) is None
 
 
 def test_gram_reduced_first_entry_is_particular_norm():
     w = single_point_pair()
-    (R,), a_part, Z = gram_reduced(UNIT_DISC, w, CONST, [1.0], 3)
+    a_part, Z = constraint_basis(jet_constraints(w, 3))
+    (R,) = gram_reduced(UNIT_DISC, w, CONST, [1.0], a_part, Z)
     assert R.size == Z.shape[1] + 1
     # particular solution for f(0)=1 at N=3 is the constant 1
     assert np.allclose(a_part, [1, 0, 0, 0])
@@ -213,16 +213,34 @@ def test_gram_reduced_first_entry_is_particular_norm():
 
 
 def test_nonintegrable_divisor_zero_off_marked_point():
-    # an extra divisor zero away from the marked points makes e^{-phi}
-    # blow up like |z - q|^{-2} there, which no constraint cancels
+    # an extra divisor zero at -0.4, away from the marked point, with no psi
+    # mass: e^{-phi} blows up like |z + 0.4|^{-2} there, which no constraint
+    # cancels; {psi < -t} is |z| < e^{-t/2}, which holds it for t < 2 log 2.5
     pts = (MarkedPoint(0.0, green_weight=1.0, jet_order=0, jet_coeff=1.0),)
     w = WeightPair(
         marked=pts,
         psi=WeightPair.standard(pts).psi,
         phi=PhiSpec(zeros=((0.0, 1), (-0.4, 1)), leading=1.0, u_coeffs=(0.0,), bump=0.0),
     )
+    a_part, Z = constraint_basis(jet_constraints(w, 2))
     with pytest.raises(NonIntegrableWeightError):
-        gram_reduced(UNIT_DISC, w, CONST, [0.0], 2)
+        gram_reduced(UNIT_DISC, w, CONST, [0.0], a_part, Z)
+    with pytest.raises(NonIntegrableWeightError):
+        minimal_integral(UNIT_DISC, w, CONST, 1.0, N=12)
+    # a band over the zero diverges too (its value grows with the mesh)
+    F = TruncatedForm((1.0,))
+    with pytest.raises(NonIntegrableWeightError):
+        form_norm_quadrature(UNIT_DISC, w, CONST, F, band=(2.5, 1.0))
+    # only a region that reaches the zero is refused: a band outside it is an
+    # ordinary integral, and so is the level |z| < e^{-1.5}, where G converges
+    val, _, _ = form_norm_quadrature(UNIT_DISC, w, CONST, F, band=(1.0, 0.2))
+    assert val == pytest.approx(5.566554174622158, rel=1e-14)
+    res = minimal_integral(UNIT_DISC, w, CONST, 3.0, N=12)
+    assert res.diagnostics["gram_path"] == "quadrature"
+    fine = minimal_integral(UNIT_DISC, w, CONST, 3.0, N=12,
+                            mesh=QuadratureConfig(angular=1024, radial=512, levels=1))
+    assert res.value == pytest.approx(fine.value, rel=1e-12)
+    assert res.value == pytest.approx(1.955133602854525, rel=1e-12)
 
 
 def test_norm_of_form_values():

@@ -19,6 +19,9 @@ from jetmin.gain import (
     invert_h,
     ratio_probe,
 )
+from jetmin.geometry import MarkedPoint
+from jetmin.solver import extension_bound
+from jetmin.weights import WeightPair
 
 
 def test_constant_eval():
@@ -53,6 +56,15 @@ def test_eval_c_requires_positive_argument():
         eval_c(g, 0.0)
     with pytest.raises(BadInputError):
         eval_c(g, -1.0)
+
+
+def test_nan_is_not_a_valid_t():
+    g = GainFunction.constant(1.0)
+    w = WeightPair.standard((MarkedPoint(0.0),))
+    for call in (lambda: eval_c(g, math.nan), lambda: eval_h(g, math.nan),
+                 lambda: extension_bound(w, g, math.nan)):
+        with pytest.raises(BadInputError):
+            call()
 
 
 def test_tabulated_interpolates_log_linearly():

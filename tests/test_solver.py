@@ -10,9 +10,9 @@ from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, MarkedPoint
 from jetmin.problems import Numerics, single_point_problem
 from jetmin.quadrature import QuadratureConfig
-from jetmin.solver import extension_bound, kkt_minimize, minimal_integral, minimal_integrals
+from jetmin.solver import extension_bound, kkt_minimize, minimal_integral
 from jetmin.weights import WeightPair
-from oracles import oracle_minimize
+from oracles import oracle_minimize, quadrature_minima, quadrature_minimum
 
 CONST = GainFunction.constant(1.0)
 
@@ -54,10 +54,7 @@ def test_two_point_unit_parameter():
 
 
 def test_two_point_quadrature_path_agrees():
-    res = minimal_integral(
-        UNIT_DISC, two_point_pair(0.7), CONST, 0.0, N=24, gram="quadrature"
-    )
-    assert res.diagnostics["gram_path"] == "quadrature"
+    res = quadrature_minimum(UNIT_DISC, two_point_pair(0.7), CONST, 0.0, 24)
     assert res.value == pytest.approx(two_point_exact(0.7), rel=1e-6)
 
 
@@ -94,14 +91,12 @@ def test_stacked_mass_takes_the_closed_form():
         res = minimal_integral(UNIT_DISC, w, CONST, t, N=8)
         assert res.diagnostics["gram_path"] == "analytic"
         assert res.value == pytest.approx(2 * math.pi * math.exp(-t / 2), rel=1e-14)
-        quad = minimal_integral(UNIT_DISC, w, CONST, t, N=8, gram="quadrature")
+        quad = quadrature_minimum(UNIT_DISC, w, CONST, t, 8)
         assert abs(quad.value - res.value) <= 1e-12 * res.value
 
 
 def test_single_point_decay_quadrature():
-    res = minimal_integral(
-        UNIT_DISC, single_point_pair(), CONST, 1.0, N=12, gram="quadrature"
-    )
+    res = quadrature_minimum(UNIT_DISC, single_point_pair(), CONST, 1.0, 12)
     assert res.value == pytest.approx(2 * math.pi * math.exp(-1), rel=1e-6)
 
 
@@ -109,7 +104,7 @@ def test_offcenter_point_quadrature():
     # marked point 1/2: the Blaschke change of variable gives 9/8 pi e^{-t}
     w = single_point_pair(z0=0.5)
     for t in (0.0, 1.0):
-        res = minimal_integral(UNIT_DISC, w, CONST, t, N=48, gram="quadrature")
+        res = quadrature_minimum(UNIT_DISC, w, CONST, t, 48)
         exact = 2 * math.pi * math.exp(-t) * 9 / 16
         assert res.value == pytest.approx(exact, rel=1e-6)
         bound = extension_bound(w, CONST, t)
@@ -119,9 +114,8 @@ def test_offcenter_point_quadrature():
 def test_exponential_gain_quadrature():
     g = GainFunction.exponential(0.5)
     for t in (0.0, 1.0):
-        res = minimal_integral(
-            UNIT_DISC, single_point_pair(), g, t, N=12, gram="quadrature"
-        )
+        res = minimal_integral(UNIT_DISC, single_point_pair(), g, t, N=12)
+        assert res.diagnostics["gram_path"] == "quadrature"
         exact = 4 * math.pi * math.exp(-t / 2)
         assert res.value == pytest.approx(exact, rel=1e-6)
 
@@ -161,9 +155,9 @@ def test_oracle_agrees_on_random_instances():
 
 
 def test_uniqueness_certificate():
-    for gram in ("analytic", "quadrature"):
-        res = minimal_integral(UNIT_DISC, two_point_pair(0.3), CONST, 0.0, N=32, gram=gram)
-        assert res.diagnostics["gram_path"] == gram
+    analytic = minimal_integral(UNIT_DISC, two_point_pair(0.3), CONST, 0.0, N=32)
+    assert analytic.diagnostics["gram_path"] == "analytic"
+    for res in (analytic, quadrature_minimum(UNIT_DISC, two_point_pair(0.3), CONST, 0.0, 32)):
         assert res.diagnostics["unique"]
         assert res.diagnostics["reduced_min_eig"] > 0
         assert math.isfinite(res.diagnostics["gram_condition"])
@@ -174,9 +168,9 @@ def test_no_free_coefficient_solve():
     # N = 0 leaves only the jet-fixed coefficient, so the reduced problem has
     # no free direction: G(0) = 2 pi |a|^2 for a unit mass at the origin
     p = single_point_problem(Numerics(N=0))
-    for gram in ("analytic", "quadrature"):
-        res = minimal_integral(p.domain, p.weights, p.gain, 0.0, N=0, gram=gram)
-        assert res.diagnostics["gram_path"] == gram
+    analytic = minimal_integral(p.domain, p.weights, p.gain, 0.0, N=0)
+    assert analytic.diagnostics["gram_path"] == "analytic"
+    for res in (analytic, quadrature_minimum(p.domain, p.weights, p.gain, 0.0, 0)):
         assert abs(res.value - 2 * math.pi) <= 1e-12 * 2 * math.pi
         assert res.diagnostics["unique"] is True
         assert res.diagnostics["reduced_min_eig"] == math.inf
@@ -223,58 +217,34 @@ def test_minimum_below_bound():
         assert res.value <= bound * (1 + 1e-10)
     # equality case within quadrature tolerance
     w = single_point_pair(z0=0.5)
-    res = minimal_integral(UNIT_DISC, w, CONST, 0.0, N=48, gram="quadrature")
+    res = quadrature_minimum(UNIT_DISC, w, CONST, 0.0, 48)
     assert res.value <= extension_bound(w, CONST, 0.0) * (1 + 1e-6)
 
 
 def test_nonincreasing_in_t():
     w = two_point_pair(0.7)
-    vals = [
-        minimal_integral(UNIT_DISC, w, CONST, t, N=16, gram="quadrature").value
-        for t in (0.0, 0.5, 1.0)
-    ]
+    vals = [quadrature_minimum(UNIT_DISC, w, CONST, t, 16).value for t in (0.0, 0.5, 1.0)]
     for lo, hi in zip(vals[1:], vals[:-1]):
         assert lo <= hi * (1 + 1e-6)
 
 
 def test_degenerate_region_flag():
-    res = minimal_integral(
-        UNIT_DISC, single_point_pair(), CONST, 200.0, N=4, gram="quadrature"
-    )
+    res = quadrature_minimum(UNIT_DISC, single_point_pair(), CONST, 200.0, 4)
     assert res.value == 0.0
     assert res.diagnostics["degenerate"]
     # an empty deep level leaves the other levels of the same region intact
-    inner, empty = minimal_integrals(
-        UNIT_DISC, single_point_pair(), CONST, [0.5, 200.0], N=4, gram="quadrature"
-    )
+    inner, empty = quadrature_minima(UNIT_DISC, single_point_pair(), CONST, [0.5, 200.0], 4)
     assert empty.value == 0.0 and empty.diagnostics["degenerate"]
     assert empty.diagnostics["quadrature_error"] == 0.0
-    alone = minimal_integral(UNIT_DISC, single_point_pair(), CONST, 0.5, N=4, gram="quadrature")
+    alone = quadrature_minimum(UNIT_DISC, single_point_pair(), CONST, 0.5, 4)
     assert not inner.diagnostics["degenerate"]
     assert inner.value == pytest.approx(alone.value, rel=1e-12)
-
-
-def test_truncation_tail_diagnostic():
-    centered = minimal_integral(UNIT_DISC, single_point_pair(), CONST, 0.0, N=8)
-    assert centered.diagnostics["truncation_tail"] == 0.0
-    res = minimal_integral(UNIT_DISC, two_point_pair(0.7), CONST, 0.0, N=64)
-    assert 0 < res.diagnostics["truncation_tail"] < 1e-20
 
 
 def test_input_validation():
     for t in (-1.0, math.nan):
         with pytest.raises(BadInputError):
             minimal_integral(UNIT_DISC, single_point_pair(), CONST, t)
-    with pytest.raises(BadInputError):
-        minimal_integral(UNIT_DISC, single_point_pair(), CONST, 0.0, gram="bogus")
-    with pytest.raises(BadInputError):
-        minimal_integral(
-            UNIT_DISC,
-            single_point_pair(),
-            GainFunction.exponential(0.5),
-            0.0,
-            gram="analytic",
-        )
     H = gram_analytic_disc(4)
     C = jet_constraints(single_point_pair(), 8)
     with pytest.raises(BadInputError):
