@@ -125,7 +125,8 @@ def scan_G(problem: Problem) -> ConcavityReport:
     radii set by the deepest level.  Second differences of a concave
     function are <= 0; positive values beyond the quadrature tolerance
     indicate a bug, not new mathematics.  psi has a pole at every marked
-    point, so a level without quadrature nodes is unresolved: NumericalError.
+    point, so a deep level can hold no quadrature node; the quadrature
+    driver refuses it (NumericalError).
     """
     n = problem.numerics.r_count
     g = problem.gain
@@ -140,10 +141,6 @@ def scan_G(problem: Problem) -> ConcavityReport:
         N=problem.numerics.N,
         mesh=problem.numerics.mesh,
     )
-    empty = [t for t, res in zip(t_grid, results) if res.diagnostics["degenerate"]]
-    if empty:
-        raise NumericalError(f"no quadrature node in {{psi < -t}} at t = {empty[0]:.6g}: "
-                             "the mesh cannot resolve this level")
     vals = np.array([res.value for res in results])
     max_err = max(res.diagnostics["quadrature_error"] for res in results)
     d2 = vals[2:] - 2 * vals[1:-1] + vals[:-2]
@@ -361,9 +358,7 @@ def lemma_integrals(kernel: WeightKernel, beta_max: int, mesh: QuadratureConfig 
 
     patches = [PatchSpec(center=zeta, order=0, exponent=2 * p - 2) for zeta, p in centers]
     one_level = replace(mesh or QuadratureConfig(), levels=1)
-    val, _err, degen = assembled_integral(kernel.psi, integrand, patches, one_level)
-    if degen[0]:
-        raise NumericalError("lemma quadrature found no region nodes")
+    val, _err = assembled_integral(kernel.psi, integrand, patches, one_level)
     return float(val[0, 0].real), float(val[0, 1].real), tuple(val[0, 2:])
 
 
@@ -419,7 +414,7 @@ def linear_restriction_identity(
         N=problem.numerics.N,
         mesh=problem.numerics.mesh,
     )
-    lhs, _err, _deg = form_norm_quadrature(
+    lhs, _err = form_norm_quadrature(
         problem.domain,
         problem.weights,
         a_fn,

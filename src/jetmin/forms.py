@@ -54,7 +54,6 @@ class GramMatrix:
 
     entries: np.ndarray
     quad_error: float = 0.0
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         H = np.asarray(self.entries, dtype=complex)
@@ -231,11 +230,8 @@ def gram_reduced(
     kernel = WeightKernel(dom, w)
     specs = _patch_specs(kernel, g)
     basis = [a_part] + [Z[:, i] for i in range(Z.shape[1])]
-    # a weight that overflows leaves non-finite entries, which the solve refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        H, err, degen = assembled_gram(kernel, g, basis, specs, mesh, ts=ts)
-    return [GramMatrix(entries=h, quad_error=float(e), degenerate=bool(d))
-            for h, e, d in zip(H, err, degen)]
+    H, err = assembled_gram(kernel, g, basis, specs, mesh, ts=ts)
+    return [GramMatrix(entries=h, quad_error=float(e)) for h, e in zip(H, err)]
 
 
 def form_norm_quadrature(
@@ -247,20 +243,20 @@ def form_norm_quadrature(
     t: float = 0.0,
     band: tuple[float, float] | None = None,
     mesh: QuadratureConfig | None = None,
-) -> tuple[float, float, bool]:
+) -> tuple[float, float]:
     """Weighted norm of one constrained form over a sublevel set or band.
 
-    Returns (value, error estimate, degenerate flag).  The form is assumed
-    to carry the enforced vanishing at the marked points, which keeps the
-    integrand integrable at the singular centers; a center inside the
-    region where it does not (sigma <= -2) raises NonIntegrableWeightError.
+    Returns (value, error estimate).  The form is assumed to carry the
+    enforced vanishing at the marked points, which keeps the integrand
+    integrable at the singular centers; a center inside the region where it
+    does not (sigma <= -2) raises NonIntegrableWeightError, and a region the
+    mesh cannot resolve NumericalError (quadrature._two_level).
     """
     mesh = mesh or QuadratureConfig()
     kernel = WeightKernel(dom, w)
     specs = _patch_specs(kernel, g)
-    H, err, degen = assembled_gram(kernel, g, [F.coeff_array()], specs, mesh,
-                                   ts=(t,), band=band)
-    return float(H[0, 0, 0].real), float(err[0]), bool(degen[0])
+    H, err = assembled_gram(kernel, g, [F.coeff_array()], specs, mesh, ts=(t,), band=band)
+    return float(H[0, 0, 0].real), float(err[0])
 
 
 def norm_of_form(F: TruncatedForm, H: GramMatrix) -> float:

@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadInputError, NonIntegrableWeightError
+from .errors import BadInputError, NonIntegrableWeightError, NumericalError
 from .gain import eval_log_c
 
 _LOG2 = math.log(2.0)
@@ -796,10 +796,11 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
     c(-psi); they define bands but no level, and a patch lies in the band
     of its circle maximum, at or below the deepest level, so it still falls
     in every level where knots beyond the deepest t split it.  Returns
-    arrays (value, err, degenerate) with one entry per level, in the order
-    of ``ts``; err is the max entrywise difference from the half-resolution
-    mesh when config.levels is 2.  Both meshes share the patch radii, which
-    the deepest level sets.
+    arrays (value, err) with one entry per level, in the order of ``ts``;
+    err is the max entrywise difference from the half-resolution mesh when
+    config.levels is 2.  Both meshes share the patch radii, which the
+    deepest level sets.  A level with no node or a non-finite value (a
+    weight that overflows) on either mesh is a NumericalError.
     """
     if band is None:
         ts = [float(t) for t in ts]
@@ -809,6 +810,7 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
         cuts = np.array(sorted(set(ts + inner)) + [math.inf])
         level = np.searchsorted(cuts, ts)
         deepest = max(ts)
+        where = [f"in {{psi < -t}} at t = {t:.6g}" for t in ts]
     else:
         t_hi, t_lo = float(band[0]), float(band[1])
         if not (t_hi > t_lo >= 0):
@@ -817,6 +819,7 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
         cuts = np.array([t_lo, *inner, t_hi])
         level = np.zeros(1, dtype=int)
         deepest = t_hi
+        where = [f"in the band ({t_hi:.6g}, {t_lo:.6g})"]
     if config.levels == 2:
         coarse_config = config.halved()
         if any(getattr(coarse_config, f) >= getattr(config, f)
@@ -825,18 +828,29 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
                 "a two-level mesh needs every count above the half-resolution floors "
                 "(angular 32, radial 40, patch_angular 16, patch_radial 16), else its "
                 "error estimate reads 0; set levels: 1 to skip the estimate")
-    radii = _patch_radii(psi_fn, patches, deepest)
-    fine = build_region(psi_fn, patches, config, cuts, radii)
-    per_band = np.bincount(fine.band, minlength=fine.n_bands)
-    degenerate = np.cumsum(per_band[::-1])[::-1] == 0
-    val = _level_sums(evaluate(fine))
-    del fine  # the coarse mesh is built without the fine nodes in memory
-    err = np.zeros(degenerate.size)
-    if config.levels == 2 and not degenerate.all():
-        coarse = build_region(psi_fn, patches, coarse_config, cuts, radii)
-        diff = np.abs(val - _level_sums(evaluate(coarse)))
-        err = np.where(degenerate, 0.0, diff.reshape(diff.shape[0], -1).max(axis=1))
-    return val[level], err[level], degenerate[level]
+
+    def on_mesh(mesh):
+        """Checked values of the requested levels on one mesh, whose nodes die on return."""
+        nodes = build_region(psi_fn, patches, mesh, cuts, radii)
+        count = _level_sums(np.bincount(nodes.band, minlength=nodes.n_bands))[level]
+        val = _level_sums(evaluate(nodes))[level]
+        for n, v, label in zip(count, val, where):
+            if n == 0:
+                raise NumericalError(f"no quadrature node {label}: "
+                                     "the mesh cannot resolve this level")
+            if not np.all(np.isfinite(v)):
+                raise NumericalError(f"non-finite quadrature values {label}: "
+                                     "the weight overflows on the region")
+        return val
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        radii = _patch_radii(psi_fn, patches, deepest)
+        val = on_mesh(config)
+        err = np.zeros(level.size)
+        if config.levels == 2:
+            diff = np.abs(val - on_mesh(coarse_config))
+            err = diff.reshape(diff.shape[0], -1).max(axis=1)
+    return val, err
 
 
 def _level_sums(per_band):
@@ -845,16 +859,15 @@ def _level_sums(per_band):
 
 
 def assembled_gram(kernel, gain, basis, patches, config, *, ts=(0.0,), band=None):
-    """Two-level Grams of the basis, one per level: arrays (H, err, degenerate);
-    the region is cut at the gain's knots as well."""
+    """Two-level Grams of the basis, one per level, as _two_level returns
+    them; the region is cut at the gain's knots as well."""
     return _two_level(kernel.psi, lambda nodes: gram_on_nodes(nodes, kernel, gain, basis),
                       patches, config, ts, band, gain._table.t)
 
 
 def assembled_integral(psi_fn, fn, patches, config, *, ts=(0.0,)):
     """Integrals of the rows of fn over the sublevel sets {psi < -t}, t in
-    ``ts``, on one region per mesh level: arrays (value [level, row], err,
-    degenerate), err the largest over the rows (zero when config.levels is
-    1).  One pass of fn per node chunk serves every row."""
+    ``ts``, as _two_level returns them (value [level, row], err the largest
+    over the rows); one pass of fn per node chunk serves every row."""
     return _two_level(psi_fn, lambda nodes: integral_on_nodes(nodes, fn),
                       patches, config, ts, None)

@@ -70,8 +70,7 @@ def _solve_reduced(h00, gvec, M):
 def _reduce(H: GramMatrix, a_part: np.ndarray, Z: np.ndarray) -> GramMatrix:
     """Gram on [particular | null columns] from a full-basis Gram."""
     B = np.column_stack([a_part, Z])
-    return GramMatrix(entries=B.conj().T @ H.entries @ B, quad_error=H.quad_error,
-                      degenerate=H.degenerate)
+    return GramMatrix(entries=B.conj().T @ H.entries @ B, quad_error=H.quad_error)
 
 
 def kkt_minimize(H: GramMatrix, C: JetConstraintSystem) -> MinimalIntegralResult:
@@ -89,30 +88,25 @@ def kkt_minimize_reduced(
 ) -> MinimalIntegralResult:
     """Minimum from a reduced Gram on the basis [particular | null columns].
 
-    (a_part, Z) come from constraint_basis(C); a non-finite Gram entry, or a
-    non-degenerate Gram with no entry above the smallest normal float, is a
-    NumericalError, and the attaining coefficients are checked against C.
+    (a_part, Z) come from constraint_basis(C); a non-finite Gram entry, or
+    no entry above the smallest normal float where the family is not {0}, is
+    a NumericalError, and the attaining coefficients are checked against C.
     """
     if R.size != Z.shape[1] + 1:
         raise BadInputError("reduced Gram size does not match the null basis")
-    if R.degenerate:
-        value, a = 0.0, a_part
-        diag = {"unique": False, "reduced_min_eig": 0.0, "gram_condition": math.inf}
-    else:
-        E = R.entries
-        if not np.all(np.isfinite(E)):
-            raise NumericalError("reduced Gram has non-finite entries; the weight overflows")
-        if not np.max(np.abs(E)) >= np.finfo(float).tiny:
-            raise NumericalError("reduced Gram has no normal entry: the weight e^-phi "
-                                 "or the level {psi < -t} is too small")
-        value, y, diag = _solve_reduced(float(np.real(E[0, 0])), E[1:, 0], E[1:, 1:])
-        a = a_part + (Z @ y if y.size else 0.0)
+    E = R.entries
+    if not np.all(np.isfinite(E)):
+        raise NumericalError("reduced Gram has non-finite entries")
+    if (np.any(a_part) or Z.size) and not np.max(np.abs(E)) >= np.finfo(float).tiny:
+        raise NumericalError("reduced Gram has no normal entry: the weight e^-phi "
+                             "or the level {psi < -t} is too small")
+    value, y, diag = _solve_reduced(float(np.real(E[0, 0])), E[1:, 0], E[1:, 1:])
+    a = a_part + (Z @ y if y.size else 0.0)
     resid = float(np.linalg.norm(C.matrix @ a - C.rhs))
     if resid > 1e-10 * (1 + float(np.linalg.norm(C.rhs))):
         raise NumericalError(f"constraint residual {resid:g} out of tolerance")
     diag["constraint_residual"] = resid
     diag["quadrature_error"] = R.quad_error
-    diag["degenerate"] = R.degenerate
     return MinimalIntegralResult(
         value=value, extremal=TruncatedForm(coeffs=tuple(a)), diagnostics=diag
     )

@@ -62,9 +62,8 @@ def gram_quadrature(dom, w, g, t: float, N: int,
     specs = [PatchSpec(center=zeta, order=0, exponent=2 * p * (1 - delta) - 2 * m)
              for zeta, p, m, _nu in kernel.singular_centers()]
     monomials = list(np.eye(N + 1, dtype=complex))
-    H, err, degen = assembled_gram(kernel, g, monomials, specs,
-                                   mesh or QuadratureConfig(), ts=(t,))
-    return GramMatrix(entries=H[0], quad_error=float(err[0]), degenerate=bool(degen[0]))
+    H, err = assembled_gram(kernel, g, monomials, specs, mesh or QuadratureConfig(), ts=(t,))
+    return GramMatrix(entries=H[0], quad_error=float(err[0]))
 
 
 def quadrature_minima(dom, w, g, ts, N: int, mesh: QuadratureConfig | None = None):

@@ -182,6 +182,54 @@ def test_steep_tabulated_gain_exits_4(tmp_path, capsys):
     assert "not admissible" in capsys.readouterr().err
 
 
+def _point(x, p=1.0, coeff=1.0):
+    return {"location": [x, 0], "green_weight": p, "jet_coeff": [coeff, 0]}
+
+
+# inputs at the edge of the numerics, on N = 12 and 5 scan levels unless set
+LOWEST_N = {"N": 0, "r_count": 5}
+EDGE_CASES = {
+    "circle-1e-4": {"marked": [_point(0.9999)]},
+    "circle-1e-6": {"marked": [_point(0.999999)]},
+    "apart-1e-9": {"marked": [_point(0.3), _point(0.3 + 1e-9)]},
+    "apart-1e-13": {"marked": [_point(0.3), _point(0.3 + 1e-13)]},
+    "rate-0.999": {"marked": [_point(0.3)], "gain": {"kind": "exponential", "rate": 0.999}},
+    "lowest-N": {"marked": [_point(0.3)], "numerics": LOWEST_N},
+    "zero-jets-N0": {"marked": [_point(0.3, coeff=0.0)], "numerics": LOWEST_N},
+    "p-1.5": {"marked": [_point(0.3, p=1.5)]},
+    "p-2.5-at-0.99": {"marked": [_point(0.99, p=2.5)]},
+    "p-2.5-at-0.9999": {"marked": [_point(0.9999, p=2.5)]},
+}
+# the settled exit codes; the others wait on an error budget for G (truncation in N)
+# and for the one-level lemma mesh
+EDGE_EXITS = {
+    ("apart-1e-13", "suita"): 4, ("apart-1e-13", "scan"): 4,
+    ("apart-1e-13", "verify-lemmas"): 4, ("p-1.5", "verify-lemmas"): 4,
+    ("rate-0.999", "scan"): 2, ("zero-jets-N0", "suita"): 0, ("zero-jets-N0", "scan"): 0,
+}
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+@pytest.mark.parametrize("command", ["suita", "scan", "verify-lemmas"])
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_inputs_end_in_a_documented_exit(tmp_path, capsys, case, command):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"numerics": {"N": 12, "r_count": 5}, **EDGE_CASES[case]}))
+    code = cli.main([command, str(path)])
+    out = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    assert code == EDGE_EXITS.get((case, command), code)
+    if code:
+        assert out.err.startswith("jetmin: ")
+    if code in (0, 3):
+        json.loads(out.out, parse_constant=_no_constant)
+    if (case, command) == ("rate-0.999", "scan"):
+        assert "no quadrature node" in out.err
+
+
 @pytest.mark.parametrize("phi", [{"u_coeffs": [[-400, 0]]}, {"leading": [1e-300, 0]},
                                  {"leading": [1e300, 0]}],
                          ids=["u", "leading", "leading-underflow"])

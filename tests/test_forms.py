@@ -1,10 +1,11 @@
 """Gram matrices, jet constraint rows, and weighted norms of truncated forms."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from jetmin.errors import BadInputError, NonIntegrableWeightError
+from jetmin.errors import BadInputError, NonIntegrableWeightError, NumericalError
 from jetmin.forms import (
     GramMatrix,
     JetConstraintSystem,
@@ -233,7 +234,7 @@ def test_nonintegrable_divisor_zero_off_marked_point():
         form_norm_quadrature(UNIT_DISC, w, CONST, F, band=(2.5, 1.0))
     # only a region that reaches the zero is refused: a band outside it is an
     # ordinary integral, and so is the level |z| < e^{-1.5}, where G converges
-    val, _, _ = form_norm_quadrature(UNIT_DISC, w, CONST, F, band=(1.0, 0.2))
+    val, _ = form_norm_quadrature(UNIT_DISC, w, CONST, F, band=(1.0, 0.2))
     assert val == pytest.approx(5.566554174622158, rel=1e-14)
     res = minimal_integral(UNIT_DISC, w, CONST, 3.0, N=12)
     assert res.diagnostics["gram_path"] == "quadrature"
@@ -259,8 +260,7 @@ def test_norm_of_form_dimension_mismatch():
 
 def test_form_norm_quadrature_full_disc():
     w = single_point_pair()
-    val, err, degen = form_norm_quadrature(UNIT_DISC, w, CONST, TruncatedForm((1.0,)))
-    assert not degen
+    val, err = form_norm_quadrature(UNIT_DISC, w, CONST, TruncatedForm((1.0,)))
     assert val == pytest.approx(2 * math.pi, rel=1e-9)
     assert err <= 1e-6
 
@@ -268,12 +268,27 @@ def test_form_norm_quadrature_full_disc():
 def test_form_norm_quadrature_band():
     # band {-2 <= psi < -1} for a unit point mass is an annulus
     w = single_point_pair()
-    val, err, degen = form_norm_quadrature(
+    val, err = form_norm_quadrature(
         UNIT_DISC, w, CONST, TruncatedForm((1.0,)), band=(2.0, 1.0)
     )
     want = 2 * math.pi * (math.exp(-1) - math.exp(-2))
-    assert not degen
     assert val == pytest.approx(want, rel=1e-8)
+
+
+def test_form_norm_quadrature_refuses_an_unresolved_region():
+    # the band (300, 250) about a point at 0.3 holds no node, and a weight
+    # e^{-phi} that overflows gives non-finite values: both are refused,
+    # with no RuntimeWarning on the way
+    marked = (MarkedPoint(0.3, green_weight=1.0, jet_order=0, jet_coeff=1.0),)
+    F = TruncatedForm((1.0,))
+    with pytest.raises(NumericalError, match=r"no quadrature node in the band \(300, 250\)"):
+        form_norm_quadrature(UNIT_DISC, WeightPair.standard(marked), CONST, F, band=(300, 250))
+    for phi in ({"u_coeffs": (-800.0,)}, {"leading": 1e-300}):
+        w = WeightPair.standard(marked, **phi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="the weight overflows on the region"):
+                form_norm_quadrature(UNIT_DISC, w, CONST, F)
 
 
 def moebius_two_point():
@@ -304,9 +319,9 @@ def test_band_norm_is_difference_of_sublevel_norms(case):
         g = GainFunction.tabulated([0.0, 0.5, 1.0, 2.0, 4.0],
                                    np.exp([0.0, 0.45, 0.5, 1.3, 1.5]))
     F = minimal_integral(dom, w, g, 0.4, N=12).extremal
-    band, _, _ = form_norm_quadrature(dom, w, g, F, band=(1.2, 0.4))
-    outer, _, _ = form_norm_quadrature(dom, w, g, F, t=0.4)
-    inner, _, _ = form_norm_quadrature(dom, w, g, F, t=1.2)
+    band, _ = form_norm_quadrature(dom, w, g, F, band=(1.2, 0.4))
+    outer, _ = form_norm_quadrature(dom, w, g, F, t=0.4)
+    inner, _ = form_norm_quadrature(dom, w, g, F, t=1.2)
     assert band > 0
     assert band == pytest.approx(outer - inner, rel=1e-10)
 

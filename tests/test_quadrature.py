@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jetmin import quadrature
-from jetmin.errors import BadInputError
+from jetmin.errors import BadInputError, NumericalError
 from jetmin.forms import _patch_specs, constraint_basis, jet_constraints
 from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, MarkedPoint
@@ -20,9 +20,11 @@ from jetmin.quadrature import (
     _ray_pieces,
     _reach,
     _taylor_shift,
+    _two_level,
     assembled_integral,
     build_region,
     gram_on_nodes,
+    integral_on_nodes,
 )
 from jetmin.weights import WeightKernel, WeightPair
 from oracles import bisect_cuts, gram_direct
@@ -465,6 +467,23 @@ def test_taylor_shift_matches_direct_values(seed, N):
         got = np.polynomial.polynomial.polyval(z - c, _taylor_shift(P, c))
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= 1e-13
+
+
+def test_half_resolution_mesh_is_checked_too():
+    # a non-finite value on the coarse mesh alone would read as a NaN error
+    # estimate, which every gate passes; the driver refuses it instead
+    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(TWO_POINTS))
+    specs = _patch_specs(kernel, GAIN)
+    config = QuadratureConfig()
+
+    def area(nodes):
+        val = integral_on_nodes(nodes, lambda z: np.ones((1, z.size)))
+        return val if nodes.patch_angular == config.patch_angular else val * np.nan
+
+    with pytest.raises(NumericalError, match="non-finite quadrature values"):
+        _two_level(kernel.psi, area, specs, config, (0.5,), None)
+    val, err = _two_level(kernel.psi, area, specs, replace(config, levels=1), (0.5,), None)
+    assert np.isfinite(val).all() and err[0] == 0
 
 
 @pytest.mark.parametrize("count,floor", [("angular", 32), ("radial", 40),

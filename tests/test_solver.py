@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from jetmin.errors import BadInputError
+from jetmin.errors import BadInputError, NumericalError
 from jetmin.forms import GramMatrix, JetConstraintSystem, gram_analytic_disc, jet_constraints
 from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, MarkedPoint
 from jetmin.problems import Numerics, single_point_problem
 from jetmin.quadrature import QuadratureConfig
-from jetmin.solver import extension_bound, kkt_minimize, minimal_integral
+from jetmin.solver import extension_bound, kkt_minimize, minimal_integral, minimal_integrals
 from jetmin.weights import WeightPair
-from oracles import oracle_minimize, quadrature_minima, quadrature_minimum
+from oracles import oracle_minimize, quadrature_minimum
 
 CONST = GainFunction.constant(1.0)
 
@@ -74,6 +74,12 @@ def test_zero_jet_data_gives_zero():
     )
     res = minimal_integral(UNIT_DISC, WeightPair.standard(pts), CONST, 0.0, N=16)
     assert res.value == 0.0
+    # at the smallest N the constrained family is {0} (zero particular
+    # solution, no null column): its minimum is 0, not an underflow failure
+    w = single_point_pair(0.3, a=0.0)
+    for g in (CONST, GainFunction.exponential(0.5)):
+        for N in (0, 1):
+            assert minimal_integral(UNIT_DISC, w, g, 0.0, N=N).value == 0.0
 
 
 def test_single_point_decay_analytic():
@@ -228,17 +234,31 @@ def test_nonincreasing_in_t():
         assert lo <= hi * (1 + 1e-6)
 
 
-def test_degenerate_region_flag():
-    res = quadrature_minimum(UNIT_DISC, single_point_pair(), CONST, 200.0, 4)
-    assert res.value == 0.0
-    assert res.diagnostics["degenerate"]
-    # an empty deep level leaves the other levels of the same region intact
-    inner, empty = quadrature_minima(UNIT_DISC, single_point_pair(), CONST, [0.5, 200.0], 4)
-    assert empty.value == 0.0 and empty.diagnostics["degenerate"]
-    assert empty.diagnostics["quadrature_error"] == 0.0
-    alone = quadrature_minimum(UNIT_DISC, single_point_pair(), CONST, 0.5, 4)
-    assert not inner.diagnostics["degenerate"]
-    assert inner.value == pytest.approx(alone.value, rel=1e-12)
+def test_level_without_nodes_is_refused():
+    # {psi < -200} about a point at 0.3 is a disc of radius ~1e-44: no node
+    # falls in it, so the driver refuses it instead of returning G = 0
+    w = single_point_pair(0.3)
+    for ts in ([200.0], [0.5, 200.0]):
+        with pytest.raises(NumericalError, match=r"no quadrature node in \{psi < -t\} at t = 200:"):
+            minimal_integrals(UNIT_DISC, w, CONST, ts, N=4)
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.5j])
+def test_divisor_leading_constant_scales_G(lam):
+    # e^{-phi} carries 1/|lam|^2, so G and the bound scale by it; |lam| != 1
+    # has no closed form, so this compares quadrature with the lam = 1 one
+    marked = (MarkedPoint(0.3, green_weight=1.0, jet_order=0, jet_coeff=1.0),)
+    w1 = WeightPair.standard(marked)
+    w = WeightPair.standard(marked, leading=lam)
+    ref = minimal_integral(UNIT_DISC, w1, CONST, 0.0, N=12)
+    res = minimal_integral(UNIT_DISC, w, CONST, 0.0, N=12)
+    assert ref.diagnostics["gram_path"] == "analytic"
+    assert ref.value == pytest.approx(5.2031057528771, rel=1e-13)
+    assert res.diagnostics["gram_path"] == "quadrature"
+    scale = abs(lam) ** 2
+    assert abs(scale * res.value - ref.value) <= 10 * scale * res.diagnostics["quadrature_error"]
+    assert scale * extension_bound(w, CONST, 0.0) == pytest.approx(
+        extension_bound(w1, CONST, 0.0), rel=1e-14)
 
 
 def test_input_validation():
