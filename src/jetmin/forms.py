@@ -7,8 +7,8 @@ matching numpy.vdot.  Weighted Grams on the raw monomial basis can diverge
 at divisor zeros; the reduced path substitutes the jet-constraint null-space
 parametrization first and integrates only functions with the enforced
 vanishing; a center where that does not suffice is refused only when the
-region reaches it (quadrature._patch_nodes).  The closed form applies when
-the weight's point table has 2p = 2m at every point.
+region reaches it (quadrature._patch_nodes).  The closed form applies on
+any Moebius image when the weight's point table has 2p = 2m at every point.
 """
 from __future__ import annotations
 
@@ -161,12 +161,12 @@ def analytic_reduction(
     """(radius, scale) when the weighted region integral has a closed form,
     else None.
 
-    Requires the identity domain, a constant gain, and a divisor realizing
-    psi exactly, 2p = 2m at every point of the weight's table (so e^{-phi}
-    is identically 1); the region must be the full disc (t = 0) or a
-    centered sublevel disc (one point, at the origin).
+    Forms and the Gram live in disc coordinates, so the domain may be any
+    Moebius image.  Requires a constant gain and 2p = 2m at every point of
+    the weight's table (e^{-phi} is then 1 in zeta); the region must be the
+    full disc (t = 0) or a centered sublevel disc (one point, at zeta = 0).
     """
-    if not dom.is_identity or g.kind != "constant":
+    if g.kind != "constant":
         return None
     if w.phi.bump != 0 or any(x != 0 for x in w.phi.u_coeffs):
         return None
@@ -176,7 +176,7 @@ def analytic_reduction(
         return None
     if t == 0:
         return 1.0, g.value
-    if len(w.points) == 1 and abs(w.points[0][0]) <= _LOC_TOL:
+    if len(w.points) == 1 and abs(dom.inverse(w.points[0][0])) <= _LOC_TOL:
         return math.exp(-t / (2.0 * w.points[0][1])), g.value
     return None
 

@@ -66,10 +66,6 @@ class DomainSpec:
     def moebius(cls, a: complex, b: complex, c: complex, d: complex) -> "DomainSpec":
         return cls(kind="moebius_image", map_coeffs=(a, b, c, d))
 
-    @property
-    def is_identity(self) -> bool:
-        return self.map_coeffs == (1 + 0j, 0j, 0j, 1 + 0j)
-
     def forward(self, zeta):
         """T(zeta); accepts scalars or numpy arrays."""
         a, b, c, d = self.map_coeffs

@@ -226,8 +226,9 @@ def _patch_radii(psi_fn, patches, threshold):
 # -- global polar part -------------------------------------------------------
 
 def _sample_rays(psi_fn, thetas, reach, centers, n_samples):
-    """Radial psi samples along each ray, clustered near center approaches."""
-    base = np.arange(1, n_samples + 1) / (n_samples + 1.0)
+    """Radial psi samples along each ray, clustered near center approaches,
+    ending on the circle (psi = 0), so no level t > 0 crosses unbracketed."""
+    base = np.arange(1, n_samples + 2) / (n_samples + 1.0)
     cols = [base[None, :] * reach[:, None]]
     conj_e = np.exp(-1j * thetas)[:, None]
     for c in centers:

@@ -230,6 +230,25 @@ def test_scan_transported_point_under_a_tabulated_gain():
         assert g == pytest.approx(scale * r, rel=1e-10)
 
 
+def test_scan_transported_center_takes_the_closed_form(monkeypatch):
+    # a point of a Moebius image that the map pulls back to zeta = 0: every
+    # level {psi < -t} is the centered disc |zeta| < e^{-t/2}, whose Gram is
+    # closed-form, so no quadrature Gram is built at any t
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature Gram built")
+
+    monkeypatch.setattr("jetmin.solver.gram_reduced", no_quadrature)
+    dom = DomainSpec.moebius(2.0, 0.3, 0.1, 1.2)
+    pt = MarkedPoint(complex(dom.forward(0.0)), green_weight=1.0, jet_order=0,
+                     jet_coeff=cmath.exp(0.4j), coord_scale=1.0 / dom.derivative(0.0))
+    p = Problem(domain=dom, weights=WeightPair.standard((pt,)), gain=GainFunction.constant(1.0),
+                numerics=Numerics(N=12, r_count=9))
+    rep = scan_G(p)
+    assert rep.max_quad_error == 0.0
+    for r, g in zip(rep.r_grid, rep.g_values):
+        assert g == pytest.approx(2 * math.pi * r, rel=1e-12)
+
+
 def steep_exponential_point(zeta0, rate):
     """One point at zeta0 under the gain c(t) = e^{rate t}, N = 12."""
     return problem_from_dict({"marked": [{"location": [zeta0, 0]}],

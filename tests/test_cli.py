@@ -404,6 +404,39 @@ def test_suita_equality_report(equality_file, capsys):
     assert crit["witnesses"] == [[-1.0, 0.0], [-1.0, 0.0]]
 
 
+def suita_report(tmp_path, capsys, problem, name):
+    path = tmp_path / name
+    save_problem(problem_from_dict(problem), path)
+    assert cli.main(["suita", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)["report"]
+
+
+def test_suita_on_a_moebius_image_reads_the_disc_problem(tmp_path, capsys):
+    # the equality case a = -1/3 moved by T, each point with coord_scale
+    # 1/T'(zeta): both files take the closed-form Gram in disc coordinates
+    def pair(z):
+        return [complex(z).real, complex(z).imag]
+
+    T = (2.0, 0.3, 0.1, 1.2)
+    a, b, c, d = T
+    marked = [(0j, 2.0, 1, 1.0), (0.5 + 0j, 1.0, 0, -1.0 / 3.0)]
+    disc = {"marked": [{"location": pair(z), "green_weight": p, "jet_order": k,
+                        "jet_coeff": pair(f)} for z, p, k, f in marked]}
+    moved = {"domain": {"kind": "moebius_image", "map_coeffs": [pair(v) for v in T]},
+             "marked": [{"location": pair((a * z + b) / (c * z + d)), "green_weight": p,
+                         "jet_order": k, "jet_coeff": pair(f),
+                         "coord_scale": pair((c * z + d) ** 2 / (a * d - b * c))}
+                        for z, p, k, f in marked]}
+    rep_disc = suita_report(tmp_path, capsys, disc, "disc.json")
+    rep_moved = suita_report(tmp_path, capsys, moved, "moved.json")
+    for rep in (rep_disc, rep_moved):
+        assert rep["quad_error"] == 0.0
+        assert rep["equality"] is True
+    for key in ("c_omega_f", "bound"):
+        assert abs(rep_moved[key] - rep_disc[key]) <= 1e-12 * rep_disc[key]
+    assert abs(rep_moved["gap"] - rep_disc["gap"]) <= 1e-12 * rep_disc["bound"]
+
+
 def test_suita_bound_violation_exits_3(monkeypatch, equality_file, capsys):
     from jetmin.analysis import SuitaReport, criterion_check
 

@@ -198,9 +198,16 @@ def test_analytic_reduction_eligibility():
     assert analytic_reduction(UNIT_DISC, two_point_pair(), CONST, 1.0) is None
     assert analytic_reduction(UNIT_DISC, two_point_pair(), GainFunction.exponential(0.5),
                               0.0) is None
+    # a Moebius image is judged in disc coordinates: the point at 0 sits at
+    # zeta = 0, so every level is a centered disc
     dom = DomainSpec.moebius(2.0, 0.0, 0.0, 1.0)
     w = WeightPair.standard((MarkedPoint(0.0, jet_order=0),))
-    assert analytic_reduction(dom, w, CONST, 0.0) is None
+    assert analytic_reduction(dom, w, CONST, 0.0) == (1.0, 1.0)
+    rad, sc = analytic_reduction(dom, w, CONST, 1.5)
+    assert rad == pytest.approx(math.exp(-1.5 / 2), rel=1e-15) and sc == 1.0
+    off = WeightPair.standard((MarkedPoint(0.4, jet_order=0),))
+    assert analytic_reduction(dom, off, CONST, 1.5) is None
+    assert analytic_reduction(dom, w, GainFunction.exponential(0.5), 0.0) is None
 
 
 def test_gram_reduced_first_entry_is_particular_norm():

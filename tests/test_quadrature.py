@@ -32,12 +32,16 @@ from oracles import bisect_cuts, gram_direct
 CUTS = np.array([0.2, 0.7, 1.5, 3.0, 5.0, math.inf])
 
 
-def single_pole_region(zeta0):
-    w = WeightPair.standard((MarkedPoint(zeta0, green_weight=1.0, jet_order=0, jet_coeff=1.0),))
-    kernel = WeightKernel(UNIT_DISC, w)
+def pole_region(pts, cuts):
+    """The weight's kernel and its default-mesh region for the cut list."""
+    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(pts))
     specs = _patch_specs(kernel, GainFunction.constant(1.0))
-    radii = _patch_radii(kernel.psi, specs, CUTS[-2])
-    return kernel, build_region(kernel.psi, specs, QuadratureConfig(), CUTS, radii)
+    radii = _patch_radii(kernel.psi, specs, cuts[-2])
+    return kernel, build_region(kernel.psi, specs, QuadratureConfig(), cuts, radii)
+
+
+def single_pole_region(zeta0):
+    return pole_region((MarkedPoint(zeta0, green_weight=1.0, jet_order=0, jet_coeff=1.0),), CUTS)
 
 
 def test_single_pole_rays_start_at_the_pole():
@@ -69,6 +73,37 @@ def test_single_pole_region_area():
             assert area == pytest.approx(math.pi * radius**2, rel=1e-9)
 
 
+@pytest.mark.parametrize("zeta0,p", [(0.7j, 1.5), (0.8, 1.0), (-0.75 + 0.2j, 1.2)])
+def test_shallow_levels_are_cut_up_to_the_circle(zeta0, p):
+    # a level t > 0 near the circle can cross a ray between its last
+    # interior sample and the circle, where psi = 0; the end sample brackets
+    # it there, so the level keeps the area of its Apollonius disc
+    cuts = np.array([0.0005, 0.005, 0.02, 0.057, math.inf])
+    _, nodes = pole_region((MarkedPoint(zeta0, green_weight=p, jet_order=0, jet_coeff=1.0),),
+                           cuts)
+    per_band = np.bincount(nodes.band, weights=nodes.area_w, minlength=nodes.n_bands)
+    level_area = np.cumsum(per_band[::-1])[::-1]
+    a = abs(zeta0)
+    for t, area in zip(cuts[:-1], level_area):
+        s = math.exp(-t / (2 * p))
+        radius = s * (1 - a * a) / (1 - s * s * a * a)
+        assert area == pytest.approx(math.pi * radius**2, rel=1e-10)
+
+
+def test_rays_from_the_origin_are_cut_up_to_the_circle():
+    # two points near the origin: psi is about -0.0047 at the last interior
+    # sample 1024/1025 of every ray, so the level t = 0.004 crosses beyond
+    # it; the clustered samples of a center reach the circle only on rays
+    # far off the axis through the points
+    pts = (MarkedPoint(0.1, green_weight=1.2, jet_order=1, jet_coeff=1.0),
+           MarkedPoint(-0.1, green_weight=1.2, jet_order=0, jet_coeff=0.5))
+    cuts = np.array([0.004, 1.0, math.inf])
+    kernel, nodes = pole_region(pts, cuts)
+    z = nodes.zeta[:nodes.n_global]
+    band = np.searchsorted(cuts, -kernel.psi(z), side="left") - 1
+    assert np.array_equal(band, nodes.band[:nodes.n_global])
+
+
 def sample_counts(psi_fn, calls):
     """psi_fn, recording the samples per ray of each 2-D (ray sampling) call."""
     def recorded(z):
@@ -81,10 +116,11 @@ def sample_counts(psi_fn, calls):
 def test_one_center_rays_take_coarse_samples(monkeypatch):
     # psi = 2p G(., c) rises along every ray from the only center c, so 64
     # samples bracket each crossing: the (ray, band) pieces are those of
-    # 1024 samples, with breaks within 4 ulps.  The center at the ray origin
-    # adds its 15 clustered samples (down to 1e-9) as any center does, so
-    # the level t = 12 about a pole at 0, of radius e^-6 inside the first
-    # uniform sample 1/65, is still bracketed.
+    # 1024 samples, with breaks within 4 ulps.  Every ray also takes its end
+    # on the circle, and the center at the ray origin adds its 15 clustered
+    # samples (down to 1e-9) as any center does, so the level t = 12 about
+    # a pole at 0, of radius e^-6 inside the first uniform sample 1/65, is
+    # still bracketed.
     thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
     deep = np.array([0.2, 12.0, math.inf])
     for zeta0, cuts in ((0.0, CUTS), (0.1, CUTS), (0.45 - 0.2j, CUTS), (0.6j, CUTS),
@@ -97,7 +133,7 @@ def test_one_center_rays_take_coarse_samples(monkeypatch):
             calls = []
             psi = sample_counts(lambda z: kernel.psi(z + zeta0), calls)
             pieces[n] = _ray_pieces(psi, thetas, reach, cuts, [0j])
-            assert set(calls) == {n + 15}
+            assert set(calls) == {n + 16}
         (ray, lo, hi, band, _), (ray_f, lo_f, hi_f, band_f, _) = pieces[64], pieces[1024]
         assert np.array_equal(ray, ray_f) and np.array_equal(band, band_f)
         assert np.unique(band).size == cuts.size - 1

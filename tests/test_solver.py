@@ -7,7 +7,7 @@ import pytest
 from jetmin.errors import BadInputError, NumericalError
 from jetmin.forms import GramMatrix, JetConstraintSystem, gram_analytic_disc, jet_constraints
 from jetmin.gain import GainFunction
-from jetmin.geometry import UNIT_DISC, MarkedPoint
+from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
 from jetmin.problems import Numerics, single_point_problem
 from jetmin.quadrature import QuadratureConfig
 from jetmin.solver import extension_bound, kkt_minimize, minimal_integral, minimal_integrals
@@ -56,6 +56,33 @@ def test_two_point_unit_parameter():
 def test_two_point_quadrature_path_agrees():
     res = quadrature_minimum(UNIT_DISC, two_point_pair(0.7), CONST, 0.0, 24)
     assert res.value == pytest.approx(two_point_exact(0.7), rel=1e-6)
+
+
+def transported_two_point_pair(a, dom):
+    """The two-point family moved by the domain map: each disc point zeta
+    goes to T(zeta) with local coordinate scale 1/T'(zeta), so G and the
+    bound are those of the disc problem."""
+    pts = tuple(
+        MarkedPoint(complex(dom.forward(zeta)), green_weight=p, jet_order=k, jet_coeff=coeff,
+                    coord_scale=1.0 / dom.derivative(zeta))
+        for zeta, p, k, coeff in ((0j, 2.0, 1, 1.0), (0.5 + 0j, 1.0, 0, a)))
+    return WeightPair.standard(pts)
+
+
+@pytest.mark.parametrize("T", [(2.0, 0.3, 0.1, 1.2), (1.3j, 0.4 - 0.5j, 0.3 - 0.2j, 1.0)],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("a", [-1 / 3, 0.0, 0.2 + 0.4j, 1.0])
+def test_transported_two_point_takes_the_closed_form(a, T):
+    # forms and the Gram live in the disc coordinate, where the weight of a
+    # transported problem is that of the disc problem: e^{-phi} = 1
+    dom = DomainSpec.moebius(*T)
+    w = transported_two_point_pair(a, dom)
+    res = minimal_integral(dom, w, CONST, 0.0, N=24)
+    assert res.diagnostics["gram_path"] == "analytic"
+    assert res.diagnostics["quadrature_error"] == 0.0
+    assert res.value == pytest.approx(two_point_exact(a), rel=1e-10)
+    quad = quadrature_minimum(dom, w, CONST, 0.0, 24)
+    assert abs(res.value - quad.value) <= 10 * quad.diagnostics["quadrature_error"]
 
 
 def test_single_constraint_full_disc():
