@@ -25,7 +25,7 @@ from .series import (
     ppow,
 )
 from .solver import extension_bound, minimal_integral, minimal_integrals
-from .weights import WeightKernel
+from .weights import WeightKernel, disc_chart
 
 
 @dataclass(frozen=True)
@@ -333,13 +333,16 @@ def suita_compare(problem: Problem) -> SuitaReport:
 
 def lemma_integrals(kernel: WeightKernel, beta_max: int, mesh: QuadratureConfig | None = None):
     """(mass of dd^c e^psi, squared norm of d e^psi, pairings of d e^psi with
-    conj(zeta)^d for d = 0, ..., beta_max) in the disc coordinates of the
-    kernel's domain, from one region and one integrand pass per node chunk.
+    conj(zeta)^d for d = 0, ..., beta_max), from one region and one integrand
+    pass per node chunk.  The mass and the norm do not depend on the disc
+    chart, so the kernel is rebuilt in weights.disc_chart, where a lone point
+    sits at zeta = 0; zeta is that chart's coordinate.
 
     psi is ``kernel.psi``; the density e^psi |sum p_j b_j'/b_j|^2, with the
     Green terms merged per center, is continuous when every center's p_j > 2.
     The identities have exact targets, so no half-resolution mesh is built.
     """
+    kernel = WeightKernel(disc_chart(kernel.dom, kernel.w), kernel.w)
     # divisor zeros off psi's centers carry p = 0; the density has no phi
     centers = [(zeta, p) for zeta, p, _m in kernel.points if p > 0]
     for _, p in centers:

@@ -23,7 +23,7 @@ from .gain import GainFunction, growth_rate_bound
 from .geometry import UNIT_DISC, DomainSpec, check_marked_points
 from .quadrature import PatchSpec, QuadratureConfig, assembled_gram
 from .series import moebius_taylor, pderiv, pmul
-from .weights import _LOC_TOL, WeightKernel, WeightPair
+from .weights import _LOC_TOL, WeightKernel, WeightPair, disc_chart
 
 
 @dataclass(frozen=True)
@@ -246,14 +246,17 @@ def form_norm_quadrature(
 ) -> tuple[float, float]:
     """Weighted norm of one constrained form over a sublevel set or band.
 
-    Returns (value, error estimate).  The form is assumed to carry the
+    Returns (value, error estimate).  ``F`` is read in the chart
+    weights.disc_chart(dom, w), as the extremals of solver.minimal_integrals
+    are.  The form is assumed to carry the
     enforced vanishing at the marked points, which keeps the integrand
     integrable at the singular centers; a center inside the region where it
     does not (sigma <= -2) raises NonIntegrableWeightError, and a region the
     mesh cannot resolve NumericalError (quadrature._two_level).
     """
     mesh = mesh or QuadratureConfig()
-    kernel = WeightKernel(dom, w)
+    check_marked_points(dom, w.marked)
+    kernel = WeightKernel(disc_chart(dom, w), w)
     specs = _patch_specs(kernel, g)
     H, err = assembled_gram(kernel, g, [F.coeff_array()], specs, mesh, ts=(t,), band=band)
     return float(H[0, 0, 0].real), float(err[0])

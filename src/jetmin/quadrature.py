@@ -14,17 +14,15 @@ sorted search of the psi samples, one secant search of all crossings; psi
 each piece with its band, and integrates with Gauss-Legendre panels split
 at every patch-circle crossing.  A Gram region is also cut at the gain's
 knots, which define bands but no level, so no panel straddles a kink of
-c(-psi).  Rays start at the singular center when there is only one (its
-levels are discs around it, so psi rises along every ray and a coarse
-sample grid brackets each crossing) and at the origin otherwise.
-Values are accumulated per band; level k sums the bands j >= k, and a Gram
-is reduced from weighted monomial moments M, Q^H M Q with Q the basis
-coefficients.  Rays and patch rings have polar moments: every region
-records where each run of nodes on one ray (and in one band) starts.  A
-run on a ray sums 2N + 1 radial moments about the ray origin c per node,
-not (N + 1)^2, over its nodes with |zeta - c| <= 1 - |c|, where
-coefficients Taylor-shifted to c lose no digits; nodes beyond, on rays
-from a pole near the circle, sum the monomial moments of zeta itself.
+c(-psi).  Every ray starts at zeta = 0.  A one-point problem is solved in
+the chart that puts its point there (weights.disc_chart): its levels are
+discs around 0, so psi rises along every ray and a coarse sample grid
+brackets each crossing.  Values are accumulated per band; level k sums the
+bands j >= k, and a Gram is reduced from weighted monomial moments M,
+P^H M P with P the basis coefficients.  Rays and patch rings have polar
+moments: every region records where each run of nodes on one ray (and in
+one band) starts, and a run on a ray sums 2N + 1 radial moments per node,
+not (N + 1)^2.
 
 Neighborhoods of singular centers are handed to local geometric-ring
 patches through a C^4 partition of unity.  Each patch is one whole ring
@@ -67,9 +65,7 @@ _ONE_CENTER_SAMPLES = 64  # psi is monotone on rays from the only center
 _TANGENT_SPLIT = 16
 _MASK_FLOOR = 1e-14
 _CHUNK = 8192
-# nodes per moment pass, which holds a [2N + 1, chunk] real array, and two
-# [N + 1, chunk] complex ones for the nodes of a ray beyond 1 - |origin|
-_GRAM_CHUNK = 2048
+_GRAM_CHUNK = 2048  # nodes per moment pass, which holds a [2N + 1, chunk] real array
 _RAY_BLOCK = 32  # rays sampled and cut together
 _TAIL_EPS = 1e-13  # relative radial tail of a patch integrand left to the tail ring
 _SIGMA_TOL = 1e-12  # a local exponent within this of -2 is not integrable
@@ -155,9 +151,9 @@ class RegionNodes:
     """Nodes, area weights and band indices; the global part is sorted by
     band, and each patch block lies in one band.
 
-    The global rays start at ``origin``.  ``ray_runs`` is (start,
-    direction) for each run of consecutive global nodes on one ray and in
-    one band.  ``patch_angular`` is the number of angles on every patch ring.
+    The global rays start at 0.  ``ray_runs`` is (start, direction) for
+    each run of consecutive global nodes on one ray and in one band.
+    ``patch_angular`` is the number of angles on every patch ring.
     """
 
     zeta: np.ndarray
@@ -166,7 +162,6 @@ class RegionNodes:
     n_bands: int
     blocks: list
     n_global: int
-    origin: complex
     ray_runs: tuple
     patch_angular: int
 
@@ -225,11 +220,11 @@ def _patch_radii(psi_fn, patches, threshold):
 
 # -- global polar part -------------------------------------------------------
 
-def _sample_rays(psi_fn, thetas, reach, centers, n_samples):
+def _sample_rays(psi_fn, thetas, centers, n_samples):
     """Radial psi samples along each ray, clustered near center approaches,
     ending on the circle (psi = 0), so no level t > 0 crosses unbracketed."""
     base = np.arange(1, n_samples + 2) / (n_samples + 1.0)
-    cols = [base[None, :] * reach[:, None]]
+    cols = [np.broadcast_to(base, (thetas.size, base.size))]
     conj_e = np.exp(-1j * thetas)[:, None]
     for c in centers:
         rstar = np.real(conj_e * c)
@@ -237,7 +232,7 @@ def _sample_rays(psi_fn, thetas, reach, centers, n_samples):
         scales = 2.0 ** np.arange(0, 7)[None, :]
         offs = dperp * scales
         cand = np.concatenate([rstar, rstar - offs, rstar + offs], axis=1)
-        cols.append(np.clip(cand, 1e-9, (1 - 1e-12) * reach[:, None]))
+        cols.append(np.clip(cand, 1e-9, 1 - 1e-12))
     rs = np.sort(np.concatenate(cols, axis=1), axis=1)
     vals = psi_fn(rs * np.exp(1j * thetas)[:, None])
     return rs, vals
@@ -286,10 +281,10 @@ def _bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, f_hi, thresh):
     return 0.5 * (lo + hi)
 
 
-def _ray_pieces(psi_fn, thetas, reach, cuts, centers, bands=None):
+def _ray_pieces(psi_fn, thetas, cuts, centers, bands=None):
     """Band pieces of the rays: arrays (ray, r_lo, r_hi, band, level_len).
 
-    The ray at angle thetas[i] runs from 0 to reach[i].  Rays are sampled
+    The ray at angle thetas[i] runs from 0 to the circle.  Rays are sampled
     in blocks of _RAY_BLOCK to bound memory, and the brackets of all blocks
     are bisected together.  Each piece between consecutive breakpoints is
     tagged with its band by psi at its midpoint; pieces outside every band
@@ -299,7 +294,8 @@ def _ray_pieces(psi_fn, thetas, reach, cuts, centers, bands=None):
     each ray is one piece and is not sampled.  Rays from the only center
     (``centers`` is [0]) cross each level once, since psi = 2p G(., c) rises
     along them, so any sample grid brackets every crossing and
-    _ONE_CENTER_SAMPLES samples suffice; other rays take _RAY_SAMPLES.
+    _ONE_CENTER_SAMPLES samples suffice; other rays, a lone center off 0
+    among them, take _RAY_SAMPLES.
 
     With ``bands`` (a boolean mask over the bands) only the two thresholds
     of each marked band are cut: the pieces and level lengths of the marked
@@ -313,11 +309,10 @@ def _ray_pieces(psi_fn, thetas, reach, cuts, centers, bands=None):
     finite = cuts[cut_at & np.isfinite(cuts) & (cuts > 0)]
     e = np.exp(1j * thetas)
     n_samples = _ONE_CENTER_SAMPLES if list(centers) == [0] else _RAY_SAMPLES
-    rays, breaks = [np.arange(n), np.arange(n)], [np.zeros(n), reach]
+    rays, breaks = [np.arange(n), np.arange(n)], [np.zeros(n), np.ones(n)]
     found = []  # (ray, r_lo, r_hi, psi + t at r_lo and r_hi, t) per threshold t a pair brackets
     for i0 in range(0, n if finite.size else 0, _RAY_BLOCK):
-        rs, vals = _sample_rays(psi_fn, thetas[i0:i0 + _RAY_BLOCK],
-                                reach[i0:i0 + _RAY_BLOCK], centers, n_samples)
+        rs, vals = _sample_rays(psi_fn, thetas[i0:i0 + _RAY_BLOCK], centers, n_samples)
         # psi + t < 0 exactly when -psi > t, so a sample pair brackets the
         # thresholds between the counts of thresholds below -psi at its ends
         below = np.searchsorted(finite, -vals)
@@ -390,18 +385,16 @@ def _panels(theta, w_theta, lo, hi, level_len, mask_patches, budget):
     return 0.5 * (p_hi + p_lo), half, np.exp(1j * theta[owner]), w_theta[owner] * half, owner
 
 
-def _panel_nodes(mid, half, e, w_half, band, mask_patches, origin):
+def _panel_nodes(mid, half, e, w_half, band, mask_patches):
     """Nodes, polar area weights and bands of panels, and the number of
     nodes each panel keeps: (zeta, weight, band, kept).
 
-    Panels and patch circles are relative to the ray origin; the nodes are
-    returned in disc coordinates.  Patch neighborhoods go to the local
-    grids via the C^4 partition, so the global weights carry the
-    complementary mask 1 - chi.  ``_panels`` splits every ray at each patch
-    circle and half-radius circle, so a panel lies wholly outside a circle
-    (mask 1), inside its half-radius disc (mask 0) or in its blending
-    annulus: its midpoint tells which, and chi is evaluated on annulus
-    panels only.
+    Patch neighborhoods go to the local grids via the C^4 partition, so the
+    global weights carry the complementary mask 1 - chi.  ``_panels`` splits
+    every ray at each patch circle and half-radius circle, so a panel lies
+    wholly outside a circle (mask 1), inside its half-radius disc (mask 0)
+    or in its blending annulus: its midpoint tells which, and chi is
+    evaluated on annulus panels only.
     """
     gx, gw = _GL10
     r = mid[:, None] + half[:, None] * gx[None, :]
@@ -415,24 +408,14 @@ def _panel_nodes(mid, half, e, w_half, band, mask_patches, origin):
         mask[blend] *= 1.0 - _chi(np.abs(zeta[blend] - c), radius)
     zeta, mask = zeta.ravel(), mask.ravel()
     keep = mask > _MASK_FLOOR
-    return (zeta[keep] + origin, wgt[keep] * mask[keep], np.repeat(band, gx.size)[keep],
+    return (zeta[keep], wgt[keep] * mask[keep], np.repeat(band, gx.size)[keep],
             keep.reshape(-1, gx.size).sum(axis=1))
 
 
-def _reach(thetas, origin):
-    """Distance from origin to the unit circle along each direction."""
-    if origin == 0:
-        return np.ones(thetas.size)
-    b = np.real(np.conj(origin) * np.exp(1j * thetas))
-    return np.sqrt(b * b + (1.0 - abs(origin) ** 2)) - b
-
-
-def _global_panels(psi_fn, cuts, config, mask_patches, all_centers, origin):
+def _global_panels(psi_fn, cuts, config, mask_patches, all_centers):
     """Band-sorted global panels with per-band tangency refinement.
 
-    Rays start at ``origin``; psi_fn, the patch circles and the centers are
-    given relative to it, and panels are returned in those coordinates.  A
-    ray whose piece count in some band differs from a neighbor's is cut
+    A ray whose piece count in some band differs from a neighbor's is cut
     again on _TANGENT_SPLIT sub-rays, at the thresholds of the bands that
     differ; the sub-rays carry only those bands, and the parent ray keeps
     the rest.  A sub-ray near a tangency crosses a short chord of its
@@ -443,8 +426,7 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers, origin):
     n_ang = config.angular
     d_theta = 2 * math.pi / n_ang
     thetas = (np.arange(n_ang) + 0.5) * d_theta
-    ray, lo, hi, band, level_len = _ray_pieces(psi_fn, thetas, _reach(thetas, origin),
-                                               cuts, all_centers)
+    ray, lo, hi, band, level_len = _ray_pieces(psi_fn, thetas, cuts, all_centers)
     counts = np.zeros((cuts.size - 1, n_ang), dtype=int)
     np.add.at(counts, (band, ray), 1)
     refine = np.zeros(counts.shape, dtype=bool)
@@ -460,8 +442,7 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers, origin):
         np.maximum.at(widest, band, level_len)
         offsets = ((np.arange(_TANGENT_SPLIT) + 0.5) / _TANGENT_SPLIT - 0.5) * d_theta
         sub_thetas = (thetas[parents][:, None] + offsets[None, :]).ravel()
-        ray, lo, hi, band, level_len = _ray_pieces(psi_fn, sub_thetas,
-                                                   _reach(sub_thetas, origin), cuts, all_centers,
+        ray, lo, hi, band, level_len = _ray_pieces(psi_fn, sub_thetas, cuts, all_centers,
                                                    bands=refine.any(axis=1))
         keep = refine[band, parents[ray // _TANGENT_SPLIT]]
         pieces.append((sub_thetas[ray[keep]],
@@ -542,12 +523,8 @@ def build_region(psi_fn, patches, config, cuts, radii):
         k = int(_band_of(cuts, top))
         if 0 <= k < n_bands:
             active.append((p, r, k))
-    origin = patches[0].center if len(patches) == 1 else 0j
-    mask_patches = [(p.center - origin, r) for p, r, _ in active]
-    ray_centers = [p.center - origin for p in patches]
-    ray_psi = (lambda z: psi_fn(z + origin)) if origin != 0 else psi_fn
-
-    panels = _global_panels(ray_psi, cuts, config, mask_patches, ray_centers, origin)
+    mask_patches = [(p.center, r) for p, r, _ in active]
+    panels = _global_panels(psi_fn, cuts, config, mask_patches, [p.center for p in patches])
     patch_parts = [(p, k, *_patch_nodes(p, r, config)) for p, r, k in active]
     # nodes are written chunk by chunk into arrays sized for every panel node,
     # so no full-size temporary is held beside them
@@ -561,7 +538,7 @@ def build_region(psi_fn, patches, config, cuts, radii):
     step = max(1, _CHUNK // n_gl)
     for i0 in range(0, panels[0].size, step):
         *nodes, kept[i0:i0 + step] = _panel_nodes(*(x[i0:i0 + step] for x in panels),
-                                                  mask_patches, origin)
+                                                  mask_patches)
         end = pos + nodes[0].size
         zeta[pos:end], wgt[pos:end], band[pos:end] = nodes
         pos = end
@@ -579,7 +556,7 @@ def build_region(psi_fn, patches, config, cuts, radii):
         blocks.append(PatchBlock(spec=p, sl=slice(pos, end), rho=rho, band=k))
         pos = end
     return RegionNodes(zeta=zeta[:pos], area_w=wgt[:pos], band=band[:pos], n_bands=n_bands,
-                       blocks=blocks, n_global=n_global, origin=origin, ray_runs=ray_runs,
+                       blocks=blocks, n_global=n_global, ray_runs=ray_runs,
                        patch_angular=config.patch_angular)
 
 
@@ -619,20 +596,6 @@ def _taylor_shift(P, center):
     return Q
 
 
-def _add_zeta_moments(M, z, w, band):
-    """Add the per-band monomial moments V^H W V, V[n, l] = z_n^l, of nodes
-    z with weights w and bands ``band`` (sorted) to M [band, d, d]."""
-    d = M.shape[1]
-    V = np.empty((d, z.size), dtype=complex)  # row k holds z^k
-    V[0] = 1.0
-    for k in range(1, d):
-        np.multiply(V[k - 1], z, out=V[k])
-    Vw = V.conj()
-    Vw *= w
-    for k, s, e in _band_runs(band):
-        M[k] += Vw[:, s:e] @ V[:, s:e].T
-
-
 def _moments_of_runs(ang, rad, run_band, n_bands):
     """Hermitian M_k with M_k[i, j] = sum over the runs of band k of
     ang_(j-i) rad_(i+j), j >= i.
@@ -651,33 +614,20 @@ def _moments_of_runs(ang, rad, run_band, n_bands):
 
 
 def _ray_moments(nodes, weights, d):
-    """Per-band moments of the global nodes: (M_ray, M_zeta).
+    """Per-band monomial moments of the global nodes.
 
-    The rays start at c = ``nodes.origin``.  In x = zeta - c a node on a ray
-    at angle theta has conj(x)^i x^j = r^(i+j) e^{i(j-i)theta}: each run on
-    one ray sums S_m = sum w r^m, m <= 2d - 2, over its nodes with
-    r <= 1 - |c|, and M_ray_ij = sum_runs e^{i(j-i)theta} S_(i+j) are the
-    moments of x.  There (|c| + r)^k <= 1, so coefficients Taylor-shifted
-    to c lose no digits.  The nodes beyond, which a ray from a center near
-    the circle reaches up to r = 1 + |c|, sum the monomial moments of zeta
-    itself into M_zeta, None when there are none (always when c = 0).  The
-    sums are taken in node chunks; a run that straddles a chunk boundary
-    adds up its pieces.
+    A node on the ray at angle theta has conj(zeta)^i zeta^j =
+    r^(i+j) e^{i(j-i)theta}: each run on one ray sums S_m = sum w r^m,
+    m <= 2d - 2, and M_ij = sum_runs e^{i(j-i)theta} S_(i+j).  The sums are
+    taken in node chunks; a run that straddles a chunk boundary adds up its
+    pieces.
     """
     starts, e = nodes.ray_runs
-    c = nodes.origin
     S = np.zeros((starts.size, 2 * d - 1))
-    M_zeta = None
     for i0 in range(starts[0], nodes.n_global, _GRAM_CHUNK):
         i1 = min(i0 + _GRAM_CHUNK, nodes.n_global)
         z, w = weights(i0, i1)
-        r = np.abs(z - c)
-        far = r > 1.0 - abs(c)
-        if far.any():
-            if M_zeta is None:
-                M_zeta = np.zeros((nodes.n_bands, d, d), dtype=complex)
-            _add_zeta_moments(M_zeta, z[far], w[far], nodes.band[i0:i1][far])
-            r[far] = w[far] = 0.0
+        r = np.abs(z)
         R = np.empty((2 * d - 1, z.size))  # row m holds w r^m
         R[0] = w
         for m in range(1, 2 * d - 1):
@@ -685,9 +635,8 @@ def _ray_moments(nodes, weights, d):
         a = np.searchsorted(starts, i0, side="right") - 1  # runs a:b meet the chunk
         b = np.searchsorted(starts, i1, side="left")
         S[a:b] += np.add.reduceat(R, np.maximum(starts[a:b], i0) - i0, axis=1).T
-    M_ray = _moments_of_runs(lambda s, t: np.vander(e[s:t], d, increasing=True), S,
-                             nodes.band[starts], nodes.n_bands)
-    return M_ray, M_zeta
+    return _moments_of_runs(lambda s, t: np.vander(e[s:t], d, increasing=True), S,
+                            nodes.band[starts], nodes.n_bands)
 
 
 def _angle_table(n_ang, d):
@@ -726,17 +675,15 @@ def gram_on_nodes(nodes, kernel, gain, basis):
 
     Returns an array [n_bands, n_basis, n_basis]; entry [k][l][m] is
     conjugate-linear in l.  The global part sums weighted monomial moments
-    M_k per band and adds Q^H M_k Q, Q the basis coefficients in its
+    M_k per band and adds P^H M_k P, P the basis coefficients in its
     monomials; each patch block, which lies in one band, adds its Q^H M Q
     to that band.  Global rays sum polar moments run by run, and patch
     rings ring by ring (``_ray_moments``, ``_ring_moments``), so the work
-    per node grows with the degree, not its square.  Ray moments are taken about the ray origin c, in coefficients
-    Taylor-shifted to c, on the disc |zeta - c| <= 1 - |c|; the nodes beyond
-    it (rays from a pole near the circle reach |zeta - c| = 1 + |c|, where a
-    local expansion would lose every digit) sum the monomial moments of
-    zeta directly.  Patch blocks use local coefficients in zeta - center
-    with the enforced vanishing order nu dropped from the basis and moved
-    into the log-space weight.  psi and phi + psi come from one kernel
+    per node grows with the degree, not its square.  Every ray starts at 0,
+    so ray moments take the coefficients as they are; patch blocks use
+    local coefficients Q in zeta - center, Taylor-shifted, with the enforced
+    vanishing order nu dropped from the basis and moved into the log-space
+    weight.  psi and phi + psi come from one kernel
     call, ``psi_and_phi_plus_psi``.
     """
     H = np.zeros((nodes.n_bands, len(basis), len(basis)), dtype=complex)
@@ -754,11 +701,7 @@ def gram_on_nodes(nodes, kernel, gain, basis):
         return z, nodes.area_w[i0:i1] * np.exp(log_w)
 
     if nodes.n_global:
-        M_ray, M_zeta = _ray_moments(nodes, weights, d)
-        Q = _taylor_shift(P, nodes.origin)
-        H += Q.conj().T @ M_ray @ Q
-        if M_zeta is not None:
-            H += P.conj().T @ M_zeta @ P
+        H += P.conj().T @ _ray_moments(nodes, weights, d) @ P
     table = _angle_table(nodes.patch_angular, d)
     for blk in nodes.blocks:
         nu = blk.spec.order

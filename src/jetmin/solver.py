@@ -29,14 +29,19 @@ from .forms import (
     jet_constraints,
 )
 from .gain import GainFunction, eval_h
-from .geometry import UNIT_DISC, DomainSpec, log_capacity
+from .geometry import UNIT_DISC, DomainSpec, check_marked_points, log_capacity
 from .quadrature import QuadratureConfig
-from .weights import WeightPair, alpha_j, lelong_psi
+from .weights import WeightPair, alpha_j, disc_chart, lelong_psi
 
 
 @dataclass(frozen=True)
 class MinimalIntegralResult:
-    """Minimal value, attaining form, solver diagnostics."""
+    """Minimal value, attaining form, solver diagnostics.
+
+    ``extremal`` is read in the disc chart the solve ran in: that of the
+    domain, or for a one-point weight the chart that puts the point at
+    zeta = 0 (weights.disc_chart).
+    """
 
     value: float
     extremal: TruncatedForm
@@ -127,11 +132,15 @@ def minimal_integrals(
     analytic_reduction gives one, quadrature elsewhere (``diagnostics
     ["gram_path"]`` says which).  The constraint basis does not depend on t,
     so all quadrature Grams come from one region per mesh level; each t gets
-    its own reduced solve and constraint-residual check.
+    its own reduced solve and constraint-residual check.  G does not depend
+    on the disc chart, so the solve runs in weights.disc_chart(dom, w), where
+    a lone point sits at zeta = 0; the extremals are read in that chart.
     """
     ts = [float(t) for t in ts]
     if not all(t >= 0 for t in ts):
         raise BadInputError("sublevel parameter t must be >= 0")
+    check_marked_points(dom, w.marked)
+    dom = disc_chart(dom, w)
     C = jet_constraints(w, N, dom)
     a_part, Z = constraint_basis(C)
     reductions = [analytic_reduction(dom, w, g, t) for t in ts]

@@ -230,6 +230,26 @@ class WeightKernel:
         return [(z, p, m, nu) for (z, p, m), nu in zip(self.points, nus)]
 
 
+def disc_chart(dom: DomainSpec, w: WeightPair) -> DomainSpec:
+    """The disc chart of ``dom`` that puts the weight's only point at zeta = 0.
+
+    G and the bound do not change under a disc automorphism, but the
+    monomial basis and the polar mesh favor a point at 0.  With one point
+    in the table, at disc coordinate c != 0, this is ``dom`` composed with
+    zeta -> (zeta + c)/(1 + conj(c) zeta); otherwise ``dom`` itself.  The
+    composed b is d times the location, so the chart takes it to exactly 0.
+    """
+    if len(w.points) != 1:
+        return dom
+    loc = w.points[0][0]
+    c = complex(dom.inverse(loc))
+    if c == 0:
+        return dom
+    a, b, cc, d = dom.map_coeffs
+    d_new = cc * c + d
+    return DomainSpec.moebius(a + b * c.conjugate(), d_new * loc, cc + d * c.conjugate(), d_new)
+
+
 def alpha_j(w: WeightPair, j: int, dom: DomainSpec = UNIT_DISC) -> float:
     """alpha_j = limit at z_j of (phi + psi - 2(k_j+1) G(., z_j)).
 

@@ -68,7 +68,9 @@ def gram_quadrature(dom, w, g, t: float, N: int,
 
 def quadrature_minima(dom, w, g, ts, N: int, mesh: QuadratureConfig | None = None):
     """G(t) for every t in ``ts`` from the quadrature Gram, even where
-    minimal_integrals would take the closed form."""
+    minimal_integrals would take the closed form.  The region is built in
+    the chart ``dom`` as given, so a lone point off zeta = 0 gets rays from 0
+    past it: a second geometry beside the library's one-point chart."""
     C = jet_constraints(w, N, dom)
     a_part, Z = constraint_basis(C)
     return [kkt_minimize_reduced(R, a_part, Z, C)

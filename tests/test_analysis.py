@@ -249,6 +249,28 @@ def test_scan_transported_center_takes_the_closed_form(monkeypatch):
         assert g == pytest.approx(2 * math.pi * r, rel=1e-12)
 
 
+@pytest.mark.parametrize("zeta0", [0.6, -0.75 + 0.2j, 0.9999])
+@pytest.mark.parametrize("moebius", [False, True], ids=["disc", "moebius"])
+def test_scan_one_point_anywhere_takes_the_closed_form(monkeypatch, zeta0, moebius):
+    # one point under the trivial weight and a constant gain is solved in
+    # the chart that puts it at zeta = 0, where every level is a centered
+    # disc: no quadrature Gram at any t, and G = 2 pi (1 - |zeta0|^2)^2 r
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature Gram built")
+
+    monkeypatch.setattr("jetmin.solver.gram_reduced", no_quadrature)
+    dom = DomainSpec.moebius(1.3j, 0.4 - 0.5j, 0.3 - 0.2j, 1.0) if moebius else UNIT_DISC
+    pt = MarkedPoint(complex(dom.forward(zeta0)), green_weight=1.0, jet_order=0,
+                     jet_coeff=1.0, coord_scale=1.0 / dom.derivative(zeta0))
+    p = Problem(domain=dom, weights=WeightPair.standard((pt,)), gain=GainFunction.constant(1.0),
+                numerics=Numerics(N=12, r_count=9))
+    rep = scan_G(p)
+    assert rep.max_quad_error == 0.0 and rep.is_linear
+    scale = 2 * math.pi * (1 - abs(zeta0) ** 2) ** 2
+    for r, g in zip(rep.r_grid, rep.g_values):
+        assert g == pytest.approx(scale * r, rel=1e-12)
+
+
 def steep_exponential_point(zeta0, rate):
     """One point at zeta0 under the gain c(t) = e^{rate t}, N = 12."""
     return problem_from_dict({"marked": [{"location": [zeta0, 0]}],

@@ -188,24 +188,37 @@ def _point(x, p=1.0, coeff=1.0):
 
 # inputs at the edge of the numerics, on N = 12 and 5 scan levels unless set
 LOWEST_N = {"N": 0, "r_count": 5}
+RATE_09 = {"kind": "exponential", "rate": 0.9}
 EDGE_CASES = {
     "circle-1e-4": {"marked": [_point(0.9999)]},
     "circle-1e-6": {"marked": [_point(0.999999)]},
     "apart-1e-9": {"marked": [_point(0.3), _point(0.3 + 1e-9)]},
     "apart-1e-13": {"marked": [_point(0.3), _point(0.3 + 1e-13)]},
     "rate-0.999": {"marked": [_point(0.3)], "gain": {"kind": "exponential", "rate": 0.999}},
+    "rate-0.9": {"marked": [_point(0.3)], "gain": RATE_09, "numerics": {"N": 12}},
+    "pair-rate-0.9": {"marked": [_point(0.3), _point(-0.3)], "gain": RATE_09,
+                      "numerics": {"N": 12}},
     "lowest-N": {"marked": [_point(0.3)], "numerics": LOWEST_N},
     "zero-jets-N0": {"marked": [_point(0.3, coeff=0.0)], "numerics": LOWEST_N},
     "p-1.5": {"marked": [_point(0.3, p=1.5)]},
     "p-2.5-at-0.99": {"marked": [_point(0.99, p=2.5)]},
     "p-2.5-at-0.9999": {"marked": [_point(0.9999, p=2.5)]},
 }
-# the settled exit codes; the others wait on an error budget for G (truncation in N)
-# and for the one-level lemma mesh
+# the settled exit codes.  One point is solved in the chart that puts it at
+# 0, so every one-point case is pinned (exit 4 on verify-lemmas is p <= 2).
+# Two points 1e-9 apart wait on an error budget for G (ROADMAP item 3), and
+# the pair at +-0.3 under rate 0.9, which exits 2 at t = 28.9 with a
+# constraint residual of 1.5e-8, on a basis for deep multi-point levels
+# (ROADMAP item 9).
+_ONE_POINT_EXITS = {
+    "circle-1e-4": (0, 0, 4), "circle-1e-6": (0, 0, 4), "rate-0.999": (0, 2, 4),
+    "rate-0.9": (0, 0, 4), "lowest-N": (0, 0, 4), "zero-jets-N0": (0, 0, 4),
+    "p-1.5": (0, 0, 4), "p-2.5-at-0.99": (0, 0, 0), "p-2.5-at-0.9999": (0, 0, 0),
+}
 EDGE_EXITS = {
-    ("apart-1e-13", "suita"): 4, ("apart-1e-13", "scan"): 4,
-    ("apart-1e-13", "verify-lemmas"): 4, ("p-1.5", "verify-lemmas"): 4,
-    ("rate-0.999", "scan"): 2, ("zero-jets-N0", "suita"): 0, ("zero-jets-N0", "scan"): 0,
+    ("apart-1e-13", "suita"): 4, ("apart-1e-13", "scan"): 4, ("apart-1e-13", "verify-lemmas"): 4,
+    **{(case, command): code for case, codes in _ONE_POINT_EXITS.items()
+       for command, code in zip(("suita", "scan", "verify-lemmas"), codes)},
 }
 
 

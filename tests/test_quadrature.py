@@ -1,5 +1,5 @@
-"""Region geometry of the polar quadrature (ray origin, threshold cuts, sub-rays)
-and the moment Gram kernel."""
+"""Region geometry of the polar quadrature (rays from 0, threshold cuts, sub-rays,
+the one-point disc chart) and the moment Gram kernel."""
 import math
 from dataclasses import replace
 
@@ -10,7 +10,7 @@ from jetmin import quadrature
 from jetmin.errors import BadInputError, NumericalError
 from jetmin.forms import _patch_specs, constraint_basis, jet_constraints
 from jetmin.gain import GainFunction
-from jetmin.geometry import UNIT_DISC, MarkedPoint
+from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
 from jetmin.problems import random_concavity_problem
 from jetmin.quadrature import (
     QuadratureConfig,
@@ -18,7 +18,6 @@ from jetmin.quadrature import (
     _panels,
     _patch_radii,
     _ray_pieces,
-    _reach,
     _taylor_shift,
     _two_level,
     assembled_integral,
@@ -26,68 +25,133 @@ from jetmin.quadrature import (
     gram_on_nodes,
     integral_on_nodes,
 )
-from jetmin.weights import WeightKernel, WeightPair
+from jetmin.weights import WeightKernel, WeightPair, disc_chart
 from oracles import bisect_cuts, gram_direct
 
 CUTS = np.array([0.2, 0.7, 1.5, 3.0, 5.0, math.inf])
+SMALL = QuadratureConfig(angular=64, radial=64, patch_angular=32, patch_radial=32)
+GAIN = GainFunction.exponential(0.3)
+TWO_POINTS = (MarkedPoint(0.3 + 0.15j, green_weight=1.2, jet_order=1, jet_coeff=0.8 + 0.6j),
+              MarkedPoint(-0.25 - 0.2j, green_weight=1.2, jet_order=0, jet_coeff=0.5j))
+FAR_POINTS = (MarkedPoint(0.57 * np.exp(0.7j), green_weight=1.0, jet_order=2,
+                          jet_coeff=0.6 - 0.3j),
+              MarkedPoint(-0.2 + 0.3j, green_weight=1.3, jet_order=0, jet_coeff=0.5))
+ONE_POINT = (MarkedPoint(0.45 - 0.2j, green_weight=1.0, jet_order=1, jet_coeff=0.7),)
+CUTS_SPLIT = (0.1, 1.0, 3.0, 5.0, 5.5, 6.0)
 
 
 def pole_region(pts, cuts):
-    """The weight's kernel and its default-mesh region for the cut list."""
-    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(pts))
+    """The weight's chart (weights.disc_chart), its kernel there, and its
+    default-mesh region for the cut list."""
+    w = WeightPair.standard(pts)
+    chart = disc_chart(UNIT_DISC, w)
+    kernel = WeightKernel(chart, w)
     specs = _patch_specs(kernel, GainFunction.constant(1.0))
     radii = _patch_radii(kernel.psi, specs, cuts[-2])
-    return kernel, build_region(kernel.psi, specs, QuadratureConfig(), cuts, radii)
+    return chart, kernel, build_region(kernel.psi, specs, QuadratureConfig(), cuts, radii)
 
 
-def single_pole_region(zeta0):
-    return pole_region((MarkedPoint(zeta0, green_weight=1.0, jet_order=0, jet_coeff=1.0),), CUTS)
+def single_pole_region(zeta0, cuts=CUTS, p=1.0):
+    return pole_region((MarkedPoint(zeta0, green_weight=p, jet_order=0, jet_coeff=1.0),), cuts)
+
+
+def user_level_areas(chart, nodes):
+    """Areas of the levels in the disc coordinate of the unit disc, from
+    region nodes in the chart: each area weight times |chart'|^2."""
+    jac = np.abs(chart.derivative(nodes.zeta)) ** 2
+    per_band = np.bincount(nodes.band, weights=nodes.area_w * jac, minlength=nodes.n_bands)
+    return np.cumsum(per_band[::-1])[::-1]
+
+
+def apollonius_area(zeta0, t, p):
+    """Area of {psi < -t} for psi = 2p G(., zeta0): the disc {|phi_zeta0| < s}."""
+    s = math.exp(-t / (2 * p))
+    a = abs(zeta0)
+    return math.pi * (s * (1 - a * a) / (1 - s * s * a * a)) ** 2
+
+
+@pytest.mark.parametrize("zeta0", [0.0, 0.3, 0.999999, -0.75 + 0.2j, 0.6j])
+def test_disc_chart_puts_the_lone_point_at_0(zeta0):
+    # the chart takes the point to exactly 0 (the one-center sample count and
+    # the closed form test for it), also through a Moebius image of the disc
+    for dom in (UNIT_DISC, DomainSpec.moebius(2, 0.3, 0.1, 1.2),
+                DomainSpec.moebius(1.3j, 0.4 - 0.5j, 0.3 - 0.2j, 1)):
+        loc = complex(dom.forward(zeta0))
+        w = WeightPair.standard((MarkedPoint(loc),))
+        chart = disc_chart(dom, w)
+        assert chart.inverse(loc) == 0j
+        assert WeightKernel(chart, w).points[0][0] == 0j
+        assert abs(chart.forward(0j) - loc) <= 1e-15 * max(1.0, abs(loc))
+        if dom.inverse(loc) == 0:
+            assert chart is dom
+
+
+def test_disc_chart_keeps_multi_point_weights():
+    # two marked points, or one plus a divisor zero elsewhere: no chart
+    # puts both at 0, so the domain is returned as it is
+    dom = DomainSpec.moebius(2, 0.3, 0.1, 1.2)
+    for w in (WeightPair.standard(TWO_POINTS),
+              WeightPair.standard(ONE_POINT, zeros=((0.45 - 0.2j, 2), (0.1, 1)))):
+        assert len(w.points) == 2
+        assert disc_chart(dom, w) is dom
+        assert disc_chart(UNIT_DISC, w) is UNIT_DISC
+
+
+@pytest.mark.parametrize("pts,chart", [(ONE_POINT, False), (ONE_POINT, True),
+                                       (TWO_POINTS, False)],
+                         ids=["lone-pole-off-0", "lone-pole-chart", "two-poles"])
+def test_every_global_node_lies_on_a_ray_from_0(pts, chart):
+    # a lone center off 0 (a low-level caller's region) takes rays from 0
+    # as any multi-point region does; each run of global nodes lies on the
+    # ray from 0 in its recorded direction
+    w = WeightPair.standard(pts)
+    kernel = WeightKernel(disc_chart(UNIT_DISC, w) if chart else UNIT_DISC, w)
+    specs = _patch_specs(kernel, GAIN)
+    nodes = build_region(kernel.psi, specs, SMALL, CUTS, _patch_radii(kernel.psi, specs, CUTS[-2]))
+    starts, e = nodes.ray_runs
+    direction = np.repeat(e, np.diff(np.r_[starts, nodes.n_global]))
+    x = nodes.zeta[starts[0]:nodes.n_global] * direction.conj()
+    assert np.all(x.real > 0)
+    assert np.all(np.abs(x.imag) <= 1e-15 * x.real)
+    band = np.searchsorted(CUTS, -kernel.psi(nodes.zeta[:nodes.n_global]), side="left") - 1
+    assert np.array_equal(band, nodes.band[:nodes.n_global])
 
 
 def test_single_pole_rays_start_at_the_pole():
-    # the sublevel sets of a one-pole Green function are discs around the
-    # pole, so rays from the pole cross each level once wherever it lies:
-    # the global node count barely moves with the pole (rays from the origin
-    # would be tangent to every level that leaves the origin outside)
+    # in its chart the pole sits at 0, where the rays start: the sublevel
+    # sets are discs around it, so each ray crosses each level once and the
+    # global node count does not move with the pole
     counts = []
     for zeta0 in (0.0, 0.1, 0.45 - 0.2j, 0.6j):
-        kernel, nodes = single_pole_region(zeta0)
+        _, kernel, nodes = single_pole_region(zeta0)
+        assert kernel.points[0][0] == 0j
         counts.append(nodes.n_global)
         z = nodes.zeta[:nodes.n_global]
         assert np.all(np.abs(z) < 1.0)
         band = np.searchsorted(CUTS, -kernel.psi(z), side="left") - 1
         assert np.array_equal(band, nodes.band[:nodes.n_global])
-    assert max(counts) <= 1.05 * min(counts)
+    assert max(counts) == min(counts)
 
 
 def test_single_pole_region_area():
-    # area weights of every level add up to the area of its Apollonius disc
+    # area weights of every level, carried back from the chart, add up to
+    # the area of its Apollonius disc about the pole
     for zeta0 in (0.3, -0.5 + 0.1j):
-        _, nodes = single_pole_region(zeta0)
-        per_band = np.bincount(nodes.band, weights=nodes.area_w, minlength=nodes.n_bands)
-        level_area = np.cumsum(per_band[::-1])[::-1]
-        for t, area in zip(CUTS[:-1], level_area):
-            s = math.exp(-t / 2)  # {psi < -t} is {|phi_zeta0| < s}
-            a = abs(zeta0)
-            radius = s * (1 - a * a) / (1 - s * s * a * a)
-            assert area == pytest.approx(math.pi * radius**2, rel=1e-9)
+        chart, _, nodes = single_pole_region(zeta0)
+        for t, area in zip(CUTS[:-1], user_level_areas(chart, nodes)):
+            assert area == pytest.approx(apollonius_area(zeta0, t, 1.0), rel=1e-9)
 
 
 @pytest.mark.parametrize("zeta0,p", [(0.7j, 1.5), (0.8, 1.0), (-0.75 + 0.2j, 1.2)])
 def test_shallow_levels_are_cut_up_to_the_circle(zeta0, p):
     # a level t > 0 near the circle can cross a ray between its last
     # interior sample and the circle, where psi = 0; the end sample brackets
-    # it there, so the level keeps the area of its Apollonius disc
+    # it there, so the level, carried back from the chart, keeps the area of
+    # its Apollonius disc
     cuts = np.array([0.0005, 0.005, 0.02, 0.057, math.inf])
-    _, nodes = pole_region((MarkedPoint(zeta0, green_weight=p, jet_order=0, jet_coeff=1.0),),
-                           cuts)
-    per_band = np.bincount(nodes.band, weights=nodes.area_w, minlength=nodes.n_bands)
-    level_area = np.cumsum(per_band[::-1])[::-1]
-    a = abs(zeta0)
-    for t, area in zip(cuts[:-1], level_area):
-        s = math.exp(-t / (2 * p))
-        radius = s * (1 - a * a) / (1 - s * s * a * a)
-        assert area == pytest.approx(math.pi * radius**2, rel=1e-10)
+    chart, _, nodes = single_pole_region(zeta0, cuts, p)
+    for t, area in zip(cuts[:-1], user_level_areas(chart, nodes)):
+        assert area == pytest.approx(apollonius_area(zeta0, t, p), rel=1e-10)
 
 
 def test_rays_from_the_origin_are_cut_up_to_the_circle():
@@ -98,7 +162,7 @@ def test_rays_from_the_origin_are_cut_up_to_the_circle():
     pts = (MarkedPoint(0.1, green_weight=1.2, jet_order=1, jet_coeff=1.0),
            MarkedPoint(-0.1, green_weight=1.2, jet_order=0, jet_coeff=0.5))
     cuts = np.array([0.004, 1.0, math.inf])
-    kernel, nodes = pole_region(pts, cuts)
+    _, kernel, nodes = pole_region(pts, cuts)
     z = nodes.zeta[:nodes.n_global]
     band = np.searchsorted(cuts, -kernel.psi(z), side="left") - 1
     assert np.array_equal(band, nodes.band[:nodes.n_global])
@@ -114,25 +178,21 @@ def sample_counts(psi_fn, calls):
 
 
 def test_one_center_rays_take_coarse_samples(monkeypatch):
-    # psi = 2p G(., c) rises along every ray from the only center c, so 64
+    # psi = 2p G(., 0) rises along every ray from the only center 0, so 64
     # samples bracket each crossing: the (ray, band) pieces are those of
     # 1024 samples, with breaks within 4 ulps.  Every ray also takes its end
-    # on the circle, and the center at the ray origin adds its 15 clustered
-    # samples (down to 1e-9) as any center does, so the level t = 12 about
-    # a pole at 0, of radius e^-6 inside the first uniform sample 1/65, is
-    # still bracketed.
+    # on the circle, and the center at 0 adds its 15 clustered samples (down
+    # to 1e-9) as any center does, so the level t = 12, of radius e^-6
+    # inside the first uniform sample 1/65, is still bracketed.
     thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
-    deep = np.array([0.2, 12.0, math.inf])
-    for zeta0, cuts in ((0.0, CUTS), (0.1, CUTS), (0.45 - 0.2j, CUTS), (0.6j, CUTS),
-                        (0.0, deep)):
-        kernel, _ = single_pole_region(zeta0)
-        reach = _reach(thetas, zeta0)
+    _, kernel, _ = single_pole_region(0.45 - 0.2j)  # its chart puts the pole at 0
+    for cuts in (CUTS, np.array([0.2, 12.0, math.inf])):
         pieces = {}
         for n in (64, 1024):
             monkeypatch.setattr(quadrature, "_ONE_CENTER_SAMPLES", n)
             calls = []
-            psi = sample_counts(lambda z: kernel.psi(z + zeta0), calls)
-            pieces[n] = _ray_pieces(psi, thetas, reach, cuts, [0j])
+            pieces[n] = _ray_pieces(sample_counts(kernel.psi, calls), thetas, cuts,
+                                    [kernel.points[0][0]])
             assert set(calls) == {n + 16}
         (ray, lo, hi, band, _), (ray_f, lo_f, hi_f, band_f, _) = pieces[64], pieces[1024]
         assert np.array_equal(ray, ray_f) and np.array_equal(band, band_f)
@@ -146,16 +206,9 @@ def test_rays_among_two_centers_take_fine_samples():
     kernel = split_level_kernel()
     thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
     calls = []
-    _ray_pieces(sample_counts(kernel.psi, calls), thetas, _reach(thetas, 0j),
-                np.array([1.0, 5.5, math.inf]), [0.33, -0.33])
+    _ray_pieces(sample_counts(kernel.psi, calls), thetas, np.array([1.0, 5.5, math.inf]),
+                [0.33, -0.33])
     assert calls and min(calls) >= 1024
-
-
-def test_reach_ends_on_the_unit_circle():
-    thetas = np.linspace(0.0, 2 * math.pi, 17)
-    for origin in (0j, 0.3 - 0.4j, 0.9):
-        ends = origin + _reach(thetas, origin) * np.exp(1j * thetas)
-        assert np.allclose(np.abs(ends), 1.0, atol=1e-14)
 
 
 # psi(0) = -5.32: the levels below t = 5.32 are split into two discs
@@ -173,13 +226,12 @@ def test_marked_band_cuts_keep_their_pieces():
     kernel = split_level_kernel()
     cuts = np.array([0.1, 1.0, 3.0, 5.0, 5.5, 6.0, math.inf])
     thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
-    reach = _reach(thetas, 0j)
     centers = [0.33, -0.33]
-    full = _ray_pieces(kernel.psi, thetas, reach, cuts, centers)
+    full = _ray_pieces(kernel.psi, thetas, cuts, centers)
     for marked in ([3, 4], [5], [0, 4]):
         bands = np.zeros(cuts.size - 1, dtype=bool)
         bands[marked] = True
-        part = _ray_pieces(kernel.psi, thetas, reach, cuts, centers, bands=bands)
+        part = _ray_pieces(kernel.psi, thetas, cuts, centers, bands=bands)
         sel_full, sel_part = bands[full[3]], bands[part[3]]
         assert sel_full.sum() > 0
         for a, b in zip(full, part):
@@ -194,7 +246,7 @@ def test_sub_rays_take_the_widest_base_density(cuts):
     kernel = split_level_kernel()
     config = QuadratureConfig()
     mid, half, e, w_half, band = _global_panels(
-        kernel.psi, np.array([*cuts, math.inf]), config, [], [0.33, -0.33], 0j)
+        kernel.psi, np.array([*cuts, math.inf]), config, [], [0.33, -0.33])
     w_theta = w_half / half
     sub = w_theta < 0.5 * w_theta.max()
     n_sub_rays = np.unique(np.round(np.angle(e[sub]), 12)).size
@@ -234,58 +286,45 @@ def test_all_thresholds_cut_as_each_alone():
     kernel = split_level_kernel()
     cuts = np.array([0.1, 1.0, 3.0, 5.0, 5.5, 5.501, 6.0, math.inf])
     thetas = (np.arange(80) + 0.5) * (2 * math.pi / 80)  # blocks of 32, 32 and 16 rays
-    reach = _reach(thetas, 0j)
     centers = [0.33, -0.33]
-    full = _ray_pieces(kernel.psi, thetas, reach, cuts, centers)
+    full = _ray_pieces(kernel.psi, thetas, cuts, centers)
     for k, t in enumerate(cuts[:-1]):
-        alone = _ray_pieces(kernel.psi, thetas, reach, np.array([t, math.inf]), centers)
+        alone = _ray_pieces(kernel.psi, thetas, np.array([t, math.inf]), centers)
         assert level_on_rays(alone, 0)
         assert level_on_rays(full, k) == level_on_rays(alone, 0)
 
 
 def test_zero_threshold_rays_are_not_sampled():
     # psi < 0 on the open disc, so the level t = 0 has no threshold to cut:
-    # each ray is one piece [0, reach], and psi is evaluated only at the
-    # piece midpoints to tag their band
+    # each ray is one piece [0, 1], and psi is evaluated only at the piece
+    # midpoints to tag their band
     kernel = split_level_kernel()
-    origin = 0.2 - 0.1j  # rays start here; psi and centers are relative to it
     seen = []
 
     def psi(z):
         seen.append(np.array(z, dtype=complex).ravel())
-        return kernel.psi(z + origin)
+        return kernel.psi(z)
 
     thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
-    reach = _reach(thetas, origin)
-    ray, lo, hi, band, level_len = _ray_pieces(psi, thetas, reach, np.array([0.0, math.inf]),
-                                               [0.33 - origin, -0.33 - origin])
+    ray, lo, hi, band, level_len = _ray_pieces(psi, thetas, np.array([0.0, math.inf]),
+                                               [0.33, -0.33])
     assert np.array_equal(ray, np.arange(64))
     assert np.array_equal(lo, np.zeros(64))
-    assert np.array_equal(hi, reach)
+    assert np.array_equal(hi, np.ones(64))
     assert np.array_equal(band, np.zeros(64))
-    assert np.array_equal(level_len, reach)
-    assert np.array_equal(np.concatenate(seen), 0.5 * reach * np.exp(1j * thetas))
+    assert np.array_equal(level_len, np.ones(64))
+    assert np.array_equal(np.concatenate(seen), 0.5 * np.exp(1j * thetas))
 
 
-SMALL = QuadratureConfig(angular=64, radial=64, patch_angular=32, patch_radial=32)
-GAIN = GainFunction.exponential(0.3)
-TWO_POINTS = (MarkedPoint(0.3 + 0.15j, green_weight=1.2, jet_order=1, jet_coeff=0.8 + 0.6j),
-              MarkedPoint(-0.25 - 0.2j, green_weight=1.2, jet_order=0, jet_coeff=0.5j))
-FAR_POINTS = (MarkedPoint(0.57 * np.exp(0.7j), green_weight=1.0, jet_order=2,
-                          jet_coeff=0.6 - 0.3j),
-              MarkedPoint(-0.2 + 0.3j, green_weight=1.3, jet_order=0, jet_coeff=0.5))
-ONE_POINT = (MarkedPoint(0.45 - 0.2j, green_weight=1.0, jet_order=1, jet_coeff=0.7),)
-CUTS_SPLIT = (0.1, 1.0, 3.0, 5.0, 5.5, 6.0)
-
-
-def region_and_basis(pts, cuts, N, config=SMALL):
-    """Kernel, region and constrained basis [a_part | Z] of a standard pair."""
-    kernel = WeightKernel(UNIT_DISC, WeightPair.standard(pts))
+def region_and_basis(pts, cuts, N, config=SMALL, w=None, dom=UNIT_DISC):
+    """Kernel, region and constrained basis [a_part | Z] of a standard pair
+    (or of ``w``) in the disc chart ``dom``."""
+    kernel = WeightKernel(dom, w or WeightPair.standard(pts))
     specs = _patch_specs(kernel, GAIN)
     cuts = np.array(cuts)
     nodes = build_region(kernel.psi, specs, config, cuts,
                          _patch_radii(kernel.psi, specs, cuts[-2]))
-    a_part, Z = constraint_basis(jet_constraints(kernel.w, N))
+    a_part, Z = constraint_basis(jet_constraints(kernel.w, N, dom))
     return kernel, nodes, [a_part] + list(Z.T)
 
 
@@ -325,9 +364,11 @@ def test_secant_cut_search_matches_bisection(pts, cuts, monkeypatch):
     # from the same brackets, in at most 16 kernel passes per call, where
     # bisection takes 44 to 49.  (Where a ray grazes a deep level, the
     # rounding of psi + t leaves a run of float roots, and the two searches
-    # may end at different ones.)
+    # may end at different ones, as on rays from 0 past a lone pole off 0;
+    # the solver casts a lone pole's rays in its chart, from the pole.)
     calls = recorded_cut_searches(monkeypatch)
-    region_and_basis(pts, cuts, 4, QuadratureConfig())
+    chart = disc_chart(UNIT_DISC, WeightPair.standard(pts))
+    region_and_basis(pts, cuts, 4, QuadratureConfig(), dom=chart)
     assert calls
     for psi_fn, (e_ray, lo, hi, f_lo, _f_hi, thresh), got, passes in calls:
         want = bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh)
@@ -371,15 +412,16 @@ def test_moment_gram_degree_40():
 @pytest.mark.parametrize("N", [16, 40, 64])
 @pytest.mark.parametrize("radius", [0.49, 0.6, 0.86, 0.95])
 def test_moment_gram_on_rays_from_a_pole(radius, N):
-    # rays cast from a pole c off the origin take polar moments about c, in
-    # Taylor-shifted coefficients, on |zeta - c| <= 1 - |c| and the monomial
-    # moments of zeta beyond it; nodes lie on both sides of that circle
+    # a pole off the origin is solved in its chart, where it sits at 0 and
+    # the rays start at it; the harmonic part u and the jet rows carry the
+    # chart map, so the weight and the constrained basis differ per radius
     pole = radius * np.exp(-0.42j)
-    pts = (MarkedPoint(pole, green_weight=1.0, jet_order=1, jet_coeff=0.7),)
-    kernel, nodes, basis = region_and_basis(pts, [0.2, 1.5, math.inf], N)
-    assert nodes.origin == pole and nodes.ray_runs is not None
-    x = np.abs(nodes.zeta[:nodes.n_global] - pole)
-    assert np.any(x <= 1 - radius) and np.any(x > 1 - radius)
+    w = WeightPair.standard((MarkedPoint(pole, green_weight=1.0, jet_order=1, jet_coeff=0.7),),
+                            u_coeffs=(0.0, 0.4 + 0.2j))
+    chart = disc_chart(UNIT_DISC, w)
+    kernel, nodes, basis = region_and_basis(None, [0.2, 1.5, math.inf], N, w=w, dom=chart)
+    assert kernel.points[0][0] == 0j and nodes.ray_runs is not None
+    assert np.any(np.abs(nodes.zeta[:nodes.n_global]) > 1 - radius)
     assert_matches_direct(kernel, nodes, basis)
 
 

@@ -11,7 +11,7 @@ from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
 from jetmin.problems import Numerics, single_point_problem
 from jetmin.quadrature import QuadratureConfig
 from jetmin.solver import extension_bound, kkt_minimize, minimal_integral, minimal_integrals
-from jetmin.weights import WeightPair
+from jetmin.weights import WeightPair, disc_chart
 from oracles import oracle_minimize, quadrature_minimum
 
 CONST = GainFunction.constant(1.0)
@@ -263,11 +263,12 @@ def test_nonincreasing_in_t():
 
 def test_level_without_nodes_is_refused():
     # {psi < -200} about a point at 0.3 is a disc of radius ~1e-44: no node
-    # falls in it, so the driver refuses it instead of returning G = 0
+    # falls in it, so the driver refuses it instead of returning G = 0 (under
+    # a constant gain the closed form covers every t of one point)
     w = single_point_pair(0.3)
     for ts in ([200.0], [0.5, 200.0]):
         with pytest.raises(NumericalError, match=r"no quadrature node in \{psi < -t\} at t = 200:"):
-            minimal_integrals(UNIT_DISC, w, CONST, ts, N=4)
+            minimal_integrals(UNIT_DISC, w, GainFunction.exponential(0.5), ts, N=4)
 
 
 @pytest.mark.parametrize("lam", [2.0, 0.5j])
@@ -280,12 +281,30 @@ def test_divisor_leading_constant_scales_G(lam):
     ref = minimal_integral(UNIT_DISC, w1, CONST, 0.0, N=12)
     res = minimal_integral(UNIT_DISC, w, CONST, 0.0, N=12)
     assert ref.diagnostics["gram_path"] == "analytic"
-    assert ref.value == pytest.approx(5.2031057528771, rel=1e-13)
+    assert ref.value == pytest.approx(2 * math.pi * 0.91**2, rel=1e-15)
     assert res.diagnostics["gram_path"] == "quadrature"
     scale = abs(lam) ** 2
     assert abs(scale * res.value - ref.value) <= 10 * scale * res.diagnostics["quadrature_error"]
     assert scale * extension_bound(w, CONST, 0.0) == pytest.approx(
         extension_bound(w1, CONST, 0.0), rel=1e-14)
+
+
+def test_quadrature_in_the_user_chart_agrees_with_the_point_chart():
+    # the library solves in the chart that puts the point at 0, which the
+    # oracle reproduces bit for bit; in the user's chart the oracle casts
+    # rays from 0 past the point: two geometries, one G (h(t) = 2 e^{-t/2})
+    w, g = single_point_pair(0.5), GainFunction.exponential(0.5)
+    chart = disc_chart(UNIT_DISC, w)
+    for t in (0.0, 0.7, 2.5):
+        res = minimal_integral(UNIT_DISC, w, g, t, N=16)
+        assert res.diagnostics["gram_path"] == "quadrature"
+        assert res.value == quadrature_minimum(chart, w, g, t, 16).value
+        ref = quadrature_minimum(UNIT_DISC, w, g, t, 16)
+        assert ref.value != res.value
+        err = max(res.diagnostics["quadrature_error"], ref.diagnostics["quadrature_error"])
+        assert abs(res.value - ref.value) <= 10 * err
+        exact = 2 * math.pi * 0.75**2 * 2 * math.exp(-0.5 * t)
+        assert abs(res.value - exact) <= 10 * res.diagnostics["quadrature_error"]
 
 
 def test_input_validation():
@@ -334,19 +353,13 @@ def test_blending_pieces_get_two_radial_panels():
     assert err == pytest.approx(solve(QuadratureConfig(radial=256))[1], rel=0.01)
 
 
-@pytest.mark.parametrize("angle", [
-    0.0,
-    # here the fine-coarse difference cancels: quad_error 8.3e-8 against a
-    # patch-angle error of 1.2e-7 (and a total error of 1.0e-7)
-    pytest.param(0.3, marks=pytest.mark.xfail(
-        strict=True, reason="the two-level estimate under-reports this case 1.4x")),
-])
+@pytest.mark.parametrize("angle", [0.0, 0.3])
 def test_error_estimate_covers_patch_angles_at_a_point_near_the_circle(angle):
-    # a point at |zeta| = 0.97 has a patch of radius 0.015, half its distance
-    # to the circle, and -psi runs from 3.9 to 4.4 around its rings of radius
-    # 0.0075, so the gain's knot at 4 puts a kink in c(-psi) along them: the
-    # slowest angular convergence the patch radii allow.  G at the default
-    # mesh is within its own error estimate of G at 256 angles
+    # a point at |zeta| = 0.97 under a gain with a knot at 4: in the user's
+    # chart -psi runs from 3.9 to 4.4 around the rings of a patch of radius
+    # 0.015 there, a kink in c(-psi) along them.  The solve runs in the
+    # point's chart, where -psi is constant on every ring, so G at the
+    # default mesh is G at 256 angles, within its own error estimate
     tab = GainFunction.tabulated([0.0, 0.5, 1.0, 2.0, 4.0],
                                  np.exp([0.0, 0.4, 0.8, 1.6, 3.2]))
     w = single_point_pair(0.97 * complex(math.cos(angle), math.sin(angle)))
