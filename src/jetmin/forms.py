@@ -7,8 +7,10 @@ matching numpy.vdot.  Weighted Grams on the raw monomial basis can diverge
 at divisor zeros; the reduced path substitutes the jet-constraint null-space
 parametrization first and integrates only functions with the enforced
 vanishing; a center where that does not suffice is refused only when the
-region reaches it (quadrature._patch_nodes).  The closed form applies on
-any Moebius image when the weight's point table has 2p = 2m at every point.
+region reaches it (quadrature._patch_nodes).  A closed-form Gram
+(analytic_reduction) serves t = 0 on any Moebius image when the weight's
+point table has 2p = 2m at every point under a constant gain, and every t of
+one point at zeta = 0 under any gain, where the integrand is radial.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInputError
-from .gain import GainFunction, growth_rate_bound
+from .errors import BadInputError, NumericalError
+from .gain import GainFunction, _tail_integral, growth_rate_bound
 from .geometry import UNIT_DISC, DomainSpec, check_marked_points
 from .quadrature import PatchSpec, QuadratureConfig, assembled_gram
 from .series import moebius_taylor, pderiv, pmul
@@ -156,29 +158,43 @@ def gram_analytic_disc(N: int, *, radius: float = 1.0, scale: float = 1.0) -> Gr
 
 
 def analytic_reduction(
-    dom: DomainSpec, w: WeightPair, g: GainFunction, t: float
-) -> tuple[float, float] | None:
-    """(radius, scale) when the weighted region integral has a closed form,
-    else None.
+    dom: DomainSpec, w: WeightPair, g: GainFunction, t: float, N: int
+) -> np.ndarray | None:
+    """The closed-form Gram diagonal for degrees 0..N, or None.
 
     Forms and the Gram live in disc coordinates, so the domain may be any
-    Moebius image.  Requires a constant gain and 2p = 2m at every point of
-    the weight's table (e^{-phi} is then 1 in zeta); the region must be the
-    full disc (t = 0) or a centered sublevel disc (one point, at zeta = 0).
+    Moebius image.  Both cases need no u, no bump and |leading| = 1:
+
+    - t = 0, a constant gain v and 2p = 2m at every point of the weight's
+      table: e^{-phi} is 1 in zeta, the region is the whole disc and entry
+      [l][l] is 2 pi v / (l + 1).
+    - one point, at zeta = 0, under any gain and any p, m: the integrand is
+      radial, e^{-phi} = |zeta|^{2p - 2m}, and with s = -2p log|zeta| entry
+      [l][l] is (2 pi / p) int_t^inf c(s) e^{-kappa_l s} ds, kappa_l =
+      (l + 1 + p - m) / p (gain._tail_integral).
+
+    None where kappa_0 is at most the gain's tail slope (an entry diverges)
+    or an entry is not finite: quadrature then decides.
     """
-    if g.kind != "constant":
+    phi = w.phi
+    if phi.bump != 0 or any(x != 0 for x in phi.u_coeffs):
         return None
-    if w.phi.bump != 0 or any(x != 0 for x in w.phi.u_coeffs):
+    if abs(abs(phi.leading) - 1.0) > 1e-14:
         return None
-    if abs(abs(w.phi.leading) - 1.0) > 1e-14:
+    l = np.arange(N + 1)
+    if t == 0 and g.kind == "constant" and all(
+            abs(2 * p - 2 * m) <= 1e-12 for _loc, p, m in w.points):
+        return g.value * 2 * math.pi / (l + 1)
+    if len(w.points) != 1 or abs(dom.inverse(w.points[0][0])) > _LOC_TOL:
         return None
-    if any(abs(2 * p - 2 * m) > 1e-12 for _loc, p, m in w.points):
+    _loc, p, m = w.points[0]
+    kappa = (l + 1 + p - m) / p
+    if kappa[0] <= g._table.slope:
         return None
-    if t == 0:
-        return 1.0, g.value
-    if len(w.points) == 1 and abs(dom.inverse(w.points[0][0])) <= _LOC_TOL:
-        return math.exp(-t / (2.0 * w.points[0][1])), g.value
-    return None
+    try:
+        return 2 * math.pi / p * _tail_integral(g, kappa, t)
+    except NumericalError:
+        return None
 
 
 def _patch_specs(kernel: WeightKernel, g: GainFunction) -> list[PatchSpec]:

@@ -8,7 +8,9 @@ between knots, c constant below t_0 and log c of slope s beyond t_K.  A
 constant is ([0], [v], s = 0), an exponential ([0], [1], s = delta) and a
 tabulated gain its grid with s = 0.  Every function below reads that table
 with no case per kind: on each piece c(s) e^{-a s} is the exponential of an
-affine function, so h is a closed form there, and so is h^{-1}.
+affine function, so h is a closed form there, and so is h^{-1}.  The same
+tail integral, at the rates of a radial one-point Gram, gives that Gram's
+diagonal (forms.analytic_reduction).
 """
 from __future__ import annotations
 
@@ -143,25 +145,41 @@ def _scaled_exp(c: float, log_c: float, x: float) -> float:
     return c * e if e >= sys.float_info.min else math.exp(log_c - x)
 
 
-def _tail_integral(g: GainFunction, a: float, t: float) -> float:
-    """int_t^inf c(s) e^{-a s} ds for a > s, exact on every piece of the table."""
+def _tail_integral(g: GainFunction, a, t: float):
+    """int_t^inf c(s) e^{-a s} ds for a rate a > s, or for each rate of an
+    array a; exact on every piece of the table.
+
+    The tail beyond the last knot and the head below the first go per rate
+    through _scaled_exp (math.exp), the knot intervals through one numpy
+    product over [rate, interval].  A float rate gives a float, bit for bit
+    what one rate of an array gives.
+    """
     gt, gc, lc, s = g._table
-    if a <= s:
+    rates = np.atleast_1d(np.asarray(a, dtype=float))
+    if not np.all(rates > s):
         raise BadInputError(f"divergent tail integral for a = {a} <= tail slope {s}")
-    total = _scaled_exp(gc[-1], lc[-1], (a - s) * max(t, gt[-1]) + s * gt[-1]) / (a - s)
+    total = np.array([
+        _scaled_exp(gc[-1], lc[-1], (r - s) * max(t, gt[-1]) + s * gt[-1]) / (r - s)
+        for r in rates.tolist()
+    ])
     if t < gt[0]:
-        total += _scaled_exp(gc[0], lc[0], a * t) * -math.expm1(-a * (gt[0] - t)) / a
+        total += [_scaled_exp(gc[0], lc[0], r * t) * -math.expm1(-r * (gt[0] - t)) / r
+                  for r in rates.tolist()]
     i = np.nonzero(gt[1:] > t)[0]  # knot intervals reaching past t
     lo = np.maximum(gt[i], t)
     L = gt[i + 1] - lo
     m = (lc[i + 1] - lc[i]) / (gt[i + 1] - gt[i])
-    k = m - a  # slope of the exponent
-    head = np.exp(lc[i] + m * (lo - gt[i]) - a * lo)
-    ratio = np.divide(np.expm1(k * L), k, out=L.copy(), where=k * L != 0)
-    total += float(np.sum(head * ratio))
-    if not math.isfinite(total):
+    k = m - rates[:, None]  # slope of the exponent
+    # a rate below a steep interval's slope can overflow expm1: that total is
+    # refused below, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        head = np.exp(lc[i] + m * (lo - gt[i]) - rates[:, None] * lo)
+        ratio = np.divide(np.expm1(k * L), k, out=np.broadcast_to(L, k.shape).copy(),
+                          where=k * L != 0)
+        total += np.sum(head * ratio, axis=1)
+    if not np.all(np.isfinite(total)):
         raise NumericalError("gain tail integral is not finite")
-    return float(total)
+    return float(total[0]) if np.ndim(a) == 0 else total
 
 
 def eval_h(g: GainFunction, t: float) -> float:

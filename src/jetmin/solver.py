@@ -5,9 +5,11 @@ a = a_part + Z y with Z orthonormal in the null space of C, reducing to an
 unconstrained quadratic in y.  For singular weights the reduced Gram comes
 straight from quadrature on the substituted basis (see forms.gram_reduced),
 so no divergent monomial entry is ever formed.  Where the weight and the
-level admit a closed-form Gram (forms.analytic_reduction), it is reduced
-through the same basis, so one solve serves both Gram paths; the input alone
-picks the path, and ``diagnostics["gram_path"]`` reports it.
+level admit a closed-form Gram (forms.analytic_reduction: the whole disc at
+t = 0 under a constant gain, and one point at every t under any gain), its
+diagonal is reduced through the same basis, so one solve serves both Gram
+paths; the input alone picks the path, and ``diagnostics["gram_path"]``
+reports it.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from .forms import (
     TruncatedForm,
     analytic_reduction,
     constraint_basis,
-    gram_analytic_disc,
     gram_reduced,
     jet_constraints,
 )
@@ -134,7 +135,8 @@ def minimal_integrals(
     so all quadrature Grams come from one region per mesh level; each t gets
     its own reduced solve and constraint-residual check.  G does not depend
     on the disc chart, so the solve runs in weights.disc_chart(dom, w), where
-    a lone point sits at zeta = 0; the extremals are read in that chart.
+    a lone point sits at zeta = 0 and analytic_reduction gives its Gram at
+    every t, however deep the level.  The extremals are read in that chart.
     """
     ts = [float(t) for t in ts]
     if not all(t >= 0 for t in ts):
@@ -143,15 +145,13 @@ def minimal_integrals(
     dom = disc_chart(dom, w)
     C = jet_constraints(w, N, dom)
     a_part, Z = constraint_basis(C)
-    reductions = [analytic_reduction(dom, w, g, t) for t in ts]
-    quad_ts = [t for t, red in zip(ts, reductions) if red is None]
+    diagonals = [analytic_reduction(dom, w, g, t, N) for t in ts]
+    quad_ts = [t for t, diag in zip(ts, diagonals) if diag is None]
     quad_grams = iter(gram_reduced(dom, w, g, quad_ts, a_part, Z, mesh=mesh) if quad_ts else ())
     results = []
-    for t, reduction in zip(ts, reductions):
-        if reduction is not None:
-            radius, scale = reduction
-            H = gram_analytic_disc(C.n_coeffs - 1, radius=radius, scale=scale)
-            R = _reduce(H, a_part, Z)
+    for t, diag in zip(ts, diagonals):
+        if diag is not None:
+            R = _reduce(GramMatrix(np.diag(diag)), a_part, Z)
             path = "analytic"
         else:
             R = next(quad_grams)

@@ -32,7 +32,8 @@ from jetmin.problems import (
     two_point_problem,
 )
 from jetmin.solver import minimal_integral
-from jetmin.weights import WeightKernel, WeightPair
+from jetmin.weights import WeightKernel, WeightPair, disc_chart
+from oracles import quadrature_minima, quadrature_minimum
 
 
 def with_r_count(p, r_count):
@@ -201,22 +202,26 @@ def test_scan_matches_single_t_calls(make):
 @pytest.mark.parametrize("gain", [GainFunction.exponential(0.5), GainFunction.constant(1.0)],
                          ids=["exponential", "constant"])
 def test_scan_offcenter_single_point_closed_form(zeta0, gain):
-    # off-center points take the quadrature path, with patch radii set by
-    # the deepest level of the grid and rays cast from the point, so no ray
-    # is tangent to a level; G(h^-1(r)) = 2 pi (1 - |zeta0|^2)^2 r
+    # off-center points are solved in the chart that puts them at 0, where
+    # the Gram is closed-form; the quadrature Gram there, with patch radii
+    # set by the deepest level of the grid and rays cast from the point (no
+    # ray tangent to a level), meets G(h^-1(r)) = 2 pi (1 - |zeta0|^2)^2 r too
     w = WeightPair.standard((MarkedPoint(zeta0, green_weight=1.0, jet_order=0, jet_coeff=1.0),))
     p = Problem(domain=UNIT_DISC, weights=w, gain=gain, numerics=Numerics(N=24, r_count=9))
     rep = scan_G(p)
+    oracle = quadrature_minima(disc_chart(UNIT_DISC, w), w, gain, rep.t_grid, 24)
     scale = 2 * math.pi * (1 - abs(zeta0) ** 2) ** 2
-    rel_err = max(abs(g - scale * r) / (scale * r) for r, g in zip(rep.r_grid, rep.g_values))
-    assert rel_err <= 1e-6
+    for values in (rep.g_values, [res.value for res in oracle]):
+        rel_err = max(abs(g - scale * r) / (scale * r) for r, g in zip(rep.r_grid, values))
+        assert rel_err <= 1e-6
 
 
 def test_scan_transported_point_under_a_tabulated_gain():
     # one point of a Moebius image under a gain with a different log slope on
     # each knot interval: c(-psi) has a kink on every knot level, and the
-    # rays from the point are cut there, so G keeps the closed form
-    # 2 pi (1 - |zeta0|^2)^2 r to far below the panel error a kink would leave
+    # rays from the point are cut there, so the quadrature Gram in the
+    # point's chart keeps the closed form 2 pi (1 - |zeta0|^2)^2 r that the
+    # library takes, to far below the panel error a kink would leave
     dom = DomainSpec.moebius(2.0, 0.3, 0.1, 1.2)
     zeta0 = 0.45 * cmath.exp(1.1j)
     pt = MarkedPoint(complex(dom.forward(zeta0)), green_weight=1.0, jet_order=0,
@@ -225,9 +230,11 @@ def test_scan_transported_point_under_a_tabulated_gain():
     p = Problem(domain=dom, weights=WeightPair.standard((pt,)), gain=gain,
                 numerics=Numerics(N=24, r_count=9))
     rep = scan_G(p)
+    oracle = quadrature_minima(disc_chart(dom, p.weights), p.weights, gain, rep.t_grid, 24)
     scale = 2 * math.pi * (1 - abs(zeta0) ** 2) ** 2
-    for r, g in zip(rep.r_grid, rep.g_values):
+    for r, g, ref in zip(rep.r_grid, rep.g_values, oracle):
         assert g == pytest.approx(scale * r, rel=1e-10)
+        assert ref.value == pytest.approx(scale * r, rel=1e-10)
 
 
 def test_scan_transported_center_takes_the_closed_form(monkeypatch):
@@ -286,11 +293,17 @@ def test_scan_deep_levels_of_a_steep_gain(rate, zeta0, tol):
     # the grid reaches t = 9.6 (rate 0.7) to 28.9 (rate 0.9): levels of
     # radius about e^{-t/2} around the pole, inside the first uniform ray
     # sample, and a near-critical exponent 2 (1 - rate) that puts much of
-    # the patch integral inside its last ring
-    rep = scan_G(steep_exponential_point(zeta0, rate))
+    # the patch integral inside its last ring.  The library's Gram is
+    # closed-form there; the quadrature Gram in the point's chart is held to
+    # the same tolerance
+    p = steep_exponential_point(zeta0, rate)
+    rep = scan_G(p)
+    oracle = quadrature_minima(disc_chart(p.domain, p.weights), p.weights, p.gain,
+                               rep.t_grid, p.numerics.N)
     scale = 2 * math.pi * (1 - zeta0**2) ** 2
-    assert max(abs(g - scale * r) / (scale * r)
-               for r, g in zip(rep.r_grid, rep.g_values)) <= tol
+    for values in (rep.g_values, [res.value for res in oracle]):
+        assert max(abs(g - scale * r) / (scale * r)
+                   for r, g in zip(rep.r_grid, values)) <= tol
     assert rep.is_linear
 
 
@@ -298,12 +311,18 @@ def test_scan_deep_levels_of_a_steep_gain(rate, zeta0, tol):
 @pytest.mark.parametrize("zeta0", [0.0, 0.3])
 def test_suita_equality_under_a_steep_gain(rate, zeta0):
     # one point meets the optimal-jets bound; the near-critical exponent
-    # 2 (1 - rate) puts much of the patch integral inside its last ring
-    rep = suita_compare(steep_exponential_point(zeta0, rate))
+    # 2 (1 - rate) puts much of the patch integral inside its last ring of
+    # the quadrature Gram, which the point's chart checks beside the
+    # library's closed form
+    p = steep_exponential_point(zeta0, rate)
+    rep = suita_compare(p)
     assert rep.equality == rep.criterion.all_hold
     assert rep.equality
     assert abs(rep.gap) <= rep.equality_tolerance
     assert abs(rep.gap) <= 1e-7 * rep.bound
+    ref = quadrature_minimum(disc_chart(p.domain, p.weights), p.weights, p.gain, 0.0,
+                             p.numerics.N)
+    assert abs(ref.value - rep.bound) <= 1e-7 * rep.bound
 
 
 def test_scan_r_count_control():

@@ -195,6 +195,8 @@ EDGE_CASES = {
     "apart-1e-9": {"marked": [_point(0.3), _point(0.3 + 1e-9)]},
     "apart-1e-13": {"marked": [_point(0.3), _point(0.3 + 1e-13)]},
     "rate-0.999": {"marked": [_point(0.3)], "gain": {"kind": "exponential", "rate": 0.999}},
+    "rate-0.999-u": {"marked": [_point(0.3)], "gain": {"kind": "exponential", "rate": 0.999},
+                     "phi": {"u_coeffs": [[0, 0], [0.1, 0]]}},
     "rate-0.9": {"marked": [_point(0.3)], "gain": RATE_09, "numerics": {"N": 12}},
     "pair-rate-0.9": {"marked": [_point(0.3), _point(-0.3)], "gain": RATE_09,
                       "numerics": {"N": 12}},
@@ -206,12 +208,16 @@ EDGE_CASES = {
 }
 # the settled exit codes.  One point is solved in the chart that puts it at
 # 0, so every one-point case is pinned (exit 4 on verify-lemmas is p <= 2).
+# Without u the Gram there is closed-form at every level, so the scan of
+# rate 0.999 (t up to 1792) gets exact values; with a u term it stays on
+# quadrature, where no node falls in its deepest level (exit 2).
 # Two points 1e-9 apart wait on an error budget for G (ROADMAP item 3), and
 # the pair at +-0.3 under rate 0.9, which exits 2 at t = 28.9 with a
 # constraint residual of 1.5e-8, on a basis for deep multi-point levels
 # (ROADMAP item 9).
 _ONE_POINT_EXITS = {
-    "circle-1e-4": (0, 0, 4), "circle-1e-6": (0, 0, 4), "rate-0.999": (0, 2, 4),
+    "circle-1e-4": (0, 0, 4), "circle-1e-6": (0, 0, 4), "rate-0.999": (0, 0, 4),
+    "rate-0.999-u": (0, 2, 4),
     "rate-0.9": (0, 0, 4), "lowest-N": (0, 0, 4), "zero-jets-N0": (0, 0, 4),
     "p-1.5": (0, 0, 4), "p-2.5-at-0.99": (0, 0, 0), "p-2.5-at-0.9999": (0, 0, 0),
 }
@@ -239,7 +245,7 @@ def test_edge_inputs_end_in_a_documented_exit(tmp_path, capsys, case, command):
         assert out.err.startswith("jetmin: ")
     if code in (0, 3):
         json.loads(out.out, parse_constant=_no_constant)
-    if (case, command) == ("rate-0.999", "scan"):
+    if (case, command) == ("rate-0.999-u", "scan"):
         assert "no quadrature node" in out.err
 
 
@@ -261,17 +267,28 @@ def test_overflowing_weight_exits_2(tmp_path, command, phi):
 
 def test_scan_level_without_nodes_exits_2(tmp_path):
     # rate -> 1 puts the scan grid at t ~ 6e5 to 3e7, where {psi < -t} is a
-    # disc of pseudo-hyperbolic radius e^{-t/2} about the point: no node falls in it
+    # disc of pseudo-hyperbolic radius e^{-t/2} about the point: with a u
+    # term the Gram comes from quadrature, and no node falls in that disc
+    problem = {"marked": [{"location": [0.2, 0]}],
+               "gain": {"kind": "exponential", "rate": 0.9999999},
+               "numerics": {"N": 8}}
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps({"marked": [{"location": [0.2, 0]}],
-                                "gain": {"kind": "exponential", "rate": 0.9999999},
-                                "numerics": {"N": 8}}))
+    path.write_text(json.dumps({**problem, "phi": {"u_coeffs": [[0, 0], [0.1, 0]]}}))
     out = run_cli(["scan", str(path)])
     assert out.returncode == 2
     assert out.stderr.startswith("jetmin: numerical failure")
     assert "no quadrature node" in out.stderr
     assert "Traceback" not in out.stderr
     assert out.stdout == ""
+    # without u every level is a centered disc in the point's chart, whose
+    # Gram is closed-form: G = 2 pi (1 - 0.04)^2 r exactly at every level
+    path.write_text(json.dumps(problem))
+    out = run_cli(["scan", str(path)])
+    assert out.returncode == 0, out.stderr
+    rep = json.loads(out.stdout)["report"]
+    assert min(rep["t_grid"]) > 5e5 and rep["is_linear"] and rep["max_quad_error"] == 0
+    for r, g in zip(rep["r_grid"], rep["g_values"]):
+        assert g == pytest.approx(2 * math.pi * 0.96**2 * r, rel=1e-14)
 
 
 def test_scan_deep_levels_of_a_steep_gain(tmp_path):

@@ -191,23 +191,30 @@ def test_constraint_basis_shapes():
 
 
 def test_analytic_reduction_eligibility():
-    assert analytic_reduction(UNIT_DISC, two_point_pair(), CONST, 0.0) == (1.0, 1.0)
-    rad, sc = analytic_reduction(UNIT_DISC, single_point_pair(k=1, p=2.0), CONST, 1.5)
-    assert rad == pytest.approx(math.exp(-1.5 / 4))
-    assert sc == 1.0
-    assert analytic_reduction(UNIT_DISC, two_point_pair(), CONST, 1.0) is None
+    # the closed form is a Gram diagonal: 2 pi v/(l + 1) on the whole disc at
+    # t = 0, bit for bit gram_analytic_disc's, and for one point at zeta = 0
+    # under any gain (2 pi / p) int_t^inf c(s) e^{-kappa_l s} ds
+    whole = np.diag(gram_analytic_disc(6, scale=1.0).entries).real
+    assert np.array_equal(analytic_reduction(UNIT_DISC, two_point_pair(), CONST, 0.0, 6), whole)
+    diag = analytic_reduction(UNIT_DISC, single_point_pair(k=1, p=2.0), CONST, 1.5, 6)
+    ref = gram_analytic_disc(6, radius=math.exp(-1.5 / 4)).entries
+    np.testing.assert_allclose(diag, np.diag(ref).real, rtol=1e-15)
+    assert analytic_reduction(UNIT_DISC, two_point_pair(), CONST, 1.0, 6) is None
     assert analytic_reduction(UNIT_DISC, two_point_pair(), GainFunction.exponential(0.5),
-                              0.0) is None
+                              0.0, 6) is None
     # a Moebius image is judged in disc coordinates: the point at 0 sits at
     # zeta = 0, so every level is a centered disc
     dom = DomainSpec.moebius(2.0, 0.0, 0.0, 1.0)
     w = WeightPair.standard((MarkedPoint(0.0, jet_order=0),))
-    assert analytic_reduction(dom, w, CONST, 0.0) == (1.0, 1.0)
-    rad, sc = analytic_reduction(dom, w, CONST, 1.5)
-    assert rad == pytest.approx(math.exp(-1.5 / 2), rel=1e-15) and sc == 1.0
+    assert np.array_equal(analytic_reduction(dom, w, CONST, 0.0, 6), whole)
+    diag = analytic_reduction(dom, w, CONST, 1.5, 6)
+    ref = gram_analytic_disc(6, radius=math.exp(-1.5 / 2)).entries
+    np.testing.assert_allclose(diag, np.diag(ref).real, rtol=1e-15)
     off = WeightPair.standard((MarkedPoint(0.4, jet_order=0),))
-    assert analytic_reduction(dom, off, CONST, 1.5) is None
-    assert analytic_reduction(dom, w, GainFunction.exponential(0.5), 0.0) is None
+    assert analytic_reduction(dom, off, CONST, 1.5, 6) is None
+    # c(s) = e^{s/2}: entry [l][l] is 2 pi int_0^inf e^{-(l + 1/2) s} ds
+    diag = analytic_reduction(dom, w, GainFunction.exponential(0.5), 0.0, 6)
+    np.testing.assert_allclose(diag, 2 * math.pi / (np.arange(7) + 0.5), rtol=1e-15)
 
 
 def test_gram_reduced_first_entry_is_particular_norm():

@@ -5,12 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from jetmin.errors import BadInputError
+from jetmin.errors import BadInputError, NumericalError
 from jetmin.gain import (
     TAG_INF,
     TAG_ONE,
     TAG_ZERO,
     GainFunction,
+    _tail_integral,
     class_p_margin,
     eval_c,
     eval_h,
@@ -263,3 +264,27 @@ def test_ratio_probe_divergent_tail():
 def test_growth_rate_bound():
     assert growth_rate_bound(GainFunction.constant(1.0)) == 0.0
     assert growth_rate_bound(GainFunction.exponential(0.3)) == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("g", [
+    GainFunction.constant(0.7), GainFunction.exponential(-0.5), GainFunction.exponential(0.9),
+    GainFunction.tabulated([0.0, 0.5, 1.0, 2.0, 4.0], np.exp([0.0, 0.4, 0.8, 1.6, 3.2])),
+    GainFunction.tabulated([0.6, 1.5, 900.0], [1.3, 2.0, 2.0]),
+], ids=["constant", "rate-0.5", "rate0.9", "tabulated", "tabulated-late-knots"])
+def test_tail_integral_on_an_array_of_rates_is_its_scalar_calls(g):
+    rates = (np.arange(25) + 1.5 - 1.0) / 1.5
+    rates = rates[rates > g._table.slope]
+    for t in (0.0, 0.3, 1.7, 4.0, 750.0):
+        got = _tail_integral(g, rates, t)
+        assert got.shape == rates.shape
+        assert [x.hex() for x in got] == [_tail_integral(g, float(a), t).hex() for a in rates]
+    with pytest.raises(BadInputError, match="divergent"):
+        _tail_integral(g, np.array([2.0, g._table.slope]), 0.0)
+
+
+def test_tail_integral_refuses_an_overflowing_interval():
+    # log c rises by 921 over one knot interval: at rate 0.01 the interval's
+    # term overflows, which is refused without a RuntimeWarning
+    g = GainFunction.tabulated([0.0, 1000.0], [1e-300, 1e100])
+    with pytest.raises(NumericalError, match="not finite"):
+        _tail_integral(g, np.array([1.0, 0.01]), 0.0)

@@ -2,8 +2,10 @@
 
 One marked point under the trivial weight has G(t) = 2 pi (1 - |zeta0|^2)^2
 h(t) for every gain (the optimal-jets bound, attained).  The solver works in
-the chart that puts the point at zeta = 0, so this holds to the quadrature
-estimate however close to the circle the point lies.
+the chart that puts the point at zeta = 0, where the Gram is closed-form, so
+this holds to rounding however close to the circle the point lies.  The
+quadrature Gram in that chart (oracles.quadrature_minima) must meet it too,
+to its own error estimate.
 """
 import cmath
 import math
@@ -17,7 +19,8 @@ from hypothesis import strategies as st  # noqa: E402
 from jetmin.gain import GainFunction, eval_h  # noqa: E402
 from jetmin.geometry import UNIT_DISC, MarkedPoint  # noqa: E402
 from jetmin.solver import minimal_integrals  # noqa: E402
-from jetmin.weights import WeightPair  # noqa: E402
+from jetmin.weights import WeightPair, disc_chart  # noqa: E402
+from oracles import quadrature_minima  # noqa: E402
 
 TABULATED = GainFunction.tabulated([0.0, 0.5, 1.0, 2.0, 4.0],
                                    [math.exp(x) for x in (0.0, 0.4, 0.8, 1.6, 3.2)])
@@ -35,7 +38,9 @@ def gains():
 def test_one_point_meets_its_closed_form(modulus, angle, g, ts):
     zeta0 = modulus * cmath.exp(1j * angle)
     w = WeightPair.standard((MarkedPoint(zeta0),))
-    for t, res in zip(ts, minimal_integrals(UNIT_DISC, w, g, ts, N=8)):
+    oracle = quadrature_minima(disc_chart(UNIT_DISC, w), w, g, ts, 8)
+    for t, res, ref in zip(ts, minimal_integrals(UNIT_DISC, w, g, ts, N=8), oracle):
         exact = 2 * math.pi * (1 - abs(zeta0) ** 2) ** 2 * eval_h(g, t)
-        tol = max(1e-10, 10 * res.diagnostics["quadrature_error"] / exact)
-        assert abs(res.value - exact) <= tol * exact
+        for r in (res, ref):
+            tol = max(1e-10, 10 * r.diagnostics["quadrature_error"] / exact)
+            assert abs(r.value - exact) <= tol * exact

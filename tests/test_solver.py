@@ -1,18 +1,25 @@
 """Constrained minimization: closed forms, invariance, oracle cross-checks."""
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from jetmin.errors import BadInputError, NumericalError
-from jetmin.forms import GramMatrix, JetConstraintSystem, gram_analytic_disc, jet_constraints
-from jetmin.gain import GainFunction
+from jetmin.forms import (
+    GramMatrix,
+    JetConstraintSystem,
+    analytic_reduction,
+    gram_analytic_disc,
+    jet_constraints,
+)
+from jetmin.gain import GainFunction, eval_h
 from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
 from jetmin.problems import Numerics, single_point_problem
 from jetmin.quadrature import QuadratureConfig
 from jetmin.solver import extension_bound, kkt_minimize, minimal_integral, minimal_integrals
 from jetmin.weights import WeightPair, disc_chart
-from oracles import oracle_minimize, quadrature_minimum
+from oracles import oracle_minimize, quadrature_minima, quadrature_minimum
 
 CONST = GainFunction.constant(1.0)
 
@@ -33,6 +40,19 @@ def single_point_pair(z0=0.0, a=1.0):
     return WeightPair.standard(
         (MarkedPoint(z0, green_weight=1.0, jet_order=0, jet_coeff=a),)
     )
+
+
+TABULATED = GainFunction.tabulated([0.0, 0.5, 1.0, 2.0, 4.0], np.exp([0.0, 0.4, 0.8, 1.6, 3.2]))
+MOEBIUS = DomainSpec.moebius(2.0, 0.3, 0.1, 1.2)
+
+
+def one_point(zeta0, p=1.0, k=0, dom=UNIT_DISC, **phi):
+    """One marked point at disc coordinate zeta0 of dom, with a unit jet in
+    the disc coordinate (coord_scale = 1/T'(zeta0)) and divisor order k + 1."""
+    loc = complex(dom.forward(zeta0))
+    pt = MarkedPoint(loc, green_weight=p, jet_order=k, jet_coeff=1.0,
+                     coord_scale=1.0 / complex(dom.derivative(zeta0)))
+    return WeightPair.standard((pt,), **phi)
 
 
 def test_two_point_closed_form():
@@ -145,12 +165,17 @@ def test_offcenter_point_quadrature():
 
 
 def test_exponential_gain_quadrature():
+    # the library takes the closed form for one point under any gain; the
+    # quadrature Gram in the point's chart still meets the same value
     g = GainFunction.exponential(0.5)
+    w = single_point_pair()
     for t in (0.0, 1.0):
-        res = minimal_integral(UNIT_DISC, single_point_pair(), g, t, N=12)
-        assert res.diagnostics["gram_path"] == "quadrature"
         exact = 4 * math.pi * math.exp(-t / 2)
-        assert res.value == pytest.approx(exact, rel=1e-6)
+        res = minimal_integral(UNIT_DISC, w, g, t, N=12)
+        assert res.diagnostics["gram_path"] == "analytic"
+        assert res.value == pytest.approx(exact, rel=1e-14)
+        ref = quadrature_minimum(disc_chart(UNIT_DISC, w), w, g, t, 12)
+        assert ref.value == pytest.approx(exact, rel=1e-6)
 
 
 def test_scaling_covariance():
@@ -263,12 +288,17 @@ def test_nonincreasing_in_t():
 
 def test_level_without_nodes_is_refused():
     # {psi < -200} about a point at 0.3 is a disc of radius ~1e-44: no node
-    # falls in it, so the driver refuses it instead of returning G = 0 (under
-    # a constant gain the closed form covers every t of one point)
-    w = single_point_pair(0.3)
+    # falls in it, so the driver refuses it instead of returning G = 0.  A u
+    # term keeps one point on quadrature; without it the closed form gives
+    # the exact value 2 pi (1 - 0.09)^2 h(200), h(t) = 2 e^{-t/2}
+    g = GainFunction.exponential(0.5)
+    w = one_point(0.3, u_coeffs=(0.0, 0.1))
     for ts in ([200.0], [0.5, 200.0]):
         with pytest.raises(NumericalError, match=r"no quadrature node in \{psi < -t\} at t = 200:"):
-            minimal_integrals(UNIT_DISC, w, GainFunction.exponential(0.5), ts, N=4)
+            minimal_integrals(UNIT_DISC, w, g, ts, N=4)
+        res = minimal_integrals(UNIT_DISC, single_point_pair(0.3), g, ts, N=4)[-1]
+        assert res.diagnostics["gram_path"] == "analytic"
+        assert res.value == pytest.approx(2 * math.pi * 0.91**2 * 2 * math.exp(-100), rel=1e-13)
 
 
 @pytest.mark.parametrize("lam", [2.0, 0.5j])
@@ -290,21 +320,24 @@ def test_divisor_leading_constant_scales_G(lam):
 
 
 def test_quadrature_in_the_user_chart_agrees_with_the_point_chart():
-    # the library solves in the chart that puts the point at 0, which the
-    # oracle reproduces bit for bit; in the user's chart the oracle casts
-    # rays from 0 past the point: two geometries, one G (h(t) = 2 e^{-t/2})
+    # the library takes the closed form in the chart that puts the point at
+    # 0; the quadrature oracle runs in that chart and in the user's chart,
+    # where it casts rays from 0 past the point: two geometries, one G
+    # (h(t) = 2 e^{-t/2}), each within its own estimate of the exact value
     w, g = single_point_pair(0.5), GainFunction.exponential(0.5)
     chart = disc_chart(UNIT_DISC, w)
     for t in (0.0, 0.7, 2.5):
-        res = minimal_integral(UNIT_DISC, w, g, t, N=16)
-        assert res.diagnostics["gram_path"] == "quadrature"
-        assert res.value == quadrature_minimum(chart, w, g, t, 16).value
-        ref = quadrature_minimum(UNIT_DISC, w, g, t, 16)
-        assert ref.value != res.value
-        err = max(res.diagnostics["quadrature_error"], ref.diagnostics["quadrature_error"])
-        assert abs(res.value - ref.value) <= 10 * err
         exact = 2 * math.pi * 0.75**2 * 2 * math.exp(-0.5 * t)
-        assert abs(res.value - exact) <= 10 * res.diagnostics["quadrature_error"]
+        res = minimal_integral(UNIT_DISC, w, g, t, N=16)
+        assert res.diagnostics["gram_path"] == "analytic"
+        assert res.value == pytest.approx(exact, rel=1e-13)
+        point = quadrature_minimum(chart, w, g, t, 16)
+        user = quadrature_minimum(UNIT_DISC, w, g, t, 16)
+        assert user.value != point.value
+        err = max(point.diagnostics["quadrature_error"], user.diagnostics["quadrature_error"])
+        assert abs(point.value - user.value) <= 10 * err
+        assert abs(point.value - exact) <= 10 * point.diagnostics["quadrature_error"]
+        assert abs(user.value - exact) <= 10 * user.diagnostics["quadrature_error"]
 
 
 def test_input_validation():
@@ -357,12 +390,66 @@ def test_blending_pieces_get_two_radial_panels():
 def test_error_estimate_covers_patch_angles_at_a_point_near_the_circle(angle):
     # a point at |zeta| = 0.97 under a gain with a knot at 4: in the user's
     # chart -psi runs from 3.9 to 4.4 around the rings of a patch of radius
-    # 0.015 there, a kink in c(-psi) along them.  The solve runs in the
-    # point's chart, where -psi is constant on every ring, so G at the
-    # default mesh is G at 256 angles, within its own error estimate
-    tab = GainFunction.tabulated([0.0, 0.5, 1.0, 2.0, 4.0],
-                                 np.exp([0.0, 0.4, 0.8, 1.6, 3.2]))
+    # 0.015 there, a kink in c(-psi) along them.  In the point's chart -psi
+    # is constant on every ring: the library takes the closed form there, and
+    # the quadrature Gram at the default mesh is that of 256 angles, within
+    # its own error estimate
     w = single_point_pair(0.97 * complex(math.cos(angle), math.sin(angle)))
-    res = minimal_integral(UNIT_DISC, w, tab, 0.0, N=24)
-    ref = minimal_integral(UNIT_DISC, w, tab, 0.0, N=24, mesh=QuadratureConfig(patch_angular=256))
+    res = minimal_integral(UNIT_DISC, w, TABULATED, 0.0, N=24)
+    ref = minimal_integral(UNIT_DISC, w, TABULATED, 0.0, N=24,
+                           mesh=QuadratureConfig(patch_angular=256))
     assert abs(res.value - ref.value) <= res.diagnostics["quadrature_error"]
+    chart = disc_chart(UNIT_DISC, w)
+    quad = quadrature_minimum(chart, w, TABULATED, 0.0, 24)
+    fine = quadrature_minimum(chart, w, TABULATED, 0.0, 24, QuadratureConfig(patch_angular=256))
+    assert abs(quad.value - fine.value) <= quad.diagnostics["quadrature_error"]
+    assert abs(quad.value - res.value) <= 10 * quad.diagnostics["quadrature_error"]
+
+
+# (disc coordinate, p, jet order, domain, gain): every kappa_0 = (p - k)/p
+# lies above the gain's tail slope, so every entry of the Gram converges
+ONE_POINT_CASES = {
+    "origin-rate-0.5": (0.0, 1.0, 0, UNIT_DISC, GainFunction.exponential(-0.5)),
+    "off-0-rate0.3": (0.4, 1.0, 0, UNIT_DISC, GainFunction.exponential(0.3)),
+    "moebius-rate0.9": (0.45 * cmath.exp(1.1j), 1.0, 0, MOEBIUS, GainFunction.exponential(0.9)),
+    "moebius-tabulated": (0.3 - 0.2j, 1.0, 0, MOEBIUS, TABULATED),
+    "p1.5-jet1-rate0.3": (0.3 + 0.2j, 1.5, 1, UNIT_DISC, GainFunction.exponential(0.3)),
+    "p1.5-jet0-rate0.9": (-0.5j, 1.5, 0, UNIT_DISC, GainFunction.exponential(0.9)),
+    "p2.5-jet2-rate-0.5": (-0.35, 2.5, 2, UNIT_DISC, GainFunction.exponential(-0.5)),
+    "p2.5-jet1-tabulated": (0.2 + 0.1j, 2.5, 1, MOEBIUS, TABULATED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_POINT_CASES))
+def test_one_point_takes_the_closed_form_under_any_gain(case):
+    # in the chart that puts the point at 0 the integrand is radial, so the
+    # Gram is diagonal with entries (2 pi / p) int_t^inf c(s) e^{-kappa_l s} ds;
+    # the quadrature Gram in that chart is the oracle
+    zeta0, p, k, dom, g = ONE_POINT_CASES[case]
+    w = one_point(zeta0, p, k, dom)
+    ts = [0.0, 0.7, 2.5]
+    results = minimal_integrals(dom, w, g, ts, N=16)
+    oracle = quadrature_minima(disc_chart(dom, w), w, g, ts, 16)
+    for t, res, ref in zip(ts, results, oracle):
+        assert res.diagnostics["gram_path"] == "analytic"
+        assert res.diagnostics["quadrature_error"] == 0
+        assert abs(res.value - ref.value) <= 10 * ref.diagnostics["quadrature_error"], t
+        if p == k + 1:  # p = m: the optimal-jets bound, attained
+            exact = 2 * math.pi * (1 - abs(zeta0) ** 2) ** 2 * eval_h(g, t)
+            assert res.value == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("case", ["u", "bump", "leading", "kappa0-at-slope", "two-points"])
+def test_one_point_stays_on_quadrature_without_a_radial_integrand(case):
+    g = GainFunction.exponential(0.5)
+    w = {"u": lambda: one_point(0.3, u_coeffs=(0.0, 0.1)),
+         "bump": lambda: one_point(0.3, bump=0.2),
+         "leading": lambda: one_point(0.3, leading=2.0),
+         # p = 1 and divisor order 2: kappa_0 = 0 <= rate 0.5, entry [0][0] diverges
+         "kappa0-at-slope": lambda: one_point(0.3, k=1),
+         "two-points": lambda: WeightPair.standard(
+             (MarkedPoint(0.3), MarkedPoint(-0.3)))}[case]()
+    chart = disc_chart(UNIT_DISC, w)
+    assert analytic_reduction(chart, w, g, 0.5, 8) is None
+    res = minimal_integral(UNIT_DISC, w, g, 0.5, N=8)
+    assert res.diagnostics["gram_path"] == "quadrature"
