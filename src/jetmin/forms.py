@@ -10,7 +10,8 @@ vanishing; a center where that does not suffice is refused only when the
 region reaches it (quadrature._patch_nodes).  A closed-form Gram
 (analytic_reduction) serves t = 0 on any Moebius image when the weight's
 point table has 2p = 2m at every point under a constant gain, and every t of
-one point at zeta = 0 under any gain, where the integrand is radial.
+one point at zeta = 0 under any gain, where the integrand is radial; a
+divisor leading constant and a constant u only scale it.
 """
 from __future__ import annotations
 
@@ -163,7 +164,9 @@ def analytic_reduction(
     """The closed-form Gram diagonal for degrees 0..N, or None.
 
     Forms and the Gram live in disc coordinates, so the domain may be any
-    Moebius image.  Both cases need no u, no bump and |leading| = 1:
+    Moebius image.  Both cases need no bump and no u beyond a constant u_0;
+    the divisor's leading constant and u_0 only scale e^{-phi}, by
+    |leading|^{-2} e^{-2 Re u_0}, and so scale the diagonal below:
 
     - t = 0, a constant gain v and 2p = 2m at every point of the weight's
       table: e^{-phi} is 1 in zeta, the region is the whole disc and entry
@@ -173,28 +176,33 @@ def analytic_reduction(
       [l][l] is (2 pi / p) int_t^inf c(s) e^{-kappa_l s} ds, kappa_l =
       (l + 1 + p - m) / p (gain._tail_integral).
 
-    None where kappa_0 is at most the gain's tail slope (an entry diverges)
-    or an entry is not finite: quadrature then decides.
+    None where kappa_0 is at most the gain's tail slope (an entry diverges),
+    an entry is not finite or the scale underflows to 0: quadrature then
+    decides.
     """
     phi = w.phi
-    if phi.bump != 0 or any(x != 0 for x in phi.u_coeffs):
-        return None
-    if abs(abs(phi.leading) - 1.0) > 1e-14:
+    if phi.bump != 0 or any(x != 0 for x in phi.u_coeffs[1:]):
         return None
     l = np.arange(N + 1)
     if t == 0 and g.kind == "constant" and all(
             abs(2 * p - 2 * m) <= 1e-12 for _loc, p, m in w.points):
-        return g.value * 2 * math.pi / (l + 1)
-    if len(w.points) != 1 or abs(dom.inverse(w.points[0][0])) > _LOC_TOL:
+        diag = g.value * 2 * math.pi / (l + 1)
+    elif len(w.points) != 1 or abs(dom.inverse(w.points[0][0])) > _LOC_TOL:
         return None
-    _loc, p, m = w.points[0]
-    kappa = (l + 1 + p - m) / p
-    if kappa[0] <= g._table.slope:
-        return None
-    try:
-        return 2 * math.pi / p * _tail_integral(g, kappa, t)
-    except NumericalError:
-        return None
+    else:
+        _loc, p, m = w.points[0]
+        kappa = (l + 1 + p - m) / p
+        if kappa[0] <= g._table.slope:
+            return None
+        try:
+            diag = 2 * math.pi / p * _tail_integral(g, kappa, t)
+        except NumericalError:
+            return None
+    u0 = phi.u_coeffs[0].real if phi.u_coeffs else 0.0
+    with np.errstate(over="ignore"):
+        scale = np.exp(-2.0 * (math.log(abs(phi.leading)) + u0))
+        diag = diag * scale
+    return diag if scale > 0 and np.all(np.isfinite(diag)) else None
 
 
 def _patch_specs(kernel: WeightKernel, g: GainFunction) -> list[PatchSpec]:

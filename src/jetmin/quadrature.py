@@ -37,12 +37,13 @@ coefficients of its Taylor shift to the center), so near-critical
 exponents do not overflow, and a last ring at the inner edge carries the
 radial tail inside it.
 
-The default mesh (``QuadratureConfig``) casts 256 rays with about 128 radial
+The default mesh (``QuadratureConfig``) casts 256 rays with about 64 radial
 nodes per level length, in panels of 10 nodes whose count per piece is
 rounded up, and at least 2 panels on a piece in a blending annulus; it
-gives each patch 64 geometric radial intervals of 8 Gauss rings and the
-tail ring, each ring of 32 angles.  The error estimate is the difference from the mesh with
-every count halved.
+gives each patch 32 geometric radial intervals, one more split at the half
+radius where the blending mask is only C^4, 8 Gauss rings in each and the
+tail ring, each ring of 32 angles.  The error estimate is the difference
+from the mesh with every count halved.
 """
 from __future__ import annotations
 
@@ -96,11 +97,19 @@ class QuadratureConfig:
     floor; at a floor the two meshes would be one and the estimate 0.
 
     ``radial`` is about the number of radial nodes across one level on one
-    ray, in Gauss-Legendre panels of 10 nodes.  128 suffices because the
+    ray, in Gauss-Legendre panels of 10 nodes.  64 suffices because the
     rays are cut at every level and gain knot, so each panel sees a smooth
-    integrand; panel counts round up, and a piece in a patch's blending
-    annulus gets at least 2 panels, so the coarse level (64) still resolves
-    the blending mask there.
+    integrand (128 moves G by at most about 2e-11 relative); panel counts
+    round up, and a piece in a patch's blending annulus gets at least 2
+    panels, so the coarse level (40, the floor) still resolves the blending
+    mask there.
+
+    ``patch_radial`` is the number of geometric ring intervals of a patch,
+    which ``_patch_nodes`` splits once more at the half radius, where the
+    blending mask is only C^4: with that edge G converges fast in the
+    count, and 16 intervals give G of 256 to rounding on smooth gains.  32
+    keeps the count above the coarse floor of 16, and a gain knot that
+    cuts the rings still converges only algebraically in it.
 
     32 angles per patch ring suffice: a ring is a periodic trapezoid rule,
     and angular mode k of the integrand on a ring of radius rho decays like
@@ -112,9 +121,9 @@ class QuadratureConfig:
     """
 
     angular: int = 256
-    radial: int = 128
+    radial: int = 64
     patch_angular: int = 32
-    patch_radial: int = 64
+    patch_radial: int = 32
     levels: int = 2
 
     def __post_init__(self) -> None:
@@ -461,9 +470,14 @@ def _patch_nodes(spec, radius, config):
     """Geometric-ring polar nodes around one singular center: (zeta, weight,
     rho), the nodes ring by ring and rho the ring radii.
 
-    The rings stop at an inner edge e, where the radial tail left out is
-    about _TAIL_EPS of the integrand, or at the representability floor.  One
-    more ring at e carries the disc inside it: an integrand ~ r^sigma there,
+    The ``config.patch_radial`` geometric intervals from the radius inward
+    get one more edge at radius / 2, where the blending mask chi is only
+    C^4, so no interval straddles that kink; each interval holds 8 Gauss
+    rings.  The rings stop at an inner edge e, where the radial tail left
+    out is about _TAIL_EPS of the integrand, or at the representability
+    floor; where that edge lies above radius / 2 (sigma + 2 above about
+    43), radius / 2 is the inner edge.  One more ring at e carries the
+    disc inside it: an integrand ~ r^sigma there,
     sigma = ``spec.exponent``, has int_0^e f r dr = f(e) e^2 / (sigma + 2);
     sigma <= -2 is not integrable and raises NonIntegrableWeightError.
     Rings whose blending weight vanishes are left out.
@@ -480,7 +494,8 @@ def _patch_nodes(spec, radius, config):
     rep_floor = _REP_FLOOR * max(1.0, abs(spec.center)) / radius
     frac = max(frac, min(rep_floor, 0.5))
     n_ring = config.patch_radial
-    edges = radius * frac ** (np.arange(n_ring + 1) / n_ring)  # decreasing
+    edges = np.unique(np.r_[radius * frac ** (np.arange(n_ring + 1) / n_ring),
+                            radius / 2])[::-1]
     gx, gw = _GL8
     half = 0.5 * (edges[:-1] - edges[1:])
     mid = 0.5 * (edges[:-1] + edges[1:])

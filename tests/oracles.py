@@ -2,13 +2,13 @@
 
 The oracles avoid the library's own formula paths: harmonic-measure
 integrals and random walks for Green values, plain Monte Carlo for areas,
-sympy differentiation for jet rows, steepest descent for the constrained
-minimum.  Values frozen into tests were produced by these functions (see
-test modules for the frozen constants).  The references are scalar psi/phi
-evaluators, the raw-monomial Gram, which the library itself never needs,
-G(t) from the quadrature Gram where the library would take the closed form,
-a direct B^H W B Gram on built nodes with its own deflation at the
-patch centers, and plain bisection of cut brackets.
+steepest descent for the constrained minimum.  Values frozen into tests were
+produced by these functions (see test modules for the frozen constants).
+The references are scalar psi/phi evaluators, the raw-monomial Gram, which
+the library itself never needs, G(t) from the quadrature Gram where the
+library would take the closed form, a direct B^H W B Gram on built nodes
+with its own deflation at the patch centers, and plain bisection of cut
+brackets.
 """
 from __future__ import annotations
 
@@ -204,22 +204,6 @@ def capacity_limit(z0: complex, green_fn) -> float:
     # differences shrink geometrically; take the last extrapolant
     v1, v2 = vals[-2], vals[-1]
     return math.exp(v2 + (v2 - v1))
-
-
-def sympy_jet_row(z0: complex, nu: int, n_coeffs: int):
-    """Row of the order-nu Taylor functional at z0 in the monomial basis.
-
-    Exact symbolic differentiation of sum a_l z^l; returns complex floats.
-    """
-    import sympy as sp
-
-    z = sp.symbols("z")
-    zz0 = sp.nsimplify(z0.real) + sp.I * sp.nsimplify(z0.imag)
-    row = []
-    for l in range(n_coeffs):
-        expr = sp.diff(z**l, z, nu) / sp.factorial(nu)
-        row.append(complex(expr.subs(z, zz0)))
-    return np.array(row)
 
 
 def mc_disc_integral(

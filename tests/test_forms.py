@@ -1,6 +1,7 @@
 """Gram matrices, jet constraint rows, and weighted norms of truncated forms."""
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,20 @@ def test_analytic_reduction_eligibility():
     # c(s) = e^{s/2}: entry [l][l] is 2 pi int_0^inf e^{-(l + 1/2) s} ds
     diag = analytic_reduction(dom, w, GainFunction.exponential(0.5), 0.0, 6)
     np.testing.assert_allclose(diag, 2 * math.pi / (np.arange(7) + 0.5), rtol=1e-15)
+    # a leading constant and a constant u scale e^{-phi} by |leading|^-2
+    # e^{-2 Re u_0}, and so the diagonal; a scale that overflows or
+    # underflows to 0, or a u that is not constant, is left to quadrature
+    for dom_, w_, t in ((UNIT_DISC, two_point_pair(), 0.0), (dom, w, 1.5)):
+        base = analytic_reduction(dom_, w_, CONST, t, 6)
+        for phi, scale in (({"leading": 2.0}, 0.25), ({"u_coeffs": (0.5 + 3j, 0.0)}, math.exp(-1)),
+                           ({"leading": 1e-300}, None), ({"u_coeffs": (400.0,)}, None),
+                           ({"u_coeffs": (0.0, 0.1)}, None)):
+            scaled = WeightPair(marked=w_.marked, psi=w_.psi, phi=replace(w_.phi, **phi))
+            diag = analytic_reduction(dom_, scaled, CONST, t, 6)
+            if scale is None:
+                assert diag is None
+            else:
+                np.testing.assert_allclose(diag, scale * base, rtol=1e-15)
 
 
 def test_gram_reduced_first_entry_is_particular_norm():

@@ -13,9 +13,11 @@ from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
 from jetmin.problems import random_concavity_problem
 from jetmin.quadrature import (
+    PatchSpec,
     QuadratureConfig,
     _global_panels,
     _panels,
+    _patch_nodes,
     _patch_radii,
     _ray_pieces,
     _taylor_shift,
@@ -475,6 +477,32 @@ def test_patches_are_whole_rings_in_one_band(cuts, halved):
         x = (nodes.zeta[blk.sl] - blk.spec.center).reshape(-1, n_ang)
         assert np.allclose(np.abs(x), blk.rho[:, None], rtol=1e-12)
     assert_matches_direct(kernel, nodes, basis)
+
+
+@pytest.mark.parametrize("margin", [0.2, 1.0, 2.0, 60.0])
+@pytest.mark.parametrize("halved", [False, True], ids=["fine", "coarse"])
+def test_patch_rings_break_at_the_half_radius(margin, halved):
+    # the blending mask is only C^4 at radius / 2, so the ring grid has an
+    # interval edge there and no interval straddles it.  The intervals are
+    # read back from their 8 Gauss rings; the last ring is the tail ring at
+    # the inner edge.  Margin 60 puts the geometric inner edge above R / 2
+    # (frac = 1e-13^(1/60) > 1/2), so R / 2 becomes the inner edge
+    config = QuadratureConfig().halved() if halved else QuadratureConfig()
+    radius = 0.1
+    _zeta, _w, rho = _patch_nodes(PatchSpec(center=0.3, exponent=margin - 2.0), radius, config)
+    gx = np.polynomial.legendre.leggauss(8)[0]
+    rings = rho[:-1].reshape(-1, gx.size)
+    mid = rings.mean(axis=1)
+    half = (rings[:, -1] - rings[:, 0]) / (gx[-1] - gx[0])
+    assert np.allclose(rings, mid[:, None] + half[:, None] * gx[None, :], rtol=1e-12, atol=0)
+    lo, hi = mid - half, mid + half
+    tol = 1e-12 * radius
+    assert np.all(hi[1:] <= lo[:-1] + tol)  # intervals run outward to inward
+    assert hi[0] == pytest.approx(radius, rel=1e-12)
+    assert rho[-1] == pytest.approx(lo[-1], rel=1e-12)
+    assert np.min(np.abs(np.r_[lo, hi] - radius / 2)) <= tol
+    assert not np.any((lo < radius / 2 - tol) & (hi > radius / 2 + tol))
+    assert lo.size == config.patch_radial + 1
 
 
 def test_ray_runs_end_at_band_changes_on_one_ray():

@@ -303,18 +303,18 @@ def test_level_without_nodes_is_refused():
 
 @pytest.mark.parametrize("lam", [2.0, 0.5j])
 def test_divisor_leading_constant_scales_G(lam):
-    # e^{-phi} carries 1/|lam|^2, so G and the bound scale by it; |lam| != 1
-    # has no closed form, so this compares quadrature with the lam = 1 one
+    # e^{-phi} carries 1/|lam|^2, so G and the bound scale by it: the closed
+    # form scales its diagonal, and the quadrature Gram in the point's chart
+    # agrees within its estimate
     marked = (MarkedPoint(0.3, green_weight=1.0, jet_order=0, jet_coeff=1.0),)
     w1 = WeightPair.standard(marked)
     w = WeightPair.standard(marked, leading=lam)
-    ref = minimal_integral(UNIT_DISC, w1, CONST, 0.0, N=12)
     res = minimal_integral(UNIT_DISC, w, CONST, 0.0, N=12)
-    assert ref.diagnostics["gram_path"] == "analytic"
-    assert ref.value == pytest.approx(2 * math.pi * 0.91**2, rel=1e-15)
-    assert res.diagnostics["gram_path"] == "quadrature"
     scale = abs(lam) ** 2
-    assert abs(scale * res.value - ref.value) <= 10 * scale * res.diagnostics["quadrature_error"]
+    assert res.diagnostics["gram_path"] == "analytic"
+    assert res.value == pytest.approx(2 * math.pi * 0.91**2 / scale, rel=1e-15)
+    quad = quadrature_minima(disc_chart(UNIT_DISC, w), w, CONST, [0.0], 12)[0]
+    assert abs(quad.value - res.value) <= 10 * quad.diagnostics["quadrature_error"]
     assert scale * extension_bound(w, CONST, 0.0) == pytest.approx(
         extension_bound(w1, CONST, 0.0), rel=1e-14)
 
@@ -350,13 +350,18 @@ def test_input_validation():
         kkt_minimize(H, C)
 
 
+def six_point_ring():
+    """Six unit-mass points at radius 0.44, order-0 jets with value 1."""
+    return WeightPair.standard(tuple(
+        MarkedPoint(0.44 * complex(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)),
+                    green_weight=1.0, jet_order=0, jet_coeff=1.0) for k in range(6)))
+
+
 def test_default_patch_angles_resolve_a_six_point_ring():
     # six unit-mass points at radius 0.44 under an exponential gain, N = 40:
     # the default 32 angles per patch ring give G of 128 angles to rounding,
     # and the same error estimate as 64 angles
-    pts = tuple(MarkedPoint(0.44 * complex(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)),
-                            green_weight=1.0, jet_order=0, jet_coeff=1.0) for k in range(6))
-    w, g = WeightPair.standard(pts), GainFunction.exponential(0.5)
+    w, g = six_point_ring(), GainFunction.exponential(0.5)
 
     def solve(mesh):
         res = minimal_integral(UNIT_DISC, w, g, 0.0, N=40, mesh=mesh)
@@ -371,19 +376,53 @@ def test_blending_pieces_get_two_radial_panels():
     # six unit-mass points at radius 0.44 under an exponential gain, N = 24:
     # a radial piece in a patch's blending annulus takes at least 2 panels,
     # so the half-resolution mesh resolves the C^4 mask there as well and the
-    # error estimate is that of the finer radial budget 256 (with one panel
-    # on such a piece it reads 1.7e-5, not 3.9e-5); G is that of radial 512
-    pts = tuple(MarkedPoint(0.44 * complex(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)),
-                            green_weight=1.0, jet_order=0, jet_coeff=1.0) for k in range(6))
-    w, g = WeightPair.standard(pts), GainFunction.exponential(0.5)
+    # error estimate at radial 128 is that of radial 256 (1.2935e-5 against
+    # 1.2937e-5; the default radial 64 reads 1.3216e-5, with one panel on
+    # such a piece 1.7e-5); G at the default mesh is that of radial 512
+    w, g = six_point_ring(), GainFunction.exponential(0.5)
 
     def solve(mesh):
         res = minimal_integral(UNIT_DISC, w, g, 0.0, N=24, mesh=mesh)
         return res.value, res.diagnostics["quadrature_error"]
 
-    value, err = solve(QuadratureConfig())
+    value = solve(QuadratureConfig())[0]
     assert value == pytest.approx(solve(QuadratureConfig(radial=512, levels=1))[0], rel=1e-10)
-    assert err == pytest.approx(solve(QuadratureConfig(radial=256))[1], rel=0.01)
+    assert solve(QuadratureConfig(radial=128))[1] == pytest.approx(
+        solve(QuadratureConfig(radial=256))[1], rel=0.01)
+
+
+def test_patch_rings_converge_once_the_half_radius_is_an_edge():
+    # the blending mask is only C^4 at R / 2, so a ring interval across it
+    # converges algebraically (2e-5 apart at 16 and 256 intervals);
+    # with R / 2 an interval edge 16 intervals give G of 256 to rounding
+    w, g = six_point_ring(), GainFunction.exponential(0.5)
+    values = [minimal_integral(UNIT_DISC, w, g, 0.0, N=24,
+                               mesh=QuadratureConfig(patch_radial=n, levels=1)).value
+              for n in (16, 256)]
+    assert values[0] == pytest.approx(values[1], rel=1e-13)
+
+
+KNOT_GAIN = GainFunction.tabulated([0.0, 6.0, 9.0], np.exp([0.0, 4.8, 5.4]))
+
+
+@pytest.mark.parametrize("case", ["pm0.3-rate0.9", "three-points-knots"])
+def test_default_patch_mesh_stays_within_its_estimate(case):
+    # patch rings of the default mesh against 256 intervals: +-0.3 under rate
+    # 0.9 (local exponent -1.8, rings packed at the pole), and masses 0.6,
+    # 1.3, 2.7 under a gain whose knots at 6 and 9 cut the patch rings of
+    # the first two points (kinks in c(-psi) inside ring intervals)
+    spec, g = {
+        "pm0.3-rate0.9": ([(0.3, 1.0), (-0.3, 1.0)], GainFunction.exponential(0.9)),
+        "three-points-knots": ([(0.4, 0.6), (-0.3 + 0.35j, 1.3), (-0.25 - 0.4j, 2.7)],
+                               KNOT_GAIN),
+    }[case]
+    w = WeightPair.standard(tuple(MarkedPoint(z, green_weight=p, jet_order=0, jet_coeff=1.0)
+                                  for z, p in spec))
+    res = minimal_integral(UNIT_DISC, w, g, 0.0, N=24)
+    ref = minimal_integral(UNIT_DISC, w, g, 0.0, N=24,
+                           mesh=QuadratureConfig(patch_radial=256, levels=1))
+    assert res.diagnostics["gram_path"] == "quadrature"
+    assert abs(res.value - ref.value) <= 10 * res.diagnostics["quadrature_error"]
 
 
 @pytest.mark.parametrize("angle", [0.0, 0.3])
@@ -417,6 +456,11 @@ ONE_POINT_CASES = {
     "p1.5-jet0-rate0.9": (-0.5j, 1.5, 0, UNIT_DISC, GainFunction.exponential(0.9)),
     "p2.5-jet2-rate-0.5": (-0.35, 2.5, 2, UNIT_DISC, GainFunction.exponential(-0.5)),
     "p2.5-jet1-tabulated": (0.2 + 0.1j, 2.5, 1, MOEBIUS, TABULATED),
+    # a divisor leading constant and a constant u scale e^{-phi}
+    "leading-2-rate0.5": (0.3, 1.0, 0, UNIT_DISC, GainFunction.exponential(0.5),
+                          {"leading": 2.0}),
+    "constant-u-p2-jet1": (0.3 + 0.2j, 2.0, 1, MOEBIUS, GainFunction.exponential(0.3),
+                           {"u_coeffs": (0.4 - 0.3j, 0.0, 0.0), "leading": 0.5j}),
 }
 
 
@@ -425,26 +469,27 @@ def test_one_point_takes_the_closed_form_under_any_gain(case):
     # in the chart that puts the point at 0 the integrand is radial, so the
     # Gram is diagonal with entries (2 pi / p) int_t^inf c(s) e^{-kappa_l s} ds;
     # the quadrature Gram in that chart is the oracle
-    zeta0, p, k, dom, g = ONE_POINT_CASES[case]
-    w = one_point(zeta0, p, k, dom)
+    zeta0, p, k, dom, g, *phi = ONE_POINT_CASES[case]
+    phi = phi[0] if phi else {}
+    w = one_point(zeta0, p, k, dom, **phi)
     ts = [0.0, 0.7, 2.5]
     results = minimal_integrals(dom, w, g, ts, N=16)
     oracle = quadrature_minima(disc_chart(dom, w), w, g, ts, 16)
+    scale = math.exp(-2 * phi.get("u_coeffs", (0,))[0].real) / abs(phi.get("leading", 1)) ** 2
     for t, res, ref in zip(ts, results, oracle):
         assert res.diagnostics["gram_path"] == "analytic"
         assert res.diagnostics["quadrature_error"] == 0
         assert abs(res.value - ref.value) <= 10 * ref.diagnostics["quadrature_error"], t
         if p == k + 1:  # p = m: the optimal-jets bound, attained
-            exact = 2 * math.pi * (1 - abs(zeta0) ** 2) ** 2 * eval_h(g, t)
+            exact = 2 * math.pi / p * (1 - abs(zeta0) ** 2) ** (2 * p) * eval_h(g, t) * scale
             assert res.value == pytest.approx(exact, rel=1e-13)
 
 
-@pytest.mark.parametrize("case", ["u", "bump", "leading", "kappa0-at-slope", "two-points"])
+@pytest.mark.parametrize("case", ["u", "bump", "kappa0-at-slope", "two-points"])
 def test_one_point_stays_on_quadrature_without_a_radial_integrand(case):
     g = GainFunction.exponential(0.5)
     w = {"u": lambda: one_point(0.3, u_coeffs=(0.0, 0.1)),
          "bump": lambda: one_point(0.3, bump=0.2),
-         "leading": lambda: one_point(0.3, leading=2.0),
          # p = 1 and divisor order 2: kappa_0 = 0 <= rate 0.5, entry [0][0] diverges
          "kappa0-at-slope": lambda: one_point(0.3, k=1),
          "two-points": lambda: WeightPair.standard(
