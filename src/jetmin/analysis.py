@@ -324,7 +324,7 @@ def suita_compare(problem: Problem) -> SuitaReport:
         bound=bound,
         c_omega_f=res.value,
         gap=gap,
-        equality=gap <= eq_tol,
+        equality=abs(gap) <= eq_tol,
         criterion=criterion_check(problem),
         quad_error=qerr,
         equality_tolerance=eq_tol,

@@ -7,7 +7,7 @@ matching numpy.vdot.  Weighted Grams on the raw monomial basis can diverge
 at divisor zeros; the reduced path substitutes the jet-constraint null-space
 parametrization first and integrates only functions with the enforced
 vanishing; a center where that does not suffice is refused only when the
-region reaches it (quadrature._patch_nodes).  A closed-form Gram
+region reaches it (quadrature._panel_nodes).  A closed-form Gram
 (analytic_reduction) serves t = 0 on any Moebius image when the weight's
 point table has 2p = 2m at every point under a constant gain, and every t of
 one point at zeta = 0 under any gain, where the integrand is radial; a
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadInputError, NumericalError
-from .gain import GainFunction, _tail_integral, growth_rate_bound
+from .gain import GainFunction, _tail_integral
 from .geometry import UNIT_DISC, DomainSpec, check_marked_points
 from .quadrature import PatchSpec, QuadratureConfig, assembled_gram
 from .series import moebius_taylor, pderiv, pmul
@@ -174,9 +174,12 @@ def analytic_reduction(
     - one point, at zeta = 0, under any gain and any p, m: the integrand is
       radial, e^{-phi} = |zeta|^{2p - 2m}, and with s = -2p log|zeta| entry
       [l][l] is (2 pi / p) int_t^inf c(s) e^{-kappa_l s} ds, kappa_l =
-      (l + 1 + p - m) / p (gain._tail_integral).
+      (l + 1 + p - m) / p (gain._tail_integral).  In that chart the jet rows
+      are lower triangular, so every admissible form has a_l = 0 for l < nu,
+      the enforced vanishing order (k, or k + 1 for a jet value 0): those
+      entries are never used and are set to 0.
 
-    None where kappa_0 is at most the gain's tail slope (an entry diverges),
+    None where kappa_nu is at most the gain's tail slope (an entry diverges),
     an entry is not finite or the scale underflows to 0: quadrature then
     decides.
     """
@@ -191,11 +194,12 @@ def analytic_reduction(
         return None
     else:
         _loc, p, m = w.points[0]
-        kappa = (l + 1 + p - m) / p
-        if kappa[0] <= g._table.slope:
+        nu = w.marked[0].jet_order + (w.marked[0].jet_coeff == 0)
+        kappa = (l[nu:] + 1 + p - m) / p
+        if np.any(kappa[:1] <= g._table.slope):
             return None
         try:
-            diag = 2 * math.pi / p * _tail_integral(g, kappa, t)
+            diag = np.r_[np.zeros(nu), 2 * math.pi / p * _tail_integral(g, kappa, t)]
         except NumericalError:
             return None
     u0 = phi.u_coeffs[0].real if phi.u_coeffs else 0.0
@@ -210,10 +214,13 @@ def _patch_specs(kernel: WeightKernel, g: GainFunction) -> list[PatchSpec]:
 
     sigma = 2 nu + 2 p (1 - delta) - 2 m at each center, where nu is the
     enforced vanishing order of the constrained family, p the psi mass, m
-    the divisor order, delta the gain growth rate.  A patch the region
-    builds refuses sigma <= -2 (quadrature._patch_nodes).
+    the divisor order and delta the slope of log c beyond the gain's last
+    knot, so that c(-psi) ~ |x|^(-2 p delta) at a pole: the integrand is
+    |x|^sigma times a function smooth in |x|, which the pole panel of the
+    patch fan integrates exactly.  A patch fan whose region reaches its
+    center refuses sigma <= -2 (quadrature._panel_nodes).
     """
-    delta = growth_rate_bound(g)
+    delta = g._table.slope
     return [PatchSpec(center=zeta_c, order=nu, exponent=2 * nu + 2 * p * (1 - delta) - 2 * m)
             for zeta_c, p, m, nu in kernel.singular_centers()]
 

@@ -265,8 +265,3 @@ def ratio_probe(g: GainFunction, a: float, t_grid=None) -> RatioProbeResult:
         t_grid=tuple(float(x) for x in t_grid),
         ratios=tuple(float(x) for x in ratios),
     )
-
-
-def growth_rate_bound(g: GainFunction) -> float:
-    """A delta with c(t) <= C e^{delta t}; used by integrability prechecks."""
-    return max(g._table.slope, 0.0)

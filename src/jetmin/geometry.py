@@ -141,15 +141,19 @@ def check_marked_points(dom: DomainSpec, marked) -> None:
 
 # -- Green functions ---------------------------------------------------------
 
-def green_disc_raw(z, z0):
+def green_disc_raw(z, z0, x=None):
     """Elementwise G(z, z0) on the unit disc, no domain checks.
 
     Returns -inf at z = z0; intended for vectorized interior use where the
-    caller guarantees validity.
+    caller guarantees validity.  Given the offsets x = z - z0 it reads
+    log|x| - log|1 - |z0|^2 - conj(z0) x|, exact however small x is.
     """
     z = np.asarray(z, dtype=complex)
     z0 = complex(z0)
     with np.errstate(divide="ignore"):
+        if x is not None:
+            return np.log(np.abs(x)) - np.log(np.abs((1 - (z0.real**2 + z0.imag**2))
+                                                     - np.conj(z0) * x))
         return np.log(np.abs(z - z0)) - np.log(np.abs(1 - np.conj(z0) * z))
 
 

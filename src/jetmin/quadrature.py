@@ -8,45 +8,49 @@ scan grid are (t_0, ..., t_{K-1}, inf), and the band {-t1 <= psi < -t2} is
 (t2, t1).  The public entry points take ``ts=`` or ``band=`` and convert
 them once, in the two-level driver.
 
-A global polar grid cuts each ray at every threshold in one pass (one
-sorted search of the psi samples, one secant search of all crossings; psi
-< 0, so t <= 0 is never cut and a t = 0 ray is one unsampled piece), tags
-each piece with its band, and integrates with Gauss-Legendre panels split
-at every patch-circle crossing.  A Gram region is also cut at the gain's
-knots, which define bands but no level, so no panel straddles a kink of
-c(-psi).  Every ray starts at zeta = 0.  A one-point problem is solved in
-the chart that puts its point there (weights.disc_chart): its levels are
-discs around 0, so psi rises along every ray and a coarse sample grid
-brackets each crossing.  Values are accumulated per band; level k sums the
-bands j >= k, and a Gram is reduced from weighted monomial moments M,
-P^H M P with P the basis coefficients.  Rays and patch rings have polar
-moments: every region records where each run of nodes on one ray (and in
-one band) starts, and a run on a ray sums 2N + 1 radial moments per node,
-not (N + 1)^2.
+A region is a list of fans of rays.  Fan 0, the global fan, casts rays
+from zeta = 0 to the circle.  Each singular center c adds a patch fan,
+whose rays run from c to its reach R = min(0.1, (1 - |c|)/2, 0.45 times
+the distance to the next center).  A C^4 partition of unity hands the disc
+|zeta - c| < R to the patch fan: its nodes carry the mask chi and the
+global nodes 1 - sum chi.  A patch fan's nodes carry their offset
+x = zeta - c, and psi and the weight read the center's own Green term from
+x (weights.WeightKernel), so a level 1e-80 wide about c is resolved as well
+as one 1e-2 wide.
 
-Neighborhoods of singular centers are handed to local geometric-ring
-patches through a C^4 partition of unity.  Each patch is one whole ring
-grid in one band: its radius is halved until it lies inside the deepest
-level, and it joins the band of its circle maximum.  Every ring node sits
-at one of the patch grid's fixed angles phi_a, so the angular moments of a
-patch are one product of its weights, laid out as a [ring, angle] array,
-with a table of e^{i k phi_a} built once per region; no power is formed
-per ring node.  Patch products are assembled in log space with the
-enforced vanishing order factored out of the basis (the leading local
-coefficients of its Taylor shift to the center), so near-critical
-exponents do not overflow, and a last ring at the inner edge carries the
-radial tail inside it.
+Every fan is built by one path.  Each ray is cut at every threshold in one
+pass (one sorted search of the psi samples, one secant search of all
+crossings; psi < 0, so t <= 0 is never cut and a t = 0 ray is one
+unsampled piece), each piece is tagged with its band and integrated with
+Gauss-Legendre panels split at every patch circle and half-radius circle.
+A Gram region is also cut at the gain's knots, which define bands but no
+level, so no panel straddles a kink of c(-psi).  A global ray is sampled
+densely, clustered about the centers; a patch fan ray, where psi is
+2p log|x| plus a smooth term, on a grid uniform in log |x| down to its
+deepest cut.  On a patch fan a panel that reaches toward the pole is split
+geometrically, so each panel lies at least its own width from it, and the
+panel that touches the pole takes a Gauss-Jacobi rule with the weight
+r^(sigma + 1), sigma the center's local exponent, which integrates r^sigma
+times any polynomial of degree 19 exactly.  A one-point problem is solved
+in the chart that puts its point at 0 (weights.disc_chart).
 
-The default mesh (``QuadratureConfig``) casts 256 rays with about 64 radial
-nodes per level length, in panels of 10 nodes whose count per piece is
-rounded up, and at least 2 panels on a piece in a blending annulus; it
-gives each patch 32 geometric radial intervals, one more split at the half
-radius where the blending mask is only C^4, 8 Gauss rings in each and the
-tail ring, each ring of 32 angles.  The error estimate is the difference
-from the mesh with every count halved.
+Values are accumulated per band; level k sums the bands j >= k, and a Gram
+is reduced from weighted monomial moments M, P^H M P with P the basis
+coefficients.  Every region records where each run of nodes on one ray
+(and in one band) starts, and a run sums 2N + 1 radial moments per node,
+not (N + 1)^2.  A patch fan's moments are taken in x, with the basis
+coefficients Taylor-shifted to its center and the enforced vanishing
+order factored out of them into the weight.
+
+The default mesh (``QuadratureConfig``) casts 256 global rays with about
+64 radial nodes per level length, and 32 rays per patch fan with 4 panels
+per level length, all in panels of 10 nodes whose count per piece is
+rounded up, and at least 2 panels on a piece in a blending annulus.  The
+error estimate is the difference from the mesh with every count halved.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -57,20 +61,20 @@ from .gain import eval_log_c
 
 _LOG2 = math.log(2.0)
 _GL10 = np.polynomial.legendre.leggauss(10)
-_GL8 = np.polynomial.legendre.leggauss(8)
 _BISECT_ITERS = 60
 _CUT_ULPS = 4  # a cut bracket this many ulps wide has converged
-_BOUNDARY_SAMPLES = 512
 _RAY_SAMPLES = 1024
 _ONE_CENTER_SAMPLES = 64  # psi is monotone on rays from the only center
+_FAN_DEPTH = 1e-8  # the first log-r grid of a patch fan ray reaches this fraction of its reach
+_FAN_UNIFORM = 16  # samples uniform in r on a patch fan ray
+_FAN_LOG_STEP = math.log(4.0)  # log-r spacing of a patch fan ray's samples
+_TINY = np.finfo(float).tiny  # an area weight below the smallest normal float is dropped
 _TANGENT_SPLIT = 16
 _MASK_FLOOR = 1e-14
 _CHUNK = 8192
 _GRAM_CHUNK = 2048  # nodes per moment pass, which holds a [2N + 1, chunk] real array
 _RAY_BLOCK = 32  # rays sampled and cut together
-_TAIL_EPS = 1e-13  # relative radial tail of a patch integrand left to the tail ring
 _SIGMA_TOL = 1e-12  # a local exponent within this of -2 is not integrable
-_REP_FLOOR = 1e-12  # patch radii and rings stay above this times max(1, |center|)
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,8 @@ class PatchSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Mesh sizes: global angular/radial counts, per-patch counts, levels.
+    """Mesh sizes: global rays and radial budget, patch fan rays and radial
+    budget, levels.
 
     ``levels`` is 1 (fine mesh only) or 2 (plus the half-resolution mesh that
     gives the error estimate).  ``halved`` halves every count down to the
@@ -97,27 +102,22 @@ class QuadratureConfig:
     floor; at a floor the two meshes would be one and the estimate 0.
 
     ``radial`` is about the number of radial nodes across one level on one
-    ray, in Gauss-Legendre panels of 10 nodes.  64 suffices because the
-    rays are cut at every level and gain knot, so each panel sees a smooth
-    integrand (128 moves G by at most about 2e-11 relative); panel counts
-    round up, and a piece in a patch's blending annulus gets at least 2
-    panels, so the coarse level (40, the floor) still resolves the blending
-    mask there.
+    global ray, in Gauss-Legendre panels of 10 nodes.  64 suffices because
+    the rays are cut at every level and gain knot, so each panel sees a
+    smooth integrand (128 moves G by at most about 2e-11 relative); panel
+    counts round up, and a piece in a patch's blending annulus gets at
+    least 2 panels, so the coarse level (40, the floor) still resolves the
+    blending mask there.
 
-    ``patch_radial`` is the number of geometric ring intervals of a patch,
-    which ``_patch_nodes`` splits once more at the half radius, where the
-    blending mask is only C^4: with that edge G converges fast in the
-    count, and 16 intervals give G of 256 to rounding on smooth gains.  32
-    keeps the count above the coarse floor of 16, and a gain knot that
-    cuts the rings still converges only algebraically in it.
-
-    32 angles per patch ring suffice: a ring is a periodic trapezoid rule,
-    and angular mode k of the integrand on a ring of radius rho decays like
-    (rho / R)^k, R the distance to the unit circle or to the next center.
-    Patch radii keep rho <= R / 2, so 32 angles alias at most about 0.5^32
-    (2e-10).  A gain knot that cuts a ring leaves a kink, whose modes decay
-    only algebraically; the coarse level's 16 angles carry that into the
-    estimate.
+    ``patch_angular`` is the number of rays of a patch fan.  Along each
+    circle about its center the fan is a periodic trapezoid rule, whose
+    error falls geometrically with the count (Trefethen & Weideman, SIAM
+    Review 2014): 32 rays give G of 128 to rounding.  ``patch_radial`` / 8,
+    rounded up, is the number of panels across one level on a fan ray, so
+    the default 32 gives 4 and the coarse floor 16 gives 2.  Fan rays are
+    cut at every level, gain knot and half reach, and the panel at the pole
+    integrates its power exactly, so 16 gives G of 256 to rounding on a
+    smooth gain.
     """
 
     angular: int = 256
@@ -144,35 +144,35 @@ class QuadratureConfig:
 
 
 @dataclass
-class PatchBlock:
-    """The nodes ``sl`` of one patch, all in band ``band``: whole rings of
-    ``RegionNodes.patch_angular`` nodes each, ring k of radius rho[k]
-    starting at sl.start + k * patch_angular, in angle order."""
+class Fan:
+    """The nodes ``sl`` of the rays cast from one origin: 0 for the global
+    fan (``spec`` None), the center ``spec.center`` of a patch fan.  A run
+    of consecutive nodes on one ray and in one band starts at each index of
+    ``starts``, on the ray in direction ``e``."""
 
-    spec: PatchSpec
+    spec: PatchSpec | None
     sl: slice
-    rho: np.ndarray
-    band: int
+    starts: np.ndarray
+    e: np.ndarray
 
 
 @dataclass
 class RegionNodes:
-    """Nodes, area weights and band indices; the global part is sorted by
-    band, and each patch block lies in one band.
+    """Nodes, their offsets from the origin of their fan, area weights and
+    band indices; the global fan comes first and is sorted by band.
 
-    The global rays start at 0.  ``ray_runs`` is (start, direction) for
-    each run of consecutive global nodes on one ray and in one band.
-    ``patch_angular`` is the number of angles on every patch ring.
+    ``x`` is ``zeta`` on the global fan and zeta - c on the patch fan of a
+    center c, where it is the more accurate of the two.  ``underflow``
+    marks the bands that lost a node whose area weight underflowed.
     """
 
     zeta: np.ndarray
+    x: np.ndarray
     area_w: np.ndarray
     band: np.ndarray
     n_bands: int
-    blocks: list
-    n_global: int
-    ray_runs: tuple
-    patch_angular: int
+    fans: list
+    underflow: np.ndarray
 
 
 def _smooth_step(x):
@@ -195,43 +195,42 @@ def _band_of(cuts, vals):
     return np.searchsorted(cuts, -vals, side="left") - 1
 
 
-def _patch_radii(psi_fn, patches, threshold):
-    """(radius, top) per patch: the blending radius and the largest psi on
-    the patch circle.
+def _fan_reaches(patches):
+    """The reach of each patch fan: min(0.1, (1 - |c|)/2, 0.45 times the
+    distance to the nearest other center)."""
+    reaches = [min([0.1, (1.0 - abs(p.center)) / 2.0]
+                   + [0.45 * abs(p.center - q.center) for q in patches if q is not p])
+               for p in patches]
+    if min(reaches, default=1.0) <= 0:
+        worst = patches[reaches.index(min(reaches))].center
+        raise BadInputError(f"patch center {worst} too close to the boundary")
+    return reaches
 
-    The radius is halved until the closed disc lies inside {psi < -threshold},
-    the deepest level asked for (t1 of a band, the largest t of a list of
-    sublevel sets); psi is subharmonic off its poles, so a circle maximum
-    below the threshold certifies the whole disc.  Halving stops at the
-    representability floor of ``_patch_nodes``, 1e-12 max(1, |c|), where the
-    disc need not fit (a level deeper than about 55 p at a psi pole of mass
-    p, or a divisor zero without psi mass).
+
+@functools.lru_cache(maxsize=64)
+def _pole_rule(sigma):
+    """Gauss-Jacobi rule (u, w) on (0, 2) for int_0^2 u^(sigma + 1) g(u) du,
+    exact for g a polynomial of degree 19, with the weight taken as
+    w u^(-sigma) times the Gauss-Legendre weight's u: a panel [0, 2h] of a
+    ray then has nodes r = h u and area weights h^2 w, as ``_panel_nodes``
+    forms them.  The nodes come from the eigenvalues of the Jacobi matrix
+    of P^(0, sigma + 1) (Golub & Welsch, Math. Comp. 23, 1969).
     """
-    locs = [p.center for p in patches]
-    out = []
-    ang = np.exp(1j * (np.arange(_BOUNDARY_SAMPLES) + 0.5)
-                 * (2 * math.pi / _BOUNDARY_SAMPLES))
-    for i, p in enumerate(patches):
-        r = min(0.1, (1.0 - abs(p.center)) / 2.0)
-        for j, q in enumerate(locs):
-            if j != i:
-                r = min(r, 0.45 * abs(p.center - q))
-        if r <= 0:
-            raise BadInputError(f"patch center {p.center} too close to the boundary")
-        floor = _REP_FLOOR * max(1.0, abs(p.center))
-        top = float(np.max(psi_fn(p.center + r * ang)))
-        while top >= -threshold and r >= floor:
-            r *= 0.5
-            top = float(np.max(psi_fn(p.center + r * ang)))
-        out.append((r, top))
-    return out
+    b = sigma + 1.0
+    k = np.arange(1, _GL10[0].size, dtype=float)
+    s = 2.0 * k + b
+    diag = np.r_[b / (b + 2.0), b * b / (s * (s + 2.0))]
+    off = 2.0 * k * (k + b) / s / np.sqrt((s + 1.0) * (s - 1.0))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 1.0 + x, 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2 * (1.0 + x) ** (-sigma)
 
 
-# -- global polar part -------------------------------------------------------
+# -- fans of rays ------------------------------------------------------------
 
 def _sample_rays(psi_fn, thetas, centers, n_samples):
-    """Radial psi samples along each ray, clustered near center approaches,
-    ending on the circle (psi = 0), so no level t > 0 crosses unbracketed."""
+    """Radial psi samples along each global ray, clustered near center
+    approaches, ending on the circle (psi = 0), so no level t > 0 crosses
+    unbracketed."""
     base = np.arange(1, n_samples + 2) / (n_samples + 1.0)
     cols = [np.broadcast_to(base, (thetas.size, base.size))]
     conj_e = np.exp(-1j * thetas)[:, None]
@@ -245,6 +244,31 @@ def _sample_rays(psi_fn, thetas, centers, n_samples):
     rs = np.sort(np.concatenate(cols, axis=1), axis=1)
     vals = psi_fn(rs * np.exp(1j * thetas)[:, None])
     return rs, vals
+
+
+def _sample_fan(psi_fn, thetas, finite, reach):
+    """Radial psi samples along patch fan rays, for the thresholds ``finite``:
+    r = 0, a grid uniform in log r from _FAN_DEPTH of the reach up to it,
+    and _FAN_UNIFORM samples uniform in r.
+
+    psi = 2p log r + O(1) near the center, so a threshold that crosses
+    between 0 and the first positive sample crosses deeper: the grid is
+    deepened (its depth in log r doubled) until no ray has such a crossing,
+    or until its first sample is the smallest normal float, below which a
+    crossing is not resolved.
+    """
+    log_top = math.log(reach)
+    log_lo = log_top + math.log(_FAN_DEPTH)
+    while True:
+        log_lo = max(log_lo, math.log(_TINY))
+        n_log = math.ceil((log_top - log_lo) / _FAN_LOG_STEP)
+        rs = np.sort(np.r_[0.0, np.exp(np.linspace(log_lo, log_top, n_log + 1)[:-1]),
+                           reach * np.arange(1, _FAN_UNIFORM + 1) / _FAN_UNIFORM])
+        vals = psi_fn(rs * np.exp(1j * thetas)[:, None])
+        below = np.searchsorted(finite, -vals[:, :2])
+        if log_lo <= math.log(_TINY) or np.array_equal(below[:, 0], below[:, 1]):
+            return np.broadcast_to(rs, vals.shape), vals
+        log_lo = 2.0 * log_lo - log_top
 
 
 def _bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, f_hi, thresh):
@@ -290,21 +314,24 @@ def _bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, f_hi, thresh):
     return 0.5 * (lo + hi)
 
 
-def _ray_pieces(psi_fn, thetas, cuts, centers, bands=None):
+def _ray_pieces(psi_fn, thetas, cuts, centers, bands=None, reach=1.0):
     """Band pieces of the rays: arrays (ray, r_lo, r_hi, band, level_len).
 
-    The ray at angle thetas[i] runs from 0 to the circle.  Rays are sampled
-    in blocks of _RAY_BLOCK to bound memory, and the brackets of all blocks
-    are bisected together.  Each piece between consecutive breakpoints is
-    tagged with its band by psi at its midpoint; pieces outside every band
-    are dropped.  ``level_len`` is the length, on the piece's ray, of the
-    level of its band (that band and the bands inside it).  psi < 0 on the
-    open disc, so thresholds t <= 0 are never cut: without a positive one,
-    each ray is one piece and is not sampled.  Rays from the only center
-    (``centers`` is [0]) cross each level once, since psi = 2p G(., c) rises
-    along them, so any sample grid brackets every crossing and
-    _ONE_CENTER_SAMPLES samples suffice; other rays, a lone center off 0
-    among them, take _RAY_SAMPLES.
+    The ray at angle thetas[i] runs from 0 to ``reach``; psi_fn takes
+    points in the fan's own coordinate.  ``centers`` lists the singular
+    centers a global ray (reach 1, ending on the circle) is sampled about;
+    None marks a patch fan, whose rays start at its center and are sampled
+    by _sample_fan.  Rays are sampled in blocks of _RAY_BLOCK to bound
+    memory, and the brackets of all blocks are bisected together.  Each
+    piece between consecutive breakpoints is tagged with its band by psi at
+    its midpoint; pieces outside every band are dropped.  ``level_len`` is
+    the length, on the piece's ray, of the level of its band (that band and
+    the bands inside it).  psi < 0 on the open disc, so thresholds t <= 0
+    are never cut: without a positive one, each ray is one piece and is not
+    sampled.  Global rays from the only center (``centers`` is [0]) cross
+    each level once, since psi = 2p G(., c) rises along them, so any sample
+    grid brackets every crossing and _ONE_CENTER_SAMPLES samples suffice;
+    other global rays, a lone center off 0 among them, take _RAY_SAMPLES.
 
     With ``bands`` (a boolean mask over the bands) only the two thresholds
     of each marked band are cut: the pieces and level lengths of the marked
@@ -317,11 +344,13 @@ def _ray_pieces(psi_fn, thetas, cuts, centers, bands=None):
         cut_at = np.r_[bands, False] | np.r_[False, bands]
     finite = cuts[cut_at & np.isfinite(cuts) & (cuts > 0)]
     e = np.exp(1j * thetas)
-    n_samples = _ONE_CENTER_SAMPLES if list(centers) == [0] else _RAY_SAMPLES
-    rays, breaks = [np.arange(n), np.arange(n)], [np.zeros(n), np.ones(n)]
+    n_samples = _ONE_CENTER_SAMPLES if list(centers or ()) == [0] else _RAY_SAMPLES
+    rays, breaks = [np.arange(n), np.arange(n)], [np.zeros(n), np.full(n, reach)]
     found = []  # (ray, r_lo, r_hi, psi + t at r_lo and r_hi, t) per threshold t a pair brackets
     for i0 in range(0, n if finite.size else 0, _RAY_BLOCK):
-        rs, vals = _sample_rays(psi_fn, thetas[i0:i0 + _RAY_BLOCK], centers, n_samples)
+        block = thetas[i0:i0 + _RAY_BLOCK]
+        rs, vals = (_sample_rays(psi_fn, block, centers, n_samples) if centers is not None
+                    else _sample_fan(psi_fn, block, finite, reach))
         # psi + t < 0 exactly when -psi > t, so a sample pair brackets the
         # thresholds between the counts of thresholds below -psi at its ends
         below = np.searchsorted(finite, -vals)
@@ -341,7 +370,7 @@ def _ray_pieces(psi_fn, thetas, cuts, centers, bands=None):
     order = np.lexsort((brk, ray))
     ray, brk = ray[order], brk[order]
     lo, hi = brk[:-1], brk[1:]
-    ok = (ray[:-1] == ray[1:]) & (hi - lo > 1e-14)
+    ok = (ray[:-1] == ray[1:]) & (hi - lo > _CUT_ULPS * np.spacing(hi))
     ray, lo, hi = ray[:-1][ok], lo[ok], hi[ok]
     band = _band_of(cuts, psi_fn(0.5 * (lo + hi) * e[ray]))
     keep = (band >= 0) & (band < n_bands)
@@ -352,16 +381,21 @@ def _ray_pieces(psi_fn, thetas, cuts, centers, bands=None):
     return ray, lo, hi, band, level_len[ray, band]
 
 
-def _panels(theta, w_theta, lo, hi, level_len, mask_patches, budget):
+def _panels(theta, w_theta, lo, hi, level_len, mask_patches, budget, patch_fan=False):
     """Gauss-Legendre panels on radial pieces: arrays (mid, half, e, w_half, piece).
 
     Each piece [lo, hi] of the ray at angle theta is split where the ray
     crosses a patch circle (radius and half radius), and each sub-piece gets
     ceil(budget * length / level_len) equal panels, and at least 2 where it
     lies in a blending annulus (half radius to radius), whose C^4 mask one
-    panel of the coarse budget does not resolve.  A panel is its midpoint
-    and half width, the ray direction e = exp(i theta), the angular weight
-    times the half width, and the index of its piece.
+    panel of the coarse budget does not resolve.  On the global fan a
+    sub-piece inside a half-radius disc, where its mask 1 - sum chi is 0,
+    gets no panel.  On a patch fan (``patch_fan``) a panel [a, b] with
+    0 < a < b / 2, which reaches toward the pole at 0, is split at b / 2,
+    b / 4, ... down to a, so that no panel lies closer to the pole than its
+    own width.  A panel is its
+    midpoint and half width, the ray direction e = exp(i theta), the
+    angular weight times the half width, and the index of its piece.
     """
     conj_e = np.exp(-1j * theta)
     edges = [lo, hi]
@@ -379,9 +413,13 @@ def _panels(theta, w_theta, lo, hi, level_len, mask_patches, budget):
     # a sub-piece lies wholly inside or outside each annulus: test its midpoint
     s_mid = 0.5 * (s_lo + s_hi) * np.exp(1j * theta[piece])
     blend = np.zeros(piece.size, dtype=bool)
+    inside = np.zeros(piece.size, dtype=bool)
     for c, radius in mask_patches:
         dist = np.abs(s_mid - c)
         blend |= (dist > radius / 2) & (dist < radius)
+        inside |= dist <= radius / 2
+    if not patch_fan:
+        piece, s_lo, s_hi, blend = piece[~inside], s_lo[~inside], s_hi[~inside], blend[~inside]
     n_pan = np.maximum(np.where(blend, 2, 1),
                        np.ceil(budget * ((s_hi - s_lo) / level_len[piece]))).astype(int)
     sub = np.repeat(np.arange(n_pan.size), n_pan)
@@ -389,40 +427,68 @@ def _panels(theta, w_theta, lo, hi, level_len, mask_patches, budget):
     step = ((s_hi - s_lo) / n_pan)[sub]
     p_lo = j * step + s_lo[sub]
     p_hi = np.where(j + 1 == n_pan[sub], s_hi[sub], (j + 1) * step + s_lo[sub])
-    half = 0.5 * (p_hi - p_lo)
     owner = piece[sub]
+    if patch_fan:
+        ratio = p_hi / np.where(p_lo > 0, p_lo, p_hi)
+        n_geo = np.maximum(1, np.ceil(np.log2(ratio))).astype(int)
+        sub = np.repeat(np.arange(n_geo.size), n_geo)
+        k = np.arange(sub.size) - (np.cumsum(n_geo) - n_geo)[sub]
+        top = p_hi[sub]
+        p_hi = np.ldexp(top, -k)
+        p_lo = np.where(k + 1 == n_geo[sub], p_lo[sub], np.ldexp(top, -k - 1))
+        owner = owner[sub]
+    half = 0.5 * (p_hi - p_lo)
     return 0.5 * (p_hi + p_lo), half, np.exp(1j * theta[owner]), w_theta[owner] * half, owner
 
 
-def _panel_nodes(mid, half, e, w_half, band, mask_patches):
-    """Nodes, polar area weights and bands of panels, and the number of
-    nodes each panel keeps: (zeta, weight, band, kept).
+def _panel_nodes(mid, half, e, w_half, band, mask_patches, pole=None):
+    """Nodes in the fan's coordinate, polar area weights and bands of
+    panels, the number of nodes each panel keeps, and whether it lost one
+    to underflow: (x, weight, band, kept, lost).
 
-    Patch neighborhoods go to the local grids via the C^4 partition, so the
-    global weights carry the complementary mask 1 - chi.  ``_panels`` splits
-    every ray at each patch circle and half-radius circle, so a panel lies
-    wholly outside a circle (mask 1), inside its half-radius disc (mask 0)
-    or in its blending annulus: its midpoint tells which, and chi is
-    evaluated on annulus panels only.
+    On the global fan (``pole`` None) patch neighborhoods go to the patch
+    fans via the C^4 partition, so the weights carry the complementary mask
+    1 - chi.  ``_panels`` splits every ray at each patch circle and
+    half-radius circle and leaves out the half-radius discs, so a panel lies
+    wholly outside a circle (mask 1) or in its blending annulus: its
+    midpoint tells which, and chi is evaluated on annulus panels only.  On
+    a patch fan, ``pole`` is (reach, local exponent sigma): the weights
+    carry chi itself, and a panel that starts at the pole takes the rule of
+    ``_pole_rule``, or raises NonIntegrableWeightError where sigma <= -2.
+    Nodes whose weight is below the smallest normal float (a level about
+    1e-154 wide about a center) are dropped, and their panels marked lost.
     """
     gx, gw = _GL10
     r = mid[:, None] + half[:, None] * gx[None, :]
-    wgt = (w_half[:, None] * gw[None, :] * r).ravel()  # polar Jacobian r
-    zeta = r * e[:, None]
-    mask = np.ones(zeta.shape)
+    wgt = w_half[:, None] * gw[None, :] * r  # polar Jacobian r
+    at_pole = np.flatnonzero(mid == half) if pole else []  # a patch fan's panels [0, 2 half]
+    if len(at_pole):
+        if pole[1] + 2.0 <= _SIGMA_TOL:
+            raise NonIntegrableWeightError(
+                f"weighted integrand exponent {pole[1]:g} diverges at a center inside the "
+                "region; the weight is integrable only against forms with enforced vanishing")
+        u, w = _pole_rule(pole[1])
+        r[at_pole] = half[at_pole, None] * u[None, :]
+        wgt[at_pole] = (w_half * half)[at_pole, None] * w[None, :]
+    x = r * e[:, None]
+    mask = np.ones(r.shape)
     for c, radius in mask_patches:
         dist = np.abs(mid * e - c)
-        mask[dist <= radius / 2] = 0.0
         blend = np.flatnonzero((dist > radius / 2) & (dist < radius))
-        mask[blend] *= 1.0 - _chi(np.abs(zeta[blend] - c), radius)
-    zeta, mask = zeta.ravel(), mask.ravel()
-    keep = mask > _MASK_FLOOR
-    return (zeta[keep], wgt[keep] * mask[keep], np.repeat(band, gx.size)[keep],
-            keep.reshape(-1, gx.size).sum(axis=1))
+        mask[blend] *= 1.0 - _chi(np.abs(x[blend] - c), radius)
+    if pole:
+        blend = np.flatnonzero(mid > pole[0] / 2)
+        mask[blend] = _chi(r[blend], pole[0])
+    wgt *= mask
+    keep = (mask > _MASK_FLOOR) & (wgt >= _TINY)
+    return (x[keep], wgt[keep], np.repeat(band, gx.size)[keep.ravel()], keep.sum(axis=1),
+            np.any((mask > _MASK_FLOOR) & ~keep, axis=1))
 
 
-def _global_panels(psi_fn, cuts, config, mask_patches, all_centers):
-    """Band-sorted global panels with per-band tangency refinement.
+def _fan_panels(psi_fn, cuts, n_ang, budget, mask_patches, centers, reach=1.0):
+    """Band-sorted panels of one fan of ``n_ang`` rays, with per-band
+    tangency refinement; the arguments after ``budget`` are those of
+    ``_panels`` and ``_ray_pieces``.
 
     A ray whose piece count in some band differs from a neighbor's is cut
     again on _TANGENT_SPLIT sub-rays, at the thresholds of the bands that
@@ -432,10 +498,9 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers):
     ray of their band instead of the full budget per chord.  Returns
     (mid, half, e, w_half, band) per panel.
     """
-    n_ang = config.angular
     d_theta = 2 * math.pi / n_ang
     thetas = (np.arange(n_ang) + 0.5) * d_theta
-    ray, lo, hi, band, level_len = _ray_pieces(psi_fn, thetas, cuts, all_centers)
+    ray, lo, hi, band, level_len = _ray_pieces(psi_fn, thetas, cuts, centers, reach=reach)
     counts = np.zeros((cuts.size - 1, n_ang), dtype=int)
     np.add.at(counts, (band, ray), 1)
     refine = np.zeros(counts.shape, dtype=bool)
@@ -451,8 +516,8 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers):
         np.maximum.at(widest, band, level_len)
         offsets = ((np.arange(_TANGENT_SPLIT) + 0.5) / _TANGENT_SPLIT - 0.5) * d_theta
         sub_thetas = (thetas[parents][:, None] + offsets[None, :]).ravel()
-        ray, lo, hi, band, level_len = _ray_pieces(psi_fn, sub_thetas, cuts, all_centers,
-                                                   bands=refine.any(axis=1))
+        ray, lo, hi, band, level_len = _ray_pieces(psi_fn, sub_thetas, cuts, centers,
+                                                   bands=refine.any(axis=1), reach=reach)
         keep = refine[band, parents[ray // _TANGENT_SPLIT]]
         pieces.append((sub_thetas[ray[keep]],
                        np.full(int(keep.sum()), d_theta / _TANGENT_SPLIT),
@@ -460,55 +525,9 @@ def _global_panels(psi_fn, cuts, config, mask_patches, all_centers):
                        np.maximum(level_len[keep], widest[band[keep]])))
     theta, w_theta, lo, hi, band, level_len = (np.concatenate(x) for x in zip(*pieces))
     order = np.argsort(band, kind="stable")
-    budget = max(4, config.radial // 10)
     *panels, piece = _panels(theta[order], w_theta[order], lo[order], hi[order],
-                             level_len[order], mask_patches, budget)
+                             level_len[order], mask_patches, budget, patch_fan=centers is None)
     return (*panels, band[order][piece])
-
-
-def _patch_nodes(spec, radius, config):
-    """Geometric-ring polar nodes around one singular center: (zeta, weight,
-    rho), the nodes ring by ring and rho the ring radii.
-
-    The ``config.patch_radial`` geometric intervals from the radius inward
-    get one more edge at radius / 2, where the blending mask chi is only
-    C^4, so no interval straddles that kink; each interval holds 8 Gauss
-    rings.  The rings stop at an inner edge e, where the radial tail left
-    out is about _TAIL_EPS of the integrand, or at the representability
-    floor; where that edge lies above radius / 2 (sigma + 2 above about
-    43), radius / 2 is the inner edge.  One more ring at e carries the
-    disc inside it: an integrand ~ r^sigma there,
-    sigma = ``spec.exponent``, has int_0^e f r dr = f(e) e^2 / (sigma + 2);
-    sigma <= -2 is not integrable and raises NonIntegrableWeightError.
-    Rings whose blending weight vanishes are left out.
-    """
-    margin = spec.exponent + 2.0
-    if margin <= _SIGMA_TOL:
-        raise NonIntegrableWeightError(
-            f"weighted integrand exponent {spec.exponent:g} at center {spec.center} "
-            "diverges; the weight is integrable only against forms with enforced vanishing"
-        )
-    frac = _TAIL_EPS ** (1.0 / margin)
-    # rings below roundoff of an off-origin center collapse onto it exactly;
-    # clamp so every node stays representable away from the singular point
-    rep_floor = _REP_FLOOR * max(1.0, abs(spec.center)) / radius
-    frac = max(frac, min(rep_floor, 0.5))
-    n_ring = config.patch_radial
-    edges = np.unique(np.r_[radius * frac ** (np.arange(n_ring + 1) / n_ring),
-                            radius / 2])[::-1]
-    gx, gw = _GL8
-    half = 0.5 * (edges[:-1] - edges[1:])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    rho = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w_rho = (half[:, None] * gw[None, :]).ravel() * rho
-    rho = np.r_[rho, edges[-1]]
-    w_rho = np.r_[w_rho, edges[-1] ** 2 / margin]
-    n_ang = config.patch_angular
-    w_ring = w_rho * (2 * math.pi / n_ang) * _chi(rho, radius)
-    rho, w_ring = rho[w_ring != 0], w_ring[w_ring != 0]
-    phi = (np.arange(n_ang) + 0.5) * (2 * math.pi / n_ang)
-    zeta = (spec.center + rho[:, None] * np.exp(1j * phi)[None, :]).ravel()
-    return zeta, np.repeat(w_ring, n_ang), rho
 
 
 def _run_starts(*keys):
@@ -520,59 +539,60 @@ def _run_starts(*keys):
     return np.flatnonzero(change)
 
 
-def build_region(psi_fn, patches, config, cuts, radii):
+def build_region(psi_fn, patches, config, cuts):
     """Band-tagged nodes and area weights for the bands of the cut list.
 
     ``cuts`` is the sorted array t_0 < ... < t_K; ``patches`` lists the
-    singular centers (PatchSpec), and ``radii`` carries their (radius, top)
-    pairs (``_patch_radii``), so two refinement levels share the same
-    geometry.  A patch lies in the band of its circle maximum ``top``, the
-    deepest level that holds all of it; a patch below every band (a psi pole
-    of a band list) or above every level is left out, and its disc is not
-    masked from the rays.  The region records where each run of global
-    nodes on one ray, in one band, starts.
+    singular centers (PatchSpec).  psi_fn(zeta) gives psi, and
+    psi_fn(x, c) gives psi at c + x for a center c, reading c's own Green
+    term from x (weights.WeightKernel.psi).  The region is the global fan,
+    ``config.angular`` rays with the radial budget ``config.radial`` / 10,
+    and one patch fan per center, ``config.patch_angular`` rays with
+    ``config.patch_radial`` / 8 panels per level length, out to the
+    center's reach; a fan piece outside every band is dropped, as a ray
+    piece is.  Each fan records where each run of its nodes on one ray, in
+    one band, starts.
     """
-    n_bands = cuts.size - 1
-    active = []
-    for p, (r, top) in zip(patches, radii):
-        k = int(_band_of(cuts, top))
-        if 0 <= k < n_bands:
-            active.append((p, r, k))
-    mask_patches = [(p.center, r) for p, r, _ in active]
-    panels = _global_panels(psi_fn, cuts, config, mask_patches, [p.center for p in patches])
-    patch_parts = [(p, k, *_patch_nodes(p, r, config)) for p, r, k in active]
+    reaches = _fan_reaches(patches)
+    mask_patches = [(p.center, r) for p, r in zip(patches, reaches)]
+    parts = [(None, mask_patches, None,
+              _fan_panels(psi_fn, cuts, config.angular, max(4, config.radial // 10),
+                          mask_patches, [p.center for p in patches]))]
+    for p, r in zip(patches, reaches):
+        parts.append((p, (), (r, p.exponent),
+                       _fan_panels(lambda x, c=p.center: psi_fn(x, c), cuts, config.patch_angular,
+                                   -(-config.patch_radial // 8), [(0j, r)], None, r)))
     # nodes are written chunk by chunk into arrays sized for every panel node,
     # so no full-size temporary is held beside them
     n_gl = _GL10[0].size
-    size = panels[0].size * n_gl + sum(part[2].size for part in patch_parts)
+    size = sum(panels[0].size for *_, panels in parts) * n_gl
     zeta = np.empty(size, dtype=complex)
+    x = np.empty(size, dtype=complex)
     wgt = np.empty(size)
     band = np.empty(size, dtype=np.int32)
-    kept = np.empty(panels[0].size, dtype=np.int64)
-    pos = 0
+    underflow = np.zeros(cuts.size - 1, dtype=bool)
     step = max(1, _CHUNK // n_gl)
-    for i0 in range(0, panels[0].size, step):
-        *nodes, kept[i0:i0 + step] = _panel_nodes(*(x[i0:i0 + step] for x in panels),
-                                                  mask_patches)
-        end = pos + nodes[0].size
-        zeta[pos:end], wgt[pos:end], band[pos:end] = nodes
-        pos = end
-    n_global = pos
-    e = panels[2]
-    first = _run_starts(e, panels[4])
-    start = (np.cumsum(kept) - kept)[first]
-    # a run whose panels keep no node shares its start with the next run
-    nonempty = start < np.r_[start[1:], n_global]
-    ray_runs = (start[nonempty], e[first][nonempty])
-    blocks = []
-    for p, k, z_p, w_p, rho in patch_parts:
-        end = pos + z_p.size
-        zeta[pos:end], wgt[pos:end], band[pos:end] = z_p, w_p, k
-        blocks.append(PatchBlock(spec=p, sl=slice(pos, end), rho=rho, band=k))
-        pos = end
-    return RegionNodes(zeta=zeta[:pos], area_w=wgt[:pos], band=band[:pos], n_bands=n_bands,
-                       blocks=blocks, n_global=n_global, ray_runs=ray_runs,
-                       patch_angular=config.patch_angular)
+    pos, fans = 0, []
+    for spec, masks, pole, panels in parts:
+        first_node = pos
+        kept = np.empty(panels[0].size, dtype=np.int64)
+        for i0 in range(0, panels[0].size, step):
+            x_c, w_c, b_c, kept[i0:i0 + step], lost = _panel_nodes(
+                *(a[i0:i0 + step] for a in panels), masks, pole)
+            underflow[panels[4][i0:i0 + step][lost]] = True
+            end = pos + x_c.size
+            x[pos:end], wgt[pos:end], band[pos:end] = x_c, w_c, b_c
+            zeta[pos:end] = x_c if spec is None else spec.center + x_c
+            pos = end
+        e = panels[2]
+        first = _run_starts(e, panels[4])
+        start = first_node + (np.cumsum(kept) - kept)[first]
+        # a run whose panels keep no node shares its start with the next run
+        nonempty = start < np.r_[start[1:], pos]
+        fans.append(Fan(spec=spec, sl=slice(first_node, pos), starts=start[nonempty],
+                        e=e[first][nonempty]))
+    return RegionNodes(zeta=zeta[:pos], x=x[:pos], area_w=wgt[:pos], band=band[:pos],
+                       n_bands=cuts.size - 1, fans=fans, underflow=underflow)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -628,22 +648,23 @@ def _moments_of_runs(ang, rad, run_band, n_bands):
     return M + np.triu(M, 1).conj().transpose(0, 2, 1)
 
 
-def _ray_moments(nodes, weights, d):
-    """Per-band monomial moments of the global nodes.
+def _ray_moments(nodes, fan, weights, d):
+    """Per-band monomial moments conj(x)^i x^j of one fan's nodes, in the
+    fan's coordinate x.
 
-    A node on the ray at angle theta has conj(zeta)^i zeta^j =
-    r^(i+j) e^{i(j-i)theta}: each run on one ray sums S_m = sum w r^m,
-    m <= 2d - 2, and M_ij = sum_runs e^{i(j-i)theta} S_(i+j).  The sums are
-    taken in node chunks; a run that straddles a chunk boundary adds up its
-    pieces.
+    A node at distance r from the origin on the ray of direction
+    e^{i theta} has conj(x)^i x^j = r^(i+j) e^{i(j-i)theta}: each run on
+    one ray sums S_m = sum w r^m, m <= 2d - 2, and M_ij = sum_runs
+    e^{i(j-i)theta} S_(i+j).  The sums are taken in node chunks; a run that
+    straddles a chunk boundary adds up its pieces.
     """
-    starts, e = nodes.ray_runs
+    starts, e = fan.starts, fan.e
     S = np.zeros((starts.size, 2 * d - 1))
-    for i0 in range(starts[0], nodes.n_global, _GRAM_CHUNK):
-        i1 = min(i0 + _GRAM_CHUNK, nodes.n_global)
-        z, w = weights(i0, i1)
-        r = np.abs(z)
-        R = np.empty((2 * d - 1, z.size))  # row m holds w r^m
+    for i0 in range(starts[0], fan.sl.stop, _GRAM_CHUNK):
+        i1 = min(i0 + _GRAM_CHUNK, fan.sl.stop)
+        x, w = weights(i0, i1)
+        r = np.abs(x)
+        R = np.empty((2 * d - 1, x.size))  # row m holds w r^m
         R[0] = w
         for m in range(1, 2 * d - 1):
             np.multiply(R[m - 1], r, out=R[m])
@@ -654,79 +675,40 @@ def _ray_moments(nodes, weights, d):
                             nodes.band[starts], nodes.n_bands)
 
 
-def _angle_table(n_ang, d):
-    """e^{i k phi_a} for the patch grid's angles phi_a = (a + 1/2) 2 pi / n_ang
-    and 0 <= k < d, as a real [angle, 2d] array of (cos, sin) pairs.
-
-    k phi_a = k (2a + 1) pi / n_ang is reduced modulo 2 pi in integers, so
-    the rounding of an entry does not grow with k.
-    """
-    m = np.outer(2 * np.arange(n_ang) + 1, np.arange(d)) % (2 * n_ang)
-    return np.exp(1j * (math.pi / n_ang) * m).view(float)
-
-
-def _ring_moments(blk, weights, table):
-    """Moments conj(x)^i x^j of a patch block, x = zeta - center.
-
-    A node of a ring of radius rho sits at a grid angle phi_a, so
-    conj(x)^i x^j = rho^(i+j) e^{i(j-i)phi_a}.  The block's weights, taken in
-    _CHUNK slices, form W [ring, angle], and one product with ``table``
-    (``_angle_table``) gives each ring A_k = sum w e^{i k phi_a}, 0 <= k < d;
-    then M_ij = sum_rings rho^(i+j) A_(j-i) for j >= i.
-    """
-    d = table.shape[1] // 2
-    lo, hi = blk.sl.start, blk.sl.stop
-    W = np.empty(hi - lo)
-    for i0 in range(lo, hi, _CHUNK):
-        i1 = min(i0 + _CHUNK, hi)
-        W[i0 - lo:i1 - lo] = weights(i0, i1)[1]
-    A = (W.reshape(blk.rho.size, -1) @ table).view(complex)
-    return _moments_of_runs(lambda s, t: A[s:t], np.vander(blk.rho, 2 * d - 1, increasing=True),
-                            np.zeros(blk.rho.size, dtype=int), 1)[0]
-
-
 def gram_on_nodes(nodes, kernel, gain, basis):
     """Hermitian Grams of the basis under 2 e^{-phi} c(-psi), one per band.
 
     Returns an array [n_bands, n_basis, n_basis]; entry [k][l][m] is
-    conjugate-linear in l.  The global part sums weighted monomial moments
-    M_k per band and adds P^H M_k P, P the basis coefficients in its
-    monomials; each patch block, which lies in one band, adds its Q^H M Q
-    to that band.  Global rays sum polar moments run by run, and patch
-    rings ring by ring (``_ray_moments``, ``_ring_moments``), so the work
-    per node grows with the degree, not its square.  Every ray starts at 0,
-    so ray moments take the coefficients as they are; patch blocks use
-    local coefficients Q in zeta - center, Taylor-shifted, with the enforced
-    vanishing order nu dropped from the basis and moved into the log-space
-    weight.  psi and phi + psi come from one kernel
-    call, ``psi_and_phi_plus_psi``.
+    conjugate-linear in l.  Each fan sums weighted monomial moments M_k per
+    band, run by run (``_ray_moments``), so the work per node grows with
+    the degree, not its square, and adds Q^H M_k Q.  On the global fan Q is
+    P, the basis coefficients in its monomials; on a patch fan Q holds the
+    local coefficients in x = zeta - center, Taylor-shifted, with the
+    enforced vanishing order nu dropped from the basis and moved into the
+    log-space weight |x|^(2 nu).  psi and phi + psi come from one kernel
+    call, ``psi_and_phi_plus_psi``, which reads a patch fan's offsets.
     """
     H = np.zeros((nodes.n_bands, len(basis), len(basis)), dtype=complex)
     P = _coeff_matrix(basis)
     d = P.shape[0]
 
-    def weights(i0, i1, center=0j, nu=0):
-        """Nodes i0:i1 and their area weights times 2 e^{-phi} c(-psi), and
-        times |zeta - center|^(2 nu) when nu is factored out of the basis."""
-        z = nodes.zeta[i0:i1]
-        psi, phi_plus_psi = kernel.psi_and_phi_plus_psi(z)
+    def weights(i0, i1, center, nu):
+        """Offsets i0:i1 and their area weights times 2 e^{-phi} c(-psi), and
+        times |x|^(2 nu) when nu is factored out of the basis."""
+        x = nodes.x[i0:i1]
+        psi, phi_plus_psi = kernel.psi_and_phi_plus_psi(x, center)
         log_w = _LOG2 + psi - phi_plus_psi + eval_log_c(gain, -psi)
         if nu:
-            log_w = log_w + 2.0 * nu * np.log(np.abs(z - center))
-        return z, nodes.area_w[i0:i1] * np.exp(log_w)
+            log_w = log_w + 2.0 * nu * np.log(np.abs(x))
+        return x, nodes.area_w[i0:i1] * np.exp(log_w)
 
-    if nodes.n_global:
-        H += P.conj().T @ _ray_moments(nodes, weights, d) @ P
-    table = _angle_table(nodes.patch_angular, d)
-    for blk in nodes.blocks:
-        nu = blk.spec.order
-        if nu >= d:
+    for fan in nodes.fans:
+        center, nu = (0j, 0) if fan.spec is None else (fan.spec.center, fan.spec.order)
+        if fan.sl.stop == fan.sl.start or nu >= d:
             continue
-        center = blk.spec.center
-        Q = _taylor_shift(P, center)[nu:]
-        M = _ring_moments(blk, lambda i0, i1: weights(i0, i1, center, nu),
-                          table[:, :2 * (d - nu)])
-        H[blk.band] += Q.conj().T @ M @ Q
+        Q = P if fan.spec is None else _taylor_shift(P, center)[nu:]
+        M = _ray_moments(nodes, fan, lambda i0, i1: weights(i0, i1, center, nu), d - nu)
+        H += Q.conj().T @ M @ Q
     return 0.5 * (H + H.conj().transpose(0, 2, 1))
 
 
@@ -751,15 +733,15 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
     band {-t1 <= psi < -t2} when ``band`` is (t1, t2).  One region per mesh
     level serves all of them: evaluate returns one value per band, and a
     level's value is the sum over its bands.  ``knots`` (the gain's) are
-    extra cuts inside the region, so no radial panel straddles a kink of
-    c(-psi); they define bands but no level, and a patch lies in the band
-    of its circle maximum, at or below the deepest level, so it still falls
-    in every level where knots beyond the deepest t split it.  Returns
+    extra cuts inside the region, on every fan, so no radial panel
+    straddles a kink of c(-psi); they define bands but no level.  Returns
     arrays (value, err) with one entry per level, in the order of ``ts``;
     err is the max entrywise difference from the half-resolution mesh when
-    config.levels is 2.  Both meshes share the patch radii, which the
-    deepest level sets.  A level with no node or a non-finite value (a
-    weight that overflows) on either mesh is a NumericalError.
+    config.levels is 2, whose fans have the same reaches.  A level with no
+    node, a node whose area weight underflowed, or a non-finite value (a
+    weight that overflows) on either mesh is a NumericalError: a level
+    about 1e-154 wide about a center (t above about 700 p for a point of
+    mass p) is refused so.
     """
     if band is None:
         ts = [float(t) for t in ts]
@@ -768,7 +750,6 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
         inner = [float(k) for k in knots if k > min(ts)]
         cuts = np.array(sorted(set(ts + inner)) + [math.inf])
         level = np.searchsorted(cuts, ts)
-        deepest = max(ts)
         where = [f"in {{psi < -t}} at t = {t:.6g}" for t in ts]
     else:
         t_hi, t_lo = float(band[0]), float(band[1])
@@ -777,7 +758,6 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
         inner = [float(k) for k in knots if t_lo < k < t_hi]
         cuts = np.array([t_lo, *inner, t_hi])
         level = np.zeros(1, dtype=int)
-        deepest = t_hi
         where = [f"in the band ({t_hi:.6g}, {t_lo:.6g})"]
     if config.levels == 2:
         coarse_config = config.halved()
@@ -790,20 +770,23 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
 
     def on_mesh(mesh):
         """Checked values of the requested levels on one mesh, whose nodes die on return."""
-        nodes = build_region(psi_fn, patches, mesh, cuts, radii)
+        nodes = build_region(psi_fn, patches, mesh, cuts)
         count = _level_sums(np.bincount(nodes.band, minlength=nodes.n_bands))[level]
+        lost = _level_sums(nodes.underflow)[level]
         val = _level_sums(evaluate(nodes))[level]
-        for n, v, label in zip(count, val, where):
+        for n, under, v, label in zip(count, lost, val, where):
             if n == 0:
                 raise NumericalError(f"no quadrature node {label}: "
                                      "the mesh cannot resolve this level")
+            if under:
+                raise NumericalError(f"quadrature weights underflow {label}: "
+                                     "the level is too deep about a center")
             if not np.all(np.isfinite(v)):
                 raise NumericalError(f"non-finite quadrature values {label}: "
                                      "the weight overflows on the region")
         return val
 
     with np.errstate(over="ignore", invalid="ignore"):
-        radii = _patch_radii(psi_fn, patches, deepest)
         val = on_mesh(config)
         err = np.zeros(level.size)
         if config.levels == 2:

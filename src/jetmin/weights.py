@@ -166,10 +166,10 @@ def eval_u(w: WeightPair, z) -> np.ndarray:
 class WeightKernel:
     """Vectorized disc-coordinate evaluators for one (domain, weight) pair.
 
-    All inputs are zeta arrays in the unit disc.  The weight's points are
-    pulled back through the domain map once at construction: psi sums
-    2p G over the points with p > 0, phi + psi sums 2m G over those with
-    m > 0.
+    All inputs are zeta arrays in the unit disc, or offsets from a given
+    origin.  The weight's points are pulled back through the domain map
+    once at construction: psi sums 2p G over the points with p > 0, phi +
+    psi sums 2m G over those with m > 0.
     """
 
     def __init__(self, dom: DomainSpec, w: WeightPair):
@@ -184,33 +184,41 @@ class WeightKernel:
         self.has_u = any(c != 0 for c in w.phi.u_coeffs)
         self.bump = w.phi.bump
 
-    def psi(self, zeta) -> np.ndarray:
-        return self._psi(np.asarray(zeta, dtype=complex))
+    # Each evaluator takes the points origin + x, zeta = x by default; the
+    # Green term of a point at the origin reads x (geometry.green_disc_raw),
+    # so a node 1e-80 from the point keeps its digits.
+    def psi(self, x, origin=0j) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        return self._psi(origin + x, x, origin)
 
-    def phi_plus_psi(self, zeta) -> np.ndarray:
-        return self._phi_plus_psi(np.asarray(zeta, dtype=complex))
+    def phi_plus_psi(self, x, origin=0j) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        return self._phi_plus_psi(origin + x, x, origin)
 
-    def psi_and_phi_plus_psi(self, zeta) -> tuple[np.ndarray, np.ndarray]:
+    def psi_and_phi_plus_psi(self, x, origin=0j) -> tuple[np.ndarray, np.ndarray]:
         """(psi, phi + psi), bit for bit those of ``psi`` and ``phi_plus_psi``,
         with the Green function of each point evaluated once."""
-        zeta = np.asarray(zeta, dtype=complex)
-        greens = [green_disc_raw(zeta, z) for z, _p, _m in self.points]
-        return self._psi(zeta, greens), self._phi_plus_psi(zeta, greens)
+        x = np.asarray(x, dtype=complex)
+        zeta = origin + x
+        greens = [green_disc_raw(zeta, z, x if z == origin else None) for z, _p, _m in self.points]
+        return self._psi(zeta, x, origin, greens), self._phi_plus_psi(zeta, x, origin, greens)
 
     # given ``greens``, the Green arrays are shared; without them each is
     # evaluated where it is added, so a lone psi holds one at a time
-    def _psi(self, zeta, greens=None) -> np.ndarray:
+    def _psi(self, zeta, x, origin, greens=None) -> np.ndarray:
         out = np.zeros(zeta.shape, dtype=float)
         for i, (z, p, _m) in enumerate(self.points):
             if p > 0:
-                out += 2.0 * p * (greens[i] if greens else green_disc_raw(zeta, z))
+                out += 2.0 * p * (greens[i] if greens else
+                                  green_disc_raw(zeta, z, x if z == origin else None))
         return out
 
-    def _phi_plus_psi(self, zeta, greens=None) -> np.ndarray:
+    def _phi_plus_psi(self, zeta, x, origin, greens=None) -> np.ndarray:
         out = np.full(zeta.shape, 2.0 * self.log_lead, dtype=float)
         for i, (z, _p, m) in enumerate(self.points):
             if m > 0:
-                out += 2.0 * m * (greens[i] if greens else green_disc_raw(zeta, z))
+                out += 2.0 * m * (greens[i] if greens else
+                                  green_disc_raw(zeta, z, x if z == origin else None))
         if self.has_u or self.bump:
             z = self.dom.forward(zeta)
             if self.has_u:

@@ -2,7 +2,8 @@
 
 The oracles avoid the library's own formula paths: harmonic-measure
 integrals and random walks for Green values, plain Monte Carlo for areas,
-steepest descent for the constrained minimum.  Values frozen into tests were
+steepest descent for the constrained minimum, rays from every point in
+offset coordinates for G at deep levels of several points.  Values frozen into tests were
 produced by these functions (see test modules for the frozen constants).
 The references are scalar psi/phi evaluators, the raw-monomial Gram, which
 the library itself never needs, G(t) from the quadrature Gram where the
@@ -24,7 +25,7 @@ from jetmin.forms import (
     gram_reduced,
     jet_constraints,
 )
-from jetmin.gain import eval_log_c, growth_rate_bound
+from jetmin.gain import eval_log_c
 from jetmin.geometry import UNIT_DISC, green_disc_raw
 from jetmin.quadrature import PatchSpec, QuadratureConfig, assembled_gram
 from jetmin.solver import kkt_minimize_reduced
@@ -58,7 +59,7 @@ def gram_quadrature(dom, w, g, t: float, N: int,
     every center exponent 2 p (1 - delta) - 2 m must exceed -2.
     """
     kernel = WeightKernel(dom, w)
-    delta = growth_rate_bound(g)
+    delta = g._table.slope
     specs = [PatchSpec(center=zeta, order=0, exponent=2 * p * (1 - delta) - 2 * m)
              for zeta, p, m, _nu in kernel.singular_centers()]
     monomials = list(np.eye(N + 1, dtype=complex))
@@ -105,21 +106,20 @@ def gram_direct(nodes, kernel, gain, basis) -> np.ndarray:
     """Per-band Grams B^H W B from the values of the basis forms at the nodes.
 
     The reference for the moment kernel of ``gram_on_nodes``: each form
-    (divided by the enforced vanishing in a patch block, whose weight then
+    (divided by the enforced vanishing on a patch fan, whose weight then
     carries that factor) is evaluated by Horner's rule and the weighted
     products are summed band by band, with no monomial moments in between.
     """
     H = np.zeros((nodes.n_bands, len(basis), len(basis)), dtype=complex)
-    groups = [(slice(0, nodes.n_global), 0, 0j)]
-    groups += [(blk.sl, blk.spec.order, blk.spec.center) for blk in nodes.blocks]
-    for sl, nu, center in groups:
-        z, band = nodes.zeta[sl], nodes.band[sl]
-        psi = kernel.psi(z)
-        log_w = math.log(2.0) + psi - kernel.phi_plus_psi(z) + eval_log_c(gain, -psi)
-        log_w += 2.0 * nu * np.log(np.abs(z - center)) if nu else 0.0
+    for fan in nodes.fans:
+        center, nu = (0j, 0) if fan.spec is None else (fan.spec.center, fan.spec.order)
+        z, x, band = nodes.zeta[fan.sl], nodes.x[fan.sl], nodes.band[fan.sl]
+        psi = kernel.psi(x, center)
+        log_w = math.log(2.0) + psi - kernel.phi_plus_psi(x, center) + eval_log_c(gain, -psi)
+        log_w += 2.0 * nu * np.log(np.abs(x)) if nu else 0.0
         B = np.stack([np.polynomial.polynomial.polyval(z, _deflate(b, center, nu))
                       for b in basis])
-        BW = B.conj() * (nodes.area_w[sl] * np.exp(log_w))
+        BW = B.conj() * (nodes.area_w[fan.sl] * np.exp(log_w))
         for k in range(nodes.n_bands):
             H[k] += BW[:, band == k] @ B[:, band == k].T
     return H
@@ -140,6 +140,113 @@ def bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh, iters: int = 60):
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _offset_green(c: complex, x, z0: complex):
+    """G(c + x, z0) on the unit disc; for z0 = c, log|x| - log|1 - |c|^2 - conj(c) x|."""
+    if z0 == c:
+        return np.log(np.abs(x)) - np.log(np.abs(1 - abs(c) ** 2 - np.conj(c) * x))
+    zeta = c + x
+    return np.log(np.abs(zeta - z0)) - np.log(np.abs(1 - np.conj(z0) * zeta))
+
+
+def saddle_level(points) -> float:
+    """max over the saddles s of psi = sum 2 p_j G(., z_j) in the disc of -psi(s).
+
+    The saddles are the roots in the disc of the derivative
+    sum p_j b_j'/b_j = sum p_j (1 - |z_j|^2) / ((z - z_j)(1 - conj(z_j) z)),
+    b_j the Blaschke factors, cleared of denominators; ``points`` is a list
+    of (z_j, p_j).  For t above the returned level each component of
+    {psi < -t} holds one point.
+    """
+    P = np.polynomial.polynomial
+    poly = np.zeros(1, dtype=complex)
+    for j, (zj, pj) in enumerate(points):
+        term = np.array([pj * (1 - abs(zj) ** 2)], dtype=complex)
+        for i, (zi, _pi) in enumerate(points):
+            if i != j:
+                term = P.polymul(term, P.polymul([-zi, 1], [1, -np.conj(zi)]))
+        poly = P.polyadd(poly, term)
+    saddles = [s for s in P.polyroots(poly) if abs(s) < 1]
+    return max(-sum(2 * p * float(_offset_green(s, 0.0, z)) for z, p in points)
+               for s in saddles)
+
+
+def fan_reference(w, g, t: float, n_rays: int = 128, n_geo: int = 36, n_gl: int = 16) -> float:
+    """G(t) of order-0 jets at N = n - 1 (the unique Lagrange interpolant F)
+    under the standard divisor (one zero at each point), from rays cast
+    from each point in offset coordinates x = zeta - z_j.
+
+    G = 2 int_{psi < -t} |F|^2 e^{-phi} c(-psi), with e^{-phi} =
+    prod |b_j|^(2 p_j - 2).  Each ray is sampled up to the circle, must show
+    psi rising up to the level (else the component is not star-shaped about
+    its point and the ray is refused with BadInputError), and is bisected
+    in log r to the level radius rho and to the radii of the gain's knots
+    beyond t.  Between those radii the radial integral runs over geometric
+    panels of ratio at most 2 with n_gl Gauss-Legendre nodes, down to
+    rho_K 2^-n_geo, rho_K the deepest radius; the disc inside that takes
+    r = rho' u^(1/(sigma + 2)), sigma = 2 p (1 - s) - 2 the local power (s
+    the gain's tail slope), which integrates r^sigma exactly.  Valid for t
+    above ``saddle_level``.
+    """
+    points = [(complex(pt.location), pt.green_weight) for pt in w.marked]
+    if (w.psi.extra_terms or w.phi.bump or any(w.phi.u_coeffs) or w.phi.leading != 1
+            or any(pt.jet_order for pt in w.marked)
+            or set(w.phi.zeros) != {(z, 1) for z, _p in points}):
+        raise BadInputError("fan_reference takes order-0 jets of the standard weight")
+    locs = np.array([z for z, _p in points])
+    values = np.array([pt.jet_coeff * pt.coord_scale for pt in w.marked])
+    coeffs = np.linalg.solve(np.vander(locs, len(points), increasing=True), values)
+    theta = (np.arange(n_rays) + 0.5) * (2 * math.pi / n_rays)
+    e = np.exp(1j * theta)
+    gx, gw = np.polynomial.legendre.leggauss(n_gl)
+    u, uw = 0.5 * (gx + 1), 0.5 * gw
+    levels = [t] + sorted(k for k in g._table.t if k > t)
+
+    def logs(c, x):
+        """(psi, -phi) at c + x."""
+        greens = [(p, _offset_green(c, x, z)) for z, p in points]
+        return (sum(2 * p * gr for p, gr in greens), sum(2 * (p - 1) * gr for p, gr in greens))
+
+    total = 0.0
+    for c, p in points:
+        b = (np.conj(c) * e).real
+        exit_r = -b + np.sqrt(b * b + 1 - abs(c) ** 2)  # the ray meets the circle
+        frac = np.r_[np.logspace(-300, -1, 300), np.linspace(0.1, 1, 451)[1:-1]]
+        rs = exit_r[:, None] * frac[None, :]
+        psi = logs(c, rs * e[:, None])[0]
+        first = np.argmax(psi >= -t, axis=1)
+        for k in range(n_rays):
+            if first[k] == 0 or not np.all(np.diff(psi[k, :first[k] + 1]) > 0):
+                raise BadInputError(f"psi does not rise along the ray {theta[k]:.4g} from {c}")
+        radii = []  # per level, the radius where psi = -level on every ray
+        hi = np.log(rs[np.arange(n_rays), first])
+        for level in levels:
+            lo = np.full(n_rays, math.log(1e-300))
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                below = logs(c, np.exp(mid) * e)[0] < -level
+                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            radii.append(np.exp(0.5 * (lo + hi)))
+        r, wr = [], []
+        for top, bot in zip(radii, radii[1:] + [radii[-1] * 2.0 ** -n_geo]):
+            n = max(1, math.ceil(math.log2(np.max(top / bot))))
+            edges = top[:, None] * (bot / top)[:, None] ** (np.arange(n + 1) / n)
+            half = 0.5 * (edges[:, :-1] - edges[:, 1:])[:, :, None]
+            nodes = 0.5 * (edges[:, :-1] + edges[:, 1:])[:, :, None] + half * gx
+            r.append(nodes.reshape(n_rays, -1))
+            wr.append((half * gw * nodes).reshape(n_rays, -1))
+        sigma = 2 * p * (1 - g._table.slope) - 2
+        q = 1 / (sigma + 2)
+        inner = (radii[-1] * 2.0 ** -n_geo)[:, None]
+        r = np.concatenate(r + [inner * u ** q], axis=1)
+        wr = np.concatenate(wr + [inner ** 2 * q * uw * u ** (2 * q - 1)], axis=1)
+        x = r * e[:, None]
+        psi, minus_phi = logs(c, x)
+        F = np.polynomial.polynomial.polyval(c + x, coeffs)
+        f = 2 * np.abs(F) ** 2 * np.exp(minus_phi + eval_log_c(g, -psi))
+        total += float(np.sum(f * wr)) * (2 * math.pi / n_rays)
+    return total
 
 
 def poisson_green_disc(z: complex, z0: complex, n: int = 4096) -> float:

@@ -486,6 +486,25 @@ def test_suita_bound_violation_exits_3(monkeypatch, equality_file, capsys):
     assert "exceeds the upper bound" in capsys.readouterr().err
 
 
+def test_suita_minimum_above_the_bound_is_no_equality(tmp_path, capsys):
+    # +-0.99 with order-0 jets of value 1: at N = 40 the truncated minimum
+    # 0.02401 lies far above the bound 0.004977 (gap -0.0190).  Equality
+    # needs |gap| within the tolerance, so the report says false, as the
+    # criterion does, and the excess exits 3
+    path = tmp_path / "pm099.json"
+    path.write_text(json.dumps({"marked": [{"location": [0.99, 0]}, {"location": [-0.99, 0]}],
+                                "numerics": {"N": 40}}))
+    assert cli.main(["suita", str(path)]) == 3
+    out = capsys.readouterr()
+    assert "exceeds the upper bound" in out.err
+    rep = json.loads(out.out)["report"]
+    assert rep["bound"] == pytest.approx(4.976911e-3, rel=1e-6)
+    assert rep["c_omega_f"] == pytest.approx(0.02401, rel=1e-3)
+    assert rep["gap"] < -rep["equality_tolerance"]
+    assert rep["equality"] is False
+    assert rep["criterion"]["all_hold"] is False
+
+
 def test_byte_identical_reports(tmp_path):
     path = tmp_path / "p.json"
     save_problem(two_point_problem(0.4), path)

@@ -194,12 +194,14 @@ def test_constraint_basis_shapes():
 def test_analytic_reduction_eligibility():
     # the closed form is a Gram diagonal: 2 pi v/(l + 1) on the whole disc at
     # t = 0, bit for bit gram_analytic_disc's, and for one point at zeta = 0
-    # under any gain (2 pi / p) int_t^inf c(s) e^{-kappa_l s} ds
+    # under any gain (2 pi / p) int_t^inf c(s) e^{-kappa_l s} ds, with the
+    # entries below the enforced vanishing order (here 1, the jet order) 0
     whole = np.diag(gram_analytic_disc(6, scale=1.0).entries).real
     assert np.array_equal(analytic_reduction(UNIT_DISC, two_point_pair(), CONST, 0.0, 6), whole)
     diag = analytic_reduction(UNIT_DISC, single_point_pair(k=1, p=2.0), CONST, 1.5, 6)
-    ref = gram_analytic_disc(6, radius=math.exp(-1.5 / 4)).entries
-    np.testing.assert_allclose(diag, np.diag(ref).real, rtol=1e-15)
+    ref = np.diag(gram_analytic_disc(6, radius=math.exp(-1.5 / 4)).entries).real
+    assert diag[0] == 0
+    np.testing.assert_allclose(diag[1:], ref[1:], rtol=1e-15)
     assert analytic_reduction(UNIT_DISC, two_point_pair(), CONST, 1.0, 6) is None
     assert analytic_reduction(UNIT_DISC, two_point_pair(), GainFunction.exponential(0.5),
                               0.0, 6) is None
@@ -305,13 +307,19 @@ def test_form_norm_quadrature_band():
 
 
 def test_form_norm_quadrature_refuses_an_unresolved_region():
-    # the band (300, 250) about a point at 0.3 holds no node, and a weight
-    # e^{-phi} that overflows gives non-finite values: both are refused,
-    # with no RuntimeWarning on the way
+    # the band (300, 250) about a point at 0.3 is the annulus
+    # e^{-150} <= |zeta| < e^{-125} in the point's chart, which its patch fan
+    # resolves: 2 pi (e^{-250} - e^{-300}).  The band (2100, 2000) lies below
+    # the smallest float and holds no node, and a weight e^{-phi} that
+    # overflows gives non-finite values: both are refused, with no
+    # RuntimeWarning on the way
     marked = (MarkedPoint(0.3, green_weight=1.0, jet_order=0, jet_coeff=1.0),)
     F = TruncatedForm((1.0,))
-    with pytest.raises(NumericalError, match=r"no quadrature node in the band \(300, 250\)"):
-        form_norm_quadrature(UNIT_DISC, WeightPair.standard(marked), CONST, F, band=(300, 250))
+    val, _err = form_norm_quadrature(UNIT_DISC, WeightPair.standard(marked), CONST, F,
+                                     band=(300, 250))
+    assert val == pytest.approx(2 * math.pi * (math.exp(-250) - math.exp(-300)), rel=1e-12)
+    with pytest.raises(NumericalError, match=r"no quadrature node in the band \(2100, 2000\)"):
+        form_norm_quadrature(UNIT_DISC, WeightPair.standard(marked), CONST, F, band=(2100, 2000))
     for phi in ({"u_coeffs": (-800.0,)}, {"leading": 1e-300}):
         w = WeightPair.standard(marked, **phi)
         with warnings.catch_warnings():

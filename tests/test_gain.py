@@ -16,7 +16,6 @@ from jetmin.gain import (
     eval_c,
     eval_h,
     eval_log_c,
-    growth_rate_bound,
     invert_h,
     ratio_probe,
 )
@@ -259,11 +258,6 @@ def test_ratio_probe_divergent_tail():
     g = GainFunction.exponential(0.5)
     with pytest.raises(BadInputError):
         ratio_probe(g, 0.5 - 0.1)  # comparison tail diverges when a <= rate
-
-
-def test_growth_rate_bound():
-    assert growth_rate_bound(GainFunction.constant(1.0)) == 0.0
-    assert growth_rate_bound(GainFunction.exponential(0.3)) == pytest.approx(0.3)
 
 
 @pytest.mark.parametrize("g", [

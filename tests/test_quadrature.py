@@ -1,5 +1,6 @@
-"""Region geometry of the polar quadrature (rays from 0, threshold cuts, sub-rays,
-the one-point disc chart) and the moment Gram kernel."""
+"""Region geometry of the polar quadrature (the global fan of rays from 0, patch
+fans, threshold cuts, sub-rays, the one-point disc chart) and the moment Gram
+kernel."""
 import math
 from dataclasses import replace
 
@@ -15,10 +16,10 @@ from jetmin.problems import random_concavity_problem
 from jetmin.quadrature import (
     PatchSpec,
     QuadratureConfig,
-    _global_panels,
+    _band_of,
+    _fan_panels,
+    _panel_nodes,
     _panels,
-    _patch_nodes,
-    _patch_radii,
     _ray_pieces,
     _taylor_shift,
     _two_level,
@@ -44,13 +45,13 @@ CUTS_SPLIT = (0.1, 1.0, 3.0, 5.0, 5.5, 6.0)
 
 def pole_region(pts, cuts):
     """The weight's chart (weights.disc_chart), its kernel there, and its
-    default-mesh region for the cut list."""
+    default-mesh region for the cut list, whose patch fans expect an
+    integrand of local power 0, as an area is."""
     w = WeightPair.standard(pts)
     chart = disc_chart(UNIT_DISC, w)
     kernel = WeightKernel(chart, w)
-    specs = _patch_specs(kernel, GainFunction.constant(1.0))
-    radii = _patch_radii(kernel.psi, specs, cuts[-2])
-    return chart, kernel, build_region(kernel.psi, specs, QuadratureConfig(), cuts, radii)
+    specs = [PatchSpec(center=z) for z, *_ in kernel.singular_centers()]
+    return chart, kernel, build_region(kernel.psi, specs, QuadratureConfig(), cuts)
 
 
 def single_pole_region(zeta0, cuts=CUTS, p=1.0):
@@ -109,14 +110,14 @@ def test_every_global_node_lies_on_a_ray_from_0(pts, chart):
     w = WeightPair.standard(pts)
     kernel = WeightKernel(disc_chart(UNIT_DISC, w) if chart else UNIT_DISC, w)
     specs = _patch_specs(kernel, GAIN)
-    nodes = build_region(kernel.psi, specs, SMALL, CUTS, _patch_radii(kernel.psi, specs, CUTS[-2]))
-    starts, e = nodes.ray_runs
-    direction = np.repeat(e, np.diff(np.r_[starts, nodes.n_global]))
-    x = nodes.zeta[starts[0]:nodes.n_global] * direction.conj()
+    nodes = build_region(kernel.psi, specs, SMALL, CUTS)
+    fan = nodes.fans[0]
+    direction = np.repeat(fan.e, np.diff(np.r_[fan.starts, fan.sl.stop]))
+    x = nodes.zeta[fan.starts[0]:fan.sl.stop] * direction.conj()
     assert np.all(x.real > 0)
     assert np.all(np.abs(x.imag) <= 1e-15 * x.real)
-    band = np.searchsorted(CUTS, -kernel.psi(nodes.zeta[:nodes.n_global]), side="left") - 1
-    assert np.array_equal(band, nodes.band[:nodes.n_global])
+    band = np.searchsorted(CUTS, -kernel.psi(nodes.zeta[fan.sl]), side="left") - 1
+    assert np.array_equal(band, nodes.band[fan.sl])
 
 
 def test_single_pole_rays_start_at_the_pole():
@@ -127,11 +128,12 @@ def test_single_pole_rays_start_at_the_pole():
     for zeta0 in (0.0, 0.1, 0.45 - 0.2j, 0.6j):
         _, kernel, nodes = single_pole_region(zeta0)
         assert kernel.points[0][0] == 0j
-        counts.append(nodes.n_global)
-        z = nodes.zeta[:nodes.n_global]
+        n_global = nodes.fans[0].sl.stop
+        counts.append(n_global)
+        z = nodes.zeta[:n_global]
         assert np.all(np.abs(z) < 1.0)
         band = np.searchsorted(CUTS, -kernel.psi(z), side="left") - 1
-        assert np.array_equal(band, nodes.band[:nodes.n_global])
+        assert np.array_equal(band, nodes.band[:n_global])
     assert max(counts) == min(counts)
 
 
@@ -165,9 +167,9 @@ def test_rays_from_the_origin_are_cut_up_to_the_circle():
            MarkedPoint(-0.1, green_weight=1.2, jet_order=0, jet_coeff=0.5))
     cuts = np.array([0.004, 1.0, math.inf])
     _, kernel, nodes = pole_region(pts, cuts)
-    z = nodes.zeta[:nodes.n_global]
-    band = np.searchsorted(cuts, -kernel.psi(z), side="left") - 1
-    assert np.array_equal(band, nodes.band[:nodes.n_global])
+    n_global = nodes.fans[0].sl.stop
+    band = np.searchsorted(cuts, -kernel.psi(nodes.zeta[:n_global]), side="left") - 1
+    assert np.array_equal(band, nodes.band[:n_global])
 
 
 def sample_counts(psi_fn, calls):
@@ -247,8 +249,9 @@ def test_sub_rays_take_the_widest_base_density(cuts):
     # full per-level budget each (about 37 per sub-ray at the full budget)
     kernel = split_level_kernel()
     config = QuadratureConfig()
-    mid, half, e, w_half, band = _global_panels(
-        kernel.psi, np.array([*cuts, math.inf]), config, [], [0.33, -0.33])
+    mid, half, e, w_half, band = _fan_panels(
+        kernel.psi, np.array([*cuts, math.inf]), config.angular, config.radial // 10, [],
+        [0.33, -0.33])
     w_theta = w_half / half
     sub = w_theta < 0.5 * w_theta.max()
     n_sub_rays = np.unique(np.round(np.angle(e[sub]), 12)).size
@@ -324,8 +327,7 @@ def region_and_basis(pts, cuts, N, config=SMALL, w=None, dom=UNIT_DISC):
     kernel = WeightKernel(dom, w or WeightPair.standard(pts))
     specs = _patch_specs(kernel, GAIN)
     cuts = np.array(cuts)
-    nodes = build_region(kernel.psi, specs, config, cuts,
-                         _patch_radii(kernel.psi, specs, cuts[-2]))
+    nodes = build_region(kernel.psi, specs, config, cuts)
     a_part, Z = constraint_basis(jet_constraints(kernel.w, N, dom))
     return kernel, nodes, [a_part] + list(Z.T)
 
@@ -379,28 +381,27 @@ def test_secant_cut_search_matches_bisection(pts, cuts, monkeypatch):
 
 
 def test_moment_gram_matches_direct_products():
-    # the polar moments of rays from the origin and of patch rings agree with
+    # the polar moments of the global fan and of the patch fans agree with
     # the direct products B^H W B on a multi-band region whose first patch
-    # deflates the (complex) basis
+    # fan deflates the (complex) basis
     kernel, nodes, basis = region_and_basis(TWO_POINTS, [0.0, 1.0, 3.0, 4.0, math.inf], 16)
-    assert nodes.ray_runs is not None
-    assert any(blk.spec.order > 0 and blk.sl.stop > blk.sl.start for blk in nodes.blocks)
-    assert np.unique(nodes.band[:nodes.n_global]).size == nodes.n_bands
+    assert any(fan.spec.order > 0 and fan.sl.stop > fan.sl.start for fan in nodes.fans[1:])
+    assert np.unique(nodes.band[nodes.fans[0].sl]).size == nodes.n_bands
     assert_matches_direct(kernel, nodes, basis)
 
 
 def test_moment_gram_on_tangency_sub_rays():
     # several bands of a split level, refined on sub-rays between the base rays
     kernel, nodes, basis = region_and_basis(SPLIT_POINTS, [*CUTS_SPLIT, math.inf], 16)
-    assert np.unique(nodes.ray_runs[1]).size > SMALL.angular
+    assert np.unique(nodes.fans[0].e).size > SMALL.angular
     assert_matches_direct(kernel, nodes, basis)
 
 
 def test_moment_gram_far_patch_with_vanishing():
-    # a patch at |c| = 0.57 with nu = 2: the Taylor-shifted basis drops its two
-    # leading local coefficients
+    # a patch fan at |c| = 0.57 with nu = 2: the Taylor-shifted basis drops
+    # its two leading local coefficients
     kernel, nodes, basis = region_and_basis(FAR_POINTS, [0.0, 2.0, math.inf], 24)
-    far = [blk for blk in nodes.blocks if abs(blk.spec.center) > 0.5]
+    far = [fan for fan in nodes.fans[1:] if abs(fan.spec.center) > 0.5]
     assert far[0].spec.order == 2 and far[0].sl.stop > far[0].sl.start
     assert_matches_direct(kernel, nodes, basis)
 
@@ -422,35 +423,34 @@ def test_moment_gram_on_rays_from_a_pole(radius, N):
                             u_coeffs=(0.0, 0.4 + 0.2j))
     chart = disc_chart(UNIT_DISC, w)
     kernel, nodes, basis = region_and_basis(None, [0.2, 1.5, math.inf], N, w=w, dom=chart)
-    assert kernel.points[0][0] == 0j and nodes.ray_runs is not None
-    assert np.any(np.abs(nodes.zeta[:nodes.n_global]) > 1 - radius)
+    assert kernel.points[0][0] == 0j and nodes.fans[1].spec.center == 0j
+    assert np.any(np.abs(nodes.zeta[nodes.fans[0].sl]) > 1 - radius)
     assert_matches_direct(kernel, nodes, basis)
 
 
 @pytest.mark.parametrize("pts", [ONE_POINT, TWO_POINTS], ids=["one-pole", "two-pole"])
 def test_moment_gram_of_emptied_patch_blocks(pts):
-    # {psi < -200} lies inside the representability floor of every pole: no
-    # patch fits inside it, so no patch block is built, no ray node lies in
-    # it, and the Gram is zero
-    kernel, nodes, basis = region_and_basis(pts, [200.0, math.inf], 8)
-    assert nodes.zeta.size == 0 and not nodes.blocks
+    # {psi < -2000} lies below the smallest float about every pole (radius
+    # about e^-1000): the patch fans find its crossing at 0, so no fan and no
+    # ray keeps a node in it, and the Gram is zero
+    kernel, nodes, basis = region_and_basis(pts, [2000.0, math.inf], 8)
+    assert nodes.zeta.size == 0 and len(nodes.fans) == len(pts) + 1
     assert not np.any(gram_on_nodes(nodes, kernel, GAIN, basis))
 
 
 def test_ray_runs_skip_wholly_masked_pieces():
-    # a patch of radius 0.75 at the origin (psi = 2 log|z| on its circle, in
-    # band 0) masks all of the inner level {|z| < e^-1} on the global rays:
-    # those runs keep no node and are left out of the run table, which then
-    # starts strictly increasing runs only
+    # the patch fan of the origin (reach 0.1) takes over the disc of radius
+    # 0.05, which holds all of the inner level {|z| < e^-4}: the global runs
+    # of that level keep no node and are left out of the run table, which
+    # then starts strictly increasing runs only
     kernel = WeightKernel(UNIT_DISC, WeightPair.standard(
         (MarkedPoint(0.0, green_weight=1.0, jet_order=0, jet_coeff=1.0),)))
     specs = _patch_specs(kernel, GAIN)
-    nodes = build_region(kernel.psi, specs, SMALL, np.array([0.5, 2.0, math.inf]),
-                         [(0.75, 2 * math.log(0.75))])
-    starts = nodes.ray_runs[0]
-    assert [blk.band for blk in nodes.blocks] == [0]
-    assert np.all(nodes.band[:nodes.n_global] == 0)
-    assert np.all(np.diff(starts) > 0) and starts[-1] < nodes.n_global
+    nodes = build_region(kernel.psi, specs, SMALL, np.array([0.5, 8.0, math.inf]))
+    glob, fan = nodes.fans
+    assert np.all(nodes.band[glob.sl] == 0)
+    assert np.all(np.diff(glob.starts) > 0) and glob.starts[-1] < glob.sl.stop
+    assert set(nodes.band[fan.sl]) == {0, 1}
     a_part, Z = constraint_basis(jet_constraints(kernel.w, 8))
     assert_matches_direct(kernel, nodes, [a_part] + list(Z.T))
 
@@ -458,51 +458,57 @@ def test_ray_runs_skip_wholly_masked_pieces():
 @pytest.mark.parametrize("cuts", [[0.0, 6.5, math.inf], [5.5, 6.5, 7.2]],
                          ids=["sublevel", "band"])
 @pytest.mark.parametrize("halved", [False, True], ids=["fine", "coarse"])
-def test_patches_are_whole_rings_in_one_band(cuts, halved):
-    # each patch is whole rings of patch_angular nodes, all in the band of
-    # its circle maximum, and lies inside that band's level; a band region
-    # builds none at a psi pole, whose patch lies below every band
+def test_patch_fans_are_cut_at_every_level(cuts, halved):
+    # each patch fan has patch_angular rays (and tangency sub-rays) from its
+    # center out to its reach, cut at every threshold: each node lies in the
+    # band psi gives it, read from its offset, and the pole panel lies in
+    # the deepest level.  A band region above a psi pole keeps no node at
+    # the pole
     config = SMALL.halved() if halved else SMALL
     kernel, nodes, basis = region_and_basis(TWO_POINTS, cuts, 16, config)
-    n_ang = config.patch_angular
-    if math.isfinite(cuts[-1]):
-        assert not nodes.blocks
-    else:
-        assert len(nodes.blocks) == 2
-    for blk in nodes.blocks:
-        size = blk.sl.stop - blk.sl.start
-        assert size == blk.rho.size * n_ang
-        assert np.all(nodes.band[blk.sl] == blk.band)
-        assert np.all(kernel.psi(nodes.zeta[blk.sl]) < -cuts[blk.band])
-        x = (nodes.zeta[blk.sl] - blk.spec.center).reshape(-1, n_ang)
-        assert np.allclose(np.abs(x), blk.rho[:, None], rtol=1e-12)
+    assert len(nodes.fans) == 3
+    for fan in nodes.fans[1:]:
+        x, band = nodes.x[fan.sl], nodes.band[fan.sl]
+        assert np.unique(fan.e).size >= config.patch_angular
+        assert np.array_equal(nodes.zeta[fan.sl], fan.spec.center + x)
+        assert np.abs(x).max() < 0.1
+        assert np.array_equal(band, _band_of(np.array(cuts), kernel.psi(x, fan.spec.center)))
+        inner = np.abs(x) < 1e-3
+        assert inner.any() != math.isfinite(cuts[-1])
+        assert np.all(band[inner] == len(cuts) - 2)
     assert_matches_direct(kernel, nodes, basis)
 
 
 @pytest.mark.parametrize("margin", [0.2, 1.0, 2.0, 60.0])
 @pytest.mark.parametrize("halved", [False, True], ids=["fine", "coarse"])
 def test_patch_rings_break_at_the_half_radius(margin, halved):
-    # the blending mask is only C^4 at radius / 2, so the ring grid has an
-    # interval edge there and no interval straddles it.  The intervals are
-    # read back from their 8 Gauss rings; the last ring is the tail ring at
-    # the inner edge.  Margin 60 puts the geometric inner edge above R / 2
-    # (frac = 1e-13^(1/60) > 1/2), so R / 2 becomes the inner edge
-    config = QuadratureConfig().halved() if halved else QuadratureConfig()
-    radius = 0.1
-    _zeta, _w, rho = _patch_nodes(PatchSpec(center=0.3, exponent=margin - 2.0), radius, config)
-    gx = np.polynomial.legendre.leggauss(8)[0]
-    rings = rho[:-1].reshape(-1, gx.size)
-    mid = rings.mean(axis=1)
-    half = (rings[:, -1] - rings[:, 0]) / (gx[-1] - gx[0])
-    assert np.allclose(rings, mid[:, None] + half[:, None] * gx[None, :], rtol=1e-12, atol=0)
-    lo, hi = mid - half, mid + half
-    tol = 1e-12 * radius
-    assert np.all(hi[1:] <= lo[:-1] + tol)  # intervals run outward to inward
-    assert hi[0] == pytest.approx(radius, rel=1e-12)
-    assert rho[-1] == pytest.approx(lo[-1], rel=1e-12)
-    assert np.min(np.abs(np.r_[lo, hi] - radius / 2)) <= tol
-    assert not np.any((lo < radius / 2 - tol) & (hi > radius / 2 + tol))
-    assert lo.size == config.patch_radial + 1
+    # the blending mask is only C^4 at half the reach R, so every patch fan
+    # ray has a panel edge at R / 2 and no panel straddles it, at the fine
+    # and the coarse budget; the two differ.  The panel at the pole
+    # integrates r^sigma r^k, sigma = margin - 2, exactly for k < 20
+    reach, sigma = 0.1, margin - 2.0
+    psi = WeightKernel(UNIT_DISC, WeightPair.standard((MarkedPoint(0.0),))).psi
+    counts = []
+    for config in (QuadratureConfig().halved(), QuadratureConfig()):
+        mid, half, e, w_half, band = _fan_panels(
+            lambda x: psi(x, 0j), np.array([0.0, math.inf]), config.patch_angular,
+            -(-config.patch_radial // 8), [(0j, reach)], None, reach)
+        lo, hi = mid - half, mid + half
+        for ray in np.unique(e):
+            on = e == ray
+            assert np.sum(np.abs(hi[on] - reach / 2) <= 1e-16) == 1
+            assert np.min(lo[on]) == 0 and np.max(hi[on]) == reach
+        assert not np.any((lo < reach / 2 - 1e-16) & (hi > reach / 2 + 1e-16))
+        counts.append(mid.size / np.unique(e).size)
+        if config == (QuadratureConfig().halved() if halved else QuadratureConfig()):
+            x, w, _b, _kept, _lost = _panel_nodes(mid, half, e, w_half, band, (), (reach, sigma))
+            pole = np.abs(x) <= 2 * half[mid == half].max()
+            r, w = np.abs(x[pole]), w[pole]
+            top = 2 * half[mid == half][0]
+            for k in range(20):
+                want = 2 * math.pi * top ** (sigma + k + 2) / (sigma + k + 2)
+                assert np.sum(w * r ** (sigma + k)) == pytest.approx(want, rel=1e-13)
+    assert counts[0] < counts[1]
 
 
 def test_ray_runs_end_at_band_changes_on_one_ray():
@@ -518,7 +524,7 @@ def test_ray_runs_end_at_band_changes_on_one_ray():
         deep = (np.abs(z) < 0.3) & (np.abs(np.angle(z) + 0.5 * d_theta) < 1.5 * d_theta)
         return np.where(deep, -2.0, -0.5)
 
-    nodes = build_region(psi, [], config, np.array([0.0, 1.0, math.inf]), [])
+    nodes = build_region(psi, [], config, np.array([0.0, 1.0, math.inf]))
     change = np.flatnonzero(np.diff(nodes.band))
     assert change.size == 1
     last, first = nodes.zeta[change[0]:change[0] + 2]
@@ -531,16 +537,13 @@ def test_ray_runs_end_at_band_changes_on_one_ray():
 @pytest.mark.parametrize("pts", [ONE_POINT, FAR_POINTS, SPLIT_POINTS],
                          ids=["one-pole", "far-patch", "split"])
 def test_moment_gram_runs_straddle_chunks(pts, monkeypatch):
-    # small odd chunks cut ray and ring runs at every few nodes; a run's
-    # pieces in successive chunks add up to the whole run
+    # small odd chunks cut the runs of the global and the patch fans at every
+    # few nodes; a run's pieces in successive chunks add up to the whole run
     monkeypatch.setattr(quadrature, "_GRAM_CHUNK", 7)
     monkeypatch.setattr(quadrature, "_CHUNK", 11)
     config = QuadratureConfig(angular=16, radial=40, patch_angular=8, patch_radial=8)
     kernel, nodes, basis = region_and_basis(pts, [*CUTS_SPLIT[:3], math.inf], 12, config)
-    n_ang = config.patch_angular
-    runs = [blk.sl.start + n_ang * np.arange(blk.rho.size) for blk in nodes.blocks]
-    runs.append(nodes.ray_runs[0])
-    assert any(np.any(np.diff(r) > 7) for r in runs)
+    assert any(np.any(np.diff(fan.starts) > 7) for fan in nodes.fans)
     assert_matches_direct(kernel, nodes, basis)
 
 
@@ -557,20 +560,19 @@ def direct_values(zeta, P):
 @pytest.mark.parametrize("seed", [0, 1, 3])
 def test_taylor_shift_matches_direct_values(seed, N):
     # the shifted constrained basis [a_part | Z], evaluated in x = zeta - c on
-    # every 11th node of the patch rings, against the basis evaluated at zeta
+    # every 11th node of the patch fans, against the basis evaluated at zeta
     p = random_concavity_problem(seed)
     kernel = WeightKernel(p.domain, p.weights)
     specs = _patch_specs(kernel, p.gain)
-    nodes = build_region(kernel.psi, specs, QuadratureConfig(), np.array([0.0, math.inf]),
-                         _patch_radii(kernel.psi, specs, 0.0))
+    nodes = build_region(kernel.psi, specs, QuadratureConfig(), np.array([0.0, math.inf]))
     a_part, Z = constraint_basis(jet_constraints(p.weights, N, p.domain))
     P = np.column_stack([a_part, Z])
-    for blk in nodes.blocks:
-        c = blk.spec.center
+    for fan in nodes.fans[1:]:
+        c = fan.spec.center
         assert abs(c) <= 0.6
-        z = nodes.zeta[blk.sl][::11]
+        z = nodes.zeta[fan.sl][::11]
         want = direct_values(z, P)
-        got = np.polynomial.polynomial.polyval(z - c, _taylor_shift(P, c))
+        got = np.polynomial.polynomial.polyval(nodes.x[fan.sl][::11], _taylor_shift(P, c))
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= 1e-13
 
@@ -581,10 +583,13 @@ def test_half_resolution_mesh_is_checked_too():
     kernel = WeightKernel(UNIT_DISC, WeightPair.standard(TWO_POINTS))
     specs = _patch_specs(kernel, GAIN)
     config = QuadratureConfig()
+    meshes = []
 
     def area(nodes):
+        # the fine mesh is built first, the coarse one second
+        meshes.append(nodes)
         val = integral_on_nodes(nodes, lambda z: np.ones((1, z.size)))
-        return val if nodes.patch_angular == config.patch_angular else val * np.nan
+        return val if len(meshes) % 2 else val * np.nan
 
     with pytest.raises(NumericalError, match="non-finite quadrature values"):
         _two_level(kernel.psi, area, specs, config, (0.5,), None)

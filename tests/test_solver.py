@@ -287,18 +287,30 @@ def test_nonincreasing_in_t():
 
 
 def test_level_without_nodes_is_refused():
-    # {psi < -200} about a point at 0.3 is a disc of radius ~1e-44: no node
-    # falls in it, so the driver refuses it instead of returning G = 0.  A u
-    # term keeps one point on quadrature; without it the closed form gives
-    # the exact value 2 pi (1 - 0.09)^2 h(200), h(t) = 2 e^{-t/2}
+    # {psi < -200} about a point at 0.3 is a disc of radius ~1e-44: its
+    # patch fan reads the offsets from the point, so with a u term (which
+    # keeps one point on quadrature) G is 2 pi (1 - 0.09)^2 h(200) e^{-2u(0.3)},
+    # h(t) = 2 e^{-t/2}, as the closed form gives it without u; so at
+    # t = 690 (radius about 1e-150).  At t = 700 some area weights of the
+    # patch fan underflow, and at t = 2000 the radius e^{-1000} does: no node
+    # falls in that level.  The driver refuses both instead of returning a
+    # wrong G or G = 0
     g = GainFunction.exponential(0.5)
     w = one_point(0.3, u_coeffs=(0.0, 0.1))
-    for ts in ([200.0], [0.5, 200.0]):
-        with pytest.raises(NumericalError, match=r"no quadrature node in \{psi < -t\} at t = 200:"):
-            minimal_integrals(UNIT_DISC, w, g, ts, N=4)
+    for ts in ([200.0], [0.5, 200.0], [690.0]):
+        exact = 2 * math.pi * 0.91**2 * 2 * math.exp(-ts[-1] / 2)
+        res = minimal_integrals(UNIT_DISC, w, g, ts, N=4)[-1]
+        assert res.diagnostics["gram_path"] == "quadrature"
+        assert res.value == pytest.approx(exact * math.exp(-0.06), rel=1e-12)
         res = minimal_integrals(UNIT_DISC, single_point_pair(0.3), g, ts, N=4)[-1]
         assert res.diagnostics["gram_path"] == "analytic"
-        assert res.value == pytest.approx(2 * math.pi * 0.91**2 * 2 * math.exp(-100), rel=1e-13)
+        assert res.value == pytest.approx(exact, rel=1e-13)
+    with pytest.raises(NumericalError, match=r"weights underflow in \{psi < -t\} at t = 700:"):
+        minimal_integrals(UNIT_DISC, w, g, [700.0], N=4)
+    refusal = r"no quadrature node in \{psi < -t\} at t = 2000:"
+    for ts in ([2000.0], [0.5, 2000.0]):
+        with pytest.raises(NumericalError, match=refusal):
+            minimal_integrals(UNIT_DISC, w, g, ts, N=4)
 
 
 @pytest.mark.parametrize("lam", [2.0, 0.5j])
@@ -445,8 +457,10 @@ def test_error_estimate_covers_patch_angles_at_a_point_near_the_circle(angle):
     assert abs(quad.value - res.value) <= 10 * quad.diagnostics["quadrature_error"]
 
 
-# (disc coordinate, p, jet order, domain, gain): every kappa_0 = (p - k)/p
-# lies above the gain's tail slope, so every entry of the Gram converges
+# (disc coordinate, p, jet order k, domain, gain): with divisor order
+# m = k + 1, every kappa_k = (k + 1 + p - m)/p = 1 lies above the gain's tail
+# slope, so every Gram entry from degree k on converges; the entries below
+# degree k never meet an admissible form, whose a_l vanish for l < k
 ONE_POINT_CASES = {
     "origin-rate-0.5": (0.0, 1.0, 0, UNIT_DISC, GainFunction.exponential(-0.5)),
     "off-0-rate0.3": (0.4, 1.0, 0, UNIT_DISC, GainFunction.exponential(0.3)),
@@ -461,6 +475,9 @@ ONE_POINT_CASES = {
                           {"leading": 2.0}),
     "constant-u-p2-jet1": (0.3 + 0.2j, 2.0, 1, MOEBIUS, GainFunction.exponential(0.3),
                            {"u_coeffs": (0.4 - 0.3j, 0.0, 0.0), "leading": 0.5j}),
+    # p = 1 and divisor order 2: kappa_0 = 0 <= rate 0.5, so entry [0][0]
+    # diverges, but a_0 = 0 on the admissible family and kappa_1 = 1 > 0.5
+    "kappa0-at-slope": (0.3, 1.0, 1, UNIT_DISC, GainFunction.exponential(0.5)),
 }
 
 
@@ -485,13 +502,11 @@ def test_one_point_takes_the_closed_form_under_any_gain(case):
             assert res.value == pytest.approx(exact, rel=1e-13)
 
 
-@pytest.mark.parametrize("case", ["u", "bump", "kappa0-at-slope", "two-points"])
+@pytest.mark.parametrize("case", ["u", "bump", "two-points"])
 def test_one_point_stays_on_quadrature_without_a_radial_integrand(case):
     g = GainFunction.exponential(0.5)
     w = {"u": lambda: one_point(0.3, u_coeffs=(0.0, 0.1)),
          "bump": lambda: one_point(0.3, bump=0.2),
-         # p = 1 and divisor order 2: kappa_0 = 0 <= rate 0.5, entry [0][0] diverges
-         "kappa0-at-slope": lambda: one_point(0.3, k=1),
          "two-points": lambda: WeightPair.standard(
              (MarkedPoint(0.3), MarkedPoint(-0.3)))}[case]()
     chart = disc_chart(UNIT_DISC, w)

@@ -6,7 +6,7 @@ import pytest
 
 import jetmin.weights
 from jetmin.errors import BadInputError
-from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint, green_disc_raw
+from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint, green_disc, green_disc_raw
 from jetmin.weights import (
     PhiSpec,
     PsiSpec,
@@ -220,12 +220,31 @@ def test_shared_kernel_evaluation_is_bitwise(dom, monkeypatch):
     zeta = (r * np.exp(1j * a)).ravel()
     calls = []
 
-    def counted(z, z0):
+    def counted(z, z0, x=None):
         calls.append(z0)
-        return green_disc_raw(z, z0)
+        return green_disc_raw(z, z0, x)
 
     monkeypatch.setattr(jetmin.weights, "green_disc_raw", counted)
     psi, phi_plus_psi = kernel.psi_and_phi_plus_psi(zeta)
     assert len(calls) == 4
     assert np.array_equal(psi, kernel.psi(zeta))
     assert np.array_equal(phi_plus_psi, kernel.phi_plus_psi(zeta))
+
+
+def test_offsets_read_a_point_term_from_x():
+    # with an origin at a point c, the evaluators take offsets x and read c's
+    # own Green term from x: where c + x keeps the digits of x they match the
+    # plain evaluation at c + x, and at |x| = 1e-80 (where c + x == c) psi -
+    # 2p log|x| still tends to its smooth limit at c
+    c, p = 0.3 - 0.2j, 1.5
+    w = WeightPair.standard((MarkedPoint(c, green_weight=p, jet_order=1),
+                             MarkedPoint(-0.4j, green_weight=0.8)), u_coeffs=(0.1, 0.2j))
+    kernel = WeightKernel(UNIT_DISC, w)
+    x = 1e-3 * np.exp(1j * np.linspace(0.0, 6.0, 7))
+    for got, want in zip(kernel.psi_and_phi_plus_psi(x, c), kernel.psi_and_phi_plus_psi(c + x)):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    limit = 2 * p * -math.log(1 - abs(c) ** 2) + 2 * 0.8 * green_disc(c, -0.4j)
+    tiny = 1e-80 * np.exp(1j * np.linspace(0.0, 6.0, 7))
+    # psi is about -554 there, whose ulp is 1.1e-13
+    np.testing.assert_allclose(kernel.psi(tiny, c) - 2 * p * math.log(1e-80), limit, atol=1e-12)
+    assert np.all(np.isinf(kernel.psi(tiny + c)))
