@@ -46,7 +46,11 @@ The default mesh (``QuadratureConfig``) casts 256 global rays with about
 64 radial nodes per level length, and 32 rays per patch fan with 4 panels
 per level length, all in panels of 10 nodes whose count per piece is
 rounded up, and at least 2 panels on a piece in a blending annulus.  The
-error estimate is the difference from the mesh with every count halved.
+error estimate is the difference from the half-resolution mesh, which has
+every count halved: each of its fans takes every other ray of the fine
+fan, the same trapezoid rule turned by a quarter of its spacing, and
+reuses the fine mesh's cut search on those rays, but keeps its own radial
+panels and tangency sub-rays.
 """
 from __future__ import annotations
 
@@ -99,7 +103,13 @@ class QuadratureConfig:
     ``levels`` is 1 (fine mesh only) or 2 (plus the half-resolution mesh that
     gives the error estimate).  ``halved`` halves every count down to the
     floors (32, 40, 16, 16), so a two-level mesh needs every count above its
-    floor; at a floor the two meshes would be one and the estimate 0.
+    floor; at a floor the two meshes would be one and the estimate 0.  The
+    half-resolution fans cast their rays at (k + 1/4) 2 pi / m, every other
+    ray of a fine fan of 2m rays, and take the fine mesh's cuts on them (a
+    count that is not halved exactly, 40 -> 32, is cut in one search over
+    the union of both meshes' rays); their radial panels and tangency
+    sub-rays are their own.  G comes from the fine mesh alone, so it does
+    not depend on ``levels``.
 
     ``radial`` is about the number of radial nodes across one level on one
     global ray, in Gauss-Legendre panels of 10 nodes.  64 suffices because
@@ -485,10 +495,71 @@ def _panel_nodes(mid, half, e, w_half, band, mask_patches, pole=None):
             np.any((mask > _MASK_FLOOR) & ~keep, axis=1))
 
 
-def _fan_panels(psi_fn, cuts, n_ang, budget, mask_patches, centers, reach=1.0):
-    """Band-sorted panels of one fan of ``n_ang`` rays, with per-band
-    tangency refinement; the arguments after ``budget`` are those of
-    ``_panels`` and ``_ray_pieces``.
+def _fan_thetas(n_ang, first):
+    """The angles (k + first) 2 pi / n_ang, k < n_ang, of a fan's base rays."""
+    return (np.arange(n_ang) + first) * (2 * math.pi / n_ang)
+
+
+class _SharedCuts:
+    """The base-ray pieces of every fan on each mesh of one region, from one
+    cut search per fan over the union of the meshes' angles.
+
+    ``meshes`` are QuadratureConfigs, the fine mesh first.  A fan of n rays
+    points them at (k + 1/2) 2 pi / n on the fine mesh and at
+    (k + 1/4) 2 pi / n on a later one, the same trapezoid rule turned by a
+    quarter of its spacing: at half the fine count these are every other
+    fine ray, equal in floats, so the union is the fine fan and its search
+    serves both meshes.  A fan is searched when the first mesh asks for it,
+    and each mesh's pieces are dropped once handed out.
+    """
+
+    def __init__(self, meshes):
+        self.meshes = list(meshes)
+        # the angles of the global fan (key "angular") and of every patch fan on each mesh
+        self.thetas = {count: [_fan_thetas(getattr(m, count), 0.25 if i else 0.5)
+                               for i, m in enumerate(self.meshes)]
+                       for count in ("angular", "patch_angular")}
+        self.union = {count: _sorted_union(t) for count, t in self.thetas.items()}
+        self._held = {}
+
+    def take(self, mesh, fan, search):
+        """(thetas, base pieces) of fan ``fan`` (0 global, i the patch fan
+        of center i - 1) on ``mesh``; search(thetas) runs its _ray_pieces."""
+        count = "patch_angular" if fan else "angular"
+        if fan not in self._held:
+            found = search(self.union[count])
+            self._held[fan] = [_on_rays(found, self.union[count], t) for t in self.thetas[count]]
+        held = self._held[fan]
+        i = self.meshes.index(mesh)
+        out, held[i] = held[i], None
+        return self.thetas[count][i], out
+
+
+def _sorted_union(arrays):
+    """The distinct values of the arrays, sorted.  np.unique (numpy 2.3 on)
+    fills a hash table instead, whose many small heap allocations raised
+    the peak RSS of the scan workload by about 1 MB (numpy 2.4, x86-64)."""
+    out = np.sort(np.concatenate(arrays))
+    return out[np.r_[True, out[1:] != out[:-1]]]
+
+
+def _on_rays(pieces, union, thetas):
+    """The ``_ray_pieces`` arrays of the rays ``union`` restricted to the
+    rays ``thetas`` (sorted, a subset of ``union``) and numbered on them."""
+    if thetas.size == union.size:
+        return pieces
+    slot = np.full(union.size, -1)
+    slot[np.searchsorted(union, thetas)] = np.arange(thetas.size)
+    ray = slot[pieces[0]]
+    keep = ray >= 0
+    return (ray[keep], *(a[keep] for a in pieces[1:]))
+
+
+def _fan_panels(psi_fn, cuts, thetas, pieces, budget, mask_patches, centers, reach=1.0):
+    """Band-sorted panels of one fan with base rays at the angles
+    ``thetas``, (k + offset) 2 pi / n, and their ``_ray_pieces``, with
+    per-band tangency refinement; the arguments after ``budget`` are those
+    of ``_panels`` and ``_ray_pieces``.
 
     A ray whose piece count in some band differs from a neighbor's is cut
     again on _TANGENT_SPLIT sub-rays, at the thresholds of the bands that
@@ -498,9 +569,9 @@ def _fan_panels(psi_fn, cuts, n_ang, budget, mask_patches, centers, reach=1.0):
     ray of their band instead of the full budget per chord.  Returns
     (mid, half, e, w_half, band) per panel.
     """
+    n_ang = thetas.size
     d_theta = 2 * math.pi / n_ang
-    thetas = (np.arange(n_ang) + 0.5) * d_theta
-    ray, lo, hi, band, level_len = _ray_pieces(psi_fn, thetas, cuts, centers, reach=reach)
+    ray, lo, hi, band, level_len = pieces
     counts = np.zeros((cuts.size - 1, n_ang), dtype=int)
     np.add.at(counts, (band, ray), 1)
     refine = np.zeros(counts.shape, dtype=bool)
@@ -539,7 +610,7 @@ def _run_starts(*keys):
     return np.flatnonzero(change)
 
 
-def build_region(psi_fn, patches, config, cuts):
+def build_region(psi_fn, patches, config, cuts, shared=None):
     """Band-tagged nodes and area weights for the bands of the cut list.
 
     ``cuts`` is the sorted array t_0 < ... < t_K; ``patches`` lists the
@@ -551,17 +622,27 @@ def build_region(psi_fn, patches, config, cuts):
     ``config.patch_radial`` / 8 panels per level length, out to the
     center's reach; a fan piece outside every band is dropped, as a ray
     piece is.  Each fan records where each run of its nodes on one ray, in
-    one band, starts.
+    one band, starts.  ``shared`` (a _SharedCuts that lists ``config``)
+    supplies the base-ray cuts of a mesh of a two-level build; by default
+    the region is a fine mesh of its own.
     """
     reaches = _fan_reaches(patches)
     mask_patches = [(p.center, r) for p, r in zip(patches, reaches)]
+    shared = shared if shared is not None else _SharedCuts([config])
+
+    def panels(fan, fan_psi, budget, cut_masks, centers, reach=1.0):
+        # the fan's base pieces die with this call, before the next fan's search
+        search = functools.partial(_ray_pieces, fan_psi, cuts=cuts, centers=centers, reach=reach)
+        return _fan_panels(fan_psi, cuts, *shared.take(config, fan, search), budget, cut_masks,
+                           centers, reach)
+
     parts = [(None, mask_patches, None,
-              _fan_panels(psi_fn, cuts, config.angular, max(4, config.radial // 10),
-                          mask_patches, [p.center for p in patches]))]
-    for p, r in zip(patches, reaches):
+              panels(0, psi_fn, max(4, config.radial // 10), mask_patches,
+                     [p.center for p in patches]))]
+    for i, (p, r) in enumerate(zip(patches, reaches), 1):
         parts.append((p, (), (r, p.exponent),
-                       _fan_panels(lambda x, c=p.center: psi_fn(x, c), cuts, config.patch_angular,
-                                   -(-config.patch_radial // 8), [(0j, r)], None, r)))
+                       panels(i, lambda x, c=p.center: psi_fn(x, c), -(-config.patch_radial // 8),
+                              [(0j, r)], None, r)))
     # nodes are written chunk by chunk into arrays sized for every panel node,
     # so no full-size temporary is held beside them
     n_gl = _GL10[0].size
@@ -737,7 +818,11 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
     straddles a kink of c(-psi); they define bands but no level.  Returns
     arrays (value, err) with one entry per level, in the order of ``ts``;
     err is the max entrywise difference from the half-resolution mesh when
-    config.levels is 2, whose fans have the same reaches.  A level with no
+    config.levels is 2, whose fans have the same reaches and take every
+    other ray of the fine fans, cut by the fine mesh's search
+    (_SharedCuts), with radial panels and tangency sub-rays of their own.
+    Each mesh's nodes are built, evaluated and freed before the next mesh
+    is built.  A level with no
     node, a node whose area weight underflowed, or a non-finite value (a
     weight that overflows) on either mesh is a NumericalError: a level
     about 1e-154 wide about a center (t above about 700 p for a point of
@@ -759,18 +844,20 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
         cuts = np.array([t_lo, *inner, t_hi])
         level = np.zeros(1, dtype=int)
         where = [f"in the band ({t_hi:.6g}, {t_lo:.6g})"]
+    meshes = [config]
     if config.levels == 2:
-        coarse_config = config.halved()
-        if any(getattr(coarse_config, f) >= getattr(config, f)
+        meshes.append(config.halved())
+        if any(getattr(meshes[1], f) >= getattr(config, f)
                for f in ("angular", "radial", "patch_angular", "patch_radial")):
             raise BadInputError(
                 "a two-level mesh needs every count above the half-resolution floors "
                 "(angular 32, radial 40, patch_angular 16, patch_radial 16), else its "
                 "error estimate reads 0; set levels: 1 to skip the estimate")
+    shared = _SharedCuts(meshes)
 
     def on_mesh(mesh):
         """Checked values of the requested levels on one mesh, whose nodes die on return."""
-        nodes = build_region(psi_fn, patches, mesh, cuts)
+        nodes = build_region(psi_fn, patches, mesh, cuts, shared)
         count = _level_sums(np.bincount(nodes.band, minlength=nodes.n_bands))[level]
         lost = _level_sums(nodes.underflow)[level]
         val = _level_sums(evaluate(nodes))[level]
@@ -790,7 +877,7 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
         val = on_mesh(config)
         err = np.zeros(level.size)
         if config.levels == 2:
-            diff = np.abs(val - on_mesh(coarse_config))
+            diff = np.abs(val - on_mesh(meshes[1]))
             err = diff.reshape(diff.shape[0], -1).max(axis=1)
     return val, err
 

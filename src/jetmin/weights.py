@@ -184,22 +184,23 @@ class WeightKernel:
         self.has_u = any(c != 0 for c in w.phi.u_coeffs)
         self.bump = w.phi.bump
 
-    # Each evaluator takes the points origin + x, zeta = x by default; the
-    # Green term of a point at the origin reads x (geometry.green_disc_raw),
-    # so a node 1e-80 from the point keeps its digits.
+    # Each evaluator takes the points origin + x, zeta = x by default (x
+    # itself: 0 + x would only copy it); the Green term of a point at the
+    # origin reads x (geometry.green_disc_raw), so a node 1e-80 from the
+    # point keeps its digits.
     def psi(self, x, origin=0j) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        return self._psi(origin + x, x, origin)
+        return self._psi(x if origin == 0 else origin + x, x, origin)
 
     def phi_plus_psi(self, x, origin=0j) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        return self._phi_plus_psi(origin + x, x, origin)
+        return self._phi_plus_psi(x if origin == 0 else origin + x, x, origin)
 
     def psi_and_phi_plus_psi(self, x, origin=0j) -> tuple[np.ndarray, np.ndarray]:
         """(psi, phi + psi), bit for bit those of ``psi`` and ``phi_plus_psi``,
         with the Green function of each point evaluated once."""
         x = np.asarray(x, dtype=complex)
-        zeta = origin + x
+        zeta = x if origin == 0 else origin + x
         greens = [green_disc_raw(zeta, z, x if z == origin else None) for z, _p, _m in self.points]
         return self._psi(zeta, x, origin, greens), self._phi_plus_psi(zeta, x, origin, greens)
 

@@ -18,6 +18,7 @@ from jetmin.quadrature import (
     QuadratureConfig,
     _band_of,
     _fan_panels,
+    _fan_thetas,
     _panel_nodes,
     _panels,
     _ray_pieces,
@@ -242,6 +243,13 @@ def test_marked_band_cuts_keep_their_pieces():
             assert np.array_equal(a[sel_full], b[sel_part])
 
 
+def fine_fan_panels(psi_fn, cuts, n_ang, budget, mask_patches, centers, reach=1.0):
+    """_fan_panels of a fan of n_ang rays at the fine mesh's angles."""
+    thetas = _fan_thetas(n_ang, 0.5)
+    pieces = _ray_pieces(psi_fn, thetas, cuts, centers, reach=reach)
+    return _fan_panels(psi_fn, cuts, thetas, pieces, budget, mask_patches, centers, reach)
+
+
 @pytest.mark.parametrize("cuts", [(0.1, 1.0, 3.0, 5.0, 5.5, 6.0), (0.5, 2.0, 5.5)])
 def test_sub_rays_take_the_widest_base_density(cuts):
     # tangency sub-rays cross short chords of the split levels; at the
@@ -249,7 +257,7 @@ def test_sub_rays_take_the_widest_base_density(cuts):
     # full per-level budget each (about 37 per sub-ray at the full budget)
     kernel = split_level_kernel()
     config = QuadratureConfig()
-    mid, half, e, w_half, band = _fan_panels(
+    mid, half, e, w_half, band = fine_fan_panels(
         kernel.psi, np.array([*cuts, math.inf]), config.angular, config.radial // 10, [],
         [0.33, -0.33])
     w_theta = w_half / half
@@ -490,7 +498,7 @@ def test_patch_rings_break_at_the_half_radius(margin, halved):
     psi = WeightKernel(UNIT_DISC, WeightPair.standard((MarkedPoint(0.0),))).psi
     counts = []
     for config in (QuadratureConfig().halved(), QuadratureConfig()):
-        mid, half, e, w_half, band = _fan_panels(
+        mid, half, e, w_half, band = fine_fan_panels(
             lambda x: psi(x, 0j), np.array([0.0, math.inf]), config.patch_angular,
             -(-config.patch_radial // 8), [(0j, reach)], None, reach)
         lo, hi = mid - half, mid + half
@@ -595,6 +603,50 @@ def test_half_resolution_mesh_is_checked_too():
         _two_level(kernel.psi, area, specs, config, (0.5,), None)
     val, err = _two_level(kernel.psi, area, specs, replace(config, levels=1), (0.5,), None)
     assert np.isfinite(val).all() and err[0] == 0
+
+
+@pytest.mark.parametrize("config", [QuadratureConfig(), QuadratureConfig(angular=40,
+                                                                            patch_angular=20)],
+                         ids=["every-other-ray", "union"])
+@pytest.mark.parametrize("ts,knots", [(CUTS_SPLIT, ()), (CUTS_SPLIT[:3], (2.0, 5.5))],
+                         ids=["sub-rays", "gain-knots"])
+def test_half_resolution_fans_reuse_the_fine_cut_search(ts, knots, config, monkeypatch):
+    # the half-resolution fans cast rays at (k + 1/4) 2 pi / m: at m = n / 2
+    # every other fine ray, bit for bit, and otherwise (40 -> 32, 20 -> 16)
+    # one search covers the union of both meshes' angles.  Either way each
+    # fan's base rays are searched once for both meshes, and the coarse
+    # pieces are bitwise those of a fresh search at its own angles, while
+    # each mesh cuts its own tangency sub-rays
+    kernel = split_level_kernel()
+    specs = _patch_specs(kernel, GAIN)
+    search, fan_panels = quadrature._ray_pieces, quadrature._fan_panels
+    base_searches, sub_searches, fans = [], [], []
+
+    def counted(*args, bands=None, **kwargs):
+        (base_searches if bands is None else sub_searches).append(len(fans))
+        return search(*args, bands=bands, **kwargs)
+
+    def recorded(*args):
+        fans.append(args)
+        return fan_panels(*args)
+
+    monkeypatch.setattr(quadrature, "_ray_pieces", counted)
+    monkeypatch.setattr(quadrature, "_fan_panels", recorded)
+    area = lambda nodes: integral_on_nodes(nodes, lambda z: np.ones((1, z.size)))
+    _, err = _two_level(kernel.psi, area, specs, config, ts, None, knots)
+    n_fans = 1 + len(specs)
+    assert len(base_searches) == n_fans and len(fans) == 2 * n_fans
+    assert min(sub_searches) < n_fans <= max(sub_searches)  # sub-rays on both meshes
+    assert np.all(err > 0)
+    for fine, coarse in zip(fans[:n_fans], fans[n_fans:]):
+        psi_fn, cuts, thetas, pieces, _budget, _masks, centers, reach = coarse
+        halved = 2 * thetas.size == fine[2].size
+        assert np.isin(thetas, fine[2]).all() == halved
+        if halved:
+            assert np.array_equal(thetas, fine[2][::2])
+        fresh = search(psi_fn, thetas, cuts, centers, reach=reach)
+        for got, want in zip(pieces, fresh):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("count,floor", [("angular", 32), ("radial", 40),

@@ -388,9 +388,9 @@ def test_blending_pieces_get_two_radial_panels():
     # six unit-mass points at radius 0.44 under an exponential gain, N = 24:
     # a radial piece in a patch's blending annulus takes at least 2 panels,
     # so the half-resolution mesh resolves the C^4 mask there as well and the
-    # error estimate at radial 128 is that of radial 256 (1.2935e-5 against
-    # 1.2937e-5; the default radial 64 reads 1.3216e-5, with one panel on
-    # such a piece 1.7e-5); G at the default mesh is that of radial 512
+    # error estimate at radial 128 is that of radial 256 (2.0377e-6 at
+    # both; the default radial 64 reads 2.0376e-6, with one panel on such a
+    # piece 2.9e-4); G at the default mesh is that of radial 512
     w, g = six_point_ring(), GainFunction.exponential(0.5)
 
     def solve(mesh):
@@ -435,6 +435,32 @@ def test_default_patch_mesh_stays_within_its_estimate(case):
                            mesh=QuadratureConfig(patch_radial=256, levels=1))
     assert res.diagnostics["gram_path"] == "quadrature"
     assert abs(res.value - ref.value) <= 10 * res.diagnostics["quadrature_error"]
+
+
+def test_G_does_not_depend_on_the_half_resolution_mesh():
+    # the coarse mesh takes every other fine ray and reuses the fine cut
+    # search there, but G comes from the fine mesh alone: levels 1 and 2
+    # give the same bits over a two-point scan grid.  Three points under
+    # a gain whose knots at 6 and 9 cut the fans: against a levels-1 mesh of
+    # 2048 rays, radial 256 and patch fans of 128 / 128, G at each level
+    # lies within its estimate (about 8x to 13x inside it)
+    w = two_point_pair(0.4)
+    g = GainFunction.exponential(0.5)
+    ts = [0.25 * k for k in range(1, 10)]
+    one, two = (minimal_integrals(UNIT_DISC, w, g, ts, N=8, mesh=QuadratureConfig(levels=n))
+                for n in (1, 2))
+    assert all(r.diagnostics["gram_path"] == "quadrature" for r in two)
+    assert [r.value for r in one] == [r.value for r in two]
+    assert all(r.diagnostics["quadrature_error"] > 0 for r in two)
+    w = WeightPair.standard(tuple(MarkedPoint(z, green_weight=p, jet_order=0, jet_coeff=1.0)
+                                  for z, p in [(0.4, 0.6), (-0.3 + 0.35j, 1.3),
+                                               (-0.25 - 0.4j, 2.7)]))
+    ts = [0.5, 3.0, 7.0]
+    res = minimal_integrals(UNIT_DISC, w, KNOT_GAIN, ts, N=4)
+    ref = minimal_integrals(UNIT_DISC, w, KNOT_GAIN, ts, N=4, mesh=QuadratureConfig(
+        angular=2048, radial=256, patch_angular=128, patch_radial=128, levels=1))
+    for r, f in zip(res, ref):
+        assert abs(r.value - f.value) <= r.diagnostics["quadrature_error"]
 
 
 @pytest.mark.parametrize("angle", [0.0, 0.3])
