@@ -14,7 +14,7 @@ from .forms import TruncatedForm
 from .gain import GainFunction, eval_h, invert_h
 from .geometry import blaschke_deriv, blaschke_factor
 from .problems import Problem
-from .quadrature import PatchSpec, QuadratureConfig, assembled_integral
+from .mesh import PatchSpec, QuadratureConfig
 from .series import (
     blaschke_deriv_taylor,
     blaschke_taylor,
@@ -121,8 +121,9 @@ def scan_G(problem: Problem) -> ConcavityReport:
     """Sample G on a uniform r-grid in (0, h(0)) and test concavity/linearity.
 
     All G values come from one minimal_integrals call, so the quadrature
-    builds one region per mesh level for the whole t grid, with the patch
-    radii set by the deepest level.  Second differences of a concave
+    builds one region per mesh level for the whole t grid, its rays cut at
+    every level; each patch fan has a fixed reach, whatever the levels
+    (quadrature._fan_reaches).  Second differences of a concave
     function are <= 0; positive values beyond the quadrature tolerance
     indicate a bug, not new mathematics.  psi has a pole at every marked
     point, so a deep level can hold no quadrature node; the quadrature
@@ -342,6 +343,8 @@ def lemma_integrals(kernel: WeightKernel, beta_max: int, mesh: QuadratureConfig 
     Green terms merged per center, is continuous when every center's p_j > 2.
     The identities have exact targets, so no half-resolution mesh is built.
     """
+    from .quadrature import assembled_integral
+
     kernel = WeightKernel(disc_chart(kernel.dom, kernel.w), kernel.w)
     # divisor zeros off psi's centers carry p = 0; the density has no phi
     centers = [(zeta, p) for zeta, p, _m in kernel.points if p > 0]

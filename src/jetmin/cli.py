@@ -369,6 +369,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         sys.stderr.write(f"jetmin: numerical failure: {exc}\n")
         return EXIT_NUMERICAL
+    except MemoryError:
+        sys.stderr.write("jetmin: numerical failure: out of memory; reduce N or the mesh counts\n")
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

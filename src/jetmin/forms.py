@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BadInputError, NumericalError
 from .gain import GainFunction, _tail_integral
 from .geometry import UNIT_DISC, DomainSpec, check_marked_points
-from .quadrature import PatchSpec, QuadratureConfig, assembled_gram
+from .mesh import PatchSpec, QuadratureConfig
 from .series import moebius_taylor, pderiv, pmul
 from .weights import _LOC_TOL, WeightKernel, WeightPair, disc_chart
 
@@ -207,6 +207,14 @@ def analytic_reduction(
         scale = np.exp(-2.0 * (math.log(abs(phi.leading)) + u0))
         diag = diag * scale
     return diag if scale > 0 and np.all(np.isfinite(diag)) else None
+
+
+def assembled_gram(kernel, gain, basis, patches, config, *, ts=(0.0,), band=None):
+    """quadrature.assembled_gram; the quadrature engine is imported on the
+    first call, so the closed-form paths never load it."""
+    from .quadrature import assembled_gram as assemble
+
+    return assemble(kernel, gain, basis, patches, config, ts=ts, band=band)
 
 
 def _patch_specs(kernel: WeightKernel, g: GainFunction) -> list[PatchSpec]:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BadInputError
 from .gain import GainFunction
 from .geometry import DomainSpec, MarkedPoint, check_marked_points
-from .quadrature import QuadratureConfig
+from .mesh import QuadratureConfig
 from .weights import PhiSpec, PsiSpec, WeightPair
 
 

@@ -42,26 +42,28 @@ not (N + 1)^2.  A patch fan's moments are taken in x, with the basis
 coefficients Taylor-shifted to its center and the enforced vanishing
 order factored out of them into the weight.
 
-The default mesh (``QuadratureConfig``) casts 256 global rays with about
-64 radial nodes per level length, and 32 rays per patch fan with 4 panels
-per level length, all in panels of 10 nodes whose count per piece is
-rounded up, and at least 2 panels on a piece in a blending annulus.  The
-error estimate is the difference from the half-resolution mesh, which has
-every count halved: each of its fans takes every other ray of the fine
-fan, the same trapezoid rule turned by a quarter of its spacing, and
-reuses the fine mesh's cut search on those rays, but keeps its own radial
-panels and tangency sub-rays.
+The default mesh (``mesh.QuadratureConfig``, re-exported here) casts 256
+global rays with about 64 radial nodes per level length, and 32 rays per
+patch fan with 4 panels per level length, all in panels of 10 nodes whose
+count per piece is rounded up, and at least 2 panels on a piece in a
+blending annulus.  The error estimate is the difference from the
+half-resolution mesh, which has every count halved: each of its fans
+takes every other ray of the fine fan, the same trapezoid rule turned by a
+quarter of its spacing, and reuses the fine mesh's cut search on those
+rays, but keeps its own radial panels and tangency sub-rays.  Both meshes
+of a Gram assembly share each center's Taylor-shifted basis.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadInputError, NonIntegrableWeightError, NumericalError
 from .gain import eval_log_c
+from .mesh import PatchSpec, QuadratureConfig  # noqa: F401 (re-exported)
 
 _LOG2 = math.log(2.0)
 _GL10 = np.polynomial.legendre.leggauss(10)
@@ -79,78 +81,6 @@ _CHUNK = 8192
 _GRAM_CHUNK = 2048  # nodes per moment pass, which holds a [2N + 1, chunk] real array
 _RAY_BLOCK = 32  # rays sampled and cut together
 _SIGMA_TOL = 1e-12  # a local exponent within this of -2 is not integrable
-
-
-@dataclass(frozen=True)
-class PatchSpec:
-    """A singular center of the weighted integrand, in disc coordinates.
-
-    ``order`` is the vanishing order factored out of basis products there;
-    ``exponent`` is the local radial power of the full product integrand,
-    which must exceed -2 for integrability.
-    """
-
-    center: complex
-    order: int = 0
-    exponent: float = 0.0
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Mesh sizes: global rays and radial budget, patch fan rays and radial
-    budget, levels.
-
-    ``levels`` is 1 (fine mesh only) or 2 (plus the half-resolution mesh that
-    gives the error estimate).  ``halved`` halves every count down to the
-    floors (32, 40, 16, 16), so a two-level mesh needs every count above its
-    floor; at a floor the two meshes would be one and the estimate 0.  The
-    half-resolution fans cast their rays at (k + 1/4) 2 pi / m, every other
-    ray of a fine fan of 2m rays, and take the fine mesh's cuts on them (a
-    count that is not halved exactly, 40 -> 32, is cut in one search over
-    the union of both meshes' rays); their radial panels and tangency
-    sub-rays are their own.  G comes from the fine mesh alone, so it does
-    not depend on ``levels``.
-
-    ``radial`` is about the number of radial nodes across one level on one
-    global ray, in Gauss-Legendre panels of 10 nodes.  64 suffices because
-    the rays are cut at every level and gain knot, so each panel sees a
-    smooth integrand (128 moves G by at most about 2e-11 relative); panel
-    counts round up, and a piece in a patch's blending annulus gets at
-    least 2 panels, so the coarse level (40, the floor) still resolves the
-    blending mask there.
-
-    ``patch_angular`` is the number of rays of a patch fan.  Along each
-    circle about its center the fan is a periodic trapezoid rule, whose
-    error falls geometrically with the count (Trefethen & Weideman, SIAM
-    Review 2014): 32 rays give G of 128 to rounding.  ``patch_radial`` / 8,
-    rounded up, is the number of panels across one level on a fan ray, so
-    the default 32 gives 4 and the coarse floor 16 gives 2.  Fan rays are
-    cut at every level, gain knot and half reach, and the panel at the pole
-    integrates its power exactly, so 16 gives G of 256 to rounding on a
-    smooth gain.
-    """
-
-    angular: int = 256
-    radial: int = 64
-    patch_angular: int = 32
-    patch_radial: int = 32
-    levels: int = 2
-
-    def __post_init__(self) -> None:
-        if min(self.angular, self.radial, self.patch_angular, self.patch_radial) < 8:
-            raise BadInputError("quadrature mesh counts must be >= 8")
-        if self.levels not in (1, 2):
-            raise BadInputError(
-                f"quadrature levels must be 1 (no error estimate) or 2, got {self.levels!r}")
-
-    def halved(self) -> "QuadratureConfig":
-        return replace(
-            self,
-            angular=max(32, self.angular // 2),
-            radial=max(40, self.radial // 2),
-            patch_angular=max(16, self.patch_angular // 2),
-            patch_radial=max(16, self.patch_radial // 2),
-        )
 
 
 @dataclass
@@ -756,7 +686,7 @@ def _ray_moments(nodes, fan, weights, d):
                             nodes.band[starts], nodes.n_bands)
 
 
-def gram_on_nodes(nodes, kernel, gain, basis):
+def gram_on_nodes(nodes, kernel, gain, basis, shifted=None):
     """Hermitian Grams of the basis under 2 e^{-phi} c(-psi), one per band.
 
     Returns an array [n_bands, n_basis, n_basis]; entry [k][l][m] is
@@ -768,10 +698,14 @@ def gram_on_nodes(nodes, kernel, gain, basis):
     enforced vanishing order nu dropped from the basis and moved into the
     log-space weight |x|^(2 nu).  psi and phi + psi come from one kernel
     call, ``psi_and_phi_plus_psi``, which reads a patch fan's offsets.
+    ``shifted`` (a dict, center -> shifted coefficients) keeps each
+    center's Taylor shift of this basis, so the meshes of one assembly
+    compute it once.
     """
     H = np.zeros((nodes.n_bands, len(basis), len(basis)), dtype=complex)
     P = _coeff_matrix(basis)
     d = P.shape[0]
+    shifted = {} if shifted is None else shifted
 
     def weights(i0, i1, center, nu):
         """Offsets i0:i1 and their area weights times 2 e^{-phi} c(-psi), and
@@ -787,7 +721,12 @@ def gram_on_nodes(nodes, kernel, gain, basis):
         center, nu = (0j, 0) if fan.spec is None else (fan.spec.center, fan.spec.order)
         if fan.sl.stop == fan.sl.start or nu >= d:
             continue
-        Q = P if fan.spec is None else _taylor_shift(P, center)[nu:]
+        if fan.spec is None:
+            Q = P
+        else:
+            if center not in shifted:
+                shifted[center] = _taylor_shift(P, center)
+            Q = shifted[center][nu:]
         M = _ray_moments(nodes, fan, lambda i0, i1: weights(i0, i1, center, nu), d - nu)
         H += Q.conj().T @ M @ Q
     return 0.5 * (H + H.conj().transpose(0, 2, 1))
@@ -889,8 +828,11 @@ def _level_sums(per_band):
 
 def assembled_gram(kernel, gain, basis, patches, config, *, ts=(0.0,), band=None):
     """Two-level Grams of the basis, one per level, as _two_level returns
-    them; the region is cut at the gain's knots as well."""
-    return _two_level(kernel.psi, lambda nodes: gram_on_nodes(nodes, kernel, gain, basis),
+    them; the region is cut at the gain's knots as well.  Both meshes share
+    the Taylor-shifted basis of each center."""
+    shifted = {}
+    return _two_level(kernel.psi,
+                      lambda nodes: gram_on_nodes(nodes, kernel, gain, basis, shifted=shifted),
                       patches, config, ts, band, gain._table.t)
 
 

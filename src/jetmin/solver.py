@@ -31,7 +31,7 @@ from .forms import (
 )
 from .gain import GainFunction, eval_h
 from .geometry import UNIT_DISC, DomainSpec, check_marked_points, log_capacity
-from .quadrature import QuadratureConfig
+from .mesh import QuadratureConfig
 from .weights import WeightPair, alpha_j, disc_chart, lelong_psi
 
 

@@ -422,6 +422,18 @@ def test_scan_solver_failure_exits_2(monkeypatch, single_file, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_2(monkeypatch, equality_file, capsys):
+    # a stand-in that raises at once: no input here really allocates
+    def no_memory(problem):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "suita_compare", no_memory)
+    assert cli.main(["suita", equality_file]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure: out of memory" in err
+    assert "Traceback" not in err
+
+
 def test_suita_equality_report(equality_file, capsys):
     assert cli.main(["suita", equality_file]) == 0
     out = json.loads(capsys.readouterr().out)

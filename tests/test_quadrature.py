@@ -649,6 +649,40 @@ def test_half_resolution_fans_reuse_the_fine_cut_search(ts, knots, config, monke
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("field", ["angular", "radial", "patch_angular", "patch_radial",
+                                   "levels"])
+@pytest.mark.parametrize("value", [256.5, 64.0, True, "64", None])
+def test_mesh_counts_must_be_integers(field, value):
+    # 256.5 rays would be spaced 2 pi / 256.5 and overlap the circle
+    with pytest.raises(BadInputError, match=f"quadrature {field} must be an integer"):
+        QuadratureConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_mesh_counts_take_numpy_integers_as_ints(value):
+    config = QuadratureConfig(angular=value * 64, radial=value * 32, levels=value)
+    assert config == QuadratureConfig(angular=128, radial=64, levels=2)
+    assert all(type(getattr(config, f)) is int for f in ("angular", "radial", "levels"))
+
+
+def test_both_meshes_share_each_centers_taylor_shift(monkeypatch):
+    calls = []
+
+    def counted(P, center):
+        calls.append(center)
+        return _taylor_shift(P, center)
+
+    monkeypatch.setattr(quadrature, "_taylor_shift", counted)
+    w = WeightPair.standard(TWO_POINTS)
+    kernel = WeightKernel(UNIT_DISC, w)
+    specs = _patch_specs(kernel, GAIN)
+    a_part, Z = constraint_basis(jet_constraints(w, 6))
+    basis = [a_part] + list(Z.T)
+    _H, err = quadrature.assembled_gram(kernel, GAIN, basis, specs, SMALL, ts=(0.3, 1.0))
+    assert np.all(err > 0)  # both meshes ran
+    assert len(calls) == len(specs) and set(calls) == {s.center for s in specs}
+
+
 @pytest.mark.parametrize("count,floor", [("angular", 32), ("radial", 40),
                                          ("patch_angular", 16), ("patch_radial", 16)])
 def test_two_level_mesh_needs_counts_above_the_coarse_floors(count, floor):
