@@ -26,7 +26,7 @@ _SOURCES = {
     ),
     "forms": (
         "GramMatrix", "JetConstraintSystem", "TruncatedForm", "form_norm_quadrature",
-        "gram_analytic_disc", "jet_constraints", "norm_of_form",
+        "gram_analytic_disc", "jet_constraints",
     ),
     "gain": ("GainFunction", "class_p_margin", "eval_c", "eval_h", "invert_h", "ratio_probe"),
     "geometry": (

@@ -299,13 +299,3 @@ def form_norm_quadrature(
     specs = _patch_specs(kernel, g)
     H, err = assembled_gram(kernel, g, [F.coeff_array()], specs, mesh, ts=(t,), band=band)
     return float(H[0, 0, 0].real), float(err[0])
-
-
-def norm_of_form(F: TruncatedForm, H: GramMatrix) -> float:
-    """a* H a for the form's coefficients; real and nonnegative up to roundoff."""
-    a = F.coeff_array()
-    if a.size != H.size:
-        raise BadInputError(
-            f"form has {a.size} coefficients but the Gram is {H.size}x{H.size}"
-        )
-    return float(np.real(np.vdot(a, H.entries @ a)))

@@ -36,11 +36,11 @@ class QuadratureConfig:
     floors (32, 40, 16, 16), so a two-level mesh needs every count above its
     floor; at a floor the two meshes would be one and the estimate 0.  The
     half-resolution fans cast their rays at (k + 1/4) 2 pi / m, every other
-    ray of a fine fan of 2m rays, and take the fine mesh's cuts on them (a
-    count that is not halved exactly, 40 -> 32, is cut in one search over
-    the union of both meshes' rays); their radial panels and tangency
-    sub-rays are their own.  G comes from the fine mesh alone, so it does
-    not depend on ``levels``.
+    ray of a fine fan of 2m rays, and one cut search over the union of both
+    meshes' rays serves both meshes (a count that is not halved exactly,
+    40 -> 32, adds its own rays to the union); their radial panels and
+    tangency sub-rays are their own.  G comes from the fine mesh alone, so
+    it does not depend on ``levels``.
 
     ``radial`` is about the number of radial nodes across one level on one
     global ray, in Gauss-Legendre panels of 10 nodes.  64 suffices because

@@ -163,6 +163,23 @@ def eval_u(w: WeightPair, z) -> np.ndarray:
     return np.real(polyval_many(w.phi.u_coeffs, z))
 
 
+def _coords(x, origin):
+    """(zeta, x, origin) of the points origin + x."""
+    x = np.asarray(x, dtype=complex)
+    return (x if np.ndim(origin) == 0 and origin == 0 else origin + x), x, origin
+
+
+def _green(zeta, x, origin, z):
+    """G(., z) at the points zeta = origin + x, read from x where the origin
+    is z and from zeta elsewhere."""
+    own = np.asarray(origin == z)
+    out = green_disc_raw(zeta, z, x if own.all() else None)
+    if own.any() and not own.all():
+        own = np.broadcast_to(own, zeta.shape)
+        out[own] = green_disc_raw(zeta[own], z, x[own])
+    return out
+
+
 class WeightKernel:
     """Vectorized disc-coordinate evaluators for one (domain, weight) pair.
 
@@ -184,25 +201,24 @@ class WeightKernel:
         self.has_u = any(c != 0 for c in w.phi.u_coeffs)
         self.bump = w.phi.bump
 
-    # Each evaluator takes the points origin + x, zeta = x by default (x
-    # itself: 0 + x would only copy it); the Green term of a point at the
-    # origin reads x (geometry.green_disc_raw), so a node 1e-80 from the
-    # point keeps its digits.
+    # Each evaluator takes the points origin + x, zeta = x for the default
+    # origin 0 (x itself: 0 + x would only copy it).  ``origin`` is a scalar
+    # or an array that broadcasts to the shape of x, one origin per point.
+    # A weight point's Green term reads x where the origin is that point
+    # (geometry.green_disc_raw), so a node 1e-80 from it keeps its digits,
+    # and reads zeta elsewhere.
     def psi(self, x, origin=0j) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        return self._psi(x if origin == 0 else origin + x, x, origin)
+        return self._psi(*_coords(x, origin))
 
     def phi_plus_psi(self, x, origin=0j) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        return self._phi_plus_psi(x if origin == 0 else origin + x, x, origin)
+        return self._phi_plus_psi(*_coords(x, origin))
 
     def psi_and_phi_plus_psi(self, x, origin=0j) -> tuple[np.ndarray, np.ndarray]:
         """(psi, phi + psi), bit for bit those of ``psi`` and ``phi_plus_psi``,
         with the Green function of each point evaluated once."""
-        x = np.asarray(x, dtype=complex)
-        zeta = x if origin == 0 else origin + x
-        greens = [green_disc_raw(zeta, z, x if z == origin else None) for z, _p, _m in self.points]
-        return self._psi(zeta, x, origin, greens), self._phi_plus_psi(zeta, x, origin, greens)
+        coords = _coords(x, origin)
+        greens = [_green(*coords, z) for z, _p, _m in self.points]
+        return self._psi(*coords, greens), self._phi_plus_psi(*coords, greens)
 
     # given ``greens``, the Green arrays are shared; without them each is
     # evaluated where it is added, so a lone psi holds one at a time
@@ -210,16 +226,14 @@ class WeightKernel:
         out = np.zeros(zeta.shape, dtype=float)
         for i, (z, p, _m) in enumerate(self.points):
             if p > 0:
-                out += 2.0 * p * (greens[i] if greens else
-                                  green_disc_raw(zeta, z, x if z == origin else None))
+                out += 2.0 * p * (greens[i] if greens else _green(zeta, x, origin, z))
         return out
 
     def _phi_plus_psi(self, zeta, x, origin, greens=None) -> np.ndarray:
         out = np.full(zeta.shape, 2.0 * self.log_lead, dtype=float)
         for i, (z, _p, m) in enumerate(self.points):
             if m > 0:
-                out += 2.0 * m * (greens[i] if greens else
-                                  green_disc_raw(zeta, z, x if z == origin else None))
+                out += 2.0 * m * (greens[i] if greens else _green(zeta, x, origin, z))
         if self.has_u or self.bump:
             z = self.dom.forward(zeta)
             if self.has_u:

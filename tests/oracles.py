@@ -105,21 +105,22 @@ def _deflate(coeffs, center, order):
 def gram_direct(nodes, kernel, gain, basis) -> np.ndarray:
     """Per-band Grams B^H W B from the values of the basis forms at the nodes.
 
-    The reference for the moment kernel of ``gram_on_nodes``: each form
-    (divided by the enforced vanishing on a patch fan, whose weight then
-    carries that factor) is evaluated by Horner's rule and the weighted
-    products are summed band by band, with no monomial moments in between.
+    The reference for the moment kernel of ``gram_on_nodes``: fan by fan,
+    each form (divided by the enforced vanishing on a patch fan, whose
+    weight then carries that factor) is evaluated by Horner's rule and the
+    weighted products are summed band by band, with no monomial moments in
+    between.
     """
     H = np.zeros((nodes.n_bands, len(basis), len(basis)), dtype=complex)
-    for fan in nodes.fans:
-        center, nu = (0j, 0) if fan.spec is None else (fan.spec.center, fan.spec.order)
-        z, x, band = nodes.zeta[fan.sl], nodes.x[fan.sl], nodes.band[fan.sl]
+    for f, (center, nu) in enumerate(zip(nodes.origin.tolist(), nodes.nu.tolist())):
+        sl = slice(*nodes.fan_start[f:f + 2])
+        z, x, band = nodes.zeta[sl], nodes.x[sl], nodes.band[sl]
         psi = kernel.psi(x, center)
         log_w = math.log(2.0) + psi - kernel.phi_plus_psi(x, center) + eval_log_c(gain, -psi)
         log_w += 2.0 * nu * np.log(np.abs(x)) if nu else 0.0
         B = np.stack([np.polynomial.polynomial.polyval(z, _deflate(b, center, nu))
                       for b in basis])
-        BW = B.conj() * (nodes.area_w[fan.sl] * np.exp(log_w))
+        BW = B.conj() * (nodes.area_w[sl] * np.exp(log_w))
         for k in range(nodes.n_bands):
             H[k] += BW[:, band == k] @ B[:, band == k].T
     return H

@@ -17,7 +17,6 @@ from jetmin.forms import (
     gram_analytic_disc,
     gram_reduced,
     jet_constraints,
-    norm_of_form,
 )
 from jetmin.gain import GainFunction
 from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
@@ -273,20 +272,6 @@ def test_nonintegrable_divisor_zero_off_marked_point():
                             mesh=QuadratureConfig(angular=1024, radial=512, levels=1))
     assert res.value == pytest.approx(fine.value, rel=1e-12)
     assert res.value == pytest.approx(1.955133602854525, rel=1e-12)
-
-
-def test_norm_of_form_values():
-    H = gram_analytic_disc(1)
-    assert norm_of_form(TruncatedForm((1.0,)), GramMatrix(entries=H.entries[:1, :1])) == (
-        pytest.approx(2 * math.pi)
-    )
-    assert norm_of_form(TruncatedForm((0.0, 1.0)), H) == pytest.approx(math.pi)
-    assert norm_of_form(TruncatedForm((1.0, 1.0)), H) == pytest.approx(3 * math.pi)
-
-
-def test_norm_of_form_dimension_mismatch():
-    with pytest.raises(BadInputError):
-        norm_of_form(TruncatedForm((1.0, 2.0, 3.0)), gram_analytic_disc(1))
 
 
 def test_form_norm_quadrature_full_disc():

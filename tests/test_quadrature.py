@@ -17,11 +17,11 @@ from jetmin.quadrature import (
     PatchSpec,
     QuadratureConfig,
     _band_of,
-    _fan_panels,
-    _fan_thetas,
     _panel_nodes,
     _panels,
     _ray_pieces,
+    _ray_table,
+    _region_panels,
     _taylor_shift,
     _two_level,
     assembled_integral,
@@ -57,6 +57,22 @@ def pole_region(pts, cuts):
 
 def single_pole_region(zeta0, cuts=CUTS, p=1.0):
     return pole_region((MarkedPoint(zeta0, green_weight=p, jet_order=0, jet_coeff=1.0),), cuts)
+
+
+def fan_nodes(nodes, f):
+    """The slice of the nodes of fan f (0 the global fan)."""
+    return slice(*nodes.fan_start[f:f + 2])
+
+
+def fan_runs(nodes, f):
+    """The first node and the ray direction of each run of fan f."""
+    on = np.searchsorted(nodes.fan_start, nodes.starts, side="right") - 1 == f
+    return nodes.starts[on], nodes.e[on]
+
+
+def global_fan(n):
+    """The ray table of a lone global fan of n rays at (k + 1/2) 2 pi / n."""
+    return _ray_table([], QuadratureConfig(angular=n), 0.5)
 
 
 def user_level_areas(chart, nodes):
@@ -112,13 +128,13 @@ def test_every_global_node_lies_on_a_ray_from_0(pts, chart):
     kernel = WeightKernel(disc_chart(UNIT_DISC, w) if chart else UNIT_DISC, w)
     specs = _patch_specs(kernel, GAIN)
     nodes = build_region(kernel.psi, specs, SMALL, CUTS)
-    fan = nodes.fans[0]
-    direction = np.repeat(fan.e, np.diff(np.r_[fan.starts, fan.sl.stop]))
-    x = nodes.zeta[fan.starts[0]:fan.sl.stop] * direction.conj()
+    sl, (starts, e) = fan_nodes(nodes, 0), fan_runs(nodes, 0)
+    direction = np.repeat(e, np.diff(np.r_[starts, sl.stop]))
+    x = nodes.zeta[starts[0]:sl.stop] * direction.conj()
     assert np.all(x.real > 0)
     assert np.all(np.abs(x.imag) <= 1e-15 * x.real)
-    band = np.searchsorted(CUTS, -kernel.psi(nodes.zeta[fan.sl]), side="left") - 1
-    assert np.array_equal(band, nodes.band[fan.sl])
+    band = np.searchsorted(CUTS, -kernel.psi(nodes.zeta[sl]), side="left") - 1
+    assert np.array_equal(band, nodes.band[sl])
 
 
 def test_single_pole_rays_start_at_the_pole():
@@ -129,7 +145,7 @@ def test_single_pole_rays_start_at_the_pole():
     for zeta0 in (0.0, 0.1, 0.45 - 0.2j, 0.6j):
         _, kernel, nodes = single_pole_region(zeta0)
         assert kernel.points[0][0] == 0j
-        n_global = nodes.fans[0].sl.stop
+        n_global = nodes.fan_start[1]
         counts.append(n_global)
         z = nodes.zeta[:n_global]
         assert np.all(np.abs(z) < 1.0)
@@ -168,17 +184,17 @@ def test_rays_from_the_origin_are_cut_up_to_the_circle():
            MarkedPoint(-0.1, green_weight=1.2, jet_order=0, jet_coeff=0.5))
     cuts = np.array([0.004, 1.0, math.inf])
     _, kernel, nodes = pole_region(pts, cuts)
-    n_global = nodes.fans[0].sl.stop
+    n_global = nodes.fan_start[1]
     band = np.searchsorted(cuts, -kernel.psi(nodes.zeta[:n_global]), side="left") - 1
     assert np.array_equal(band, nodes.band[:n_global])
 
 
 def sample_counts(psi_fn, calls):
     """psi_fn, recording the samples per ray of each 2-D (ray sampling) call."""
-    def recorded(z):
+    def recorded(z, *origin):
         if np.ndim(z) == 2:
             calls.append(np.shape(z)[1])
-        return psi_fn(z)
+        return psi_fn(z, *origin)
     return recorded
 
 
@@ -189,14 +205,13 @@ def test_one_center_rays_take_coarse_samples(monkeypatch):
     # on the circle, and the center at 0 adds its 15 clustered samples (down
     # to 1e-9) as any center does, so the level t = 12, of radius e^-6
     # inside the first uniform sample 1/65, is still bracketed.
-    thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
     _, kernel, _ = single_pole_region(0.45 - 0.2j)  # its chart puts the pole at 0
     for cuts in (CUTS, np.array([0.2, 12.0, math.inf])):
         pieces = {}
         for n in (64, 1024):
             monkeypatch.setattr(quadrature, "_ONE_CENTER_SAMPLES", n)
             calls = []
-            pieces[n] = _ray_pieces(sample_counts(kernel.psi, calls), thetas, cuts,
+            pieces[n] = _ray_pieces(sample_counts(kernel.psi, calls), global_fan(64), cuts,
                                     [kernel.points[0][0]])
             assert set(calls) == {n + 16}
         (ray, lo, hi, band, _), (ray_f, lo_f, hi_f, band_f, _) = pieces[64], pieces[1024]
@@ -209,10 +224,9 @@ def test_one_center_rays_take_coarse_samples(monkeypatch):
 def test_rays_among_two_centers_take_fine_samples():
     # psi need not be monotone along rays from the origin between two poles
     kernel = split_level_kernel()
-    thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
     calls = []
-    _ray_pieces(sample_counts(kernel.psi, calls), thetas, np.array([1.0, 5.5, math.inf]),
-                [0.33, -0.33])
+    _ray_pieces(sample_counts(kernel.psi, calls), global_fan(64),
+                np.array([1.0, 5.5, math.inf]), [0.33, -0.33])
     assert calls and min(calls) >= 1024
 
 
@@ -230,24 +244,24 @@ def test_marked_band_cuts_keep_their_pieces():
     # pieces and level lengths of those bands match a cut at every threshold
     kernel = split_level_kernel()
     cuts = np.array([0.1, 1.0, 3.0, 5.0, 5.5, 6.0, math.inf])
-    thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
+    rays = global_fan(64)
     centers = [0.33, -0.33]
-    full = _ray_pieces(kernel.psi, thetas, cuts, centers)
+    full = _ray_pieces(kernel.psi, rays, cuts, centers)
     for marked in ([3, 4], [5], [0, 4]):
         bands = np.zeros(cuts.size - 1, dtype=bool)
         bands[marked] = True
-        part = _ray_pieces(kernel.psi, thetas, cuts, centers, bands=bands)
+        part = _ray_pieces(kernel.psi, rays, cuts, centers, bands=bands[None, :])
         sel_full, sel_part = bands[full[3]], bands[part[3]]
         assert sel_full.sum() > 0
         for a, b in zip(full, part):
             assert np.array_equal(a[sel_full], b[sel_part])
 
 
-def fine_fan_panels(psi_fn, cuts, n_ang, budget, mask_patches, centers, reach=1.0):
-    """_fan_panels of a fan of n_ang rays at the fine mesh's angles."""
-    thetas = _fan_thetas(n_ang, 0.5)
-    pieces = _ray_pieces(psi_fn, thetas, cuts, centers, reach=reach)
-    return _fan_panels(psi_fn, cuts, thetas, pieces, budget, mask_patches, centers, reach)
+def table_panels(psi_fn, cuts, rays, centers, circles=()):
+    """_region_panels of the ray table ``rays``, searched alone:
+    (rays with the sub-rays, mid, half, ray, band)."""
+    pieces = _ray_pieces(psi_fn, rays, cuts, centers)
+    return _region_panels(psi_fn, cuts, rays, pieces, centers, circles)
 
 
 @pytest.mark.parametrize("cuts", [(0.1, 1.0, 3.0, 5.0, 5.5, 6.0), (0.5, 2.0, 5.5)])
@@ -257,12 +271,12 @@ def test_sub_rays_take_the_widest_base_density(cuts):
     # full per-level budget each (about 37 per sub-ray at the full budget)
     kernel = split_level_kernel()
     config = QuadratureConfig()
-    mid, half, e, w_half, band = fine_fan_panels(
-        kernel.psi, np.array([*cuts, math.inf]), config.angular, config.radial // 10, [],
-        [0.33, -0.33])
-    w_theta = w_half / half
+    rays, mid, half, ray, band = table_panels(
+        kernel.psi, np.array([*cuts, math.inf]), global_fan(config.angular), [0.33, -0.33])
+    assert np.all(rays.budget == config.radial // 10)
+    w_theta = rays.w[ray]
     sub = w_theta < 0.5 * w_theta.max()
-    n_sub_rays = np.unique(np.round(np.angle(e[sub]), 12)).size
+    n_sub_rays = np.unique(ray[sub]).size
     assert n_sub_rays > 0
     assert sub.sum() < 1.2 * (config.radial // 10) * n_sub_rays
 
@@ -274,7 +288,9 @@ def test_whole_level_pieces_get_the_budget():
     lo = rng.uniform(0.0, 0.5, 1000)
     hi = lo + rng.uniform(1e-3, 0.5, 1000)
     n = lo.size
-    *_, piece = _panels(rng.uniform(0, 2 * math.pi, n), np.ones(n), lo, hi, hi - lo, [], 12)
+    rays = global_fan(8).take(np.zeros(n, dtype=int), theta=rng.uniform(0, 2 * math.pi, n),
+                              budget=np.full(n, 12))
+    *_, piece = _panels(rays, np.arange(n), lo, hi, hi - lo, [])
     assert np.array_equal(np.bincount(piece, minlength=n), np.full(n, 12))
 
 
@@ -298,11 +314,11 @@ def test_all_thresholds_cut_as_each_alone():
     # with its threshold alone
     kernel = split_level_kernel()
     cuts = np.array([0.1, 1.0, 3.0, 5.0, 5.5, 5.501, 6.0, math.inf])
-    thetas = (np.arange(80) + 0.5) * (2 * math.pi / 80)  # blocks of 32, 32 and 16 rays
+    rays = global_fan(80)  # blocks of 32, 32 and 16 rays
     centers = [0.33, -0.33]
-    full = _ray_pieces(kernel.psi, thetas, cuts, centers)
+    full = _ray_pieces(kernel.psi, rays, cuts, centers)
     for k, t in enumerate(cuts[:-1]):
-        alone = _ray_pieces(kernel.psi, thetas, np.array([t, math.inf]), centers)
+        alone = _ray_pieces(kernel.psi, rays, np.array([t, math.inf]), centers)
         assert level_on_rays(alone, 0)
         assert level_on_rays(full, k) == level_on_rays(alone, 0)
 
@@ -314,19 +330,19 @@ def test_zero_threshold_rays_are_not_sampled():
     kernel = split_level_kernel()
     seen = []
 
-    def psi(z):
+    def psi(z, origin=0j):
         seen.append(np.array(z, dtype=complex).ravel())
-        return kernel.psi(z)
+        return kernel.psi(z, origin)
 
-    thetas = (np.arange(64) + 0.5) * (2 * math.pi / 64)
-    ray, lo, hi, band, level_len = _ray_pieces(psi, thetas, np.array([0.0, math.inf]),
+    rays = global_fan(64)
+    ray, lo, hi, band, level_len = _ray_pieces(psi, rays, np.array([0.0, math.inf]),
                                                [0.33, -0.33])
     assert np.array_equal(ray, np.arange(64))
     assert np.array_equal(lo, np.zeros(64))
     assert np.array_equal(hi, np.ones(64))
     assert np.array_equal(band, np.zeros(64))
     assert np.array_equal(level_len, np.ones(64))
-    assert np.array_equal(np.concatenate(seen), 0.5 * np.exp(1j * thetas))
+    assert np.array_equal(np.concatenate(seen), 0.5 * np.exp(1j * rays.theta))
 
 
 def region_and_basis(pts, cuts, N, config=SMALL, w=None, dom=UNIT_DISC):
@@ -356,9 +372,9 @@ def recorded_cut_searches(monkeypatch):
     def recorded(psi_fn, *args):
         passes = []
 
-        def counted(z):
+        def counted(z, origin):
             passes.append(1)
-            return psi_fn(z)
+            return psi_fn(z, origin)
 
         cuts = search(counted, *args)
         calls.append((psi_fn, args, cuts, len(passes)))
@@ -382,8 +398,8 @@ def test_secant_cut_search_matches_bisection(pts, cuts, monkeypatch):
     chart = disc_chart(UNIT_DISC, WeightPair.standard(pts))
     region_and_basis(pts, cuts, 4, QuadratureConfig(), dom=chart)
     assert calls
-    for psi_fn, (e_ray, lo, hi, f_lo, _f_hi, thresh), got, passes in calls:
-        want = bisect_cuts(psi_fn, e_ray, lo, hi, f_lo, thresh)
+    for psi_fn, (origin, e_ray, lo, hi, f_lo, _f_hi, thresh), got, passes in calls:
+        want = bisect_cuts(lambda z: psi_fn(z, origin), e_ray, lo, hi, f_lo, thresh)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
         assert passes <= 16
 
@@ -393,15 +409,16 @@ def test_moment_gram_matches_direct_products():
     # the direct products B^H W B on a multi-band region whose first patch
     # fan deflates the (complex) basis
     kernel, nodes, basis = region_and_basis(TWO_POINTS, [0.0, 1.0, 3.0, 4.0, math.inf], 16)
-    assert any(fan.spec.order > 0 and fan.sl.stop > fan.sl.start for fan in nodes.fans[1:])
-    assert np.unique(nodes.band[nodes.fans[0].sl]).size == nodes.n_bands
+    sizes = np.diff(nodes.fan_start)
+    assert any(nodes.nu[f] > 0 and sizes[f] > 0 for f in range(1, sizes.size))
+    assert np.unique(nodes.band[fan_nodes(nodes, 0)]).size == nodes.n_bands
     assert_matches_direct(kernel, nodes, basis)
 
 
 def test_moment_gram_on_tangency_sub_rays():
     # several bands of a split level, refined on sub-rays between the base rays
     kernel, nodes, basis = region_and_basis(SPLIT_POINTS, [*CUTS_SPLIT, math.inf], 16)
-    assert np.unique(nodes.fans[0].e).size > SMALL.angular
+    assert np.unique(fan_runs(nodes, 0)[1]).size > SMALL.angular
     assert_matches_direct(kernel, nodes, basis)
 
 
@@ -409,8 +426,8 @@ def test_moment_gram_far_patch_with_vanishing():
     # a patch fan at |c| = 0.57 with nu = 2: the Taylor-shifted basis drops
     # its two leading local coefficients
     kernel, nodes, basis = region_and_basis(FAR_POINTS, [0.0, 2.0, math.inf], 24)
-    far = [fan for fan in nodes.fans[1:] if abs(fan.spec.center) > 0.5]
-    assert far[0].spec.order == 2 and far[0].sl.stop > far[0].sl.start
+    far = [f for f in range(1, nodes.origin.size) if abs(nodes.origin[f]) > 0.5]
+    assert nodes.nu[far[0]] == 2 and nodes.fan_start[far[0] + 1] > nodes.fan_start[far[0]]
     assert_matches_direct(kernel, nodes, basis)
 
 
@@ -431,8 +448,8 @@ def test_moment_gram_on_rays_from_a_pole(radius, N):
                             u_coeffs=(0.0, 0.4 + 0.2j))
     chart = disc_chart(UNIT_DISC, w)
     kernel, nodes, basis = region_and_basis(None, [0.2, 1.5, math.inf], N, w=w, dom=chart)
-    assert kernel.points[0][0] == 0j and nodes.fans[1].spec.center == 0j
-    assert np.any(np.abs(nodes.zeta[nodes.fans[0].sl]) > 1 - radius)
+    assert kernel.points[0][0] == 0j and nodes.origin[1] == 0j
+    assert np.any(np.abs(nodes.zeta[fan_nodes(nodes, 0)]) > 1 - radius)
     assert_matches_direct(kernel, nodes, basis)
 
 
@@ -442,7 +459,7 @@ def test_moment_gram_of_emptied_patch_blocks(pts):
     # about e^-1000): the patch fans find its crossing at 0, so no fan and no
     # ray keeps a node in it, and the Gram is zero
     kernel, nodes, basis = region_and_basis(pts, [2000.0, math.inf], 8)
-    assert nodes.zeta.size == 0 and len(nodes.fans) == len(pts) + 1
+    assert nodes.zeta.size == 0 and nodes.origin.size == len(pts) + 1
     assert not np.any(gram_on_nodes(nodes, kernel, GAIN, basis))
 
 
@@ -455,10 +472,11 @@ def test_ray_runs_skip_wholly_masked_pieces():
         (MarkedPoint(0.0, green_weight=1.0, jet_order=0, jet_coeff=1.0),)))
     specs = _patch_specs(kernel, GAIN)
     nodes = build_region(kernel.psi, specs, SMALL, np.array([0.5, 8.0, math.inf]))
-    glob, fan = nodes.fans
-    assert np.all(nodes.band[glob.sl] == 0)
-    assert np.all(np.diff(glob.starts) > 0) and glob.starts[-1] < glob.sl.stop
-    assert set(nodes.band[fan.sl]) == {0, 1}
+    assert nodes.origin.size == 2
+    glob, starts = fan_nodes(nodes, 0), fan_runs(nodes, 0)[0]
+    assert np.all(nodes.band[glob] == 0)
+    assert np.all(np.diff(starts) > 0) and starts[-1] < glob.stop
+    assert set(nodes.band[fan_nodes(nodes, 1)]) == {0, 1}
     a_part, Z = constraint_basis(jet_constraints(kernel.w, 8))
     assert_matches_direct(kernel, nodes, [a_part] + list(Z.T))
 
@@ -474,13 +492,14 @@ def test_patch_fans_are_cut_at_every_level(cuts, halved):
     # the pole
     config = SMALL.halved() if halved else SMALL
     kernel, nodes, basis = region_and_basis(TWO_POINTS, cuts, 16, config)
-    assert len(nodes.fans) == 3
-    for fan in nodes.fans[1:]:
-        x, band = nodes.x[fan.sl], nodes.band[fan.sl]
-        assert np.unique(fan.e).size >= config.patch_angular
-        assert np.array_equal(nodes.zeta[fan.sl], fan.spec.center + x)
+    assert nodes.origin.size == 3
+    for f in (1, 2):
+        sl, center = fan_nodes(nodes, f), nodes.origin[f]
+        x, band = nodes.x[sl], nodes.band[sl]
+        assert np.unique(fan_runs(nodes, f)[1]).size >= config.patch_angular
+        assert np.array_equal(nodes.zeta[sl], center + x)
         assert np.abs(x).max() < 0.1
-        assert np.array_equal(band, _band_of(np.array(cuts), kernel.psi(x, fan.spec.center)))
+        assert np.array_equal(band, _band_of(np.array(cuts), kernel.psi(x, center)))
         inner = np.abs(x) < 1e-3
         assert inner.any() != math.isfinite(cuts[-1])
         assert np.all(band[inner] == len(cuts) - 2)
@@ -496,20 +515,25 @@ def test_patch_rings_break_at_the_half_radius(margin, halved):
     # integrates r^sigma r^k, sigma = margin - 2, exactly for k < 20
     reach, sigma = 0.1, margin - 2.0
     psi = WeightKernel(UNIT_DISC, WeightPair.standard((MarkedPoint(0.0),))).psi
+    circles = [(0j, reach)]
     counts = []
     for config in (QuadratureConfig().halved(), QuadratureConfig()):
-        mid, half, e, w_half, band = fine_fan_panels(
-            lambda x: psi(x, 0j), np.array([0.0, math.inf]), config.patch_angular,
-            -(-config.patch_radial // 8), [(0j, reach)], None, reach)
+        # the patch fan of a center at 0 alone, without the global fan
+        rays = _ray_table([PatchSpec(center=0j, exponent=sigma)], config, 0.5)
+        rays = rays.take(rays.fan == 1)
+        assert np.all(rays.reach == reach)
+        assert np.all(rays.budget == -(-config.patch_radial // 8))
+        rays, mid, half, ray, _band = table_panels(psi, np.array([0.0, math.inf]), rays, [0j],
+                                                   circles)
         lo, hi = mid - half, mid + half
-        for ray in np.unique(e):
-            on = e == ray
+        for r in np.unique(ray):
+            on = ray == r
             assert np.sum(np.abs(hi[on] - reach / 2) <= 1e-16) == 1
             assert np.min(lo[on]) == 0 and np.max(hi[on]) == reach
         assert not np.any((lo < reach / 2 - 1e-16) & (hi > reach / 2 + 1e-16))
-        counts.append(mid.size / np.unique(e).size)
+        counts.append(mid.size / np.unique(ray).size)
         if config == (QuadratureConfig().halved() if halved else QuadratureConfig()):
-            x, w, _b, _kept, _lost = _panel_nodes(mid, half, e, w_half, band, (), (reach, sigma))
+            x, w, _kept, _lost = _panel_nodes(mid, half, ray, rays, circles)
             pole = np.abs(x) <= 2 * half[mid == half].max()
             r, w = np.abs(x[pole]), w[pole]
             top = 2 * half[mid == half][0]
@@ -527,7 +551,7 @@ def test_ray_runs_end_at_band_changes_on_one_ray():
     config = QuadratureConfig(angular=16, radial=40, patch_angular=8, patch_radial=8)
     d_theta = 2 * math.pi / config.angular
 
-    def psi(z):
+    def psi(z, origin=0j):
         z = np.asarray(z)
         deep = (np.abs(z) < 0.3) & (np.abs(np.angle(z) + 0.5 * d_theta) < 1.5 * d_theta)
         return np.where(deep, -2.0, -0.5)
@@ -551,7 +575,7 @@ def test_moment_gram_runs_straddle_chunks(pts, monkeypatch):
     monkeypatch.setattr(quadrature, "_CHUNK", 11)
     config = QuadratureConfig(angular=16, radial=40, patch_angular=8, patch_radial=8)
     kernel, nodes, basis = region_and_basis(pts, [*CUTS_SPLIT[:3], math.inf], 12, config)
-    assert any(np.any(np.diff(fan.starts) > 7) for fan in nodes.fans)
+    assert any(np.any(np.diff(fan_runs(nodes, f)[0]) > 7) for f in range(nodes.origin.size))
     assert_matches_direct(kernel, nodes, basis)
 
 
@@ -575,12 +599,12 @@ def test_taylor_shift_matches_direct_values(seed, N):
     nodes = build_region(kernel.psi, specs, QuadratureConfig(), np.array([0.0, math.inf]))
     a_part, Z = constraint_basis(jet_constraints(p.weights, N, p.domain))
     P = np.column_stack([a_part, Z])
-    for fan in nodes.fans[1:]:
-        c = fan.spec.center
+    for f in range(1, nodes.origin.size):
+        c, sl = nodes.origin[f], fan_nodes(nodes, f)
         assert abs(c) <= 0.6
-        z = nodes.zeta[fan.sl][::11]
+        z = nodes.zeta[sl][::11]
         want = direct_values(z, P)
-        got = np.polynomial.polynomial.polyval(nodes.x[fan.sl][::11], _taylor_shift(P, c))
+        got = np.polynomial.polynomial.polyval(nodes.x[sl][::11], _taylor_shift(P, c))
         err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert err.max() <= 1e-13
 
@@ -613,40 +637,77 @@ def test_half_resolution_mesh_is_checked_too():
 def test_half_resolution_fans_reuse_the_fine_cut_search(ts, knots, config, monkeypatch):
     # the half-resolution fans cast rays at (k + 1/4) 2 pi / m: at m = n / 2
     # every other fine ray, bit for bit, and otherwise (40 -> 32, 20 -> 16)
-    # one search covers the union of both meshes' angles.  Either way each
-    # fan's base rays are searched once for both meshes, and the coarse
-    # pieces are bitwise those of a fresh search at its own angles, while
-    # each mesh cuts its own tangency sub-rays
+    # the union of both meshes' angles is searched.  Either way one search,
+    # with one secant cut search, cuts the base rays of every fan of both
+    # meshes, and the coarse pieces are bitwise those of a fresh search at
+    # its own angles, while each mesh cuts its own tangency sub-rays, in one
+    # search over the sub-rays of all its fans
     kernel = split_level_kernel()
     specs = _patch_specs(kernel, GAIN)
-    search, fan_panels = quadrature._ray_pieces, quadrature._fan_panels
-    base_searches, sub_searches, fans = [], [], []
+    search, region_panels = quadrature._ray_pieces, quadrature._region_panels
+    bisect = quadrature._bisect_cuts
+    base_searches, sub_searches, bisections, meshes = [], [], [], []
 
     def counted(*args, bands=None, **kwargs):
-        (base_searches if bands is None else sub_searches).append(len(fans))
+        (base_searches if bands is None else sub_searches).append(len(meshes))
         return search(*args, bands=bands, **kwargs)
 
+    def bisected(*args):
+        bisections.append(len(meshes))
+        return bisect(*args)
+
     def recorded(*args):
-        fans.append(args)
-        return fan_panels(*args)
+        meshes.append(args)
+        return region_panels(*args)
 
     monkeypatch.setattr(quadrature, "_ray_pieces", counted)
-    monkeypatch.setattr(quadrature, "_fan_panels", recorded)
+    monkeypatch.setattr(quadrature, "_bisect_cuts", bisected)
+    monkeypatch.setattr(quadrature, "_region_panels", recorded)
     area = lambda nodes: integral_on_nodes(nodes, lambda z: np.ones((1, z.size)))
     _, err = _two_level(kernel.psi, area, specs, config, ts, None, knots)
-    n_fans = 1 + len(specs)
-    assert len(base_searches) == n_fans and len(fans) == 2 * n_fans
-    assert min(sub_searches) < n_fans <= max(sub_searches)  # sub-rays on both meshes
+    assert base_searches == [0] and bisections.count(0) == 1 and len(meshes) == 2
+    assert sub_searches == [1, 2]  # sub-rays on both meshes
     assert np.all(err > 0)
-    for fine, coarse in zip(fans[:n_fans], fans[n_fans:]):
-        psi_fn, cuts, thetas, pieces, _budget, _masks, centers, reach = coarse
-        halved = 2 * thetas.size == fine[2].size
-        assert np.isin(thetas, fine[2]).all() == halved
+    fine = meshes[0][2]
+    psi_fn, cuts, rays, pieces, centers, _circles = meshes[1]
+    for f in range(1 + len(specs)):
+        thetas, fine_thetas = rays.theta[rays.fan == f], fine.theta[fine.fan == f]
+        halved = 2 * thetas.size == fine_thetas.size
+        assert np.isin(thetas, fine_thetas).all() == halved
         if halved:
-            assert np.array_equal(thetas, fine[2][::2])
-        fresh = search(psi_fn, thetas, cuts, centers, reach=reach)
-        for got, want in zip(pieces, fresh):
-            assert np.array_equal(got, want)
+            assert np.array_equal(thetas, fine_thetas[::2])
+    fresh = search(psi_fn, rays, cuts, centers)
+    for got, want in zip(pieces, fresh):
+        assert np.array_equal(got, want)
+
+
+def test_gram_takes_one_kernel_call_per_node_chunk(monkeypatch):
+    # the weights of the nodes of every fan come from one kernel call per
+    # chunk of nodes, which may straddle fans: fewer calls than a call per
+    # fan and chunk
+    monkeypatch.setattr(quadrature, "_GRAM_CHUNK", 512)
+    w = WeightPair.standard(TWO_POINTS)
+    kernel = WeightKernel(UNIT_DISC, w)
+    specs = _patch_specs(kernel, GAIN)
+    a_part, Z = constraint_basis(jet_constraints(w, 6))
+    calls, regions = [], []
+    evaluate, gram = kernel.psi_and_phi_plus_psi, quadrature.gram_on_nodes
+
+    def counted(x, origin=0j):
+        calls.append(x.size)
+        return evaluate(x, origin)
+
+    def recorded(nodes, *args, **kwargs):
+        regions.append(np.diff(nodes.fan_start))
+        return gram(nodes, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "psi_and_phi_plus_psi", counted)
+    monkeypatch.setattr(quadrature, "gram_on_nodes", recorded)
+    quadrature.assembled_gram(kernel, GAIN, [a_part] + list(Z.T), specs, SMALL, ts=(0.3, 1.0))
+    assert len(regions) == 2
+    assert len(calls) == sum(-(-sizes.sum() // 512) for sizes in regions)
+    assert len(calls) < sum(np.sum(-(-sizes // 512)) for sizes in regions)
+    assert sum(calls) == sum(sizes.sum() for sizes in regions)
 
 
 @pytest.mark.parametrize("field", ["angular", "radial", "patch_angular", "patch_radial",

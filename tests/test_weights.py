@@ -209,7 +209,8 @@ def test_shared_kernel_evaluation_is_bitwise(dom, monkeypatch):
     # psi and phi + psi share the Green terms of their common centers: the
     # shared evaluator gives the bits of each alone and evaluates every
     # distinct center once, with extra psi mass on a marked point and off
-    # them, and a divisor zero off the marked points
+    # them, and a divisor zero off the marked points; an array of origins
+    # gives the bits of one call per origin
     z1, z2, z3, z4 = (complex(dom.forward(v)) for v in (0.2, -0.3 + 0.1j, 0.1 - 0.5j, 0.6j))
     marked = (MarkedPoint(z1, green_weight=1.0, jet_order=1, jet_coeff=1.0),
               MarkedPoint(z2, green_weight=1.5, jet_order=0, jet_coeff=0.5))
@@ -229,6 +230,29 @@ def test_shared_kernel_evaluation_is_bitwise(dom, monkeypatch):
     assert len(calls) == 4
     assert np.array_equal(psi, kernel.psi(zeta))
     assert np.array_equal(phi_plus_psi, kernel.phi_plus_psi(zeta))
+    # one origin per point, as a region's nodes carry them: points of the
+    # global fan (origin 0) mixed at random with offsets about three of the
+    # weight's points, one of them at 0 on the disc, some 1e-78 from it,
+    # give the bits of one call per origin
+    z0 = complex(dom.forward(0.0))
+    w = WeightPair.standard(marked + (MarkedPoint(z0, green_weight=0.7),), leading=0.7,
+                            u_coeffs=(0.1, 0.2j), bump=0.3, extra_psi=((z4, 0.5),))
+    kernel = WeightKernel(dom, w)
+    origins = [0j] + [z for z, _p, _m in kernel.points[:3]]
+    assert origins[3] == 0 or dom is not UNIT_DISC
+    rng = np.random.default_rng(11)
+    which = rng.integers(0, len(origins), 600)
+    x = np.sqrt(rng.uniform(0.0, 1.0, which.size)) * np.exp(2j * math.pi * rng.uniform(
+        0.0, 1.0, which.size)) * np.where(which == 0, 0.95, 0.05)
+    x[(which > 0) & (np.arange(which.size) % 5 == 0)] *= 1e-78
+    origin = np.array(origins)[which]
+    for name in ("psi", "phi_plus_psi", "psi_and_phi_plus_psi"):
+        evaluate = getattr(kernel, name)
+        got = np.array(evaluate(x, origin))
+        want = np.empty_like(got)
+        for k, o in enumerate(origins):
+            want[..., which == k] = evaluate(x[which == k], o)
+        assert np.array_equal(got, want)
 
 
 def test_offsets_read_a_point_term_from_x():
