@@ -8,10 +8,9 @@ statements are proved), 4 bad input.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import replace
 
 from .analysis import lemma_integrals, scan_G, suita_compare, verify_mass, verify_orthogonality
 from .errors import BadInputError, NumericalError, TheoremViolationError
@@ -19,6 +18,7 @@ from .geometry import UNIT_DISC, MarkedPoint, green_disc, log_capacity
 from .problems import (
     Numerics,
     dump_json,
+    json_value,
     load_problem,
     problem_to_dict,
     two_point_problem,
@@ -81,33 +81,12 @@ def _emit(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def _criterion_dict(crit) -> dict:
-    """A criterion report as JSON, plus ``all_hold``: non-finite floats and
-    complex values become null."""
-    d = {k: _null_non_finite(v) for k, v in asdict(crit).items()}
-    d["all_hold"] = crit.all_hold
-    return d
-
-
-def _null_non_finite(v):
-    """Report values as JSON values: complex as [re, im], tuples as lists, and
-    non-finite floats and complex values as null."""
-    if isinstance(v, (list, tuple)):
-        return [_null_non_finite(x) for x in v]
-    if isinstance(v, complex):
-        return [v.real, v.imag] if cmath.isfinite(v) else None
-    if isinstance(v, float):
-        return v if math.isfinite(v) else None
-    return v
-
-
 def _report_dict(rep) -> dict:
-    """A report's fields by name; a nested criterion report goes through
-    _criterion_dict."""
-    out = {}
-    for f in fields(rep):
-        v = getattr(rep, f.name)
-        out[f.name] = _criterion_dict(v) if is_dataclass(v) else v
+    """A report as JSON (problems.json_value); its criterion report, if it
+    has one, gains ``all_hold``."""
+    out = json_value(rep)
+    if "criterion" in out:
+        out["criterion"]["all_hold"] = rep.criterion.all_hold
     return out
 
 
@@ -208,7 +187,7 @@ def _appendix_case(a: float, label: str) -> dict:
         "gap_computed": rep.gap,
         "gap_target": gap_target,
         "criterion_flags": list(rep.criterion.flags),
-        "witnesses": _null_non_finite(rep.criterion.witnesses),
+        "witnesses": json_value(rep.criterion.witnesses),
         "equality": rep.equality,
         "checks_passed": all(checks),
     }

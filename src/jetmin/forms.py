@@ -209,12 +209,12 @@ def analytic_reduction(
     return diag if scale > 0 and np.all(np.isfinite(diag)) else None
 
 
-def assembled_gram(kernel, gain, basis, patches, config, *, ts=(0.0,), band=None):
+def assembled_gram(kernel, gain, basis, patches, config, *, ts=(0.0,), top=math.inf):
     """quadrature.assembled_gram; the quadrature engine is imported on the
     first call, so the closed-form paths never load it."""
     from .quadrature import assembled_gram as assemble
 
-    return assemble(kernel, gain, basis, patches, config, ts=ts, band=band)
+    return assemble(kernel, gain, basis, patches, config, ts=ts, top=top)
 
 
 def _patch_specs(kernel: WeightKernel, g: GainFunction) -> list[PatchSpec]:
@@ -253,23 +253,24 @@ def gram_reduced(
     w: WeightPair,
     g: GainFunction,
     ts: Sequence[float],
-    a_part: np.ndarray,
-    Z: np.ndarray,
+    basis: Sequence[np.ndarray],
     mesh: QuadratureConfig | None = None,
+    *,
+    top: float = math.inf,
 ) -> list[GramMatrix]:
-    """Grams on [particular | null-space] after constraint substitution, one
-    per t; (a_part, Z) come from constraint_basis.
+    """Grams of the basis columns on the levels {-top <= psi < -t}, one per
+    t in ``ts``: the sublevel sets {psi < -t} under top = inf, the band
+    {-t1 <= psi < -t2} as ts = (t2,) under top = t1.
 
-    This is the regularization that makes singular weights integrable: every
-    reduced basis function carries the enforced vanishing at the marked
-    points.  The basis does not depend on t, so one region per mesh level
-    serves every sublevel set {psi < -t}, t in ``ts``.
+    The solver passes [a_part, *Z.T] from constraint_basis: constraint
+    substitution is the regularization that makes singular weights
+    integrable, since every reduced basis function carries the enforced
+    vanishing at the marked points.  The basis does not depend on t, so one
+    region per mesh level serves every level.
     """
     mesh = mesh or QuadratureConfig()
     kernel = WeightKernel(dom, w)
-    specs = _patch_specs(kernel, g)
-    basis = [a_part] + [Z[:, i] for i in range(Z.shape[1])]
-    H, err = assembled_gram(kernel, g, basis, specs, mesh, ts=ts)
+    H, err = assembled_gram(kernel, g, basis, _patch_specs(kernel, g), mesh, ts=ts, top=top)
     return [GramMatrix(entries=h, quad_error=float(e)) for h, e in zip(H, err)]
 
 
@@ -283,7 +284,9 @@ def form_norm_quadrature(
     band: tuple[float, float] | None = None,
     mesh: QuadratureConfig | None = None,
 ) -> tuple[float, float]:
-    """Weighted norm of one constrained form over a sublevel set or band.
+    """Weighted norm of one constrained form over the sublevel set
+    {psi < -t} or, given ``band`` = (t1, t2) and no t, over the band
+    {-t1 <= psi < -t2}: the 1 x 1 gram_reduced of F on that level.
 
     Returns (value, error estimate).  ``F`` is read in the chart
     weights.disc_chart(dom, w), as the extremals of solver.minimal_integrals
@@ -293,9 +296,9 @@ def form_norm_quadrature(
     does not (sigma <= -2) raises NonIntegrableWeightError, and a region the
     mesh cannot resolve NumericalError (quadrature._two_level).
     """
-    mesh = mesh or QuadratureConfig()
+    if band is not None and t != 0:
+        raise BadInputError(f"give t or band, not both: t = {t!r}, band = {band!r}")
+    top, ts = (math.inf, (t,)) if band is None else (band[0], (band[1],))
     check_marked_points(dom, w.marked)
-    kernel = WeightKernel(disc_chart(dom, w), w)
-    specs = _patch_specs(kernel, g)
-    H, err = assembled_gram(kernel, g, [F.coeff_array()], specs, mesh, ts=(t,), band=band)
-    return float(H[0, 0, 0].real), float(err[0])
+    (R,) = gram_reduced(disc_chart(dom, w), w, g, ts, [F.coeff_array()], mesh, top=top)
+    return float(R.entries[0, 0].real), R.quad_error

@@ -6,8 +6,10 @@ The dataclasses are the file format.  The reader takes the ``marked``,
 by its field's annotated type and passing only the keys the file holds, so
 every default is the dataclass's own; weights always go through
 ``WeightPair.standard``.  A gain block takes only the keys its kind reads.
-The writer emits those blocks from ``dataclasses.asdict`` with complex values
-as ``[re, im]``.
+The writer emits those blocks, and the reports of the command line, through
+``json_value``: a dataclass by its fields, complex values as ``[re, im]``,
+tuples as lists and a non-finite number (in a report, say an infinite
+spread) as null.
 
 Floats are emitted with 17 significant digits and sorted keys, so identical
 problems produce byte-identical files and reports.  -0.0 is written as -0
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
@@ -63,11 +65,6 @@ class Problem:
 
 
 # -- JSON round trip ---------------------------------------------------------
-
-def _c_out(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
 
 def _float_in(v, what: str) -> float:
     """A real number field; bools, strings and null are rejected."""
@@ -126,14 +123,20 @@ def _require_keys(d, allowed: set, what: str) -> None:
         raise BadInputError(f"unknown {what} keys: {sorted(extra)}")
 
 
-def _json_out(v):
-    """Dataclass field values as JSON values: complex as [re, im], tuples as lists."""
-    if isinstance(v, complex):
-        return _c_out(v)
+def json_value(v):
+    """A value as JSON data for dump_json: a dataclass as the dict of its
+    fields, complex as [re, im], tuples as lists, and a non-finite float or
+    complex as null."""
+    if is_dataclass(v):
+        return {f.name: json_value(getattr(v, f.name)) for f in fields(v)}
     if isinstance(v, dict):
-        return {k: _json_out(x) for k, x in v.items()}
+        return {k: json_value(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
-        return [_json_out(x) for x in v]
+        return [json_value(x) for x in v]
+    if isinstance(v, complex):
+        return [v.real, v.imag] if math.isfinite(v.real) and math.isfinite(v.imag) else None
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
     return v
 
 
@@ -167,17 +170,17 @@ def problem_to_dict(p: Problem) -> dict:
     """Canonical dict form with every default written out."""
     dom: dict = {"kind": p.domain.kind}
     if p.domain.kind != "unit_disc":
-        dom["map_coeffs"] = _json_out(p.domain.map_coeffs)
+        dom["map_coeffs"] = json_value(p.domain.map_coeffs)
     gain = {"kind": p.gain.kind}
-    gain.update({k: _json_out(getattr(p.gain, k)) for k in _GAIN_FIELDS[p.gain.kind]})
-    w = _json_out(asdict(p.weights))
+    gain.update({k: json_value(getattr(p.gain, k)) for k in _GAIN_FIELDS[p.gain.kind]})
+    w = json_value(p.weights)
     return {
         "domain": dom,
         "marked": w["marked"],
         "psi_extra": w["psi"]["extra_terms"],
         "phi": w["phi"],
         "gain": gain,
-        "numerics": _json_out(asdict(p.numerics)),
+        "numerics": json_value(p.numerics),
     }
 
 
@@ -273,7 +276,7 @@ def _dump(obj, out: list[str], depth: int) -> None:
     elif obj is None:
         out.append("null")
     elif isinstance(obj, complex):
-        _dump(_c_out(obj), out, depth)
+        _dump([obj.real, obj.imag], out, depth)
     else:
         raise BadInputError(f"cannot serialize {type(obj).__name__} to JSON")
 

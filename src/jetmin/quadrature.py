@@ -5,8 +5,9 @@ Band k is {-t_{k+1} <= psi < -t_k}, and level k is the union of the bands
 j >= k, that is {-t_K <= psi < -t_k}.  With t_K = inf the levels are
 sublevel sets: {psi < -t} is the cut list (t, inf), the sublevel sets of a
 scan grid are (t_0, ..., t_{K-1}, inf), and the band {-t1 <= psi < -t2} is
-(t2, t1).  The public entry points take ``ts=`` or ``band=`` and convert
-them once, in the two-level driver.
+(t2, t1).  Every entry point takes one request, the levels ``ts`` under
+an outer cut ``top`` (inf for sublevel sets, t1 for a band), and the
+two-level driver turns it into the cut list.
 
 A region is one table of rays (``Rays``) in fans.  Fan 0, the global fan,
 casts rays from zeta = 0 to the circle.  Each singular center c adds a
@@ -739,13 +740,15 @@ def integral_on_nodes(nodes, fn):
     return total
 
 
-def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
+def _two_level(psi_fn, evaluate, patches, config, ts, top=math.inf, knots=()):
     """evaluate(nodes) over each level, with a two-level error estimate.
 
-    The levels are the sublevel sets {psi < -t} for t in ``ts``, or the one
-    band {-t1 <= psi < -t2} when ``band`` is (t1, t2).  One region per mesh
-    level serves all of them: evaluate returns one value per band, and a
-    level's value is the sum over its bands.  ``knots`` (the gain's) are
+    The levels are {-top <= psi < -t} for t in ``ts``, each t in [0, top):
+    the sublevel sets {psi < -t} under top = inf, and the band
+    {-t1 <= psi < -t2} as ts = (t2,) under top = t1.  The cut list is the
+    levels' t, the knots between them and top, and top.  One region per
+    mesh level serves all of them: evaluate returns one value per band, and
+    a level's value is the sum over its bands.  ``knots`` (the gain's) are
     extra cuts inside the region, on every fan, so no radial panel
     straddles a kink of c(-psi); they define bands but no level.  Returns
     arrays (value, err) with one entry per level, in the order of ``ts``;
@@ -760,22 +763,16 @@ def _two_level(psi_fn, evaluate, patches, config, ts, band, knots=()):
     level about 1e-154 wide about a center (t above about 700 p for a point
     of mass p) is refused so.
     """
-    if band is None:
-        ts = [float(t) for t in ts]
-        if not ts or not all(t >= 0 for t in ts):
-            raise BadInputError("sublevel parameter t must be >= 0")
-        inner = [float(k) for k in knots if k > min(ts)]
-        cuts = np.array(sorted(set(ts + inner)) + [math.inf])
-        level = np.searchsorted(cuts, ts)
-        where = [f"in {{psi < -t}} at t = {t:.6g}" for t in ts]
-    else:
-        t_hi, t_lo = float(band[0]), float(band[1])
-        if not (t_hi > t_lo >= 0):
-            raise BadInputError(f"band needs t1 > t2 >= 0, got {band!r}")
-        inner = [float(k) for k in knots if t_lo < k < t_hi]
-        cuts = np.array([t_lo, *inner, t_hi])
-        level = np.zeros(1, dtype=int)
-        where = [f"in the band ({t_hi:.6g}, {t_lo:.6g})"]
+    ts, top = [float(t) for t in ts], float(top)
+    if not ts or not all(t >= 0 for t in ts):
+        raise BadInputError("sublevel parameter t must be >= 0")
+    if not all(t < top for t in ts):
+        raise BadInputError(f"band needs t1 > t2 >= 0, got ({top:.6g}, {max(ts):.6g})")
+    inner = [float(k) for k in knots if min(ts) < k < top]
+    cuts = np.array(sorted(set(ts + inner)) + [top])
+    level = np.searchsorted(cuts, ts)
+    where = [f"in {{psi < -t}} at t = {t:.6g}" if top == math.inf
+             else f"in the band ({top:.6g}, {t:.6g})" for t in ts]
     meshes = [config]
     if config.levels == 2:
         meshes.append(config.halved())
@@ -820,19 +817,19 @@ def _level_sums(per_band):
     return np.cumsum(per_band[::-1], axis=0)[::-1]
 
 
-def assembled_gram(kernel, gain, basis, patches, config, *, ts=(0.0,), band=None):
-    """Two-level Grams of the basis, one per level, as _two_level returns
-    them; the region is cut at the gain's knots as well.  Both meshes share
-    the Taylor-shifted basis of each center."""
+def assembled_gram(kernel, gain, basis, patches, config, *, ts=(0.0,), top=math.inf):
+    """Two-level Grams of the basis on the levels ``ts`` under ``top``, one
+    per level, as _two_level returns them; the region is cut at the gain's
+    knots as well.  Both meshes share the Taylor-shifted basis of each
+    center."""
     shifted = {}
     return _two_level(kernel.psi,
                       lambda nodes: gram_on_nodes(nodes, kernel, gain, basis, shifted=shifted),
-                      patches, config, ts, band, gain._table.t)
+                      patches, config, ts, top, gain._table.t)
 
 
 def assembled_integral(psi_fn, fn, patches, config, *, ts=(0.0,)):
     """Integrals of the rows of fn over the sublevel sets {psi < -t}, t in
     ``ts``, as _two_level returns them (value [level, row], err the largest
     over the rows); one pass of fn per node chunk serves every row."""
-    return _two_level(psi_fn, lambda nodes: integral_on_nodes(nodes, fn),
-                      patches, config, ts, None)
+    return _two_level(psi_fn, lambda nodes: integral_on_nodes(nodes, fn), patches, config, ts)

@@ -147,7 +147,8 @@ def minimal_integrals(
     a_part, Z = constraint_basis(C)
     diagonals = [analytic_reduction(dom, w, g, t, N) for t in ts]
     quad_ts = [t for t, diag in zip(ts, diagonals) if diag is None]
-    quad_grams = iter(gram_reduced(dom, w, g, quad_ts, a_part, Z, mesh=mesh) if quad_ts else ())
+    quad_grams = iter(gram_reduced(dom, w, g, quad_ts, [a_part, *Z.T], mesh=mesh)
+                      if quad_ts else ())
     results = []
     for t, diag in zip(ts, diagonals):
         if diag is not None:

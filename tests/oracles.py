@@ -75,7 +75,7 @@ def quadrature_minima(dom, w, g, ts, N: int, mesh: QuadratureConfig | None = Non
     C = jet_constraints(w, N, dom)
     a_part, Z = constraint_basis(C)
     return [kkt_minimize_reduced(R, a_part, Z, C)
-            for R in gram_reduced(dom, w, g, ts, a_part, Z, mesh=mesh)]
+            for R in gram_reduced(dom, w, g, ts, [a_part, *Z.T], mesh=mesh)]
 
 
 def quadrature_minimum(dom, w, g, t: float, N: int, mesh: QuadratureConfig | None = None):

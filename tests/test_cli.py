@@ -265,6 +265,16 @@ def test_overflowing_weight_exits_2(tmp_path, command, phi):
     assert "Traceback" not in out.stderr
 
 
+def test_divergent_weight_at_the_point_exits_2(tmp_path, capsys):
+    # a divisor zero of order 3 at the only point, p = 1: the integrand
+    # exponent there is 2 - 6 = -4, which the jet data do not cancel
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps({"marked": [{"location": [0.3, 0]}],
+                                "phi": {"zeros": [[[0.3, 0], 3]]}, "numerics": {"N": 6}}))
+    assert cli.main(["suita", str(path)]) == 2
+    assert "exponent -4 diverges" in capsys.readouterr().err
+
+
 def test_scan_level_without_nodes_exits_2(tmp_path):
     # rate -> 1 puts the scan grid at t ~ 6e5 to 3e7, where {psi < -t} is a
     # disc of pseudo-hyperbolic radius e^{-t/2} about the point: with a u

@@ -18,12 +18,12 @@ from jetmin.forms import (
     gram_reduced,
     jet_constraints,
 )
-from jetmin.gain import GainFunction
+from jetmin.gain import GainFunction, _tail_integral
 from jetmin.geometry import UNIT_DISC, DomainSpec, MarkedPoint
 from jetmin.problems import two_point_problem
 from jetmin.quadrature import QuadratureConfig
 from jetmin.solver import minimal_integral
-from jetmin.weights import PhiSpec, WeightPair
+from jetmin.weights import PhiSpec, WeightPair, disc_chart
 from oracles import gram_quadrature
 
 CONST = GainFunction.constant(1.0)
@@ -233,10 +233,38 @@ def test_analytic_reduction_eligibility():
                 np.testing.assert_allclose(diag, scale * base, rtol=1e-15)
 
 
+def test_analytic_reduction_leaves_a_divergent_entry_to_quadrature():
+    # one point, in its own chart at zeta = 0, with p = 1 and a divisor zero
+    # of order 3: kappa_0 = (0 + 1 + 1 - 3)/1 = -1 is below the gain's tail
+    # slope 0, so the first entry diverges and no closed form is given; the
+    # quadrature path then refuses the center, sigma = 2 - 6 = -4 <= -2
+    w = WeightPair.standard((MarkedPoint(0.3, green_weight=1.0, jet_order=0, jet_coeff=1.0),),
+                            zeros=((0.3, 3),))
+    assert analytic_reduction(disc_chart(UNIT_DISC, w), w, CONST, 0.0, 6) is None
+    with pytest.raises(NonIntegrableWeightError, match="exponent -4"):
+        minimal_integral(UNIT_DISC, w, CONST, 0.0, N=6)
+
+
+def test_analytic_reduction_leaves_an_overflowing_tail_to_quadrature():
+    # one point at 0 with p = m = 100 under a gain rising to c = e^700 at its
+    # last knot: kappa_l = (l + 1)/100 clears the tail slope 0, but the tail
+    # integral of c(s) e^{-kappa_0 s} beyond the knot, about e^700 e^-14.5 /
+    # 0.01, overflows, so G comes from quadrature, where it is finite
+    g = GainFunction.tabulated([0.0, 1450.0], [1e-320, math.exp(700)])
+    w = WeightPair.standard((MarkedPoint(0.0, green_weight=100.0, jet_order=0, jet_coeff=1.0),),
+                            zeros=((0.0, 100),))
+    with pytest.raises(NumericalError):
+        _tail_integral(g, (np.arange(7) + 1) / 100, 0.0)
+    assert analytic_reduction(UNIT_DISC, w, g, 0.0, 6) is None
+    res = minimal_integral(UNIT_DISC, w, g, 0.0, N=6)
+    assert res.diagnostics["gram_path"] == "quadrature"
+    assert 0 < res.value < math.inf
+
+
 def test_gram_reduced_first_entry_is_particular_norm():
     w = single_point_pair()
     a_part, Z = constraint_basis(jet_constraints(w, 3))
-    (R,) = gram_reduced(UNIT_DISC, w, CONST, [1.0], a_part, Z)
+    (R,) = gram_reduced(UNIT_DISC, w, CONST, [1.0], [a_part, *Z.T])
     assert R.size == Z.shape[1] + 1
     # particular solution for f(0)=1 at N=3 is the constant 1
     assert np.allclose(a_part, [1, 0, 0, 0])
@@ -255,7 +283,7 @@ def test_nonintegrable_divisor_zero_off_marked_point():
     )
     a_part, Z = constraint_basis(jet_constraints(w, 2))
     with pytest.raises(NonIntegrableWeightError):
-        gram_reduced(UNIT_DISC, w, CONST, [0.0], a_part, Z)
+        gram_reduced(UNIT_DISC, w, CONST, [0.0], [a_part, *Z.T])
     with pytest.raises(NonIntegrableWeightError):
         minimal_integral(UNIT_DISC, w, CONST, 1.0, N=12)
     # a band over the zero diverges too (its value grows with the mesh)
@@ -311,6 +339,21 @@ def test_form_norm_quadrature_refuses_an_unresolved_region():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="the weight overflows on the region"):
                 form_norm_quadrature(UNIT_DISC, w, CONST, F)
+
+
+def test_form_norm_quadrature_refuses_a_bad_level_request():
+    w = single_point_pair()
+    F = TruncatedForm((1.0,))
+    with pytest.raises(BadInputError, match="sublevel parameter t must be >= 0"):
+        form_norm_quadrature(UNIT_DISC, w, CONST, F, t=-0.5)
+    for band in ((1.0, 1.0), (1.0, 2.0)):
+        with pytest.raises(BadInputError, match="band needs t1 > t2 >= 0"):
+            form_norm_quadrature(UNIT_DISC, w, CONST, F, band=band)
+    with pytest.raises(BadInputError, match="sublevel parameter t must be >= 0"):
+        form_norm_quadrature(UNIT_DISC, w, CONST, F, band=(1.0, -0.5))
+    # a band is a level of its own: a nonzero t beside it is refused, not dropped
+    with pytest.raises(BadInputError, match="give t or band, not both"):
+        form_norm_quadrature(UNIT_DISC, w, CONST, F, t=0.5, band=(2.0, 1.0))
 
 
 def moebius_two_point():

@@ -1,6 +1,7 @@
 """Problem container, JSON round trip, and stock configuration tests."""
 import json
 import math
+from dataclasses import dataclass
 
 import pytest
 
@@ -12,6 +13,7 @@ from jetmin.problems import (
     Problem,
     dump_json,
     eps_bump_problem,
+    json_value,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -97,6 +99,24 @@ def test_dump_json_rejects_non_finite():
         dump_json({"x": float("nan")})
     with pytest.raises(BadInputError):
         dump_json({"x": float("inf")})
+    with pytest.raises(BadInputError):
+        dump_json({"x": complex(1.0, math.inf)})
+
+
+def test_json_value_maps_dataclasses_complex_tuples_and_non_finite():
+    # a report's non-finite numbers become null on the way to dump_json,
+    # which itself still refuses them
+    @dataclass(frozen=True)
+    class Report:
+        numerics: Numerics
+        spread: float
+
+    numerics = Numerics(N=3)
+    out = json_value({"r": Report(numerics, math.inf), "z": (1 + 2j, complex(math.nan, 0))})
+    assert out["r"]["spread"] is None and out["r"]["numerics"]["N"] == 3
+    assert out["r"]["numerics"]["mesh"]["levels"] == numerics.mesh.levels
+    assert out["z"] == [[1.0, 2.0], None]
+    assert json.loads(dump_json(out))["z"] == [[1.0, 2.0], None]
 
 
 def test_unknown_keys_rejected():

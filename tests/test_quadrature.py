@@ -624,8 +624,8 @@ def test_half_resolution_mesh_is_checked_too():
         return val if len(meshes) % 2 else val * np.nan
 
     with pytest.raises(NumericalError, match="non-finite quadrature values"):
-        _two_level(kernel.psi, area, specs, config, (0.5,), None)
-    val, err = _two_level(kernel.psi, area, specs, replace(config, levels=1), (0.5,), None)
+        _two_level(kernel.psi, area, specs, config, (0.5,))
+    val, err = _two_level(kernel.psi, area, specs, replace(config, levels=1), (0.5,))
     assert np.isfinite(val).all() and err[0] == 0
 
 
@@ -664,7 +664,7 @@ def test_half_resolution_fans_reuse_the_fine_cut_search(ts, knots, config, monke
     monkeypatch.setattr(quadrature, "_bisect_cuts", bisected)
     monkeypatch.setattr(quadrature, "_region_panels", recorded)
     area = lambda nodes: integral_on_nodes(nodes, lambda z: np.ones((1, z.size)))
-    _, err = _two_level(kernel.psi, area, specs, config, ts, None, knots)
+    _, err = _two_level(kernel.psi, area, specs, config, ts, knots=knots)
     assert base_searches == [0] and bisections.count(0) == 1 and len(meshes) == 2
     assert sub_searches == [1, 2]  # sub-rays on both meshes
     assert np.all(err > 0)
